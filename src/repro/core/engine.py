@@ -20,6 +20,21 @@ workloads make:
   cached: a frame holds only fault-free geometry, so an ambient
   :class:`~repro.faults.FaultSpec` can neither leak into nor out of the
   cache.
+* **transit contraction** (:meth:`SnapshotGraph.contracted_matrix`) —
+  what RTT sweeps run Dijkstra on: satellites + cities, with every
+  relay and aircraft (pure transit nodes, satellite neighbours only)
+  replaced by satellite-satellite bounce edges of weight
+  ``min_R d(a, R) + d(R, b)`` (:mod:`repro.network.contraction`).
+  Distances between cities are exact. The bounce edges depend only on
+  the GT-satellite block, which BP, hybrid and ISL-only share, so they
+  are memoized on the frame keyed by ``(gso_policy,
+  max_gts_per_satellite)`` and :func:`assemble_graph` gives each graph
+  a handle to that memo. Faulted graphs lose the handle (``apply_faults``
+  rebuilds the graph) and contract their own edges. Cities, paths,
+  routing and the assembled graph itself are not contracted. ISL_ONLY
+  keeps hybrid's graph, bounce edges included, so its behaviour is
+  unchanged; an ISL_ONLY graph without ground transit would simply
+  leave the bounce edges out.
 
 The assembled graphs are numerically identical to
 ``build_snapshot_graph`` output (same edges, distances, kinds, in the
@@ -31,7 +46,9 @@ Observability: the engine bumps ``engine.static_hits/misses`` and
 ``engine.frame_hits/misses`` counters and nests its work under the
 ``graph_build`` span (children: ``frame_build`` with ``kdtree_query``
 on a frame miss, ``edge_assembly`` always), so profiles of the old and
-new paths line up.
+new paths line up. A contraction runs under a ``transit_contraction``
+span and bumps ``engine.contraction_misses``; a graph that reuses its
+frame's bounce edges bumps ``engine.contraction_hits``.
 """
 
 from __future__ import annotations
@@ -217,6 +234,9 @@ class GeometryFrame:
     cand_dist_m: np.ndarray
     _static: StaticContext
     _isl_dist_m: np.ndarray | None = None
+    #: Bounce edges keyed by the filters that shape the GT-satellite
+    #: block (``gso_policy``, ``max_gts_per_satellite``).
+    _bounce: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_sats(self) -> int:
@@ -234,6 +254,22 @@ class GeometryFrame:
         if self._isl_dist_m is None:
             self._isl_dist_m = isl_lengths_m(self._static.isl_edges, self.sat_ecef)
         return self._isl_dist_m
+
+    def bounce_edges(self, key, build):
+        """Transit-contraction bounce edges for one GT-satellite block.
+
+        The block depends on the frame and the GSO / beam-limit filters
+        only — not on the mode or fiber — so BP, hybrid and ISL-only
+        graphs of one snapshot share a single contraction. ``build``
+        computes it on a miss. Like :meth:`isl_dist_m`, a race merely
+        recomputes the same deterministic value.
+        """
+        bounce = self._bounce.get(key)
+        if bounce is None:
+            bounce = self._bounce[key] = build()
+        else:
+            incr("engine.contraction_hits")
+        return bounce
 
 
 def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
@@ -390,6 +426,7 @@ def assemble_graph(
         edge_dist_m=all_dists,
         edge_kind=all_kinds,
         stations=stations,
+        _bounce_share=(frame, (gso_policy, max_gts_per_satellite)),
     )
     return apply_faults(graph, faults)
 

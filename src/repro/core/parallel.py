@@ -59,7 +59,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.checkpoint import RttCheckpoint, active_checkpoint_for
-from repro.core.pipeline import RttSeries, _pair_rtts_on_graph
+from repro.core.pipeline import RttSeries, _rtt_snapshot_row
 from repro.core.scenario import Scenario
 from repro.integrity.guards import check_rtt_series, strict_enabled
 from repro.integrity.quarantine import note
@@ -559,14 +559,6 @@ def map_snapshot_rows_parallel(
     return finish()
 
 
-def _rtt_row(
-    scenario: Scenario, time_s: float, mode: ConnectivityMode
-) -> np.ndarray:
-    """The RTT evaluator: shortest-path RTTs for every pair, one snapshot."""
-    graph = scenario.graph_at(float(time_s), mode)
-    return _pair_rtts_on_graph(graph, scenario.pairs)
-
-
 def compute_rtt_series_parallel_multi(
     scenario: Scenario,
     modes,
@@ -598,7 +590,7 @@ def compute_rtt_series_parallel_multi(
     rows = map_snapshot_rows_parallel(
         scenario,
         modes,
-        _rtt_row,
+        _rtt_snapshot_row,
         row_len=len(scenario.pairs),
         processes=processes,
         checkpoints=resolved,

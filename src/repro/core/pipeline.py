@@ -65,14 +65,20 @@ def _pairs_by_source(pairs: list[CityPair]) -> dict[int, list[int]]:
 
 
 def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
-    """Shortest-path RTT in ms for every pair on one snapshot graph."""
+    """Shortest-path RTT in ms for every pair on one snapshot graph.
+
+    Dijkstra runs on :meth:`SnapshotGraph.contracted_matrix` (satellites
+    + cities, relays and aircraft replaced by bounce edges): the same
+    distances as the physical graph at a fraction of the CSR entries.
+    """
     if not pairs:
         return np.full(0, np.inf)
     index = pair_index(pairs)
-    _, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
+    _, target_nodes = index.gt_nodes(graph.num_sats, graph.stations.city_count)
+    matrix = graph.contracted_matrix()
     with span("dijkstra"):
         distances = csgraph.dijkstra(
-            graph.matrix(),
+            matrix,
             directed=True,
             indices=graph.num_sats + index.source_cities,
         )
@@ -81,7 +87,11 @@ def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarr
 
 
 def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
-    """Serial RTT evaluator: one snapshot's RTT row, strict-checked."""
+    """The RTT evaluator: one snapshot's RTT row, strict-checked.
+
+    Serial and parallel sweeps both map this function, so the strict
+    guard runs the same way in either.
+    """
     from repro.integrity.guards import check_graph, strict_enabled
 
     graph = scenario.graph_at(float(time_s), mode)

@@ -100,6 +100,8 @@ _BASELINE_COUNTERS = (
     "engine.static_misses",
     "engine.frame_hits",
     "engine.frame_misses",
+    "engine.contraction_hits",
+    "engine.contraction_misses",
     "integrity.quarantined",
     "integrity.shards_verified",
     "integrity.store_errors",

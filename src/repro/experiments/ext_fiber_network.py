@@ -19,9 +19,8 @@ schemes is left to future work").
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph as _csgraph
 
-from repro.constants import SPEED_OF_LIGHT
+from repro.core.pipeline import _pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
@@ -31,22 +30,6 @@ from repro.reporting.tables import format_summary, format_table
 __all__ = ["run", "FIBER_RADII_KM"]
 
 FIBER_RADII_KM = (200.0, 500.0)
-
-
-def _pair_rtts(graph, pairs):
-    """Shortest-path RTT (ms) per pair on one graph, inf if unreachable."""
-    matrix = graph.matrix()
-    sources = sorted({p.a for p in pairs})
-    dist = _csgraph.dijkstra(
-        matrix, directed=True, indices=[graph.gt_node(c) for c in sources]
-    )
-    row_of = {c: i for i, c in enumerate(sources)}
-    rtts = np.full(len(pairs), np.inf)
-    for i, pair in enumerate(pairs):
-        d = dist[row_of[pair.a], graph.gt_node(pair.b)]
-        if np.isfinite(d):
-            rtts[i] = 2e3 * d / SPEED_OF_LIGHT
-    return rtts
 
 
 @register("ext-fiber")
@@ -71,7 +54,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     for mode in (ConnectivityMode.HYBRID, ConnectivityMode.BP_ONLY):
         graph = base.graph_at(0.0, mode)
         baseline = evaluate_throughput(graph, base.pairs, k=k).aggregate_gbps
-        base_rtts = _pair_rtts(graph, base.pairs)
+        base_rtts = _pair_rtts_on_graph(graph, base.pairs)
         data[(mode.value, None)] = baseline
         rows.append([mode.value, "none", f"{baseline:.0f}", "1.00x", "0.00"])
         for radius in FIBER_RADII_KM:
@@ -81,7 +64,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
             augmented = evaluate_throughput(
                 fiber_graph, scenario.pairs, k=k
             ).aggregate_gbps
-            fiber_rtts = _pair_rtts(fiber_graph, scenario.pairs)
+            fiber_rtts = _pair_rtts_on_graph(fiber_graph, scenario.pairs)
             both = np.isfinite(base_rtts) & np.isfinite(fiber_rtts)
             rtt_improvement = (
                 float(np.median(base_rtts[both] - fiber_rtts[both]))

@@ -13,9 +13,9 @@ min-RTT inflation and reachability loss under BP versus hybrid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph as _csgraph
 
-from repro.constants import SPEED_OF_LIGHT, STARLINK_GSO_SEPARATION_DEG
+from repro.constants import STARLINK_GSO_SEPARATION_DEG
+from repro.core.pipeline import _pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, default_scale, register
 from repro.ground.cities import City
@@ -35,21 +35,6 @@ def cross_equatorial_pairs(scenario: Scenario):
     ]
 
 
-def _pair_rtts(scenario: Scenario, mode: ConnectivityMode, pairs, time_s=0.0):
-    graph = scenario.graph_at(time_s, mode)
-    matrix = graph.matrix()
-    sources = sorted({p.a for p in pairs})
-    source_nodes = [graph.gt_node(c) for c in sources]
-    dist = _csgraph.dijkstra(matrix, directed=True, indices=source_nodes)
-    row_of = {c: i for i, c in enumerate(sources)}
-    rtts = np.full(len(pairs), np.inf)
-    for i, pair in enumerate(pairs):
-        d = dist[row_of[pair.a], graph.gt_node(pair.b)]
-        if np.isfinite(d):
-            rtts[i] = 2e3 * d / SPEED_OF_LIGHT
-    return rtts
-
-
 @register("ext-gso")
 def run(scale: ScenarioScale | None = None) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
@@ -66,8 +51,8 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
     rows = []
     data = {}
     for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
-        rtt_free = _pair_rtts(base, mode, pairs)
-        rtt_gso = _pair_rtts(protected, mode, pairs)
+        rtt_free = _pair_rtts_on_graph(base.graph_at(0.0, mode), pairs)
+        rtt_gso = _pair_rtts_on_graph(protected.graph_at(0.0, mode), pairs)
         both = np.isfinite(rtt_free) & np.isfinite(rtt_gso)
         lost = int(np.sum(np.isfinite(rtt_free) & ~np.isfinite(rtt_gso)))
         inflation = (

@@ -202,8 +202,10 @@ def route_traffic_multi_k(
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
     index = pair_index(pairs)
-    # One bounds check for the whole pair list (mirrors graph.gt_node).
-    source_nodes, target_nodes = index.gt_nodes(graph.num_sats, graph.num_gts)
+    # One bounds check for the whole pair list: endpoints are cities.
+    source_nodes, target_nodes = index.gt_nodes(
+        graph.num_sats, graph.stations.city_count
+    )
     matrix = graph.matrix()
 
     with span("first_round"):

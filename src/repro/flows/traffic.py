@@ -68,15 +68,20 @@ class PairIndex:
         """Pair indices whose source is ``source_cities[row]``."""
         return self.pair_order[self.source_ptr[row] : self.source_ptr[row + 1]]
 
-    def gt_nodes(self, num_sats: int, num_gts: int) -> tuple[np.ndarray, np.ndarray]:
+    def gt_nodes(self, num_sats: int, city_count: int) -> tuple[np.ndarray, np.ndarray]:
         """Graph node ids of every pair's (source, target) city.
 
-        The bounds check mirrors ``SnapshotGraph.gt_node`` — done once
-        per call instead of once per pair.
+        Endpoints must be cities (station indices below ``city_count``):
+        the contracted RTT graph keeps no other GT. Checked once per
+        call instead of once per pair.
         """
         for arr in (self.sources, self.targets):
-            if arr.size and (arr.min() < 0 or arr.max() >= num_gts):
-                raise IndexError("city index out of range for this graph")
+            bad = arr[(arr < 0) | (arr >= city_count)]
+            if bad.size:
+                raise IndexError(
+                    f"pair endpoint {int(bad[0])} is not a city index "
+                    f"(city_count={city_count})"
+                )
         return num_sats + self.sources, num_sats + self.targets
 
 

@@ -1,0 +1,91 @@
+"""Exact transit-GT contraction: relays and aircraft become bounce edges.
+
+Ground relays and aircraft are pure transit nodes: their only
+neighbours are satellites, so a shortest path can enter one only from
+a satellite ``a`` and must leave it to a satellite ``b``. Replacing
+every such node ``R`` with satellite-satellite "bounce" edges of weight
+``min_R d(a, R) + d(R, b)`` therefore preserves every shortest distance
+between the nodes that remain — satellites and cities. What is left is
+the satellite + city "ground-hub" graph: at a 1 degree relay grid about
+7x fewer CSR entries (285k -> 40k), which is what makes batched RTT
+Dijkstra cheap.
+
+Cities are *not* contracted: they are sources and targets, and with
+fiber they have ground neighbours. Paths and routing also stay on the
+physical graph; only distances are computed on the contracted one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+__all__ = ["PAIR_CHUNK", "bounce_edges", "min_per_pair"]
+
+#: Most satellite pairs materialized at once while enumerating bounce
+#: candidates, so transient memory does not grow with the number of
+#: relays and aircraft.
+PAIR_CHUNK = 1 << 18
+
+_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+
+
+def min_per_pair(u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """Unique undirected ``(lo, hi)`` node pairs with their minimum weight.
+
+    Returns ``(lo, hi, w)`` with ``lo <= hi``, sorted by ``(lo, hi)``.
+    """
+    if not len(w):
+        return _EMPTY
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    key = lo * (int(hi.max()) + 1) + hi
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    keep = order[starts]
+    return lo[keep], hi[keep], np.minimum.reduceat(w[order], starts)
+
+
+def bounce_edges(
+    sats: np.ndarray, transit: np.ndarray, dist_m: np.ndarray, num_sats: int
+):
+    """Satellite-satellite bounce edges replacing the transit GTs.
+
+    ``sats[i]`` - ``transit[i]`` is one satellite-transit-GT edge of
+    length ``dist_m[i]``; ``transit`` holds dense transit ids in
+    ``[0, n)``. Returns ``(a, b, w)``: every satellite pair ``a < b``
+    sharing a transit GT, with ``w = min_R d(a, R) + d(R, b)``, sorted
+    by ``(a, b)``.
+
+    The edges are grouped by GT with a counting sort (scipy coo -> csr,
+    which sums a duplicated edge exactly as ``SnapshotGraph.matrix``
+    does, and sorts each GT's satellites so ``a < b`` below). GTs of
+    equal degree ``d`` are expanded together through ``triu_indices(d,
+    1)``, at most :data:`PAIR_CHUNK` pairs at a time, and
+    ``np.minimum.at`` folds each chunk into a dense ``num_sats x
+    num_sats`` table (8 bytes per entry: 20 MB for 1,584 satellites,
+    whatever the size of the ground segment).
+    """
+    if not len(sats):
+        return _EMPTY
+    by_gt = sparse.csr_matrix(
+        (dist_m, (transit, sats)), shape=(int(transit.max()) + 1, num_sats)
+    )
+    indptr, indices, data = by_gt.indptr, by_gt.indices, by_gt.data
+    degree = np.diff(indptr)
+    best = np.full(num_sats * num_sats, np.inf)
+    for d in np.unique(degree[degree >= 2]):
+        rows = np.flatnonzero(degree == d)
+        first, second = np.triu_indices(d, 1)
+        step = max(1, PAIR_CHUNK // len(first))
+        for start in range(0, len(rows), step):
+            slots = indptr[rows[start : start + step], None] + np.arange(d)
+            sat, dist = indices[slots].astype(np.int64), data[slots]
+            np.minimum.at(
+                best,
+                (sat[:, first] * num_sats + sat[:, second]).ravel(),
+                (dist[:, first] + dist[:, second]).ravel(),
+            )
+    key = np.flatnonzero(best < np.inf)
+    return key // num_sats, key % num_sats, best[key]

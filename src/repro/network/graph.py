@@ -16,7 +16,7 @@ each shell queries it with its coverage cone's chord radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,8 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from repro.constants import EARTH_RADIUS, SPEED_OF_LIGHT
-from repro.obs import span, traced
+from repro.obs import incr, span, traced
+from repro.network.contraction import bounce_edges, min_per_pair
 from repro.network.fiber import city_fiber_edges
 from repro.network.links import LinkCapacities, LinkKind
 from repro.network.topology import constellation_isl_edges, isl_lengths_m
@@ -122,6 +123,10 @@ class SnapshotGraph:
     _edge_key_cache: "tuple[np.ndarray, np.ndarray] | None" = None
     _csr_pos_cache: np.ndarray | None = None
     _edge_caps_cache: dict | None = None
+    _contracted_cache: sparse.csr_matrix | None = None
+    #: ``(frame, key)`` when the engine shares this graph's bounce edges
+    #: with every graph of the same frame and GT-satellite filters.
+    _bounce_share: tuple | None = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -181,6 +186,54 @@ class SnapshotGraph:
                 (data, (row, col)), shape=(self.num_nodes, self.num_nodes)
             )
         return self._matrix_cache
+
+    def contracted_matrix(self) -> sparse.csr_matrix:
+        """Symmetric CSR distances over satellites + cities only.
+
+        Relays and aircraft (station indices ``>= city_count``) are
+        replaced by satellite-satellite bounce edges (see
+        :mod:`repro.network.contraction`), so node ids of satellites and
+        cities are unchanged and every shortest distance between them
+        equals the one on :meth:`matrix`. A bounce edge parallel to an
+        ISL keeps the shorter of the two. RTT sweeps run Dijkstra here;
+        paths and routing use the physical :meth:`matrix`.
+        """
+        if self._contracted_cache is None:
+            kept = self.num_sats + self.stations.city_count
+            lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
+            hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
+            transit = hi >= kept
+            if self._bounce_share is None:
+                bounce = self._contract_transit(lo, hi, transit)
+            else:
+                frame, key = self._bounce_share
+                bounce = frame.bounce_edges(
+                    key, lambda: self._contract_transit(lo, hi, transit)
+                )
+            u, v, w = min_per_pair(
+                np.concatenate([lo[~transit], bounce[0]]),
+                np.concatenate([hi[~transit], bounce[1]]),
+                np.concatenate([self.edge_dist_m[~transit], bounce[2]]),
+            )
+            row = np.concatenate([u, v])
+            col = np.concatenate([v, u])
+            self._contracted_cache = sparse.csr_matrix(
+                (np.concatenate([w, w]), (row, col)), shape=(kept, kept)
+            )
+        return self._contracted_cache
+
+    def _contract_transit(self, lo, hi, transit):
+        """This graph's bounce edges, contracted from its own edges."""
+        if np.any(lo[transit] >= self.num_sats):
+            raise ValueError("a relay or aircraft has a non-satellite neighbour")
+        with span("transit_contraction"):
+            incr("engine.contraction_misses")
+            return bounce_edges(
+                lo[transit],
+                hi[transit] - (self.num_sats + self.stations.city_count),
+                self.edge_dist_m[transit],
+                self.num_sats,
+            )
 
     def _edge_key_index(self) -> "tuple[np.ndarray, np.ndarray]":
         """Sorted canonical edge keys plus the matching edge-id order.

@@ -1,0 +1,308 @@
+"""Tests for the exact transit-GT contraction behind RTT sweeps.
+
+RTT Dijkstra runs on :meth:`SnapshotGraph.contracted_matrix` — satellites
++ cities, with every relay and aircraft replaced by satellite-satellite
+bounce edges. The contract pinned here:
+
+* **exactness** — contracted RTTs equal a plain single-source Dijkstra
+  on the physical ``graph.matrix()`` (rtol 1e-9, same ``inf`` pattern)
+  across modes, aircraft on/off, GSO policy, beam limit, fiber and
+  faults; a hand-built fixture checks that a bounce edge parallel to an
+  ISL keeps the *minimum* (scipy's ``csr_matrix`` would sum them);
+* **sharing** — graphs of one frame with the same GT-satellite filters
+  share one contraction, whatever their mode;
+* **guards** — RTT endpoints must be cities, and the strict graph guard
+  runs in both the serial and the parallel sweep.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
+
+from repro.constants import SPEED_OF_LIGHT
+from repro.core import scenario as scenario_module
+from repro.core.parallel import FaultPolicy, SweepError, compute_rtt_series_parallel
+from repro.core.pipeline import _pair_rtts_on_graph, compute_rtt_series
+from repro.core.scenario import Scenario, ScenarioScale
+from repro.faults import FaultSpec
+from repro.flows.traffic import CityPair, pair_index
+from repro.ground.stations import StationTable
+from repro.integrity.guards import InvariantViolation, strict_checks
+from repro.network import contraction
+from repro.network.contraction import bounce_edges, min_per_pair
+from repro.network.graph import (
+    _KIND_GT_SAT,
+    _KIND_ISL,
+    ConnectivityMode,
+    GsoProtectionPolicy,
+    SnapshotGraph,
+)
+from repro.obs import observe
+
+SCALE = ScenarioScale(
+    name="contraction-tiny",
+    num_cities=40,
+    num_pairs=10,
+    relay_spacing_deg=4.0,
+    num_snapshots=2,
+    snapshot_interval_s=3600.0,
+)
+
+
+@pytest.fixture(scope="module")
+def scenarios() -> dict[bool, Scenario]:
+    """Scenarios keyed by aircraft on/off; engines stay warm across examples."""
+    base = Scenario.paper_default("starlink", SCALE)
+    return {True: base, False: dataclasses.replace(base, use_aircraft=False)}
+
+
+#: Assembly variants: every filter that shapes the graph the contraction
+#: sees, plus all of them at once.
+VARIANTS = {
+    "plain": {},
+    "gso": {"gso_policy": GsoProtectionPolicy(min_separation_deg=20.0)},
+    "beam": {"max_gts_per_satellite": 4},
+    "fiber": {"fiber_max_km": 1500.0},
+    "faults": {"faults": FaultSpec(sat=0.1, relay=0.2, aircraft=0.2, seed=3)},
+    "combined": {
+        "gso_policy": GsoProtectionPolicy(min_separation_deg=20.0),
+        "max_gts_per_satellite": 4,
+        "fiber_max_km": 1500.0,
+        "faults": FaultSpec(sat=0.05, city=0.1, relay=0.1, seed=11),
+    },
+}
+
+
+def plain_dijkstra_rtts(graph: SnapshotGraph, pairs) -> np.ndarray:
+    """Reference: one unbatched Dijkstra per pair on the physical graph."""
+    matrix = graph.matrix()
+    rtts = np.empty(len(pairs))
+    for i, pair in enumerate(pairs):
+        dist = csgraph.dijkstra(matrix, directed=True, indices=graph.gt_node(pair.a))
+        rtts[i] = 2e3 * dist[graph.gt_node(pair.b)] / SPEED_OF_LIGHT
+    return rtts
+
+
+class TestDifferential:
+    """Contracted RTTs == plain Dijkstra on the uncontracted graph."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        aircraft=st.booleans(),
+        mode=st.sampled_from(list(ConnectivityMode)),
+        variant=st.sampled_from(sorted(VARIANTS)),
+        time_index=st.integers(0, SCALE.num_snapshots - 1),
+        endpoints=st.lists(
+            st.tuples(
+                st.integers(0, SCALE.num_cities - 1),
+                st.integers(0, SCALE.num_cities - 1),
+            ).filter(lambda ab: ab[0] != ab[1]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_plain_dijkstra(
+        self, scenarios, aircraft, mode, variant, time_index, endpoints
+    ):
+        base = scenarios[aircraft]
+        scenario = base.with_assembly(**VARIANTS[variant])
+        graph = scenario.graph_at(float(base.times_s[time_index]), mode)
+        pairs = [CityPair(a, b, 0.0) for a, b in endpoints]
+
+        got = _pair_rtts_on_graph(graph, pairs)
+        want = plain_dijkstra_rtts(graph, pairs)
+
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+
+    def test_contracted_graph_covers_satellites_and_cities(self, scenarios):
+        graph = scenarios[True].graph_at(0.0, ConnectivityMode.BP_ONLY)
+        contracted = graph.contracted_matrix()
+        kept = graph.num_sats + graph.stations.city_count
+        assert contracted.shape == (kept, kept)
+        # Symmetric, no self-loops.
+        assert (contracted != contracted.T).nnz == 0
+        assert not contracted.diagonal().any()
+
+    def test_chunked_contraction_is_identical(self, scenarios, monkeypatch):
+        graph = scenarios[True].graph_at(0.0, ConnectivityMode.HYBRID)
+        kept = graph.num_sats + graph.stations.city_count
+        transit = graph.edges[:, 1] >= kept
+        args = (
+            graph.edges[transit, 0],
+            graph.edges[transit, 1] - kept,
+            graph.edge_dist_m[transit],
+            graph.num_sats,
+        )
+        whole = bounce_edges(*args)
+        monkeypatch.setattr(contraction, "PAIR_CHUNK", 7)
+        chunked = bounce_edges(*args)
+        for got, want in zip(chunked, whole):
+            np.testing.assert_array_equal(got, want)
+
+
+def hand_built_graph(isl_m: float) -> SnapshotGraph:
+    """3 satellites, 2 cities, 2 relays, and one ISL between sats 0-1.
+
+    Node ids: satellites 0-2, cities 3-4, relays 5-6. City 3 hangs off
+    satellite 0 and city 4 off satellite 1. Relay 5 bounces 0<->1 for
+    500 + 500 m; relay 6 bounces 0<->1 for 700 + 900 m, 0<->2 for
+    700 + 100 m and 1<->2 for 900 + 100 m.
+    """
+    edges = [
+        (0, 3, 1000.0),
+        (1, 4, 1000.0),
+        (0, 5, 500.0),
+        (1, 5, 500.0),
+        (0, 6, 700.0),
+        (1, 6, 900.0),
+        (2, 6, 100.0),
+        (0, 1, isl_m),
+    ]
+    kinds = [_KIND_GT_SAT] * 7 + [_KIND_ISL]
+    stations = StationTable(
+        lats=np.zeros(4), lons=np.zeros(4), altitudes=np.zeros(4),
+        city_count=2, relay_count=2,
+    )
+    return SnapshotGraph(
+        time_s=0.0,
+        mode=ConnectivityMode.HYBRID,
+        num_sats=3,
+        num_gts=4,
+        sat_ecef=np.ones((3, 3)),
+        gt_ecef=np.ones((4, 3)),
+        edges=np.array([e[:2] for e in edges], dtype=np.int64),
+        edge_dist_m=np.array([e[2] for e in edges]),
+        edge_kind=np.array(kinds, dtype=np.int8),
+        stations=stations,
+    )
+
+
+class TestHandBuiltFixture:
+    def test_bounce_edges_keep_minimum_over_relays(self):
+        graph = hand_built_graph(isl_m=5000.0)
+        transit = graph.edges[:, 1] >= 5
+        a, b, w = bounce_edges(
+            graph.edges[transit, 0],
+            graph.edges[transit, 1] - 5,
+            graph.edge_dist_m[transit],
+            graph.num_sats,
+        )
+        assert list(zip(a, b, w)) == [(0, 1, 1000.0), (0, 2, 800.0), (1, 2, 1000.0)]
+
+    @pytest.mark.parametrize(
+        "isl_m", [800.0, 1200.0], ids=["isl-cheaper", "isl-costlier"]
+    )
+    def test_parallel_isl_and_bounce_keep_minimum(self, isl_m):
+        graph = hand_built_graph(isl_m)
+        contracted = graph.contracted_matrix()
+        assert contracted.shape == (5, 5)
+        assert contracted[0, 1] == contracted[1, 0] == min(isl_m, 1000.0)
+        assert contracted[0, 2] == 800.0
+        pairs = [CityPair(0, 1, 0.0)]
+        want = 2e3 * (1000.0 + min(isl_m, 1000.0) + 1000.0) / SPEED_OF_LIGHT
+        for rtts_of in (_pair_rtts_on_graph, plain_dijkstra_rtts):
+            np.testing.assert_allclose(rtts_of(graph, pairs), [want], rtol=1e-12)
+
+    def test_transit_node_with_ground_neighbour_is_rejected(self):
+        graph = hand_built_graph(isl_m=800.0)
+        graph.edges = np.vstack([graph.edges, [[3, 5]]])
+        graph.edge_dist_m = np.append(graph.edge_dist_m, 10.0)
+        graph.edge_kind = np.append(graph.edge_kind, np.int8(_KIND_GT_SAT))
+        with pytest.raises(ValueError, match="non-satellite neighbour"):
+            graph.contracted_matrix()
+
+    def test_min_per_pair_is_direction_agnostic(self):
+        lo, hi, w = min_per_pair(
+            np.array([2, 1, 1, 3]),
+            np.array([1, 2, 3, 1]),
+            np.array([5.0, 4.0, 9.0, 8.0]),
+        )
+        assert list(zip(lo, hi, w)) == [(1, 2, 4.0), (1, 3, 8.0)]
+
+
+class TestBounceSharing:
+    """One contraction per (frame, GT-satellite filters), not per mode."""
+
+    def test_modes_share_one_contraction(self):
+        scenario = Scenario.paper_default("starlink", SCALE)
+        with observe() as registry:
+            for mode in ConnectivityMode:
+                scenario.graph_at(0.0, mode).contracted_matrix()
+            gso = scenario.with_assembly(gso_policy=GsoProtectionPolicy(20.0))
+            gso.graph_at(0.0, ConnectivityMode.BP_ONLY).contracted_matrix()
+            # Fiber adds city-city edges only: the GT-satellite block and
+            # hence the bounce edges are unchanged.
+            fiber = scenario.with_assembly(fiber_max_km=1500.0)
+            fiber.graph_at(0.0, ConnectivityMode.HYBRID).contracted_matrix()
+        snap = registry.snapshot()
+        counters = snap["counters"]
+        assert counters["engine.contraction_misses"] == 2
+        assert counters["engine.contraction_hits"] == 3
+        assert snap["spans"]["graph_build"]["count"] == 5
+        assert snap["spans"]["transit_contraction"]["count"] == 2
+
+
+class TestPairEndpointGuard:
+    def test_relay_endpoint_is_rejected_by_name(self, tiny_scenario):
+        graph = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        relay = graph.stations.city_count  # first relay index
+        index = pair_index([CityPair(0, 1, 0.0), CityPair(0, relay, 0.0)])
+        with pytest.raises(IndexError, match=f"endpoint {relay} is not a city"):
+            index.gt_nodes(graph.num_sats, graph.stations.city_count)
+        with pytest.raises(IndexError, match=str(relay)):
+            _pair_rtts_on_graph(graph, [CityPair(relay, 0, 0.0)])
+
+    def test_negative_endpoint_is_rejected(self):
+        index = pair_index([CityPair(-1, 1, 0.0)])
+        with pytest.raises(IndexError, match="endpoint -1"):
+            index.gt_nodes(10, 5)
+
+
+@pytest.fixture
+def bad_graphs(monkeypatch):
+    """Every scenario graph fails the strict guard (a NaN GT position)."""
+    original = scenario_module.Scenario.graph_at
+
+    def poisoned(self, time_s, mode):
+        graph = original(self, time_s, mode)
+        gt_ecef = graph.gt_ecef.copy()
+        gt_ecef[0] = np.nan
+        return dataclasses.replace(graph, gt_ecef=gt_ecef)
+
+    monkeypatch.setattr(scenario_module.Scenario, "graph_at", poisoned)
+
+
+class TestStrictGuardInBothSweeps:
+    """The serial and the parallel sweep run the same strict evaluator."""
+
+    MODE = ConnectivityMode.BP_ONLY
+
+    def test_serial_sweep_raises(self, tiny_scenario, bad_graphs):
+        with pytest.raises(InvariantViolation, match="non-finite position"):
+            compute_rtt_series(tiny_scenario, self.MODE)
+
+    def test_parallel_sweep_raises(self, tiny_scenario, bad_graphs):
+        policy = FaultPolicy(max_attempts=1, backoff_base_s=0.0)
+        with pytest.raises(SweepError) as excinfo:
+            compute_rtt_series_parallel(
+                tiny_scenario, self.MODE, processes=2, policy=policy
+            )
+        errors = [failure.error for failure in excinfo.value.failures]
+        assert len(errors) == len(tiny_scenario.times_s)
+        assert all("InvariantViolation" in error for error in errors)
+
+    def test_guard_off_lets_both_through(self, tiny_scenario, bad_graphs):
+        with strict_checks(False):
+            serial = compute_rtt_series(tiny_scenario, self.MODE)
+            parallel = compute_rtt_series_parallel(
+                tiny_scenario, self.MODE, processes=2
+            )
+        np.testing.assert_array_equal(serial.rtt_ms, parallel.rtt_ms)

@@ -87,6 +87,14 @@ def assert_graphs_identical(got, want):
     np.testing.assert_array_equal(got.gt_ecef, want.gt_ecef)
 
 
+def assert_csr_identical(got, want):
+    """Bit-for-bit equality of two CSR matrices."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 #: (config name, assembly overrides, mode) — the acceptance matrix: BP,
 #: hybrid, ISL-only, GSO policy, beam limit, fiber, faults, and all of
 #: them at once.
@@ -181,6 +189,9 @@ class TestTwoModeSweepSharesWork:
         assert counters["engine.frame_misses"] == num_snapshots
         assert counters["engine.frame_hits"] == num_snapshots
         assert counters["engine.assemblies"] == 2 * num_snapshots
+        # BP and hybrid share one transit contraction per snapshot.
+        assert counters["engine.contraction_misses"] == num_snapshots
+        assert counters["engine.contraction_hits"] == num_snapshots
 
         spans = payload["spans"]
         # KD-tree visibility queries happen only inside frame builds.
@@ -188,6 +199,7 @@ class TestTwoModeSweepSharesWork:
         assert kdtree["count"] == num_snapshots
         assert spans["snapshot/graph_build/frame_build"]["count"] == num_snapshots
         assert spans["snapshot/graph_build"]["count"] == 2 * num_snapshots
+        assert spans["snapshot/transit_contraction"]["count"] == num_snapshots
 
         for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
             assert series[mode].rtt_ms.shape == (
@@ -221,6 +233,7 @@ class TestFaultIsolation:
         scenario = fresh_scenario()
         with fault_injection(self.SPEC):
             faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+            faulted_contracted = faulted.contracted_matrix()
         # The frame built under the ambient spec is now cached; graphs
         # assembled after the context exits must be clean.
         after = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
@@ -230,10 +243,16 @@ class TestFaultIsolation:
         clean = legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID)
         assert_graphs_identical(after, clean)
         assert len(faulted.edges) < len(clean.edges)
+        # Nor the frame's bounce memo: the faulted graph contracted its
+        # own edges, and the clean graph gets the clean contraction.
+        assert scenario.engine.frame_at(0.0)._bounce == {}
+        assert_csr_identical(after.contracted_matrix(), clean.contracted_matrix())
+        assert faulted_contracted.nnz < clean.contracted_matrix().nnz
 
     def test_faults_do_not_leak_out_of_clean_frames(self):
         scenario = fresh_scenario()
         clean_first = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        clean_first.contracted_matrix()  # fills the frame's bounce memo
         with fault_injection(self.SPEC):
             faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
 
@@ -244,6 +263,8 @@ class TestFaultIsolation:
         )
         assert_graphs_identical(faulted, want)
         assert len(faulted.edges) < len(clean_first.edges)
+        # The clean bounce memo does not leak into the faulted graph.
+        assert_csr_identical(faulted.contracted_matrix(), want.contracted_matrix())
 
     def test_explicit_faults_beat_ambient_spec(self):
         scenario = fresh_scenario().with_faults(FaultSpec(sat=0.1, seed=7))

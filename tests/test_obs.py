@@ -279,6 +279,13 @@ class TestCrossProcessAggregation:
         assert snap["spans"]["snapshot"]["count"] == len(tiny_scenario.times_s)
         assert "snapshot/graph_build" in snap["spans"]
         assert "snapshot/dijkstra" in snap["spans"]
+        # Each snapshot's graph contracted its transit GTs, or reused a
+        # contraction its (shared, possibly warm) frame already held.
+        counters = snap["counters"]
+        resolved = counters.get("engine.contraction_misses", 0) + counters.get(
+            "engine.contraction_hits", 0
+        )
+        assert resolved == len(tiny_scenario.times_s)
 
     def test_parallel_sweep_without_observe_collects_nothing(self, tiny_scenario):
         from repro.core.parallel import compute_rtt_series_parallel

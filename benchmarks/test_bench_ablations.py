@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import OUTPUT_DIR
-from repro.core.pipeline import compute_rtt_series
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.flows.equalsplit import equal_split_allocation
 from repro.flows.routing import route_traffic
@@ -179,7 +179,9 @@ class TestD4RelayDensity:
                     num_snapshots=1,
                 )
                 scenario = Scenario.paper_default("starlink", scale)
-                series = compute_rtt_series(scenario, ConnectivityMode.BP_ONLY)
+                series = compute_rtt_series_multi(
+                    scenario, [ConnectivityMode.BP_ONLY]
+                )[ConnectivityMode.BP_ONLY]
                 finite = series.rtt_ms[np.isfinite(series.rtt_ms)]
                 medians[spacing] = float(np.median(finite))
             return medians
@@ -248,7 +250,9 @@ class TestD5AircraftDensity:
                     aircraft_density_scale=density,
                     use_aircraft=density > 0,
                 )
-                series = compute_rtt_series(scenario, ConnectivityMode.BP_ONLY)
+                series = compute_rtt_series_multi(
+                    scenario, [ConnectivityMode.BP_ONLY]
+                )[ConnectivityMode.BP_ONLY]
                 outcome[density] = series.reachable_fraction()
             return outcome
 

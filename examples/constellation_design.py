@@ -14,7 +14,7 @@ Run:  python examples/constellation_design.py
 import numpy as np
 
 from repro import ConnectivityMode, Scenario, ScenarioScale
-from repro.core.pipeline import compute_rtt_series
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.network.dynamics import max_pass_duration_s
 from repro.network.graph import isl_grazing_altitude_m
 from repro.network.topology import isl_lengths_m, plus_grid_edges
@@ -68,7 +68,9 @@ def evaluate(shell: Shell) -> list:
     bp_graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
     stranded = bp_graph.satellite_component_stats()["disconnected_fraction"]
 
-    series = compute_rtt_series(scenario, ConnectivityMode.HYBRID)
+    series = compute_rtt_series_multi(
+        scenario, [ConnectivityMode.HYBRID]
+    )[ConnectivityMode.HYBRID]
     finite = series.rtt_ms[np.isfinite(series.rtt_ms)]
     median_rtt = float(np.median(finite)) if len(finite) else float("nan")
     reachable = series.reachable_fraction()

@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 from repro.core.metrics import rtt_stats
-from repro.core.pipeline import compute_rtt_series
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.network.graph import ConnectivityMode
 from repro.persistence import save_rtt_series
@@ -19,16 +19,17 @@ scale = ScenarioScale(
     snapshot_interval_s=1800.0,
 )
 scenario = Scenario.paper_default("starlink", scale)
+started = time.time()
+by_mode = compute_rtt_series_multi(
+    scenario,
+    (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID),
+    progress=lambda i, n: print(f"bp+hybrid {i}/{n}", flush=True),
+)
 series = {}
-for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
-    started = time.time()
-    result = compute_rtt_series(
-        scenario, mode,
-        progress=lambda i, n: print(f"{mode.value} {i}/{n}", flush=True),
-    )
+for mode, result in by_mode.items():
     save_rtt_series(result, f"results/full48_{mode.value}")
     series[mode.value] = result
-    print(f"{mode.value} done in {time.time() - started:.0f}s", flush=True)
+print(f"bp+hybrid done in {time.time() - started:.0f}s", flush=True)
 
 bp = rtt_stats(series["bp"])
 hy = rtt_stats(series["hybrid"])

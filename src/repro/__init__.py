@@ -39,7 +39,7 @@ from repro.core import (
     Scenario,
     ScenarioScale,
     compare_latency,
-    compute_rtt_series,
+    compute_rtt_series_multi,
 )
 from repro.flows import evaluate_throughput, sample_city_pairs
 from repro.network import ConnectivityMode, LinkCapacities
@@ -53,7 +53,7 @@ __all__ = [
     "ConnectivityMode",
     "LinkCapacities",
     "compare_latency",
-    "compute_rtt_series",
+    "compute_rtt_series_multi",
     "LatencyComparison",
     "RttSeries",
     "evaluate_throughput",

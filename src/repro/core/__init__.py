@@ -9,7 +9,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.comparison import LatencyComparison, compare_latency
 from repro.core.engine import (
-    EngineCacheStats,
     GeometryFrame,
     SnapshotEngine,
     StaticContext,
@@ -25,9 +24,8 @@ from repro.core.parallel import (
     FaultPolicy,
     SnapshotFailure,
     SweepError,
-    compute_rtt_series_parallel,
-    compute_rtt_series_parallel_multi,
     default_worker_count,
+    map_snapshot_rows,
 )
 from repro.core.runner import (
     ExperimentFailure,
@@ -38,7 +36,6 @@ from repro.core.runner import (
 )
 from repro.core.pipeline import (
     RttSeries,
-    compute_rtt_series,
     compute_rtt_series_multi,
     pair_path_at,
     pair_paths_on_graph,
@@ -50,15 +47,12 @@ __all__ = [
     "ScenarioScale",
     "full_scale_requested",
     "RttSeries",
-    "compute_rtt_series",
     "compute_rtt_series_multi",
-    "compute_rtt_series_parallel",
-    "compute_rtt_series_parallel_multi",
     "default_worker_count",
+    "map_snapshot_rows",
     "SnapshotEngine",
     "StaticContext",
     "GeometryFrame",
-    "EngineCacheStats",
     "assemble_graph",
     "RttCheckpoint",
     "CheckpointMismatchError",

@@ -21,9 +21,9 @@ moved to a ``quarantine/`` subdirectory with a structured reason record
 for recompute — the sweep self-heals instead of crashing or, worse,
 producing poisoned figures.
 
-:func:`repro.core.pipeline.compute_rtt_series` and
-:func:`repro.core.parallel.compute_rtt_series_parallel` both accept a
-checkpoint and skip already-completed snapshots. The *checkpoint root*
+Every sweep runs through :func:`repro.core.parallel.map_snapshot_rows`,
+which accepts checkpoints per mode, verifies each once, and evaluates
+only the snapshots they lack. The *checkpoint root*
 context (:func:`checkpoint_root`) lets an orchestrator — ``repro run
 --resume DIR`` — turn checkpointing on for every sweep executed inside
 it without threading a parameter through each experiment: checkpoint
@@ -443,10 +443,6 @@ class RttCheckpoint:
             )
         return row
 
-    def load_completed(self) -> dict[int, np.ndarray]:
-        """All verified checkpointed rows, keyed by snapshot index."""
-        return {index: self.load_snapshot(index) for index in self.completed_indices()}
-
     def is_complete(self) -> bool:
         """True once every snapshot has a verified checkpointed shard."""
         return len(self.completed_indices()) == self.num_snapshots
@@ -529,7 +525,7 @@ def checkpoint_for(
     pair, the scenario's own snapshot grid, empty label) — exactly the
     historical behaviour, so existing RTT checkpoints keep resuming.
     Generic snapshot sweeps (see
-    :func:`repro.core.parallel.map_snapshot_rows_serial`) pass their own
+    :func:`repro.core.parallel.map_snapshot_rows`) pass their own
     ``label`` / ``times_s`` / ``row_len``: the label lands both in the
     directory name (human-readable, sanitized) and in the fingerprint
     (collision-proof even for hostile labels), and ``row_len`` replaces

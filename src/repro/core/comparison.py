@@ -81,7 +81,9 @@ def compare_latency(scenario: Scenario, progress=None) -> LatencyComparison:
     is computed once and assembled twice.
     """
     series = compute_rtt_series_multi(
-        scenario, [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID], progress
+        scenario,
+        [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID],
+        progress=progress,
     )
     bp_series = series[ConnectivityMode.BP_ONLY]
     hybrid_series = series[ConnectivityMode.HYBRID]

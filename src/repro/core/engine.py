@@ -42,8 +42,9 @@ same order) — the splitting only removes redundant recomputation. A
 two-mode sweep therefore pays for propagation and KD-tree queries once
 per snapshot instead of once per (snapshot, mode).
 
-Observability: the engine bumps ``engine.static_hits/misses`` and
-``engine.frame_hits/misses`` counters and nests its work under the
+Observability: the engine bumps ``engine.static_hits/misses``,
+``engine.frame_hits/misses``, ``engine.frame_evictions`` and
+``engine.assemblies`` counters and nests its work under the
 ``graph_build`` span (children: ``frame_build`` with ``kdtree_query``
 on a frame miss, ``edge_assembly`` always), so profiles of the old and
 new paths line up. A contraction runs under a ``transit_contraction``
@@ -82,7 +83,6 @@ from repro.orbits.coordinates import geodetic_to_ecef
 from repro.orbits.visibility import coverage_central_angle_rad
 
 __all__ = [
-    "EngineCacheStats",
     "GeometryFrame",
     "SnapshotEngine",
     "StaticContext",
@@ -95,40 +95,6 @@ __all__ = [
 #: memory-heavy layer (candidate edges scale with GTs x coverage), so
 #: the default stays small.
 DEFAULT_FRAME_CACHE_SIZE = 8
-
-
-@dataclass
-class EngineCacheStats:
-    """Local hit/miss counters for one engine (obs-independent).
-
-    The same events also land on the active observability registry as
-    ``engine.*`` counters; these fields exist so tests and callers can
-    inspect cache behaviour without running under :func:`repro.obs.observe`.
-    """
-
-    static_builds: int = 0
-    static_reuses: int = 0
-    frame_hits: int = 0
-    frame_misses: int = 0
-    frame_evictions: int = 0
-    assemblies: int = 0
-
-    def frame_hit_rate(self) -> float:
-        """Fraction of frame requests served from cache (0 when unused)."""
-        total = self.frame_hits + self.frame_misses
-        return self.frame_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for logs and bench records."""
-        return {
-            "static_builds": self.static_builds,
-            "static_reuses": self.static_reuses,
-            "frame_hits": self.frame_hits,
-            "frame_misses": self.frame_misses,
-            "frame_evictions": self.frame_evictions,
-            "assemblies": self.assemblies,
-            "frame_hit_rate": self.frame_hit_rate(),
-        }
 
 
 @dataclass(frozen=True)
@@ -456,7 +422,6 @@ class SnapshotEngine:
         self.constellation = constellation
         self.ground = ground
         self.frame_cache_size = frame_cache_size
-        self.stats = EngineCacheStats()
         self._static: StaticContext | None = None
         self._frames: OrderedDict[float, GeometryFrame] = OrderedDict()
         self._lock = threading.Lock()
@@ -468,10 +433,8 @@ class SnapshotEngine:
             if self._static is None:
                 with span("static_build"):
                     self._static = StaticContext.build(self.constellation, self.ground)
-                self.stats.static_builds += 1
                 incr("engine.static_misses")
             else:
-                self.stats.static_reuses += 1
                 incr("engine.static_hits")
             return self._static
 
@@ -483,7 +446,6 @@ class SnapshotEngine:
             frame = self._frames.get(key)
             if frame is not None:
                 self._frames.move_to_end(key)
-                self.stats.frame_hits += 1
                 incr("engine.frame_hits")
                 return frame
         # Build outside the lock: frame construction is the expensive
@@ -493,13 +455,12 @@ class SnapshotEngine:
         with span("frame_build"):
             frame = _build_frame(static, key)
         with self._lock:
-            self.stats.frame_misses += 1
             incr("engine.frame_misses")
             self._frames[key] = frame
             self._frames.move_to_end(key)
             while len(self._frames) > self.frame_cache_size:
                 self._frames.popitem(last=False)
-                self.stats.frame_evictions += 1
+                incr("engine.frame_evictions")
         return frame
 
     def graph_at(
@@ -515,7 +476,6 @@ class SnapshotEngine:
         """Assemble one snapshot graph through the cached layers."""
         with span("graph_build"):
             frame = self.frame_at(time_s)
-            self.stats.assemblies += 1
             incr("engine.assemblies")
             return assemble_graph(
                 self.static,

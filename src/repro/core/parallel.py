@@ -1,22 +1,20 @@
-"""Fault-tolerant snapshot mapping: the generic sweep engine.
+"""Fault-tolerant snapshot mapping: the one sweep engine.
 
 Snapshots are embarrassingly parallel — each builds its own graph and
 runs its own batched Dijkstra — so the paper-scale configuration (96
 snapshots x 2 modes over a ~65k-node graph) parallelizes almost
-perfectly across cores. This module provides the *generic* engine that
-maps an arbitrary per-snapshot evaluator over a scenario's snapshot
-grid, in-process (:func:`map_snapshot_rows_serial`) or across a worker
-pool (:func:`map_snapshot_rows_parallel`), with identical output either
-way. The RTT sweep (:func:`compute_rtt_series_parallel`), the
-throughput series (:func:`repro.flows.throughput.throughput_series_gbps`),
-and the fig4/fig5/disconnected experiments are all thin evaluators on
-top of it.
+perfectly across cores. :func:`map_snapshot_rows` maps an arbitrary
+per-snapshot evaluator over a scenario's snapshot grid, in-process
+(``processes=1``, the default) or across a worker pool, with identical
+output either way. The RTT sweep
+(:func:`repro.core.pipeline.compute_rtt_series_multi`), the throughput
+series (:func:`repro.flows.throughput.throughput_series_gbps`), and the
+fig4/fig5/disconnected experiments are all thin evaluators on top of it.
 
 An evaluator is a picklable callable ``evaluator(scenario, time_s,
-mode) -> ndarray`` returning one float row per (snapshot, mode). A
-worker task evaluates *every* requested mode of its snapshot, so the
-modes share the worker's process-local geometry frame — the parallel
-analogue of the serial sweep's time-outer/mode-inner loop.
+mode) -> ndarray`` returning one float row per (snapshot, mode). One
+snapshot's missing modes are evaluated together, in-process or in one
+worker task, so they share one geometry frame (time-outer, mode-inner).
 
 Long sweeps must survive partial failure, so the pool is wrapped in a
 resilience layer governed by :class:`FaultPolicy`:
@@ -41,11 +39,14 @@ by the checkpoint ``label`` (see :func:`repro.core.checkpoint.checkpoint_for`).
 
 The scenario and evaluator are shipped to workers once (pool
 initializer), not once per snapshot; on fork-based platforms (Linux)
-even that copy is copy-on-write.
+even that copy is copy-on-write. The parent's ambient fault spec and
+strict flag travel with them, so spawn-started workers compute exactly
+what forked ones do.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -59,9 +60,9 @@ import numpy as np
 
 from repro import obs
 from repro.core.checkpoint import RttCheckpoint, active_checkpoint_for
-from repro.core.pipeline import RttSeries, _rtt_snapshot_row
 from repro.core.scenario import Scenario
-from repro.integrity.guards import check_rtt_series, strict_enabled
+from repro.faults import active_fault_spec, set_active_fault_spec
+from repro.integrity.guards import set_strict, strict_enabled
 from repro.integrity.quarantine import note
 from repro.network.graph import ConnectivityMode
 
@@ -69,26 +70,20 @@ __all__ = [
     "FaultPolicy",
     "SnapshotFailure",
     "SweepError",
-    "compute_rtt_series_parallel",
-    "compute_rtt_series_parallel_multi",
     "default_worker_count",
-    "map_snapshot_rows_parallel",
-    "map_snapshot_rows_serial",
+    "map_snapshot_rows",
 ]
 
 #: Evaluator contract: one float row for one (snapshot, mode) cell.
 SnapshotEvaluator = Callable[[Scenario, float, ConnectivityMode], np.ndarray]
 
-# Worker-process state, set by the pool initializer. The scenario is
-# unpickled without its engine (see ``Scenario.__getstate__``), so each
-# worker lazily builds one process-local engine and every snapshot in
-# its chunk — and every mode of each snapshot — shares that engine's
+# Worker-process state, set by the pool initializer: (scenario,
+# evaluator, snapshot times, fault hook, collect metrics). The scenario
+# is unpickled without its engine (see ``Scenario.__getstate__``), so
+# each worker lazily builds one process-local engine and every snapshot
+# it evaluates — and every mode of each snapshot — shares that engine's
 # static layer and geometry frames.
-_WORKER_SCENARIO: Scenario | None = None
-_WORKER_MODES: tuple[ConnectivityMode, ...] | None = None
-_WORKER_EVALUATOR: SnapshotEvaluator | None = None
-_WORKER_FAULT_HOOK: Callable[[int, float], None] | None = None
-_WORKER_COLLECT_METRICS: bool = False
+_WORKER: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -167,24 +162,6 @@ def _row_widths(modes, row_len) -> "dict[ConnectivityMode, int]":
     return widths
 
 
-def _resolve_checkpoints(
-    scenario: Scenario,
-    modes,
-    checkpoints,
-    label: str,
-    times: np.ndarray,
-    widths: "dict[ConnectivityMode, int]",
-) -> "dict[ConnectivityMode, RttCheckpoint | None]":
-    """Explicit checkpoints, with ambient-root fallback per mode."""
-    resolved: dict[ConnectivityMode, RttCheckpoint | None] = dict(checkpoints or {})
-    for mode in modes:
-        if resolved.get(mode) is None:
-            resolved[mode] = active_checkpoint_for(
-                scenario, mode, label=label, times_s=times, row_len=widths[mode]
-            )
-    return resolved
-
-
 def _coerce_row(row, width: int, mode: ConnectivityMode, time_s: float) -> np.ndarray:
     row = np.asarray(row, dtype=float)
     if row.shape != (width,):
@@ -195,7 +172,22 @@ def _coerce_row(row, width: int, mode: ConnectivityMode, time_s: float) -> np.nd
     return row
 
 
-def map_snapshot_rows_serial(
+def _eval_cells(
+    scenario: Scenario, evaluator: SnapshotEvaluator, time_s: float, modes
+) -> "dict[ConnectivityMode, np.ndarray]":
+    """Evaluate ``modes`` of one snapshot, one ``snapshot`` span per mode.
+
+    The one cell function: the in-process loop, pool workers and the
+    serial fallback all run it, so every path has the same span shape.
+    """
+    rows = {}
+    for mode in modes:
+        with obs.span("snapshot"):
+            rows[mode] = evaluator(scenario, time_s, mode)
+    return rows
+
+
+def map_snapshot_rows(
     scenario: Scenario,
     modes,
     evaluator: SnapshotEvaluator,
@@ -203,105 +195,125 @@ def map_snapshot_rows_serial(
     row_len,
     times_s: np.ndarray | None = None,
     label: str = "",
+    processes: int = 1,
     checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
+    policy: FaultPolicy | None = None,
     progress: Callable[[int, int], None] | None = None,
+    fault_hook: Callable[[int, float], None] | None = None,
 ) -> "dict[ConnectivityMode, np.ndarray]":
-    """Evaluate every (snapshot, mode) cell in-process; rows as columns.
-
-    The loop is time-outer, mode-inner: every requested mode of one
-    snapshot is evaluated before the sweep moves to the next time, so a
-    BP + hybrid comparison pays for satellite propagation and KD-tree
-    visibility queries exactly once per snapshot (the engine's frame
-    cache serves the second mode from memory).
+    """Evaluate every (snapshot, mode) cell; rows as columns.
 
     Returns ``{mode: array of shape (row_len[mode], num_snapshots)}``.
     ``row_len`` is an int, or a mapping when modes have different row
     widths (e.g. fig5's one BP number vs one hybrid number per ISL
     ratio). ``times_s`` defaults to the scenario's snapshot grid.
+
     ``label`` names the sweep for checkpointing — sweeps with different
     labels never share shards. ``checkpoints`` maps modes to
     checkpoints; modes without an entry fall back to the ambient
-    checkpoint root (see :mod:`repro.core.checkpoint`). ``progress`` is
-    called as ``progress(i + 1, total)`` after each snapshot.
+    checkpoint root (see :mod:`repro.core.checkpoint`). Resume verifies
+    each mode's shards once, loads them, and evaluates only the missing
+    cells; every new row is stored the moment it lands.
+
+    ``processes=1`` evaluates in-process, time-outer and mode-inner, so
+    a BP + hybrid sweep pays for propagation and visibility queries once
+    per snapshot; evaluator exceptions propagate unchanged. With more
+    processes and more than one pending snapshot, each worker task
+    evaluates one snapshot's missing modes; ``evaluator`` must then be
+    picklable (a module-level function, or a ``functools.partial`` of
+    one), and failures are retried and finally raised as a
+    :class:`SweepError` under ``policy`` (see :class:`FaultPolicy`).
+    Rows are bit-identical either way.
+
+    ``progress(done, total)`` is called once for the resumed snapshots
+    (when there are any), then once per completed snapshot; ``done``
+    never decreases and ends at ``total``. A snapshot completes when all
+    its modes are in. ``fault_hook`` is a test seam: a picklable
+    callable run inside each worker, once per task, before the real
+    computation (raise/hang/exit to simulate crashes); in-process
+    evaluation never invokes it.
     """
     modes = list(modes)
     times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
     widths = _row_widths(modes, row_len)
-    resolved = _resolve_checkpoints(scenario, modes, checkpoints, label, times, widths)
     total = len(times)
-    completed = {
-        mode: (
-            resolved[mode].completed_indices()
-            if resolved[mode] is not None
-            else frozenset()
-        )
-        for mode in modes
-    }
+
+    # Resume: one verification pass per mode, then only those shards load.
     rows = {mode: np.full((widths[mode], total), np.inf) for mode in modes}
-    for i, time_s in enumerate(times):
-        for mode in modes:
-            checkpoint = resolved[mode]
-            if i in completed[mode]:
-                obs.incr("checkpoint.hits")
+    missing: dict[int, list[ConnectivityMode]] = {i: [] for i in range(total)}
+    resolved = dict(checkpoints or {})
+    for mode in modes:
+        if resolved.get(mode) is None:
+            resolved[mode] = active_checkpoint_for(
+                scenario, mode, label=label, times_s=times, row_len=widths[mode]
+            )
+        checkpoint = resolved[mode]
+        completed = checkpoint.completed_indices() if checkpoint is not None else ()
+        for i in range(total):
+            if i in completed:
                 rows[mode][:, i] = checkpoint.load_snapshot(i)
-                continue
+            else:
+                missing[i].append(mode)
+        if completed:
+            obs.incr("checkpoint.hits", len(completed))
+    pending = {i: cell_modes for i, cell_modes in missing.items() if cell_modes}
+    done = total - len(pending)
+    if done and progress is not None:
+        progress(done, total)
+
+    def record(index: int, mode_rows: "dict[ConnectivityMode, np.ndarray]") -> None:
+        nonlocal done
+        for mode, row in mode_rows.items():
+            row = _coerce_row(row, widths[mode], mode, float(times[index]))
+            rows[mode][:, index] = row
+            checkpoint = resolved[mode]
             if checkpoint is not None:
                 obs.incr("checkpoint.misses")
-            with obs.span("snapshot"):
-                row = _coerce_row(
-                    evaluator(scenario, float(time_s), mode),
-                    widths[mode],
-                    mode,
-                    float(time_s),
-                )
-            rows[mode][:, i] = row
-            if checkpoint is not None:
                 try:
-                    checkpoint.store_snapshot(i, row)
+                    checkpoint.store_snapshot(index, row)
                 except OSError:
                     # Disk full (or gone): the sweep's numbers are
-                    # unaffected — continue uncheckpointed and let
-                    # the run summary surface the degradation.
+                    # unaffected — continue uncheckpointed and let the
+                    # run summary surface the degradation.
                     note("store_errors")
+        done += 1
         if progress is not None:
-            progress(i + 1, total)
+            progress(done, total)
+
+    if processes > 1 and len(pending) > 1:
+        _map_on_pool(
+            scenario,
+            evaluator,
+            times,
+            pending,
+            record,
+            processes=processes,
+            policy=policy or FaultPolicy(),
+            fault_hook=fault_hook,
+        )
+    else:
+        for index, cell_modes in pending.items():
+            record(index, _eval_cells(scenario, evaluator, float(times[index]), cell_modes))
     return rows
 
 
 def _init_worker(
     scenario: Scenario,
-    modes: tuple[ConnectivityMode, ...],
     evaluator: SnapshotEvaluator,
-    fault_hook: Callable[[int, float], None] | None = None,
-    collect_metrics: bool = False,
+    times: np.ndarray,
+    fault_hook: Callable[[int, float], None] | None,
+    ambient: tuple,
 ) -> None:
-    global _WORKER_SCENARIO, _WORKER_MODES, _WORKER_EVALUATOR
-    global _WORKER_FAULT_HOOK, _WORKER_COLLECT_METRICS
-    _WORKER_SCENARIO = scenario
-    _WORKER_MODES = tuple(modes)
-    _WORKER_EVALUATOR = evaluator
-    _WORKER_FAULT_HOOK = fault_hook
-    _WORKER_COLLECT_METRICS = collect_metrics
-
-
-def _snapshot_rows(time_s: float) -> "dict[ConnectivityMode, np.ndarray]":
-    assert _WORKER_SCENARIO is not None and _WORKER_MODES is not None
-    assert _WORKER_EVALUATOR is not None
-    rows = {}
-    for mode in _WORKER_MODES:
-        # One ``snapshot`` span per (time, mode), matching the serial
-        # map's span shape; all modes assemble from one cached geometry
-        # frame via the worker's process-local engine.
-        with obs.span("snapshot"):
-            rows[mode] = np.asarray(
-                _WORKER_EVALUATOR(_WORKER_SCENARIO, float(time_s), mode),
-                dtype=float,
-            )
-    return rows
+    global _WORKER
+    collect_metrics, fault_spec, strict = ambient
+    # Installed explicitly: a spawn-started worker inherits no globals.
+    set_active_fault_spec(fault_spec)
+    set_strict(strict)
+    _WORKER = (scenario, evaluator, times, fault_hook, collect_metrics)
 
 
 def _eval_snapshot(
-    index: int, time_s: float
+    index: int, modes
 ) -> "tuple[dict[ConnectivityMode, np.ndarray], dict | None]":
     """Worker task: one snapshot's rows (fault hook first, for tests).
 
@@ -311,149 +323,49 @@ def _eval_snapshot(
     policy already watches — so worker instrumentation survives retries,
     pool recreation, and the serial fallback without a side channel.
     """
-    if not _WORKER_COLLECT_METRICS:
-        if _WORKER_FAULT_HOOK is not None:
-            _WORKER_FAULT_HOOK(index, time_s)
-        return _snapshot_rows(time_s), None
-    with obs.observe() as registry:
-        if _WORKER_FAULT_HOOK is not None:
-            _WORKER_FAULT_HOOK(index, time_s)
-        rows = _snapshot_rows(time_s)
-    return rows, registry.snapshot()
+    assert _WORKER is not None
+    scenario, evaluator, times, fault_hook, collect_metrics = _WORKER
+    time_s = float(times[index])
+    with obs.observe() if collect_metrics else contextlib.nullcontext() as registry:
+        if fault_hook is not None:
+            fault_hook(index, time_s)
+        rows = _eval_cells(scenario, evaluator, time_s, modes)
+    return rows, None if registry is None else registry.snapshot()
 
 
-def map_snapshot_rows_parallel(
-    scenario: Scenario,
-    modes,
-    evaluator: SnapshotEvaluator,
-    *,
-    row_len,
-    times_s: np.ndarray | None = None,
-    label: str = "",
-    processes: int | None = None,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
-    policy: FaultPolicy | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
-) -> "dict[ConnectivityMode, np.ndarray]":
-    """Parallel :func:`map_snapshot_rows_serial` with fault tolerance.
-
-    Each worker task evaluates *all* requested modes of one snapshot, so
-    the modes share the worker's process-local geometry frame. Results
-    are bit-identical to the serial map (each snapshot's evaluation is
-    deterministic and independent); with ``processes <= 1`` (or a single
-    snapshot) the call simply delegates to the serial map.
-
-    ``evaluator`` must be picklable (a module-level function, or a
-    ``functools.partial`` of one). ``policy`` tunes the retry/timeout/
-    fallback behaviour; see :class:`FaultPolicy` — notably the timeout
-    bounds *stalls* (no snapshot completing within the window), so one
-    hung worker among many stragglers costs one window, not one window
-    each. ``progress`` is called as ``progress(done, total)`` as
-    snapshots land (a snapshot counts once all its modes are in).
-    ``fault_hook`` is a test seam: a picklable callable run inside each
-    worker, once per snapshot, before the real computation
-    (raise/hang/exit to simulate crashes); the serial fallback and
-    resumed rows never invoke it.
-    """
-    modes = list(modes)
-    times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
-    widths = _row_widths(modes, row_len)
-    total = len(times)
-    policy = policy or FaultPolicy()
-    resolved = _resolve_checkpoints(scenario, modes, checkpoints, label, times, widths)
-
-    rows: dict[ConnectivityMode, dict[int, np.ndarray]] = {}
-    for mode in modes:
-        checkpoint = resolved[mode]
-        rows[mode] = checkpoint.load_completed() if checkpoint is not None else {}
-    # Resumed rows are counted like the serial map counts them, so
-    # resume is observable regardless of which entry point served it —
-    # but only on paths that don't delegate to the serial map (which
-    # re-discovers and counts the same shards itself).
-    resumed_rows = sum(len(rows[mode]) for mode in modes)
-
-    def done_count() -> int:
-        return sum(
-            1
-            for i in range(total)
-            if all(i in rows[mode] for mode in modes)
-        )
-
-    done = done_count()
-    if done and progress is not None:
-        progress(done, total)
-    pending = [
-        i for i in range(total) if any(i not in rows[mode] for mode in modes)
-    ]
-
-    def finish() -> "dict[ConnectivityMode, np.ndarray]":
-        return {
-            mode: (
-                np.stack([rows[mode][i] for i in range(total)], axis=1)
-                if total
-                else np.full((widths[mode], 0), np.inf)
-            )
-            for mode in modes
-        }
-
-    if not pending:
-        if resumed_rows:
-            obs.incr("checkpoint.hits", resumed_rows)
-        return finish()
-
-    processes = processes or default_worker_count()
-    if processes <= 1 or total == 1:
-        return map_snapshot_rows_serial(
-            scenario,
-            modes,
-            evaluator,
-            row_len=row_len,
-            times_s=times,
-            label=label,
-            checkpoints=resolved,
-            progress=progress,
-        )
-
-    if resumed_rows:
-        obs.incr("checkpoint.hits", resumed_rows)
-
-    # Materialize lazy state before forking so workers don't redo it.
-    scenario.ground
-    scenario.pairs
-
-    context = multiprocessing.get_context(
+def _pool_context():
+    """Start method for worker pools: fork (copy-on-write) where available."""
+    return multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
 
-    collect_metrics = obs.active_registry() is not None
+
+def _map_on_pool(
+    scenario: Scenario,
+    evaluator: SnapshotEvaluator,
+    times: np.ndarray,
+    pending: "dict[int, list[ConnectivityMode]]",
+    record: Callable,
+    *,
+    processes: int,
+    policy: FaultPolicy,
+    fault_hook: Callable[[int, float], None] | None,
+) -> None:
+    """Evaluate ``pending`` snapshots on a worker pool, feeding ``record``."""
+    # Materialize lazy state before forking so workers don't redo it.
+    scenario.ground
+    scenario.pairs
+    context = _pool_context()
+    # Parent state workers mirror: (collect metrics, fault spec, strict).
+    ambient = (obs.active_registry() is not None, active_fault_spec(), strict_enabled())
 
     def make_executor() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=min(processes, len(pending)),
             mp_context=context,
             initializer=_init_worker,
-            initargs=(scenario, tuple(modes), evaluator, fault_hook, collect_metrics),
+            initargs=(scenario, evaluator, times, fault_hook, ambient),
         )
-
-    def record(index: int, mode_rows: "dict[ConnectivityMode, np.ndarray]") -> None:
-        for mode in modes:
-            if index in rows[mode]:
-                continue  # Resumed from this mode's checkpoint already.
-            row = _coerce_row(
-                mode_rows[mode], widths[mode], mode, float(times[index])
-            )
-            rows[mode][index] = row
-            checkpoint = resolved[mode]
-            if checkpoint is not None:
-                try:
-                    checkpoint.store_snapshot(index, row)
-                except OSError:
-                    # Disk full: keep the in-memory row, skip the shard,
-                    # surface the degradation via the integrity counters.
-                    note("store_errors")
-        if progress is not None:
-            progress(done_count(), total)
 
     attempts = dict.fromkeys(pending, 0)
     errors: dict[int, str] = {}
@@ -468,7 +380,7 @@ def map_snapshot_rows_parallel(
                 if policy.backoff_base_s:
                     time.sleep(policy.backoff_base_s * 2 ** (round_number - 1))
             future_index = {
-                executor.submit(_eval_snapshot, index, float(times[index])): index
+                executor.submit(_eval_snapshot, index, pending[index]): index
                 for index in remaining
             }
             for index in remaining:
@@ -532,10 +444,9 @@ def map_snapshot_rows_parallel(
             try:
                 # Runs in-process: spans land on the parent registry and
                 # the modes share the parent engine's geometry frame.
-                mode_rows = {
-                    mode: evaluator(scenario, float(times[index]), mode)
-                    for mode in modes
-                }
+                mode_rows = _eval_cells(
+                    scenario, evaluator, float(times[index]), pending[index]
+                )
             except Exception as exc:
                 errors[index] = f"serial fallback: {exc.__class__.__name__}: {exc}"
                 still_failing.append(index)
@@ -555,95 +466,3 @@ def map_snapshot_rows_parallel(
                 for index in sorted(remaining)
             ]
         )
-
-    return finish()
-
-
-def compute_rtt_series_parallel_multi(
-    scenario: Scenario,
-    modes,
-    processes: int | None = None,
-    *,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
-    policy: FaultPolicy | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
-) -> "dict[ConnectivityMode, RttSeries]":
-    """Parallel multi-mode replacement for ``compute_rtt_series_multi``.
-
-    A thin RTT evaluator over :func:`map_snapshot_rows_parallel` — see
-    that function for the parallelism, checkpoint, and fault-tolerance
-    contract. Results are bit-identical to the serial version.
-    """
-    modes = list(modes)
-    times = scenario.times_s
-    resolved = _resolve_checkpoints(
-        scenario, modes, checkpoints, "", times, _row_widths(modes, len(scenario.pairs))
-    )
-    processes = processes or default_worker_count()
-    if processes <= 1 or len(times) == 1:
-        from repro.core.pipeline import compute_rtt_series_multi
-
-        return compute_rtt_series_multi(
-            scenario, modes, progress=progress, checkpoints=resolved
-        )
-    rows = map_snapshot_rows_parallel(
-        scenario,
-        modes,
-        _rtt_snapshot_row,
-        row_len=len(scenario.pairs),
-        processes=processes,
-        checkpoints=resolved,
-        policy=policy,
-        progress=progress,
-        fault_hook=fault_hook,
-    )
-    series = {
-        mode: RttSeries(mode=mode, times_s=times, rtt_ms=rows[mode])
-        for mode in modes
-    }
-    if strict_enabled():
-        for mode in modes:
-            check_rtt_series(
-                series[mode], scenario.pairs, source=f"rtt[{mode.value}]"
-            )
-    return series
-
-
-def compute_rtt_series_parallel(
-    scenario: Scenario,
-    mode: ConnectivityMode,
-    processes: int | None = None,
-    *,
-    checkpoint: RttCheckpoint | None = None,
-    policy: FaultPolicy | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
-) -> RttSeries:
-    """Drop-in parallel replacement for ``compute_rtt_series``.
-
-    Single-mode wrapper over :func:`compute_rtt_series_parallel_multi`.
-    Results are bit-identical to the serial version (each snapshot's
-    computation is deterministic and independent). Falls back to the
-    serial path when only one process is requested.
-
-    ``checkpoint`` (or the ambient checkpoint root, see
-    :mod:`repro.core.checkpoint`) makes the sweep resumable: completed
-    snapshots are loaded from disk instead of recomputed, and every new
-    row is persisted the moment it lands. ``policy`` tunes the
-    retry/timeout/fallback behaviour. ``progress`` is called as
-    ``progress(done, total)`` as rows land. ``fault_hook`` is a test
-    seam: a picklable callable run inside each worker before the real
-    computation (raise/hang/exit to simulate crashes); the serial
-    fallback and resumed rows never invoke it.
-    """
-    series = compute_rtt_series_parallel_multi(
-        scenario,
-        [mode],
-        processes,
-        checkpoints={mode: checkpoint} if checkpoint is not None else None,
-        policy=policy,
-        progress=progress,
-        fault_hook=fault_hook,
-    )
-    return series[mode]

@@ -14,15 +14,17 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.core.checkpoint import RttCheckpoint
+from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.core.scenario import Scenario
-from repro.obs import span
 from repro.flows.traffic import CityPair, pair_index
+from repro.integrity.guards import check_graph, check_rtt_series, strict_enabled
 from repro.network.graph import ConnectivityMode, SnapshotGraph
-from repro.network.paths import Path, extract_path
+from repro.network.paths import Path, extract_path, shortest_path, shortest_paths_from
+from repro.obs import span
 
 __all__ = [
     "RttSeries",
-    "compute_rtt_series",
     "compute_rtt_series_multi",
     "pair_path_at",
     "pair_paths_on_graph",
@@ -89,11 +91,9 @@ def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarr
 def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
     """The RTT evaluator: one snapshot's RTT row, strict-checked.
 
-    Serial and parallel sweeps both map this function, so the strict
-    guard runs the same way in either.
+    Every RTT sweep maps this function, in-process or in workers, so
+    the strict guard runs the same way in either.
     """
-    from repro.integrity.guards import check_graph, strict_enabled
-
     graph = scenario.graph_at(float(time_s), mode)
     if strict_enabled():
         check_graph(graph, source=f"graph[t={float(time_s):g}s]")
@@ -103,37 +103,40 @@ def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
 def compute_rtt_series_multi(
     scenario: Scenario,
     modes,
+    *,
+    processes: int = 1,
+    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
+    policy: FaultPolicy | None = None,
     progress=None,
-    checkpoints=None,
+    fault_hook=None,
 ) -> "dict[ConnectivityMode, RttSeries]":
     """RTTs of every scenario pair across every snapshot, for several modes.
 
-    A thin RTT evaluator over the generic snapshot map
-    (:func:`repro.core.parallel.map_snapshot_rows_serial`), whose loop
-    is time-outer, mode-inner: every requested mode of one snapshot
-    assembles from the same cached geometry frame before the sweep moves
-    to the next time, so a BP + hybrid comparison pays for satellite
-    propagation and KD-tree visibility queries exactly once per snapshot
-    — regardless of the engine's frame-cache depth.
+    The one RTT sweep: :func:`_rtt_snapshot_row` mapped over the
+    snapshot grid by :func:`repro.core.parallel.map_snapshot_rows`,
+    in-process by default (time-outer, mode-inner, so a BP + hybrid
+    comparison pays for propagation and visibility queries once per
+    snapshot) or across ``processes`` workers. Pass
+    :func:`repro.core.parallel.default_worker_count` for every core.
 
-    ``progress`` (optional) is called as ``progress(i, total)`` after
-    each snapshot (all modes of it). ``checkpoints`` (optional) maps
-    modes to :class:`repro.core.checkpoint.RttCheckpoint` instances;
-    modes without an entry fall back to the ambient checkpoint root
-    when one is active.
+    ``checkpoints`` maps modes to :class:`repro.core.checkpoint.RttCheckpoint`
+    instances; modes without an entry fall back to the ambient
+    checkpoint root when one is active, so an interrupted sweep resumes
+    from disk. ``policy``, ``progress`` and ``fault_hook`` are
+    documented on the map. Results are bit-identical for any
+    ``processes``.
     """
-    # Lazy import: parallel imports this module at load time.
-    from repro.core.parallel import map_snapshot_rows_serial
-    from repro.integrity.guards import check_rtt_series, strict_enabled
-
     modes = list(modes)
-    rows = map_snapshot_rows_serial(
+    rows = map_snapshot_rows(
         scenario,
         modes,
         _rtt_snapshot_row,
         row_len=len(scenario.pairs),
+        processes=processes,
         checkpoints=checkpoints,
+        policy=policy,
         progress=progress,
+        fault_hook=fault_hook,
     )
     series = {
         mode: RttSeries(mode=mode, times_s=scenario.times_s, rtt_ms=rows[mode])
@@ -143,34 +146,6 @@ def compute_rtt_series_multi(
         for mode in modes:
             check_rtt_series(series[mode], scenario.pairs, source=f"rtt[{mode.value}]")
     return series
-
-
-def compute_rtt_series(
-    scenario: Scenario,
-    mode: ConnectivityMode,
-    progress=None,
-    checkpoint=None,
-) -> RttSeries:
-    """RTTs of every scenario pair across every snapshot.
-
-    Single-mode wrapper over :func:`compute_rtt_series_multi` (which
-    shares cached geometry frames when sweeping several modes at once).
-
-    ``progress`` (optional) is called as ``progress(i, total)`` after each
-    snapshot — long full-scale runs want a heartbeat.
-
-    ``checkpoint`` (an :class:`repro.core.checkpoint.RttCheckpoint`, or
-    the ambient checkpoint root when one is active) makes the sweep
-    resumable: already-checkpointed snapshots are loaded from disk, and
-    each newly computed row is persisted the moment it completes.
-    """
-    series = compute_rtt_series_multi(
-        scenario,
-        [mode],
-        progress=progress,
-        checkpoints={mode: checkpoint} if checkpoint is not None else None,
-    )
-    return series[mode]
 
 
 def pair_paths_on_graph(
@@ -186,10 +161,7 @@ def pair_paths_on_graph(
     paths: list[tuple[int, ...] | None] = [None] * len(pairs)
     for city, pair_indices in by_source.items():
         source = graph.gt_node(city)
-        with span("dijkstra"):
-            _, pred = csgraph.dijkstra(
-                matrix, directed=True, indices=source, return_predecessors=True
-            )
+        _, pred = shortest_paths_from(matrix, source)
         with span("path_extraction"):
             for idx in pair_indices:
                 target = graph.gt_node(pairs[idx].b)
@@ -209,12 +181,5 @@ def pair_path_at(
     detail, not just the RTT.
     """
     graph = scenario.graph_at(time_s, mode)
-    source = graph.gt_node(pair.a)
-    target = graph.gt_node(pair.b)
-    dist, pred = csgraph.dijkstra(
-        graph.matrix(), directed=True, indices=source, return_predecessors=True
-    )
-    nodes = extract_path(pred, source, target)
-    if nodes is None:
-        return graph, None
-    return graph, Path(nodes=nodes, length_m=float(dist[target]))
+    path = shortest_path(graph.matrix(), graph.gt_node(pair.a), graph.gt_node(pair.b))
+    return graph, path

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import map_snapshot_rows_parallel
+from repro.core.parallel import map_snapshot_rows
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, default_scale, register
 from repro.network.graph import ConnectivityMode
@@ -44,13 +44,12 @@ def run(scale: ScenarioScale | None = None, constellation: str = "starlink") -> 
     # share one geometry frame via the engine, and the per-snapshot rows
     # checkpoint/resume under an ambient root like every other sweep.
     modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    mapped = map_snapshot_rows_parallel(
+    mapped = map_snapshot_rows(
         scenario,
         modes,
         _component_row,
         row_len=2,
         label="disconnected",
-        processes=1,
     )
     bp_rows = mapped[ConnectivityMode.BP_ONLY]
     hy_rows = mapped[ConnectivityMode.HYBRID]

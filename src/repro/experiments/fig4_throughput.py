@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from repro.core.parallel import map_snapshot_rows_parallel
+from repro.core.parallel import map_snapshot_rows
 from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.routing import route_traffic_multi_k
@@ -59,7 +59,7 @@ def throughput_matrix(
     ks=(1, 4),
     capacities: LinkCapacities | None = None,
     time_s: float = 0.0,
-    processes: int | None = None,
+    processes: int = 1,
 ) -> dict:
     """Aggregate throughput for every (mode, k) combination, Gbps.
 
@@ -74,14 +74,14 @@ def throughput_matrix(
     if capacities != LinkCapacities():
         label += "-c" + hashlib.sha1(repr(capacities).encode()).hexdigest()[:8]
     modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    rows = map_snapshot_rows_parallel(
+    rows = map_snapshot_rows(
         scenario,
         modes,
         functools.partial(_matrix_snapshot_row, ks=ks, capacities=capacities),
         row_len=len(ks),
         times_s=np.asarray([float(time_s)]),
         label=label,
-        processes=processes or 1,
+        processes=processes,
     )
     return {
         (mode.value, k): float(rows[mode][j, 0])

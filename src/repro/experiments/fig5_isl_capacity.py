@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from repro.core.parallel import map_snapshot_rows_parallel
+from repro.core.parallel import map_snapshot_rows
 from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
@@ -72,7 +72,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     # hybrid row one entry per ratio, and an ambient checkpoint root
     # makes the sweep resumable like every other one.
     modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    mapped = map_snapshot_rows_parallel(
+    mapped = map_snapshot_rows(
         scenario,
         modes,
         functools.partial(_capacity_sweep_row, k=int(k), ratios=RATIOS),
@@ -82,7 +82,6 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
         },
         times_s=np.asarray([0.0]),
         label=f"fig5-k{int(k)}",
-        processes=1,
     )
     bp_gbps = float(mapped[ConnectivityMode.BP_ONLY][0, 0])
 

@@ -3,7 +3,7 @@
 from repro.flows.equalsplit import equal_split_allocation
 from repro.flows.maxflow import lax_max_flow_bps
 from repro.flows.maxmin import MaxMinResult, max_min_fair_allocation
-from repro.flows.routing import RoutedTraffic, SubFlow, edge_id_index, route_traffic
+from repro.flows.routing import RoutedTraffic, SubFlow, route_traffic
 from repro.flows.terouting import route_load_aware
 from repro.flows.throughput import (
     ThroughputResult,
@@ -30,7 +30,6 @@ __all__ = [
     "RoutedTraffic",
     "route_traffic",
     "route_load_aware",
-    "edge_id_index",
     "ThroughputResult",
     "evaluate_throughput",
     "throughput_series_gbps",

@@ -34,7 +34,6 @@ __all__ = [
     "RoutedTraffic",
     "route_traffic",
     "route_traffic_multi_k",
-    "edge_id_index",
 ]
 
 #: Sources per batched predecessor-Dijkstra call. Bounds the dense
@@ -67,18 +66,6 @@ class RoutedTraffic:
     def flow_edge_lists(self) -> list[np.ndarray]:
         """Per-subflow edge-id arrays, the max-min allocator's input."""
         return [sf.edge_ids for sf in self.subflows]
-
-
-def edge_id_index(graph: SnapshotGraph) -> dict[tuple[int, int], int]:
-    """Map canonical (min, max) node pairs to edge ids.
-
-    Kept for external callers; the routing fast path uses the graph's
-    cached vectorized mapping (:meth:`SnapshotGraph.edge_ids_for_pairs`)
-    instead.
-    """
-    u = np.minimum(graph.edges[:, 0], graph.edges[:, 1])
-    v = np.maximum(graph.edges[:, 0], graph.edges[:, 1])
-    return {(int(a), int(b)): i for i, (a, b) in enumerate(zip(u, v))}
 
 
 def _path_edge_ids(graph: SnapshotGraph, path: Path) -> np.ndarray:

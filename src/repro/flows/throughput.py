@@ -65,7 +65,7 @@ def throughput_series_gbps(
     k: int = 1,
     capacities=None,
     *,
-    processes: int | None = None,
+    processes: int = 1,
     policy=None,
     progress=None,
     fault_hook=None,
@@ -78,16 +78,15 @@ def throughput_series_gbps(
     hybrid's barely moves). One full routing per snapshot — budget
     accordingly at large scales.
 
-    Runs through the generic snapshot map
-    (:func:`repro.core.parallel.map_snapshot_rows_parallel`): serial by
-    default (``processes=1``, bit-identical to the historical loop),
-    fanned out across ``processes`` workers on request, and resumable
-    under an ambient checkpoint root either way (``policy`` /
+    Runs through the snapshot map
+    (:func:`repro.core.parallel.map_snapshot_rows`): in-process by
+    default, fanned out across ``processes`` workers on request, and
+    resumable under an ambient checkpoint root either way (``policy`` /
     ``progress`` / ``fault_hook`` as documented there).
     """
-    from repro.core.parallel import map_snapshot_rows_parallel
+    from repro.core.parallel import map_snapshot_rows
 
-    rows = map_snapshot_rows_parallel(
+    rows = map_snapshot_rows(
         scenario,
         [mode],
         functools.partial(
@@ -95,7 +94,7 @@ def throughput_series_gbps(
         ),
         row_len=1,
         label=throughput_series_label(k, capacities),
-        processes=processes or 1,
+        processes=processes,
         policy=policy,
         progress=progress,
         fault_hook=fault_hook,

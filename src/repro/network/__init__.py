@@ -30,7 +30,7 @@ from repro.network.paths import (
     shortest_path,
     shortest_paths_from,
 )
-from repro.network.snapshots import SnapshotSeries, snapshot_times
+from repro.network.snapshots import snapshot_times
 from repro.network.topology import (
     constellation_isl_edges,
     isl_lengths_m,
@@ -65,7 +65,6 @@ __all__ = [
     "shortest_paths_from",
     "extract_path",
     "k_edge_disjoint_paths",
-    "SnapshotSeries",
     "snapshot_times",
     "plus_grid_edges",
     "constellation_isl_edges",

@@ -81,14 +81,7 @@ def shortest_path(
     matrix: sparse.csr_matrix, source: int, target: int
 ) -> Path | None:
     """Single-pair shortest path, or ``None`` when disconnected."""
-    with span("dijkstra"):
-        dist, pred = csgraph.dijkstra(
-            matrix,
-            directed=True,
-            indices=source,
-            return_predecessors=True,
-            min_only=False,
-        )
+    dist, pred = shortest_paths_from(matrix, source)
     nodes = extract_path(pred, source, target)
     if nodes is None:
         return None

@@ -1,23 +1,17 @@
-"""Snapshot time series: build the network graph at the paper's cadence.
+"""Snapshot time grid: the paper's simulation cadence.
 
-The paper simulates one day at 15-minute snapshots (96 graphs). This
-module drives that loop, rebuilding the GT table (aircraft move) and the
-satellite geometry per snapshot.
+The paper simulates one day at 15-minute snapshots (96 graphs).
+:func:`snapshot_times` gives those epoch offsets; each snapshot's graph
+comes from :meth:`repro.core.scenario.Scenario.graph_at`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from repro.constants import NUM_SNAPSHOTS_PER_DAY, SNAPSHOT_INTERVAL_S
-from repro.ground.stations import GroundSegment
-from repro.network.graph import ConnectivityMode, SnapshotGraph
-from repro.orbits.constellation import Constellation
 
-__all__ = ["SnapshotSeries", "snapshot_times"]
+__all__ = ["snapshot_times"]
 
 
 def snapshot_times(
@@ -31,46 +25,3 @@ def snapshot_times(
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
     return start_s + interval_s * np.arange(num_snapshots)
-
-
-@dataclass(frozen=True)
-class SnapshotSeries:
-    """Lazy sequence of snapshot graphs for a scenario.
-
-    Backed by a lazily created :class:`repro.core.engine.SnapshotEngine`
-    so the static layer (station ECEF, KD-tree, ISL topology) is built
-    once for the whole series, and repeated requests for the same
-    instant — e.g. two series over the same constellation and ground
-    differing only in mode — reuse cached geometry frames.
-    """
-
-    constellation: Constellation
-    ground: GroundSegment
-    mode: ConnectivityMode
-    times_s: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times_s)
-
-    @property
-    def engine(self):
-        """The series' snapshot engine (created on first use).
-
-        Imported lazily: ``repro.core`` imports this module while
-        initializing, so a module-level import would be circular.
-        """
-        engine = self.__dict__.get("_engine")
-        if engine is None:
-            from repro.core.engine import SnapshotEngine
-
-            engine = SnapshotEngine(self.constellation, self.ground)
-            object.__setattr__(self, "_engine", engine)
-        return engine
-
-    def graph_at(self, time_s: float) -> SnapshotGraph:
-        """The graph for an arbitrary time (geometry frame cached)."""
-        return self.engine.graph_at(float(time_s), self.mode)
-
-    def __iter__(self) -> Iterator[SnapshotGraph]:
-        for time_s in self.times_s:
-            yield self.graph_at(float(time_s))

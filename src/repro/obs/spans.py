@@ -22,7 +22,7 @@ stacks) and process-friendly: a worker process opens its own
 :func:`observe` context, snapshots it with
 :meth:`MetricsRegistry.snapshot`, ships the plain-dict payload back with
 its result, and the parent folds it in with :func:`merge_payload` — the
-route :func:`repro.core.parallel.compute_rtt_series_parallel` uses.
+route :func:`repro.core.parallel.map_snapshot_rows` uses for its pool.
 """
 
 from __future__ import annotations

@@ -135,11 +135,13 @@ class TestRttJumps:
 
     def test_real_series_bp_jumps_larger(self, tiny_scenario):
         from repro.analysis import rtt_jumps_ms
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
         from repro.network.graph import ConnectivityMode
 
-        bp = rtt_jumps_ms(compute_rtt_series(tiny_scenario, ConnectivityMode.BP_ONLY))
-        hy = rtt_jumps_ms(compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID))
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        series = compute_rtt_series_multi(tiny_scenario, modes)
+        bp = rtt_jumps_ms(series[ConnectivityMode.BP_ONLY])
+        hy = rtt_jumps_ms(series[ConnectivityMode.HYBRID])
         assert len(bp) and len(hy)
         # The Fig. 2(b) effect seen per-step: BP jumps at least as hard.
         assert np.median(bp) >= 0.5 * np.median(hy)

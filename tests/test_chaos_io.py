@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import RttCheckpoint
-from repro.core.pipeline import compute_rtt_series
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.faults import (
     IO_FAULT_KINDS,
     IoFaultSpec,
@@ -30,7 +30,7 @@ MODE = ConnectivityMode.BP_ONLY
 @pytest.fixture(scope="module")
 def clean_series(tiny_scenario):
     """The ground truth: one un-faulted, un-checkpointed sweep."""
-    return compute_rtt_series(tiny_scenario, MODE)
+    return compute_rtt_series_multi(tiny_scenario, [MODE])[MODE]
 
 
 def _open_checkpoint(tiny_scenario, directory) -> RttCheckpoint:
@@ -73,7 +73,8 @@ def _sweep_through_fault(tiny_scenario, directory, spec):
     """Run a checkpointed sweep with ``spec`` armed; return the series."""
     ck = _open_checkpoint(tiny_scenario, directory)
     with io_fault_injection(spec):
-        return compute_rtt_series(tiny_scenario, MODE, checkpoint=ck), ck
+        series = compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
+        return series[MODE], ck
 
 
 @pytest.mark.parametrize("kind", IO_FAULT_KINDS)
@@ -96,7 +97,9 @@ def test_sweep_survives_and_heals_byte_identically(
     # Resume on healthy storage: verification quarantines the damage and
     # the recompute converges byte-identically.
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-    healed = compute_rtt_series(tiny_scenario, MODE, checkpoint=ck)
+    healed = compute_rtt_series_multi(
+        tiny_scenario, [MODE], checkpoints={MODE: ck}
+    )[MODE]
     assert healed.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     assert ck.is_complete()
 
@@ -141,14 +144,13 @@ def test_disk_full_degrades_gracefully(tiny_scenario, tmp_path, clean_series):
 def test_disk_full_in_parallel_sweep_degrades_gracefully(
     tiny_scenario, tmp_path, clean_series
 ):
-    from repro.core.parallel import compute_rtt_series_parallel
 
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
     with io_fault_injection(spec):
-        series = compute_rtt_series_parallel(
-            tiny_scenario, MODE, processes=2, checkpoint=ck
-        )
+        series = compute_rtt_series_multi(
+            tiny_scenario, [MODE], processes=2, checkpoints={MODE: ck}
+        )[MODE]
     assert series.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     assert len(ck.completed_indices()) == 2  # one store dropped, rest landed
 
@@ -156,7 +158,7 @@ def test_disk_full_in_parallel_sweep_degrades_gracefully(
 class TestVerifyCli:
     def _checkpointed_tree(self, tiny_scenario, tmp_path):
         ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series(tiny_scenario, MODE, checkpoint=ck)
+        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
         return ck
 
     def test_clean_tree_passes(self, tiny_scenario, tmp_path, capsys):
@@ -194,5 +196,5 @@ class TestVerifyCli:
         # Heal: resume quarantines + recomputes; the audit then passes
         # (quarantine contents are deliberately out of scope).
         ck2 = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series(tiny_scenario, MODE, checkpoint=ck2)
+        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck2})
         assert main(["verify", str(tmp_path)]) == 0

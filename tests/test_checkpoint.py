@@ -18,8 +18,8 @@ from repro.core.checkpoint import (
     checkpoint_root,
     scenario_fingerprint,
 )
-from repro.core.parallel import FaultPolicy, SweepError, compute_rtt_series_parallel
-from repro.core.pipeline import compute_rtt_series
+from repro.core.parallel import FaultPolicy, SweepError
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.network.graph import ConnectivityMode
 
 
@@ -161,7 +161,7 @@ class TestResume:
         self, tiny_scenario, tmp_path, monkeypatch
     ):
         mode = ConnectivityMode.BP_ONLY
-        baseline = compute_rtt_series(tiny_scenario, mode)
+        baseline = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
         ck = RttCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
@@ -169,11 +169,11 @@ class TestResume:
         # "Kill" the sweep: workers crash on every snapshot but the first,
         # retries exhausted, no serial rescue — exactly a mid-run abort.
         with pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_parallel(
+            compute_rtt_series_multi(
                 tiny_scenario,
-                mode,
+                [mode],
                 processes=2,
-                checkpoint=ck,
+                checkpoints={mode: ck},
                 fault_hook=_crash_after_first_snapshot,
                 policy=FaultPolicy(
                     max_attempts=1, backoff_base_s=0.0, serial_fallback=False
@@ -192,7 +192,9 @@ class TestResume:
             return real(graph, pairs)
 
         monkeypatch.setattr(pipeline, "_pair_rtts_on_graph", counting)
-        resumed = compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        resumed = compute_rtt_series_multi(
+            tiny_scenario, [mode], checkpoints={mode: ck}
+        )[mode]
 
         expected_times = [float(t) for t in tiny_scenario.times_s[1:]]
         assert computed_times == expected_times  # snapshot 0 never recomputed
@@ -207,20 +209,22 @@ class TestResume:
         ck = RttCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
-        first = compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        first = compute_rtt_series_multi(
+            tiny_scenario, [mode], checkpoints={mode: ck}
+        )[mode]
         assert ck.is_complete()
 
         def explode(index, time_s):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a checkpointed snapshot")
 
-        resumed = compute_rtt_series_parallel(
+        resumed = compute_rtt_series_multi(
             tiny_scenario,
-            mode,
+            [mode],
             processes=2,
-            checkpoint=ck,
+            checkpoints={mode: ck},
             fault_hook=explode,
             policy=FaultPolicy(max_attempts=1, serial_fallback=False),
-        )
+        )[mode]
         np.testing.assert_array_equal(resumed.rtt_ms, first.rtt_ms)
 
     def test_serial_sweep_checkpoints_under_ambient_root(
@@ -228,7 +232,7 @@ class TestResume:
     ):
         mode = ConnectivityMode.BP_ONLY
         with checkpoint_root(tmp_path):
-            series = compute_rtt_series(tiny_scenario, mode)
+            series = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
             ck = checkpoint_for(tmp_path, tiny_scenario, mode)
             assert ck.is_complete()
             np.testing.assert_array_equal(ck.assemble().rtt_ms, series.rtt_ms)
@@ -238,13 +242,13 @@ class TestResume:
         ck = RttCheckpoint.open(
             tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
         )
-        compute_rtt_series(tiny_scenario, mode, checkpoint=ck)
+        compute_rtt_series_multi(tiny_scenario, [mode], checkpoints={mode: ck})
         ticks = []
-        compute_rtt_series_parallel(
+        compute_rtt_series_multi(
             tiny_scenario,
-            mode,
+            [mode],
             processes=2,
-            checkpoint=ck,
+            checkpoints={mode: ck},
             progress=lambda done, total: ticks.append((done, total)),
         )
         assert ticks == [(3, 3)]

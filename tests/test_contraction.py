@@ -27,8 +27,8 @@ from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.core import scenario as scenario_module
-from repro.core.parallel import FaultPolicy, SweepError, compute_rtt_series_parallel
-from repro.core.pipeline import _pair_rtts_on_graph, compute_rtt_series
+from repro.core.parallel import FaultPolicy, SweepError
+from repro.core.pipeline import _pair_rtts_on_graph, compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair, pair_index
@@ -287,13 +287,13 @@ class TestStrictGuardInBothSweeps:
 
     def test_serial_sweep_raises(self, tiny_scenario, bad_graphs):
         with pytest.raises(InvariantViolation, match="non-finite position"):
-            compute_rtt_series(tiny_scenario, self.MODE)
+            compute_rtt_series_multi(tiny_scenario, [self.MODE])
 
     def test_parallel_sweep_raises(self, tiny_scenario, bad_graphs):
         policy = FaultPolicy(max_attempts=1, backoff_base_s=0.0)
         with pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_parallel(
-                tiny_scenario, self.MODE, processes=2, policy=policy
+            compute_rtt_series_multi(
+                tiny_scenario, [self.MODE], processes=2, policy=policy
             )
         errors = [failure.error for failure in excinfo.value.failures]
         assert len(errors) == len(tiny_scenario.times_s)
@@ -301,8 +301,8 @@ class TestStrictGuardInBothSweeps:
 
     def test_guard_off_lets_both_through(self, tiny_scenario, bad_graphs):
         with strict_checks(False):
-            serial = compute_rtt_series(tiny_scenario, self.MODE)
-            parallel = compute_rtt_series_parallel(
-                tiny_scenario, self.MODE, processes=2
-            )
+            serial = compute_rtt_series_multi(tiny_scenario, [self.MODE])[self.MODE]
+            parallel = compute_rtt_series_multi(
+                tiny_scenario, [self.MODE], processes=2
+            )[self.MODE]
         np.testing.assert_array_equal(serial.rtt_ms, parallel.rtt_ms)

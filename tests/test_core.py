@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from repro.core.comparison import compare_latency
 from repro.core.metrics import cdf_points, distribution_summary, rtt_stats
-from repro.core.pipeline import compute_rtt_series, pair_path_at, pair_paths_on_graph
+from repro.core.pipeline import compute_rtt_series_multi, pair_path_at, pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.network.graph import ConnectivityMode
 from tests.conftest import TINY_SCALE
@@ -86,7 +86,9 @@ class TestScenario:
 class TestRttPipeline:
     @pytest.fixture(scope="class")
     def series(self, tiny_scenario):
-        return compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID)
+        return compute_rtt_series_multi(
+            tiny_scenario, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
 
     def test_shape(self, series, tiny_scenario):
         assert series.rtt_ms.shape == (
@@ -109,15 +111,17 @@ class TestRttPipeline:
 
     def test_progress_callback(self, tiny_scenario):
         calls = []
-        compute_rtt_series(
+        compute_rtt_series_multi(
             tiny_scenario,
-            ConnectivityMode.HYBRID,
+            [ConnectivityMode.HYBRID],
             progress=lambda i, n: calls.append((i, n)),
         )
         assert calls == [(i + 1, 3) for i in range(3)]
 
     def test_pair_paths_on_graph_match_series(self, tiny_scenario, tiny_hybrid_graph):
-        series = compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID)
+        series = compute_rtt_series_multi(
+            tiny_scenario, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
         paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
         for i, path in enumerate(paths):
             if path is None:

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.engine import (
     DEFAULT_FRAME_CACHE_SIZE,
-    EngineCacheStats,
     SnapshotEngine,
 )
 from repro.core.pipeline import compute_rtt_series_multi
@@ -209,19 +208,16 @@ class TestTwoModeSweepSharesWork:
 
     def test_engine_stats_mirror_counters(self):
         scenario = fresh_scenario()
-        scenario.graphs_at(0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID))
-        stats = scenario.engine.stats
-        assert stats.static_builds == 1
-        assert stats.frame_misses == 1
-        assert stats.frame_hits == 1
-        assert stats.assemblies == 2
-        assert stats.frame_hit_rate() == pytest.approx(0.5)
-        as_dict = stats.as_dict()
-        assert as_dict["frame_hit_rate"] == pytest.approx(0.5)
-        assert as_dict["assemblies"] == 2
-
-    def test_fresh_stats_rate_is_zero(self):
-        assert EngineCacheStats().frame_hit_rate() == 0.0
+        with observe() as registry:
+            scenario.graphs_at(
+                0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.static_misses"] == 1
+        assert counters["engine.frame_misses"] == 1
+        assert counters["engine.frame_hits"] == 1
+        assert counters["engine.assemblies"] == 2
+        assert "engine.frame_evictions" not in counters
 
 
 class TestFaultIsolation:
@@ -231,15 +227,17 @@ class TestFaultIsolation:
 
     def test_ambient_faults_do_not_poison_cached_frames(self):
         scenario = fresh_scenario()
-        with fault_injection(self.SPEC):
-            faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
-            faulted_contracted = faulted.contracted_matrix()
-        # The frame built under the ambient spec is now cached; graphs
-        # assembled after the context exits must be clean.
-        after = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        with observe() as registry:
+            with fault_injection(self.SPEC):
+                faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+                faulted_contracted = faulted.contracted_matrix()
+            # The frame built under the ambient spec is now cached; graphs
+            # assembled after the context exits must be clean.
+            after = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
 
-        assert scenario.engine.stats.frame_misses == 1
-        assert scenario.engine.stats.frame_hits == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.frame_misses"] == 1
+        assert counters["engine.frame_hits"] == 1
         clean = legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID)
         assert_graphs_identical(after, clean)
         assert len(faulted.edges) < len(clean.edges)
@@ -253,11 +251,11 @@ class TestFaultIsolation:
         scenario = fresh_scenario()
         clean_first = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         clean_first.contracted_matrix()  # fills the frame's bounce memo
-        with fault_injection(self.SPEC):
+        with observe() as registry, fault_injection(self.SPEC):
             faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
 
         # Reused the clean-built frame, and still applied the faults.
-        assert scenario.engine.stats.frame_hits == 1
+        assert registry.snapshot()["counters"]["engine.frame_hits"] == 1
         want = apply_faults(
             legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID), self.SPEC
         )
@@ -360,9 +358,10 @@ class TestWithAssembly:
         assert variant.engine is scenario.engine
         assert variant.ground is scenario.ground
         assert variant.pairs is scenario.pairs
-        variant.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        with observe() as registry:
+            variant.graph_at(0.0, ConnectivityMode.BP_ONLY)
         # The variant's build hit the shared frame cache.
-        assert scenario.engine.stats.frame_hits == 1
+        assert registry.snapshot()["counters"]["engine.frame_hits"] == 1
 
     def test_with_faults_shares_engine(self):
         scenario = fresh_scenario()
@@ -411,22 +410,25 @@ class TestFrameCacheLru:
         engine = SnapshotEngine(
             base_scenario.constellation, base_scenario.ground, frame_cache_size=2
         )
-        engine.frame_at(0.0)
-        engine.frame_at(900.0)
-        engine.frame_at(0.0)  # refresh 0.0 so 900.0 is the LRU victim
-        engine.frame_at(1800.0)
+        with observe() as registry:
+            engine.frame_at(0.0)
+            engine.frame_at(900.0)
+            engine.frame_at(0.0)  # refresh 0.0 so 900.0 is the LRU victim
+            engine.frame_at(1800.0)
         assert engine.cached_frame_times() == [0.0, 1800.0]
-        assert engine.stats.frame_evictions == 1
-        assert engine.stats.frame_misses == 3
-        assert engine.stats.frame_hits == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.frame_evictions"] == 1
+        assert counters["engine.frame_misses"] == 3
+        assert counters["engine.frame_hits"] == 1
 
     def test_clear_empties_frames_but_keeps_static(self, base_scenario):
         engine = SnapshotEngine(
             base_scenario.constellation, base_scenario.ground, frame_cache_size=2
         )
-        engine.frame_at(0.0)
-        static_before = engine.static
-        engine.clear()
-        assert engine.cached_frame_times() == []
-        assert engine.static is static_before
-        assert engine.stats.static_builds == 1
+        with observe() as registry:
+            engine.frame_at(0.0)
+            static_before = engine.static
+            engine.clear()
+            assert engine.cached_frame_times() == []
+            assert engine.static is static_before
+        assert registry.snapshot()["counters"]["engine.static_misses"] == 1

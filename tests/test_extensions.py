@@ -333,7 +333,9 @@ class TestFeatureComposition:
         assert result.aggregate_gbps > 0
 
     def test_latency_pipeline_runs(self, kitchen_sink):
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
-        series = compute_rtt_series(kitchen_sink, ConnectivityMode.HYBRID)
+        series = compute_rtt_series_multi(
+            kitchen_sink, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
         assert series.reachable_fraction() > 0.5

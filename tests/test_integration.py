@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.atmosphere.attenuation import paths_worst_link_attenuation_db
 from repro.core.pipeline import pair_paths_on_graph
-from repro.network.snapshots import SnapshotSeries, snapshot_times
+from repro.network.snapshots import snapshot_times
 from tests.conftest import TINY_SCALE
 
 
@@ -39,17 +39,8 @@ class TestPublicApi:
         assert summary["bp_min_rtt"]["count"] == len(scenario.pairs)
 
 
-class TestSnapshotSeries:
-    def test_iterates_all_snapshots(self, tiny_scenario):
-        series = SnapshotSeries(
-            constellation=tiny_scenario.constellation,
-            ground=tiny_scenario.ground,
-            mode=ConnectivityMode.HYBRID,
-            times_s=tiny_scenario.times_s,
-        )
-        graphs = list(series)
-        assert len(graphs) == len(series) == TINY_SCALE.num_snapshots
-        assert all(g.num_sats == 1584 for g in graphs)
+class TestSnapshotTimes:
+    """The snapshot time grid every sweep runs over."""
 
     def test_snapshot_times_validation(self):
         with pytest.raises(ValueError):
@@ -106,26 +97,34 @@ class TestAblations:
         """Without aircraft relays, transoceanic BP pairs go dark."""
         base = Scenario.paper_default("starlink", TINY_SCALE)
         no_aircraft = replace(base, use_aircraft=False)
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
-        with_air = compute_rtt_series(base, ConnectivityMode.BP_ONLY)
-        without_air = compute_rtt_series(no_aircraft, ConnectivityMode.BP_ONLY)
+        with_air = compute_rtt_series_multi(
+            base, [ConnectivityMode.BP_ONLY]
+        )[ConnectivityMode.BP_ONLY]
+        without_air = compute_rtt_series_multi(
+            no_aircraft, [ConnectivityMode.BP_ONLY]
+        )[ConnectivityMode.BP_ONLY]
         assert without_air.reachable_fraction() < with_air.reachable_fraction()
 
     def test_no_aircraft_does_not_affect_hybrid_much(self):
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
         base = Scenario.paper_default("starlink", TINY_SCALE)
         no_aircraft = replace(base, use_aircraft=False)
-        with_air = compute_rtt_series(base, ConnectivityMode.HYBRID)
-        without_air = compute_rtt_series(no_aircraft, ConnectivityMode.HYBRID)
+        with_air = compute_rtt_series_multi(
+            base, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
+        without_air = compute_rtt_series_multi(
+            no_aircraft, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
         # ISLs bridge the oceans; reachability stays identical.
         assert without_air.reachable_fraction() == pytest.approx(
             with_air.reachable_fraction()
         )
 
     def test_denser_relays_do_not_hurt_bp(self):
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
         sparse_scale = TINY_SCALE
         dense_scale = ScenarioScale(
@@ -135,13 +134,12 @@ class TestAblations:
             relay_spacing_deg=2.0,
             num_snapshots=1,
         )
-        sparse = compute_rtt_series(
-            Scenario.paper_default("starlink", sparse_scale),
-            ConnectivityMode.BP_ONLY,
-        )
-        dense = compute_rtt_series(
-            Scenario.paper_default("starlink", dense_scale), ConnectivityMode.BP_ONLY
-        )
+        sparse = compute_rtt_series_multi(
+            Scenario.paper_default("starlink", sparse_scale), [ConnectivityMode.BP_ONLY]
+        )[ConnectivityMode.BP_ONLY]
+        dense = compute_rtt_series_multi(
+            Scenario.paper_default("starlink", dense_scale), [ConnectivityMode.BP_ONLY]
+        )[ConnectivityMode.BP_ONLY]
         # More relays -> BP min RTTs at the shared first snapshot can only
         # improve (edge superset), up to numeric noise.
         s0 = sparse.rtt_ms[:, 0]

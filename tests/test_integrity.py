@@ -144,9 +144,11 @@ class TestRttGuards:
         assert float(rtt_lower_bound_ms(np.array([distance]))[0]) < surface_rtt
 
     def test_real_sweep_passes(self, tiny_scenario):
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
-        series = compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID)
+        series = compute_rtt_series_multi(
+            tiny_scenario, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
         check_rtt_series(series, tiny_scenario.pairs)
 
 

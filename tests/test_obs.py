@@ -264,12 +264,12 @@ class TestThreadSafety:
 
 class TestCrossProcessAggregation:
     def test_parallel_sweep_ships_worker_spans_back(self, tiny_scenario):
-        from repro.core.parallel import compute_rtt_series_parallel
+        from repro.core.pipeline import compute_rtt_series_multi
 
         with observe() as registry:
-            result = compute_rtt_series_parallel(
-                tiny_scenario, ConnectivityMode.BP_ONLY, processes=2
-            )
+            result = compute_rtt_series_multi(
+                tiny_scenario, [ConnectivityMode.BP_ONLY], processes=2
+            )[ConnectivityMode.BP_ONLY]
         assert result.rtt_ms.shape == (
             len(tiny_scenario.pairs),
             len(tiny_scenario.times_s),
@@ -288,12 +288,12 @@ class TestCrossProcessAggregation:
         assert resolved == len(tiny_scenario.times_s)
 
     def test_parallel_sweep_without_observe_collects_nothing(self, tiny_scenario):
-        from repro.core.parallel import compute_rtt_series_parallel
+        from repro.core.pipeline import compute_rtt_series_multi
 
         assert active_registry() is None
-        result = compute_rtt_series_parallel(
-            tiny_scenario, ConnectivityMode.BP_ONLY, processes=2
-        )
+        result = compute_rtt_series_multi(
+            tiny_scenario, [ConnectivityMode.BP_ONLY], processes=2
+        )[ConnectivityMode.BP_ONLY]
         assert result.rtt_ms.shape[0] == len(tiny_scenario.pairs)
         assert active_registry() is None
 

@@ -1,48 +1,46 @@
-"""Tests for the parallel snapshot runner and its fault tolerance."""
+"""Tests for the parallel RTT sweep and its fault tolerance."""
 
+import dataclasses
+import multiprocessing
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import (
     FaultPolicy,
     SnapshotFailure,
     SweepError,
-    compute_rtt_series_parallel,
-    compute_rtt_series_parallel_multi,
     default_worker_count,
 )
-from repro.core.pipeline import compute_rtt_series, compute_rtt_series_multi
+from repro.core.pipeline import _rtt_snapshot_row, compute_rtt_series_multi
+from repro.faults import FaultSpec, fault_injection
+from repro.integrity.guards import strict_checks
 from repro.network.graph import ConnectivityMode
+
+BP = ConnectivityMode.BP_ONLY
+HYBRID = ConnectivityMode.HYBRID
+
+
+def _rtt(scenario, mode, **kwargs):
+    return compute_rtt_series_multi(scenario, [mode], **kwargs)[mode]
 
 
 class TestParallelRunner:
     def test_matches_serial_exactly(self, tiny_scenario):
-        serial = compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID)
-        parallel = compute_rtt_series_parallel(
-            tiny_scenario, ConnectivityMode.HYBRID, processes=2
-        )
+        serial = _rtt(tiny_scenario, HYBRID)
+        parallel = _rtt(tiny_scenario, HYBRID, processes=2)
         np.testing.assert_array_equal(parallel.rtt_ms, serial.rtt_ms)
         np.testing.assert_array_equal(parallel.times_s, serial.times_s)
         assert parallel.mode is serial.mode
 
     def test_bp_mode(self, tiny_scenario):
-        serial = compute_rtt_series(tiny_scenario, ConnectivityMode.BP_ONLY)
-        parallel = compute_rtt_series_parallel(
-            tiny_scenario, ConnectivityMode.BP_ONLY, processes=2
-        )
+        serial = _rtt(tiny_scenario, BP)
+        parallel = _rtt(tiny_scenario, BP, processes=2)
         np.testing.assert_array_equal(parallel.rtt_ms, serial.rtt_ms)
-
-    def test_single_process_fallback(self, tiny_scenario):
-        result = compute_rtt_series_parallel(
-            tiny_scenario, ConnectivityMode.HYBRID, processes=1
-        )
-        assert result.rtt_ms.shape == (
-            len(tiny_scenario.pairs),
-            len(tiny_scenario.times_s),
-        )
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
@@ -51,13 +49,11 @@ class TestParallelRunner:
 class TestParallelMultiMode:
     """Multi-mode sweeps: workers evaluate every mode per snapshot."""
 
-    MODES = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+    MODES = [BP, HYBRID]
 
     def test_matches_serial_multi_exactly(self, tiny_scenario):
         serial = compute_rtt_series_multi(tiny_scenario, self.MODES)
-        parallel = compute_rtt_series_parallel_multi(
-            tiny_scenario, self.MODES, processes=2
-        )
+        parallel = compute_rtt_series_multi(tiny_scenario, self.MODES, processes=2)
         assert set(parallel) == set(self.MODES)
         for mode in self.MODES:
             np.testing.assert_array_equal(
@@ -67,16 +63,6 @@ class TestParallelMultiMode:
                 parallel[mode].times_s, serial[mode].times_s
             )
             assert parallel[mode].mode is mode
-
-    def test_single_process_delegates_to_serial(self, tiny_scenario):
-        result = compute_rtt_series_parallel_multi(
-            tiny_scenario, self.MODES, processes=1
-        )
-        for mode in self.MODES:
-            assert result[mode].rtt_ms.shape == (
-                len(tiny_scenario.pairs),
-                len(tiny_scenario.times_s),
-            )
 
 
 # Worker fault hooks: module-level so fork-started workers resolve them.
@@ -118,7 +104,7 @@ _FAST_RETRIES = FaultPolicy(max_attempts=3, backoff_base_s=0.01)
 class TestFaultTolerance:
     @pytest.fixture()
     def baseline(self, tiny_scenario):
-        return compute_rtt_series(tiny_scenario, ConnectivityMode.BP_ONLY)
+        return _rtt(tiny_scenario, BP)
 
     @pytest.fixture()
     def flag_dir(self, tmp_path, monkeypatch):
@@ -128,9 +114,9 @@ class TestFaultTolerance:
     def test_crashing_workers_rescued_by_serial_fallback(
         self, tiny_scenario, baseline
     ):
-        result = compute_rtt_series_parallel(
+        result = _rtt(
             tiny_scenario,
-            ConnectivityMode.BP_ONLY,
+            BP,
             processes=2,
             fault_hook=_always_crash,
             policy=FaultPolicy(max_attempts=2, backoff_base_s=0.0),
@@ -140,9 +126,9 @@ class TestFaultTolerance:
     def test_transient_crash_recovered_by_retry(
         self, tiny_scenario, baseline, flag_dir
     ):
-        result = compute_rtt_series_parallel(
+        result = _rtt(
             tiny_scenario,
-            ConnectivityMode.BP_ONLY,
+            BP,
             processes=2,
             fault_hook=_crash_once_per_snapshot,
             policy=FaultPolicy(
@@ -154,9 +140,9 @@ class TestFaultTolerance:
         assert len(list(flag_dir.iterdir())) == len(tiny_scenario.times_s)
 
     def test_dead_worker_pool_recreated(self, tiny_scenario, baseline, flag_dir):
-        result = compute_rtt_series_parallel(
+        result = _rtt(
             tiny_scenario,
-            ConnectivityMode.BP_ONLY,
+            BP,
             processes=2,
             fault_hook=_kill_worker_once_per_snapshot,
             policy=_FAST_RETRIES,
@@ -166,9 +152,9 @@ class TestFaultTolerance:
     def test_hung_worker_times_out_and_recovers(
         self, tiny_scenario, baseline, flag_dir
     ):
-        result = compute_rtt_series_parallel(
+        result = _rtt(
             tiny_scenario,
-            ConnectivityMode.BP_ONLY,
+            BP,
             processes=2,
             fault_hook=_hang_first_snapshot_once,
             policy=FaultPolicy(
@@ -181,9 +167,9 @@ class TestFaultTolerance:
         self, tiny_scenario
     ):
         with pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_parallel(
+            _rtt(
                 tiny_scenario,
-                ConnectivityMode.BP_ONLY,
+                BP,
                 processes=2,
                 fault_hook=_always_crash,
                 policy=FaultPolicy(
@@ -207,3 +193,70 @@ class TestFaultTolerance:
             FaultPolicy(backoff_base_s=-1.0)
         with pytest.raises(ValueError):
             FaultPolicy(snapshot_timeout_s=0.0)
+
+
+def _rtt_row_on_poisoned_graph(scenario, time_s, mode) -> np.ndarray:
+    """The RTT evaluator on a graph that fails the strict guard."""
+    graph = scenario.graph_at(time_s, mode)
+    gt_ecef = graph.gt_ecef.copy()
+    gt_ecef[0] = np.nan
+    poisoned = dataclasses.replace(graph, gt_ecef=gt_ecef)
+    with mock.patch.object(type(scenario), "graph_at", lambda *args: poisoned):
+        return _rtt_snapshot_row(scenario, time_s, mode)
+
+
+class TestStartMethodParity:
+    """Workers mirror the parent's fault spec and strict flag.
+
+    A fork-started worker inherits module globals; a spawn-started one
+    imports everything afresh, so it sees the parent's ambient state
+    only because the pool initializer installs it.
+    """
+
+    SPEC = FaultSpec(sat=0.5, seed=7)
+    NO_RETRY = FaultPolicy(max_attempts=1, backoff_base_s=0.0, serial_fallback=False)
+
+    @pytest.fixture()
+    def start_method(self, request, monkeypatch):
+        method = request.param
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} start method unavailable")
+        monkeypatch.setattr(
+            parallel, "_pool_context", lambda: multiprocessing.get_context(method)
+        )
+        return method
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_rows_match_serial_under_fault_spec(self, tiny_scenario, start_method):
+        modes = [BP, HYBRID]
+        with fault_injection(self.SPEC):
+            serial = compute_rtt_series_multi(tiny_scenario, modes)
+            pooled = compute_rtt_series_multi(
+                tiny_scenario, modes, processes=2, policy=self.NO_RETRY
+            )
+        clean = compute_rtt_series_multi(tiny_scenario, modes)
+        for mode in modes:
+            np.testing.assert_array_equal(pooled[mode].rtt_ms, serial[mode].rtt_ms)
+        # The spec really bites, so equality is not trivial.
+        assert serial[BP].reachable_fraction() < clean[BP].reachable_fraction()
+
+    @pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
+    def test_strict_guard_raises_in_spawned_worker(self, tiny_scenario, start_method):
+        def sweep():
+            return parallel.map_snapshot_rows(
+                tiny_scenario,
+                [BP],
+                _rtt_row_on_poisoned_graph,
+                row_len=len(tiny_scenario.pairs),
+                processes=2,
+                policy=self.NO_RETRY,
+            )
+
+        with pytest.raises(SweepError) as excinfo:
+            sweep()
+        errors = [failure.error for failure in excinfo.value.failures]
+        assert len(errors) == len(tiny_scenario.times_s)
+        assert all("InvariantViolation" in error for error in errors)
+        with strict_checks(False):
+            rows = sweep()
+        assert rows[BP].shape == (len(tiny_scenario.pairs), len(tiny_scenario.times_s))

@@ -41,9 +41,11 @@ class TestRttSeriesRoundtrip:
         assert np.isinf(loaded.rtt_ms[0, 1])
 
     def test_real_series_roundtrip(self, tiny_scenario, tmp_path):
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
 
-        real = compute_rtt_series(tiny_scenario, ConnectivityMode.HYBRID)
+        real = compute_rtt_series_multi(
+            tiny_scenario, [ConnectivityMode.HYBRID]
+        )[ConnectivityMode.HYBRID]
         loaded = load_rtt_series(save_rtt_series(real, tmp_path / "real"))
         np.testing.assert_array_equal(loaded.rtt_ms, real.rtt_ms)
         assert loaded.reachable_fraction() == real.reachable_fraction()

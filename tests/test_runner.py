@@ -234,7 +234,7 @@ class TestIntegrityIntegration:
 
     def test_fresh_restarts_mismatched_checkpoint(self, tmp_path, tiny_scenario):
         from repro.core.checkpoint import checkpoint_for
-        from repro.core.pipeline import compute_rtt_series
+        from repro.core.pipeline import compute_rtt_series_multi
         from repro.network.graph import ConnectivityMode
 
         # Poison the resume dir: a checkpoint fingerprint-colliding dir
@@ -242,7 +242,7 @@ class TestIntegrityIntegration:
         mode = ConnectivityMode.BP_ONLY
 
         def sweep(scale=None):
-            compute_rtt_series(tiny_scenario, mode)
+            compute_rtt_series_multi(tiny_scenario, [mode])[mode]
             return _result("sweep")
 
         run_experiments(

@@ -1,14 +1,14 @@
-"""Tests for the generic snapshot-map engine.
+"""Tests for the snapshot map.
 
-:func:`repro.core.parallel.map_snapshot_rows_serial` /
-:func:`map_snapshot_rows_parallel` are the single sweep engine behind
-the RTT series, the throughput series, and the fig4/fig5/disconnected
-experiments. This module locks the engine's own contract — serial and
-parallel execution produce bit-identical rows, labelled checkpoints
-isolate and resume sweeps, faults are survived — plus the straggler
-property the ``concurrent.futures.wait`` rewrite bought: one timeout
-window covers *all* in-flight hung workers instead of stacking a window
-per future.
+:func:`repro.core.parallel.map_snapshot_rows` is the single sweep
+engine behind the RTT series, the throughput series, and the
+fig4/fig5/disconnected experiments. This module locks the engine's own
+contract — every ``processes`` value produces bit-identical rows, the
+same checkpoint counters and ``snapshot`` spans, and progress by one
+rule; resume verifies each shard once; labelled checkpoints isolate and
+resume sweeps; faults are survived — plus the straggler property the
+``concurrent.futures.wait`` rewrite bought: one timeout window covers
+*all* in-flight hung workers instead of stacking a window per future.
 
 The experiment-facing evaluators (throughput, component stats, the
 fig4/fig5 rows) are exercised through the same engine here, so a change
@@ -26,12 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpoint_root
-from repro.core.parallel import (
-    FaultPolicy,
-    map_snapshot_rows_parallel,
-    map_snapshot_rows_serial,
-)
+from repro.core.checkpoint import active_checkpoint_for, checkpoint_root
+from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.experiments.disconnected import _component_row
 from repro.experiments.fig4_throughput import _matrix_snapshot_row
 from repro.experiments.fig5_isl_capacity import RATIOS, _capacity_sweep_row
@@ -110,7 +106,7 @@ def _expected_poly(times):
 
 class TestSerialMap:
     def test_rows_are_columns_per_mode(self, tiny_scenario):
-        rows = map_snapshot_rows_serial(
+        rows = map_snapshot_rows(
             tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
         )
         expected = _expected_poly(TIMES)
@@ -119,7 +115,7 @@ class TestSerialMap:
             np.testing.assert_array_equal(rows[mode], expected[mode])
 
     def test_per_mode_row_widths(self, tiny_scenario):
-        rows = map_snapshot_rows_serial(
+        rows = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _ragged_row,
@@ -133,13 +129,13 @@ class TestSerialMap:
 
     def test_wrong_row_shape_rejected(self, tiny_scenario):
         with pytest.raises(ValueError, match="expected"):
-            map_snapshot_rows_serial(
+            map_snapshot_rows(
                 tiny_scenario, [BP], _wrong_width_row, row_len=3, times_s=TIMES
             )
 
     def test_progress_reports_each_snapshot(self, tiny_scenario):
         calls = []
-        map_snapshot_rows_serial(
+        map_snapshot_rows(
             tiny_scenario,
             [BP],
             _poly_row,
@@ -152,10 +148,10 @@ class TestSerialMap:
 
 class TestParallelMatchesSerial:
     def test_bit_identical_rows(self, tiny_scenario):
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _poly_row,
@@ -167,7 +163,7 @@ class TestParallelMatchesSerial:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
     def test_fault_hook_crashes_recovered(self, tiny_scenario, flag_dir):
-        rows = map_snapshot_rows_parallel(
+        rows = map_snapshot_rows(
             tiny_scenario,
             MODES,
             _poly_row,
@@ -200,7 +196,7 @@ class TestParallelMatchesSerial:
         """
         start = time.monotonic()
         with observe() as registry:
-            rows = map_snapshot_rows_parallel(
+            rows = map_snapshot_rows(
                 tiny_scenario,
                 MODES,
                 _poly_row,
@@ -223,18 +219,110 @@ class TestParallelMatchesSerial:
             np.testing.assert_array_equal(rows[mode], expected[mode])
 
 
+#: Shards on disk before a contract run, per mode. "partial" resumes
+#: snapshot 1 in both modes and snapshot 3 in BP only, so one pending
+#: snapshot evaluates only its hybrid cell.
+RESUMED = {
+    "fresh": {BP: (), HYBRID: ()},
+    "partial": {BP: (1, 3), HYBRID: (1,)},
+    "full": {BP: range(len(TIMES)), HYBRID: range(len(TIMES))},
+}
+
+
+def _contract_run(scenario, root, processes, resumed):
+    """One sweep over seeded shards: rows, counters, spans, progress."""
+    with checkpoint_root(root):
+        for mode in MODES:
+            checkpoint = active_checkpoint_for(
+                scenario, mode, label="contract", times_s=TIMES, row_len=3
+            )
+            for i in resumed[mode]:
+                checkpoint.store_snapshot(i, _poly_row(None, float(TIMES[i]), mode))
+        calls = []
+        with observe() as registry:
+            rows = map_snapshot_rows(
+                scenario,
+                MODES,
+                _poly_row,
+                row_len=3,
+                times_s=TIMES,
+                label="contract",
+                processes=processes,
+                progress=lambda done, total: calls.append((done, total)),
+            )
+    payload = registry.snapshot()
+    spans = payload["spans"].get("snapshot", {}).get("count", 0)
+    return rows, payload["counters"], spans, calls
+
+
+class TestOneMapContract:
+    """``processes`` in {1, 2} x {fresh, partial, full resume}: one behaviour.
+
+    Progress rule: one call for the resumed snapshots (if any), then one
+    call per completed snapshot, ending at ``(total, total)``.
+    """
+
+    @pytest.mark.parametrize("state", sorted(RESUMED))
+    def test_processes_agree(self, tiny_scenario, tmp_path, state):
+        resumed = RESUMED[state]
+        total = len(TIMES)
+        cells = total * len(MODES)
+        hits = sum(len(resumed[mode]) for mode in MODES)
+        done = len(set(resumed[BP]) & set(resumed[HYBRID]))
+        progress = [(done, total)] if done else []
+        progress += [(n, total) for n in range(done + 1, total + 1)]
+        expected = _expected_poly(TIMES)
+        for processes in (1, 2):
+            rows, counters, spans, calls = _contract_run(
+                tiny_scenario, tmp_path / f"p{processes}", processes, resumed
+            )
+            for mode in MODES:
+                np.testing.assert_array_equal(rows[mode], expected[mode])
+            assert counters.get("checkpoint.hits", 0) == hits
+            assert counters.get("checkpoint.misses", 0) == cells - hits
+            assert spans == cells - hits
+            assert calls == progress
+
+
 class TestCheckpointResume:
+    def test_partial_resume_verifies_each_shard_once(self, tiny_scenario, tmp_path):
+        times = TIMES[:4]
+        with checkpoint_root(tmp_path):
+            checkpoint = active_checkpoint_for(
+                tiny_scenario, BP, times_s=times, row_len=3
+            )
+            for i in (0, 2):
+                checkpoint.store_snapshot(i, _poly_row(None, float(times[i]), BP))
+            calls = []
+            with observe() as registry:
+                rows = map_snapshot_rows(
+                    tiny_scenario,
+                    [BP],
+                    _poly_row,
+                    row_len=3,
+                    times_s=times,
+                    processes=1,
+                    progress=lambda done, total: calls.append((done, total)),
+                )
+        counters = registry.snapshot()["counters"]
+        assert counters["integrity.shards_verified"] == 2
+        assert counters["checkpoint.hits"] + counters["checkpoint.misses"] == len(times)
+        done = [d for d, _ in calls]
+        assert done == sorted(done)
+        assert calls[-1] == (len(times), len(times))
+        np.testing.assert_array_equal(rows[BP], _expected_poly(times)[BP])
+
     def test_resume_serves_rows_without_reevaluating(
         self, tiny_scenario, tmp_path
     ):
         with checkpoint_root(tmp_path):
-            first = map_snapshot_rows_serial(
+            first = map_snapshot_rows(
                 tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
             )
             # Resume with an evaluator that *cannot* run: every row must
             # come back verified from disk.
             with observe() as registry:
-                resumed = map_snapshot_rows_serial(
+                resumed = map_snapshot_rows(
                     tiny_scenario, MODES, _explode, row_len=3, times_s=TIMES
                 )
         counters = registry.snapshot()["counters"]
@@ -245,10 +333,10 @@ class TestCheckpointResume:
 
     def test_parallel_resume_from_serial_shards(self, tiny_scenario, tmp_path):
         with checkpoint_root(tmp_path):
-            first = map_snapshot_rows_serial(
+            first = map_snapshot_rows(
                 tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
             )
-            resumed = map_snapshot_rows_parallel(
+            resumed = map_snapshot_rows(
                 tiny_scenario,
                 MODES,
                 _explode,
@@ -261,7 +349,7 @@ class TestCheckpointResume:
 
     def test_labels_isolate_sweeps(self, tiny_scenario, tmp_path):
         with checkpoint_root(tmp_path):
-            rows_a = map_snapshot_rows_serial(
+            rows_a = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _poly_row,
@@ -269,7 +357,7 @@ class TestCheckpointResume:
                 times_s=TIMES,
                 label="sweep a!",
             )
-            rows_b = map_snapshot_rows_serial(
+            rows_b = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _other_row,
@@ -278,7 +366,7 @@ class TestCheckpointResume:
                 label="sweep-b",
             )
             # Each label resumes its own shards — never the other's.
-            resumed_a = map_snapshot_rows_serial(
+            resumed_a = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _explode,
@@ -286,7 +374,7 @@ class TestCheckpointResume:
                 times_s=TIMES,
                 label="sweep a!",
             )
-            resumed_b = map_snapshot_rows_serial(
+            resumed_b = map_snapshot_rows(
                 tiny_scenario,
                 [BP],
                 _explode,
@@ -307,10 +395,10 @@ class TestExperimentEvaluators:
     """The experiment rows, serial vs parallel through the same engine."""
 
     def test_disconnected_rows_identical(self, tiny_scenario):
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, _component_row, row_len=2
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario, MODES, _component_row, row_len=2, processes=2
         )
         for mode in MODES:
@@ -322,10 +410,10 @@ class TestExperimentEvaluators:
         evaluator = functools.partial(
             _matrix_snapshot_row, ks=(1, 4), capacities=None
         )
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=2
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=2, processes=2
         )
         for mode in MODES:
@@ -335,10 +423,10 @@ class TestExperimentEvaluators:
         evaluator = functools.partial(_capacity_sweep_row, k=2, ratios=RATIOS)
         widths = {BP: 1, HYBRID: len(RATIOS)}
         times = tiny_scenario.times_s[:2]
-        serial = map_snapshot_rows_serial(
+        serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=widths, times_s=times
         )
-        parallel = map_snapshot_rows_parallel(
+        parallel = map_snapshot_rows(
             tiny_scenario,
             MODES,
             evaluator,

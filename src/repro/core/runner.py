@@ -103,6 +103,7 @@ _BASELINE_COUNTERS = (
     "engine.frame_evictions",
     "engine.contraction_hits",
     "engine.contraction_misses",
+    "routing.pair_retries",
     "integrity.quarantined",
     "integrity.shards_verified",
     "integrity.store_errors",

@@ -19,6 +19,7 @@ from repro.integrity.guards import (
     InvariantViolation,
     check_allocation,
     check_graph,
+    check_routing,
     check_rtt_series,
     rtt_lower_bound_ms,
     set_strict,
@@ -61,6 +62,7 @@ __all__ = [
     "Violation",
     "check_allocation",
     "check_graph",
+    "check_routing",
     "check_rtt_series",
     "digest_bytes",
     "digest_file",

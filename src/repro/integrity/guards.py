@@ -7,8 +7,11 @@ the pipeline's products the moment they are computed:
 * RTTs are finite-or-``inf`` (unreachable), never negative or NaN, and
   never below the speed-of-light bound set by the straight-line chord
   between the two cities — a provable floor for *any* relayed path;
-* snapshot graphs carry in-range node ids and finite positive edge
-  lengths;
+* snapshot graphs carry in-range node ids, finite positive edge
+  lengths, and no self-loops or duplicate undirected edges;
+* routed sub-flows run between their pair's cities over exactly the
+  edges they name, carry the left-fold length of those edges, and the
+  sub-flows of one pair share no edge;
 * max-min allocations are feasible: rates finite and non-negative,
   no link loaded past its capacity.
 
@@ -30,18 +33,24 @@ from repro.constants import EARTH_RADIUS, SPEED_OF_LIGHT
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.core
     from repro.core.pipeline import RttSeries
+    from repro.flows.routing import RoutedTraffic
     from repro.network.graph import SnapshotGraph
 
 __all__ = [
     "InvariantViolation",
     "check_allocation",
     "check_graph",
+    "check_routing",
     "check_rtt_series",
     "rtt_lower_bound_ms",
     "set_strict",
     "strict_checks",
     "strict_enabled",
 ]
+
+#: Relative tolerance between a sub-flow's recorded length and the sum
+#: of its edges' distances.
+_LENGTH_RTOL = 1e-9
 
 #: Relative slack on the RTT lower bound — covers float accumulation in
 #: the haversine/chord conversion, nothing physical.
@@ -168,6 +177,24 @@ def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
                 f"{source}: edge {bad} has non-finite or non-positive "
                 f"length {dists[bad]!r} m"
             )
+        # A duplicate would be summed into one CSR entry by matrix(),
+        # and routing restores deleted entries assuming unique edges.
+        lo = np.minimum(edges[:, 0], edges[:, 1]).astype(np.int64)
+        hi = np.maximum(edges[:, 0], edges[:, 1]).astype(np.int64)
+        if (lo == hi).any():
+            bad = int(np.argmax(lo == hi))
+            raise InvariantViolation(
+                f"{source}: edge {bad} is a self-loop at node {lo[bad]}"
+            )
+        keys = lo * graph.num_nodes + hi
+        order = np.argsort(keys, kind="stable")
+        repeated = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        if repeated.size:
+            first, second = order[repeated[0]], order[repeated[0] + 1]
+            raise InvariantViolation(
+                f"{source}: edges {first} and {second} both join nodes "
+                f"{lo[first]} and {hi[first]}"
+            )
     for name, ecef, count in (
         ("sat_ecef", graph.sat_ecef, graph.num_sats),
         ("gt_ecef", graph.gt_ecef, graph.num_gts),
@@ -182,6 +209,63 @@ def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
             raise InvariantViolation(
                 f"{source}: non-finite position in {name} row {bad}"
             )
+
+
+def check_routing(
+    graph: "SnapshotGraph",
+    pairs,
+    routed: "RoutedTraffic",
+    source: str = "routing",
+) -> None:
+    """Validate routed sub-flows against their graph and city pairs.
+
+    Each sub-flow must start and end at its pair's city nodes, name
+    exactly the edges joining consecutive path nodes, and carry the
+    left-fold sum of those edges' distances as its length; the
+    sub-flows of one pair must be pairwise edge-disjoint.
+    """
+    edges = np.asarray(graph.edges)
+    dists = np.asarray(graph.edge_dist_m, dtype=float)
+    used_by_pair: dict[int, set] = {}
+    for n, flow in enumerate(routed.subflows):
+        label = f"{source}: sub-flow {n} (pair {flow.pair_index})"
+        pair = pairs[flow.pair_index]
+        nodes = np.asarray(flow.path.nodes, dtype=np.int64)
+        ends = (graph.num_sats + pair.a, graph.num_sats + pair.b)
+        if (int(nodes[0]), int(nodes[-1])) != ends:
+            raise InvariantViolation(
+                f"{label} runs {int(nodes[0])} -> {int(nodes[-1])}, "
+                f"not between its city nodes {ends[0]} -> {ends[1]}"
+            )
+        ids = np.asarray(flow.edge_ids, dtype=np.int64)
+        if len(ids) != len(nodes) - 1:
+            raise InvariantViolation(
+                f"{label} names {len(ids)} edges for {len(nodes) - 1} hops"
+            )
+        if len(ids) and (ids.min() < 0 or ids.max() >= len(edges)):
+            raise InvariantViolation(f"{label} names an edge id out of range")
+        hops = np.sort(np.stack([nodes[:-1], nodes[1:]], axis=1), axis=1)
+        joined = (hops == np.sort(edges[ids], axis=1)).all(axis=1)
+        if not joined.all():
+            hop = int(np.argmin(joined))
+            raise InvariantViolation(
+                f"{label}: edge {int(ids[hop])} does not join hop {hop} "
+                f"({int(nodes[hop])}, {int(nodes[hop + 1])})"
+            )
+        length = sum(dists[ids].tolist())
+        if not abs(flow.path.length_m - length) <= _LENGTH_RTOL * length:
+            raise InvariantViolation(
+                f"{label} has length {flow.path.length_m!r} m, its edges "
+                f"sum to {length!r} m"
+            )
+        used = used_by_pair.setdefault(flow.pair_index, set())
+        shared = used.intersection(ids.tolist())
+        if shared:
+            raise InvariantViolation(
+                f"{label} reuses edge {min(shared)} of an earlier sub-flow "
+                "of the same pair"
+            )
+        used.update(ids.tolist())
 
 
 def check_allocation(

@@ -15,6 +15,7 @@ from repro.integrity import (
     TableSpec,
     check_allocation,
     check_graph,
+    check_routing,
     check_rtt_series,
     digest_bytes,
     digest_file,
@@ -165,6 +166,124 @@ class TestGraphGuards:
         bad = dataclasses.replace(tiny_bp_graph, edges=edges)
         with pytest.raises(InvariantViolation, match="outside"):
             check_graph(bad)
+
+
+    def test_self_loop_rejected(self, tiny_bp_graph):
+        import dataclasses
+
+        edges = np.asarray(tiny_bp_graph.edges).copy()
+        edges[3, 1] = edges[3, 0]
+        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
+        with pytest.raises(InvariantViolation, match="edge 3 is a self-loop"):
+            check_graph(bad)
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["same", "reversed"])
+    def test_duplicate_undirected_edge_rejected(self, tiny_bp_graph, flip):
+        import dataclasses
+
+        edges = np.asarray(tiny_bp_graph.edges).copy()
+        edges[7] = edges[2][::-1] if flip else edges[2]
+        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
+        with pytest.raises(InvariantViolation, match="edges 2 and 7 both"):
+            check_graph(bad)
+
+
+class TestRoutingGuards:
+    """check_routing on real routings and on hand-modified copies."""
+
+    @pytest.fixture()
+    def case(self, tiny_scenario, tiny_hybrid_graph):
+        from repro.flows.routing import route_traffic
+
+        pairs = tiny_scenario.pairs
+        with strict_checks(False):
+            routed = route_traffic(tiny_hybrid_graph, pairs, k=4)
+        return tiny_hybrid_graph, pairs, routed
+
+    @staticmethod
+    def _check_modified(case, edit, match):
+        """Apply ``edit`` to a copy of the sub-flow list, expect ``match``."""
+        import dataclasses
+
+        graph, pairs, routed = case
+        flows = list(routed.subflows)
+        edit(flows)
+        bad = dataclasses.replace(routed, subflows=flows)
+        with pytest.raises(InvariantViolation, match=match):
+            check_routing(graph, pairs, bad)
+
+    def test_real_routing_passes(self, case):
+        check_routing(*case)
+
+    def test_reused_edge_rejected(self, case):
+        # Every later sub-flow of the first pair now follows its first path.
+        self._check_modified(case, lambda f: f.insert(1, f[0]), "reuses edge")
+
+    def test_wrong_length_rejected(self, case):
+        import dataclasses
+
+        def stretch(flows):
+            path = flows[2].path
+            longer = dataclasses.replace(path, length_m=path.length_m * 1.001)
+            flows[2] = dataclasses.replace(flows[2], path=longer)
+
+        self._check_modified(case, stretch, "its edges sum to")
+
+    def test_edge_not_on_path_rejected(self, case):
+        import dataclasses
+
+        def swap(flows):
+            ids = flows[0].edge_ids.copy()
+            ids[-1] = ids[0]
+            flows[0] = dataclasses.replace(flows[0], edge_ids=ids)
+
+        self._check_modified(case, swap, "does not join hop")
+
+    def test_wrong_endpoints_rejected(self, case):
+        import dataclasses
+
+        _, pairs, _ = case
+
+        def relabel(flows):
+            home = pairs[flows[0].pair_index]
+            other = next(f for f in flows if pairs[f.pair_index] != home)
+            flows[0] = dataclasses.replace(flows[0], pair_index=other.pair_index)
+
+        self._check_modified(case, relabel, "not between its city nodes")
+
+    def test_route_traffic_rejects_duplicate_edge_under_strict(self, tiny_bp_graph):
+        import dataclasses
+
+        from repro.flows.routing import route_traffic
+
+        edges = np.asarray(tiny_bp_graph.edges).copy()
+        edges[7] = edges[2]
+        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
+        with pytest.raises(InvariantViolation, match="both join"):
+            route_traffic(bad, [CityPair(0, 1, 0.0)], k=4)
+
+    def test_route_traffic_checks_graph_and_routing_under_strict(
+        self, tiny_scenario, monkeypatch
+    ):
+        """The one routing entry point runs both guards, only when strict."""
+        from repro.flows import routing
+
+        calls = []
+        monkeypatch.setattr(
+            routing, "check_graph", lambda graph, source: calls.append(source)
+        )
+        monkeypatch.setattr(
+            routing,
+            "check_routing",
+            lambda graph, pairs, routed, source: calls.append(source),
+        )
+        graph = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        routing.route_traffic_multi_k(graph, tiny_scenario.pairs, (1, 4))
+        assert calls == ["graph[t=0s]", "routing[k=1]", "routing[k=4]"]
+        calls.clear()
+        with strict_checks(False):
+            routing.route_traffic_multi_k(graph, tiny_scenario.pairs, (1, 4))
+        assert calls == []
 
 
 class TestAllocationGuards:

@@ -16,6 +16,11 @@ the per-pair path search, and hypothesis-generated flow sets against a
 loop-based progressive-filling reference — plus the counter contract
 that makes the fast path observable (k = 1 routes with exactly one
 batched Dijkstra per unique source city and zero per-pair searches).
+
+Rounds 2..k additionally bound each per-pair search by
+``_ROUND_SLACK`` times the previous round's length and rerun it without
+a bound on a miss; hand-built graphs pin the near-tie, retry and
+run-out-of-paths cases of that bound against the unbounded reference.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flows import routing
 from repro.flows.maxmin import max_min_fair_allocation
 from repro.flows.routing import route_traffic, route_traffic_multi_k
-from repro.network.graph import ConnectivityMode
+from repro.flows.traffic import CityPair
+from repro.ground.stations import StationTable
+from repro.network.graph import _KIND_GT_SAT, ConnectivityMode, SnapshotGraph
 from repro.network.paths import k_edge_disjoint_paths
 from repro.obs import observe
 
@@ -36,17 +44,16 @@ from repro.obs import observe
 # ---------------------------------------------------------------------------
 
 
-def _paths_by_pair(routed):
+def _assert_matches_reference(graph, pairs, k):
+    """route_traffic == one k_edge_disjoint_paths call per pair.
+
+    Node tuples, edge ids and lengths must be identical: the bounded
+    rounds sum each path in the same order as the unbounded reference.
+    """
+    routed = route_traffic(graph, pairs, k=k)
     by_pair = {}
     for subflow in routed.subflows:
-        by_pair.setdefault(subflow.pair_index, []).append(subflow.path)
-    return by_pair
-
-
-def _assert_matches_reference(graph, pairs, k):
-    """route_traffic == one k_edge_disjoint_paths call per pair."""
-    routed = route_traffic(graph, pairs, k=k)
-    by_pair = _paths_by_pair(routed)
+        by_pair.setdefault(subflow.pair_index, []).append(subflow)
     matrix = graph.matrix()
     for pidx, pair in enumerate(pairs):
         reference = k_edge_disjoint_paths(
@@ -59,14 +66,93 @@ def _assert_matches_reference(graph, pairs, k):
         got = by_pair[pidx]
         assert len(got) == len(reference)
         for ours, theirs in zip(got, reference):
-            assert ours.nodes == theirs.nodes
-            assert ours.length_m == pytest.approx(theirs.length_m, rel=1e-12)
+            nodes = np.asarray(theirs.nodes)
+            assert ours.path.nodes == theirs.nodes
+            np.testing.assert_array_equal(
+                ours.edge_ids, graph.edge_ids_for_pairs(nodes[:-1], nodes[1:])
+            )
+            assert ours.path.length_m == theirs.length_m
+    return routed
+
+
+def _hand_graph(num_sats: int, num_cities: int, edges) -> SnapshotGraph:
+    """A graph over satellites ``[0, num_sats)`` then cities, from
+    ``(u, v, metres)`` rows; cities are the only GTs."""
+    stations = StationTable(
+        lats=np.zeros(num_cities),
+        lons=np.zeros(num_cities),
+        altitudes=np.zeros(num_cities),
+        city_count=num_cities,
+        relay_count=0,
+    )
+    return SnapshotGraph(
+        time_s=0.0,
+        mode=ConnectivityMode.BP_ONLY,
+        num_sats=num_sats,
+        num_gts=num_cities,
+        sat_ecef=np.ones((num_sats, 3)),
+        gt_ecef=np.ones((num_cities, 3)),
+        edges=np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2),
+        edge_dist_m=np.array([e[2] for e in edges], dtype=float),
+        edge_kind=np.full(len(edges), _KIND_GT_SAT, dtype=np.int8),
+        stations=stations,
+    )
+
+
+#: Edge lengths with no exact binary form, so sums of the same terms in
+#: a different order can differ in the last bit.
+_WEIGHTS_M = (100.1, 200.3, 300.7, 700.9, 1100.3, 1300.1, 2900.7)
+
+
+@st.composite
+def _near_tie_graphs(draw):
+    """Random city/satellite graphs built around mirrored weight pairs.
+
+    Each "mirror" joins satellites a and b through two distinct
+    satellites x and y with lengths (p, q) and (q, p): two equal-hop
+    routes whose sums agree in exact arithmetic. Further random edges
+    connect everything else, so later rounds fall back on longer
+    detours (some past ``_ROUND_SLACK``) or run out of paths.
+    """
+    num_sats = draw(st.integers(min_value=4, max_value=9))
+    num_cities = draw(st.integers(min_value=2, max_value=4))
+    weight = st.sampled_from(_WEIGHTS_M)
+    edges: dict = {}
+
+    def add(u, v, metres):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), metres)
+
+    sat = st.integers(min_value=0, max_value=num_sats - 1)
+    ends = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        a, b, x, y = draw(st.lists(sat, min_size=4, max_size=4, unique=True))
+        p, q = draw(weight), draw(weight)
+        add(a, x, p), add(x, b, q), add(a, y, q), add(y, b, p)
+        ends += [a, b]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        add(draw(sat), draw(sat), draw(weight))
+    # Cities hang mostly off mirror ends, so their routes cross mirrors.
+    uplink = st.one_of(st.sampled_from(ends), sat)
+    for city in range(num_cities):
+        for s in draw(st.lists(uplink, min_size=1, max_size=4, unique=True)):
+            add(num_sats + city, s, draw(weight))
+    rows = [(u, v, w) for (u, v), w in sorted(edges.items())]
+    pairs = [
+        CityPair(a, b, 0.0)
+        for a in range(num_cities)
+        for b in range(num_cities)
+        if a != b
+    ]
+    return _hand_graph(num_sats, num_cities, rows), pairs
 
 
 class TestRoutingMatchesPerPairReference:
     @pytest.mark.parametrize("mode", list(ConnectivityMode))
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_full_pair_list(self, tiny_scenario, mode, k):
+        # t = 0 is the mirror-symmetric Walker snapshot, where relay
+        # detours tie to the last ulp (BP at k = 2 and 4 in particular).
         graph = tiny_scenario.graph_at(0.0, mode)
         _assert_matches_reference(graph, tiny_scenario.pairs, k)
 
@@ -96,6 +182,42 @@ class TestRoutingMatchesPerPairReference:
                 assert ours.pair_index == theirs.pair_index
                 assert ours.path.nodes == theirs.path.nodes
                 np.testing.assert_array_equal(ours.edge_ids, theirs.edge_ids)
+
+
+class TestBoundedRounds:
+    """Rounds 2..k searched within a bound, against the unbounded search."""
+
+    @given(case=_near_tie_graphs(), k=st.integers(min_value=2, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_near_tie_graphs(self, case, k):
+        graph, pairs = case
+        _assert_matches_reference(graph, pairs, k)
+
+    def test_round_past_the_bound_is_retried(self):
+        # Cities 3 and 4: round 1 via satellite 0 (2 km), round 2 via
+        # satellite 1 (10 km), far beyond _ROUND_SLACK x 2 km.
+        graph = _hand_graph(
+            3, 2,
+            [(3, 0, 1000.0), (0, 4, 1000.0), (3, 1, 5000.0), (1, 4, 5000.0)],
+        )
+        assert 10_000.0 > routing._ROUND_SLACK * 2000.0
+        with observe() as registry:
+            routed = _assert_matches_reference(graph, [CityPair(0, 1, 0.0)], 2)
+        assert [sf.path.length_m for sf in routed.subflows] == [2000.0, 10_000.0]
+        assert registry.snapshot()["counters"]["routing.pair_retries"] > 0
+        assert routed.retries == 1
+
+    def test_pair_cut_off_by_round_one_keeps_one_subflow(self):
+        # Satellite 0 is the only way between the cities.
+        graph = _hand_graph(2, 2, [(2, 0, 1000.0), (0, 3, 1000.0), (0, 1, 10.0)])
+        with observe() as registry:
+            routed = _assert_matches_reference(graph, [CityPair(0, 1, 0.0)], 4)
+        assert len(routed.subflows) == 1
+        assert all(np.isfinite(sf.path.length_m) for sf in routed.subflows)
+        counters = registry.snapshot()["counters"]
+        # One bounded round missed, its unbounded rerun found nothing.
+        assert counters["routing.pair_dijkstras"] == 1
+        assert counters["routing.pair_retries"] == 1
 
 
 class TestRoutingCounterContract:

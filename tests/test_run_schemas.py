@@ -186,6 +186,8 @@ class TestProfiledHeadlineRun:
             assert "checkpoint.misses" in counters
             assert "parallel.worker_retries" in counters
             assert "parallel.pool_recreations" in counters
+            # Present (possibly zero) even for fig2, which never routes.
+            assert "routing.pair_retries" in counters
         # fig2 computed (not resumed) every snapshot of both modes.
         assert metrics["fig2"]["counters"]["checkpoint.misses"] > 0
         assert metrics["fig2"]["counters"]["checkpoint.hits"] == 0

@@ -96,7 +96,7 @@ def path_link_attenuations_db(
     to weather and skipped. With ``endpoints_only`` (the paper's ISL-path
     accounting) only the first and last radio hops are evaluated — used
     when intermediate GT bounces should be ignored because the path under
-    analysis is the ISL one.
+    analysis is the ISL one. The path is not checked for such bounces.
     """
     results: list[LinkWeather] = []
     nodes = list(path_nodes)
@@ -159,8 +159,10 @@ def paths_worst_link_attenuation_db(
         nodes = list(nodes)
         hops = list(zip(nodes[:-1], nodes[1:]))
         if endpoints_only and len(hops) > 2:
-            # Keep only the first and last hop (they are the radio hops
-            # of a pure ISL path; asserted by the u/v sat checks below).
+            # Keep only the first and last hop: the radio hops of a pure
+            # ISL path. Nothing checks that the path is pure; an ISL_ONLY
+            # path can bounce through a city GT, and that bounce's
+            # weather is then ignored (ROADMAP.md item 1).
             hops = [hops[0], hops[-1]]
         for u, v in hops:
             u_is_sat = graph.is_sat_node(u)

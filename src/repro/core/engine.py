@@ -14,6 +14,11 @@ workloads make:
   (propagation), the materialized station table (aircraft move), GT
   ECEF, the *candidate* GT-satellite visibility edges with slant
   distances, and lazily the ISL lengths. Frames live in an LRU cache.
+  Candidate rows are ordered by satellite ascending; within one
+  satellite, its static GTs (cities, then relays) come first, then
+  its aircraft, each ascending by GT index. The frame places every
+  KD-tree hit straight into that row without a sort, and computes
+  slant ranges with the same left-to-right sum as ``np.linalg.norm``.
 * **per-mode assembly** (:func:`assemble_graph`) — the cheap final
   step: BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
   beam-limit / fiber / fault filters apply here. Faults are *never*
@@ -44,12 +49,15 @@ per snapshot instead of once per (snapshot, mode).
 
 Observability: the engine bumps ``engine.static_hits/misses``,
 ``engine.frame_hits/misses``, ``engine.frame_evictions`` and
-``engine.assemblies`` counters and nests its work under the
-``graph_build`` span (children: ``frame_build`` with ``kdtree_query``
-on a frame miss, ``edge_assembly`` always), so profiles of the old and
-new paths line up. A contraction runs under a ``transit_contraction``
-span and bumps ``engine.contraction_misses``; a graph that reuses its
-frame's bounce edges bumps ``engine.contraction_hits``.
+``engine.assemblies`` counters, plus ``engine.cand_edges`` (candidate
+rows built, per frame miss: the frame layer's work, by which its time
+can be normalized). It nests its work under the ``graph_build`` span
+(children: ``frame_build`` with ``kdtree_query`` — the KD-tree query
+and the row placement — on a frame miss, ``edge_assembly`` always),
+so profiles of the old and new paths line up. A contraction runs
+under a ``transit_contraction`` span and bumps
+``engine.contraction_misses``; a graph that reuses its frame's bounce
+edges bumps ``engine.contraction_hits``.
 """
 
 from __future__ import annotations
@@ -187,7 +195,8 @@ class GeometryFrame:
     ``cand_edges`` are *candidate* GT-satellite edges — every satellite
     visible from every GT under the coverage-cone condition, before any
     policy filter — as ``(m, 2)`` ``[sat_index, gt_node]`` rows with
-    ``cand_dist_m`` slant distances. Assembly filters copies of these;
+    ``cand_dist_m`` slant distances, in the row order the module
+    docstring states. Assembly filters copies of these;
     the frame itself is immutable by convention and safe to share
     across modes, policies, and fault specs.
     """
@@ -256,53 +265,59 @@ def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
         gt_ecef = static.static_ecef
         air_tree = None
 
+    blocks = [
+        (tree, gt_offset)
+        for tree, gt_offset in ((static.static_tree, 0), (air_tree, static_count))
+        if tree is not None
+    ]
     with span("kdtree_query"):
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
+        # Per GT block: hits per satellite, and the hit lists shell by shell.
+        counts = np.zeros((len(blocks), num_sats), dtype=np.int64)
+        block_lists: list[list] = [[] for _ in blocks]
         for offset, count, chord in static.shell_params:
             shell_sats = sat_ecef[offset : offset + count]
             sat_units = shell_sats / np.linalg.norm(shell_sats, axis=1, keepdims=True)
-            sat_parts: list[np.ndarray] = []
-            gt_parts: list[np.ndarray] = []
-            for tree, gt_offset in ((static.static_tree, 0), (air_tree, static_count)):
-                if tree is None:
-                    continue
-                lists = tree.query_ball_point(sat_units, r=chord)
-                counts = np.fromiter(
-                    (len(hits) for hits in lists), dtype=np.int64, count=count
+            for (tree, _), counts_row, lists_row in zip(blocks, counts, block_lists):
+                lists = tree.query_ball_point(sat_units, r=chord, return_sorted=True)
+                counts_row[offset : offset + count] = np.fromiter(
+                    map(len, lists), dtype=np.int64, count=count
                 )
-                total = int(counts.sum())
-                if not total:
-                    continue
-                flat = np.fromiter(
-                    chain.from_iterable(lists), dtype=np.int64, count=total
-                )
-                sat_parts.append(np.repeat(np.arange(count, dtype=np.int64), counts))
-                gt_parts.append(flat + gt_offset)
-            if not sat_parts:
-                continue
-            sats_local = np.concatenate(sat_parts)
-            gts = np.concatenate(gt_parts)
-            # Sort (satellite, gt) ascending. Every aircraft index
-            # exceeds every static index after the offset, so this is
-            # exactly the sorted per-satellite static-then-aircraft
-            # order of the historical per-satellite assembly loop.
-            order = np.lexsort((gts, sats_local))
-            edge_u.append(sats_local[order] + offset)
-            edge_v.append(gts[order] + num_sats)
+                lists_row.append(lists)
 
-    if edge_u:
-        u = np.concatenate(edge_u)
-        v = np.concatenate(edge_v)
-    else:
-        u = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.int64)
-    cand_edges = np.stack([u, v], axis=1)
-    cand_dist_m = (
-        np.linalg.norm(sat_ecef[u] - gt_ecef[v - num_sats], axis=1)
-        if len(cand_edges)
-        else np.empty(0)
-    )
+        # Rows are (satellite, GT) ascending with no sort: every hit list
+        # is ascending and every aircraft id exceeds every static id, so
+        # a hit's row is its satellite's first row, plus the hits earlier
+        # blocks placed there, plus its rank within the satellite's list.
+        row_counts = counts.sum(axis=0)
+        row_start = np.cumsum(row_counts) - row_counts
+        gts = np.empty(int(row_counts.sum()), dtype=np.int64)
+        placed = np.zeros(num_sats, dtype=np.int64)
+        for (_, gt_offset), counts_row, lists_row in zip(blocks, counts, block_lists):
+            total = int(counts_row.sum())
+            flat = np.fromiter(
+                chain.from_iterable(chain.from_iterable(lists_row)),
+                dtype=np.int64,
+                count=total,
+            )
+            flat += gt_offset
+            rank_start = np.cumsum(counts_row) - counts_row
+            slots = np.repeat(row_start + placed - rank_start, counts_row)
+            slots += np.arange(total)
+            gts[slots] = flat
+            placed += counts_row
+
+    cand_edges = np.empty((len(gts), 2), dtype=np.int64)
+    cand_edges[:, 0] = np.repeat(np.arange(num_sats, dtype=np.int64), row_counts)
+    cand_edges[:, 1] = gts + num_sats
+    # Slant ranges as sqrt(dx*dx + dy*dy + dz*dz) on ECEF columns: the
+    # same left-to-right sum as ``np.linalg.norm`` over gathered rows
+    # (``axis=1``), so bit-identical to it, without the row gathers.
+    diff = np.repeat(sat_ecef.T, row_counts, axis=1)
+    diff -= np.take(np.ascontiguousarray(gt_ecef.T), gts, axis=1)
+    diff *= diff
+    cand_dist_m = diff[0] + diff[1]
+    cand_dist_m += diff[2]
+    np.sqrt(cand_dist_m, out=cand_dist_m)
     return GeometryFrame(
         time_s=time_s,
         stations=stations,
@@ -456,6 +471,7 @@ class SnapshotEngine:
             frame = _build_frame(static, key)
         with self._lock:
             incr("engine.frame_misses")
+            incr("engine.cand_edges", len(frame.cand_edges))
             self._frames[key] = frame
             self._frames.move_to_end(key)
             while len(self._frames) > self.frame_cache_size:

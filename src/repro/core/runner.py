@@ -100,6 +100,7 @@ _BASELINE_COUNTERS = (
     "engine.static_misses",
     "engine.frame_hits",
     "engine.frame_misses",
+    "engine.cand_edges",
     "engine.frame_evictions",
     "engine.contraction_hits",
     "engine.contraction_misses",

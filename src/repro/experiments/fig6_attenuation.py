@@ -6,9 +6,12 @@ year (the ITU exceedance statistics stand in for "across time").
 
 * **BP paths** are shortest paths on the BP-only network; every up/down
   bounce is exposed to weather.
-* **ISL paths** exclude intermediate GTs entirely (paper Section 6):
-  computed on a network whose only GTs are the source/sink cities, and
-  scored on the worse of the first and last radio hop.
+* **ISL paths** should exclude intermediate GTs entirely (paper
+  Section 6). They are computed on the ISL_ONLY network without relays
+  or aircraft and scored on the worse of the first and last radio hop.
+  Every city GT stays in that network, though, so a path can still
+  bounce through another city, whose weather is then ignored
+  (ROADMAP.md item 1).
 
 Paper shape to reproduce: the BP distribution sits clearly above the ISL
 one; the median gap exceeds 1 dB (~11 % received power).

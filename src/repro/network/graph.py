@@ -84,11 +84,13 @@ class ConnectivityMode(Enum):
         Ground hops *and* ISLs; the routing picks freely (the paper's
         "hybrid" network).
     ``ISL_ONLY``
-        ISLs plus exactly one up and one down radio hop; used by the
-        Section 6 attenuation analysis, which excludes intermediate GTs.
-        Graph-wise identical to HYBRID (intermediate GT hops are simply
-        never shorter when ISLs exist along the way), but kept distinct
-        so path extraction can assert the no-intermediate-GT property.
+        Meant as ISLs plus exactly one up and one down radio hop, for
+        the Section 6 attenuation analysis, which excludes intermediate
+        GTs. Today the graph is HYBRID's, and nothing checks that its
+        paths have no intermediate GT: a ground bounce is sometimes the
+        shorter route, and at t = 0 on the small scale 49 of 120 ISL
+        paths pass through another city GT. ROADMAP.md item 1 holds the
+        fix (a graph with no ground transit, plus a guard).
     """
 
     BP_ONLY = "bp"

@@ -17,10 +17,13 @@ The engine's contract has three load-bearing pieces, each pinned here:
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from repro.constants import EARTH_RADIUS
 from repro.core.engine import (
     DEFAULT_FRAME_CACHE_SIZE,
     SnapshotEngine,
@@ -36,6 +39,7 @@ from repro.network.graph import (
     gso_compliant_edge_mask,
 )
 from repro.obs import MetricsRegistry, observe
+from repro.orbits.coordinates import geodetic_to_ecef
 
 #: Small enough for seconds-scale tests, big enough that every filter
 #: (GSO arc, beam limit, fiber, faults) has edges to act on.
@@ -58,6 +62,24 @@ def fresh_scenario() -> Scenario:
 def base_scenario() -> Scenario:
     """Module-shared scenario for read-only equivalence checks."""
     return fresh_scenario()
+
+
+#: Two cities, no relays and a thin aircraft fleet: most satellites see
+#: no GT, and the rest see static GTs only, aircraft only, or both.
+SPARSE_SCALE = replace(ENGINE_SCALE, name="engine-sparse", num_cities=2, num_pairs=1)
+
+#: Scenarios that reach every branch of the frame's row placement: one
+#: shell or two, an aircraft block or none, satellites with no hits.
+FRAME_SCENARIOS = {
+    "starlink": fresh_scenario,
+    "two_shell": lambda: Scenario.paper_default("starlink+polar", ENGINE_SCALE),
+    "no_aircraft": lambda: replace(fresh_scenario(), use_aircraft=False),
+    "sparse": lambda: replace(
+        Scenario.paper_default("starlink", SPARSE_SCALE),
+        use_relays=False,
+        aircraft_density_scale=0.05,
+    ),
+}
 
 
 def legacy_graph(scenario: Scenario, time_s: float, mode: ConnectivityMode):
@@ -141,6 +163,19 @@ class TestNumericalEquivalence:
             want = legacy_graph(scenario, float(time_s), mode)
             assert_graphs_identical(got, want)
 
+    @pytest.mark.parametrize("name", ["two_shell", "no_aircraft"])
+    @pytest.mark.parametrize(
+        "mode",
+        [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID],
+        ids=lambda mode: mode.value,
+    )
+    def test_ground_and_shell_variants(self, name, mode):
+        scenario = FRAME_SCENARIOS[name]()
+        for time_s in scenario.times_s:
+            got = scenario.graph_at(float(time_s), mode)
+            want = legacy_graph(scenario, float(time_s), mode)
+            assert_graphs_identical(got, want)
+
     def test_graphs_at_share_one_frame(self, base_scenario):
         graphs = base_scenario.graphs_at(
             0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
@@ -156,6 +191,63 @@ class TestNumericalEquivalence:
         assert_graphs_identical(
             hybrid, legacy_graph(base_scenario, 0.0, ConnectivityMode.HYBRID)
         )
+
+
+def sorted_candidates(static, frame):
+    """The frame's candidates the earlier way: query, lexsort, then norm."""
+    stations = frame.stations
+    first_air = static.static_count
+    air_units = (
+        geodetic_to_ecef(stations.lats[first_air:], stations.lons[first_air:], 0.0)
+        / EARTH_RADIUS
+    )
+    trees = [(static.static_tree, 0)]
+    if len(air_units):
+        trees.append((cKDTree(air_units), first_air))
+    sats: list[int] = []
+    gts: list[int] = []
+    for offset, count, chord in static.shell_params:
+        shell = frame.sat_ecef[offset : offset + count]
+        units = shell / np.linalg.norm(shell, axis=1, keepdims=True)
+        for tree, gt_offset in trees:
+            for i, hits in enumerate(tree.query_ball_point(units, r=chord)):
+                sats += [offset + i] * len(hits)
+                gts += [gt_offset + h for h in hits]
+    sats = np.array(sats, dtype=np.int64)
+    gts = np.array(gts, dtype=np.int64)
+    order = np.lexsort((gts, sats))
+    sats, gts = sats[order], gts[order]
+    edges = np.stack([sats, gts + frame.num_sats], axis=1)
+    dists = np.linalg.norm(frame.sat_ecef[sats] - frame.gt_ecef[gts], axis=1)
+    return edges, dists
+
+
+class TestFrameRowOrder:
+    """Candidate rows: (satellite, GT) ascending, bit-equal to a sort."""
+
+    @pytest.mark.parametrize("name", sorted(FRAME_SCENARIOS))
+    def test_matches_sorted_reference(self, name):
+        scenario = FRAME_SCENARIOS[name]()
+        engine = scenario.engine
+        for time_s in scenario.times_s:
+            frame = engine.frame_at(float(time_s))
+            edges, dists = sorted_candidates(engine.static, frame)
+            assert frame.cand_edges.dtype == edges.dtype
+            assert np.array_equal(frame.cand_edges, edges)
+            assert np.array_equal(frame.cand_dist_m, dists)
+
+    def test_sparse_ground_reaches_every_placement_case(self):
+        scenario = FRAME_SCENARIOS["sparse"]()
+        frame = scenario.engine.frame_at(0.0)
+        static_count = scenario.engine.static.static_count
+        sats = frame.cand_edges[:, 0]
+        is_static = frame.cand_edges[:, 1] - frame.num_sats < static_count
+        static_sats = set(sats[is_static].tolist())
+        air_sats = set(sats[~is_static].tolist())
+        assert static_sats - air_sats, "no satellite sees static GTs only"
+        assert air_sats - static_sats, "no satellite sees aircraft only"
+        assert static_sats & air_sats, "no satellite sees both blocks"
+        assert len(static_sats | air_sats) < frame.num_sats
 
 
 class TestTwoModeSweepSharesWork:
@@ -218,6 +310,9 @@ class TestTwoModeSweepSharesWork:
         assert counters["engine.frame_hits"] == 1
         assert counters["engine.assemblies"] == 2
         assert "engine.frame_evictions" not in counters
+        # One frame built: the counter holds its candidate rows.
+        frame = scenario.engine.frame_at(0.0)
+        assert counters["engine.cand_edges"] == len(frame.cand_edges) > 0
 
 
 class TestFaultIsolation:

@@ -188,9 +188,12 @@ class TestProfiledHeadlineRun:
             assert "parallel.pool_recreations" in counters
             # Present (possibly zero) even for fig2, which never routes.
             assert "routing.pair_retries" in counters
+            assert "engine.cand_edges" in counters
         # fig2 computed (not resumed) every snapshot of both modes.
         assert metrics["fig2"]["counters"]["checkpoint.misses"] > 0
         assert metrics["fig2"]["counters"]["checkpoint.hits"] == 0
+        # ... so it built frames, whose candidate rows the counter sums.
+        assert metrics["fig2"]["counters"]["engine.cand_edges"] > 0
 
     def test_rerun_with_resume_hits_the_checkpoint(self, profiled_run, tmp_path_factory):
         _, resume = profiled_run

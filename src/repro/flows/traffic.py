@@ -17,6 +17,7 @@ import numpy as np
 from repro.constants import MIN_CITY_PAIR_DISTANCE_M, NUM_CITY_PAIRS
 from repro.geo.geodesy import haversine_m
 from repro.ground.cities import City
+from repro.obs import incr, traced
 
 __all__ = [
     "CityPair",
@@ -114,12 +115,14 @@ def pair_index(pairs: list[CityPair]) -> PairIndex:
     return _build_pair_index(tuple((p.a, p.b) for p in pairs))
 
 
-def eligible_pairs(
+def _eligible_pair_arrays(
     cities: tuple[City, ...],
-    min_distance_m: float = MIN_CITY_PAIR_DISTANCE_M,
-) -> list[CityPair]:
-    """Every unordered city pair separated by at least ``min_distance_m``.
+    min_distance_m: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a_idx, b_idx, dists)`` of every eligible pair, ``a < b``.
 
+    Pairs come in row-major upper-triangle order — ascending ``a``, then
+    ascending ``b`` — which fixes what each sampled index means.
     Vectorized: the full pairwise distance matrix for 1,000 cities is a
     million haversines, well within numpy territory.
     """
@@ -127,12 +130,31 @@ def eligible_pairs(
     lons = np.array([c.lon_deg for c in cities])
     dists = haversine_m(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
     a_idx, b_idx = np.nonzero(np.triu(dists >= min_distance_m, k=1))
+    incr("traffic.eligible_pairs", len(a_idx))
+    return a_idx, b_idx, dists[a_idx, b_idx]
+
+
+def _city_pairs(a_idx, b_idx, dists) -> list[CityPair]:
     return [
-        CityPair(int(a), int(b), float(dists[a, b]))
-        for a, b in zip(a_idx, b_idx)
+        CityPair(a, b, d)
+        for a, b, d in zip(a_idx.tolist(), b_idx.tolist(), dists.tolist())
     ]
 
 
+def eligible_pairs(
+    cities: tuple[City, ...],
+    min_distance_m: float = MIN_CITY_PAIR_DISTANCE_M,
+) -> list[CityPair]:
+    """Every unordered city pair separated by at least ``min_distance_m``.
+
+    In ascending ``(a, b)`` order, the order :func:`sample_city_pairs`
+    draws indices from. Builds one :class:`CityPair` per eligible pair
+    (453k at the paper's 1,000 cities); the sampler itself never does.
+    """
+    return _city_pairs(*_eligible_pair_arrays(cities, min_distance_m))
+
+
+@traced("pair_sampling")
 def sample_city_pairs(
     cities: tuple[City, ...],
     num_pairs: int = NUM_CITY_PAIRS,
@@ -154,19 +176,27 @@ def sample_city_pairs(
 
     If fewer eligible pairs exist than requested (tiny test scenarios),
     all of them are returned, shuffled.
+
+    The draw works on indices into the eligible-pair arrays, in the order
+    :func:`eligible_pairs` lists them: ``rng.permutation`` or
+    ``rng.choice`` on their count, with gravity weights
+    ``populations[a] * populations[b]`` elementwise. Only the drawn pairs
+    become :class:`CityPair` objects. The ``rng`` calls, their arguments
+    and the weight values are those of sampling from the full
+    :func:`eligible_pairs` list, so the sample is the same pair for pair.
     """
-    pairs = eligible_pairs(cities, min_distance_m)
+    a_idx, b_idx, dists = _eligible_pair_arrays(cities, min_distance_m)
+    count = len(a_idx)
     rng = np.random.default_rng(seed)
-    if num_pairs >= len(pairs):
-        order = rng.permutation(len(pairs))
-        return [pairs[i] for i in order]
-    if weighting == "uniform":
-        chosen = rng.choice(len(pairs), size=num_pairs, replace=False)
+    if num_pairs >= count:
+        chosen = rng.permutation(count)
+    elif weighting == "uniform":
+        chosen = rng.choice(count, size=num_pairs, replace=False)
     elif weighting == "gravity":
         populations = np.array([c.population_k for c in cities], dtype=float)
-        weights = np.array([populations[p.a] * populations[p.b] for p in pairs])
+        weights = populations[a_idx] * populations[b_idx]
         weights = weights / weights.sum()
-        chosen = rng.choice(len(pairs), size=num_pairs, replace=False, p=weights)
+        chosen = rng.choice(count, size=num_pairs, replace=False, p=weights)
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    return [pairs[i] for i in chosen]
+    return _city_pairs(a_idx[chosen], b_idx[chosen], dists[chosen])

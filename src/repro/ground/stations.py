@@ -23,6 +23,7 @@ import numpy as np
 from repro.ground.aircraft import FlightSchedule, default_schedule
 from repro.ground.cities import City, load_cities
 from repro.ground.relays import relay_grid_for_cities
+from repro.obs import incr, span, traced
 
 __all__ = ["StationKind", "GroundStation", "GroundSegment", "StationTable"]
 
@@ -102,6 +103,7 @@ class GroundSegment:
     use_aircraft: bool = True
 
     @classmethod
+    @traced("ground_build")
     def build(
         cls,
         num_cities: int = 1000,
@@ -121,9 +123,11 @@ class GroundSegment:
         if cities is None:
             cities = load_cities(num_cities)
         if use_relays:
-            relay_lats, relay_lons = relay_grid_for_cities(
-                cities, spacing_deg=relay_spacing_deg, radius_m=relay_radius_m
-            )
+            with span("relay_grid"):
+                relay_lats, relay_lons = relay_grid_for_cities(
+                    cities, spacing_deg=relay_spacing_deg, radius_m=relay_radius_m
+                )
+            incr("ground.relays", len(relay_lats))
         else:
             relay_lats = np.empty(0)
             relay_lons = np.empty(0)

@@ -298,6 +298,26 @@ class TestCrossProcessAggregation:
         assert active_registry() is None
 
 
+class TestSetupInstrumentation:
+    def test_ground_build_and_pair_sampling_report_spans_and_counters(self):
+        from repro.flows.traffic import eligible_pairs, sample_city_pairs
+        from repro.ground.stations import GroundSegment
+
+        with observe() as registry:
+            ground = GroundSegment.build(
+                num_cities=30, relay_spacing_deg=5.0, use_aircraft=False
+            )
+            sample_city_pairs(ground.cities, num_pairs=10)
+        assert {"ground_build", "ground_build/relay_grid", "pair_sampling"} <= (
+            registry.span_paths
+        )
+        counters = registry.snapshot()["counters"]
+        assert counters["ground.relays"] == ground.relay_count > 0
+        assert counters["traffic.eligible_pairs"] == len(
+            eligible_pairs(ground.cities)
+        )
+
+
 class TestProfileReport:
     def test_report_renders_spans_and_counters(self):
         with observe() as registry:

@@ -1,5 +1,7 @@
 """Unit tests for the traffic matrix (city-pair sampling)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,43 @@ class TestGravityWeighting:
         uniform = Scenario.paper_default("starlink", TINY_SCALE)
         gravity = replace(uniform, traffic_weighting="gravity")
         assert uniform.pairs != gravity.pairs
+
+
+@lru_cache(maxsize=1)
+def _eligible(num_cities):
+    return eligible_pairs(load_cities(num_cities), 2_000e3)
+
+
+def reference_sample(cities, num_pairs, seed, weighting):
+    """The sampler as it was over the full :func:`eligible_pairs` list."""
+    pairs = _eligible(len(cities))
+    rng = np.random.default_rng(seed)
+    if num_pairs >= len(pairs):
+        order = rng.permutation(len(pairs))
+        return [pairs[i] for i in order]
+    if weighting == "uniform":
+        chosen = rng.choice(len(pairs), size=num_pairs, replace=False)
+    else:
+        populations = np.array([c.population_k for c in cities], dtype=float)
+        weights = np.array([populations[p.a] * populations[p.b] for p in pairs])
+        weights = weights / weights.sum()
+        chosen = rng.choice(len(pairs), size=num_pairs, replace=False, p=weights)
+    return [pairs[i] for i in chosen]
+
+
+class TestSamplingMatchesReference:
+    """Index-based sampling draws exactly the pairs the list-based one did."""
+
+    @pytest.mark.parametrize("num_cities", [60, 300, 1000])
+    def test_same_pairs(self, num_cities):
+        cities = load_cities(num_cities)
+        for seed in (1, 7, 42):
+            for num_pairs, weighting in [
+                (500, "uniform"),
+                (500, "gravity"),
+                (10 ** 9, "uniform"),  # oversampling: all pairs, shuffled
+            ]:
+                got = sample_city_pairs(
+                    cities, num_pairs, seed=seed, weighting=weighting
+                )
+                assert got == reference_sample(cities, num_pairs, seed, weighting)

@@ -207,7 +207,8 @@ def run_experiments(
         from repro.experiments import all_experiments
 
         experiments = all_experiments()
-    selected = sorted(experiments) if list(ids) == ["all"] else list(ids)
+    ids = list(ids)
+    selected = sorted(experiments) if ids == ["all"] else ids
     unknown = [eid for eid in selected if eid not in experiments]
     if unknown:
         raise UnknownExperimentError(unknown, sorted(experiments))

@@ -10,7 +10,7 @@ anything:
   the manifest must parse, every shard's bytes must match its recorded
   digest, every recorded digest must have its shard on disk, shard
   indices must be in range, and payloads must be structurally sound;
-* **kind-tagged JSON artifacts** (results, metrics, bench records):
+* **kind-tagged JSON artifacts** (results and metrics):
   validated against their schemas from :mod:`repro.obs.schema`;
 * **``.npz`` RTT series**: must load, carry the expected arrays, and
   satisfy the cheap physical invariants (2-D, finite-or-inf,
@@ -35,7 +35,6 @@ from repro.integrity.digest import digest_file
 from repro.integrity.quarantine import QUARANTINE_DIRNAME
 from repro.network.graph import ConnectivityMode
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     METRICS_SCHEMA,
     RESULT_SCHEMA,
     SchemaError,
@@ -55,7 +54,6 @@ _MANIFEST_NAME = "manifest.json"
 _KIND_SCHEMAS = {
     "result": RESULT_SCHEMA,
     "metrics": METRICS_SCHEMA,
-    "bench-trajectory": BENCH_SCHEMA,
 }
 
 _SERIES_KEYS = {"mode", "times_s", "rtt_ms"}

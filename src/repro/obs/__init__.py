@@ -1,15 +1,13 @@
 """Observability: structured spans, counters, and artifact schemas.
 
-The instrumentation subsystem behind ``repro run --profile`` and
-``scripts/bench_trajectory.py``. See :mod:`repro.obs.spans` for the
-collection API (near-zero overhead when disabled), :mod:`repro.obs.schema`
-for the machine-readable artifact shapes, and :mod:`repro.obs.profile`
-for the human rendering.
+The instrumentation subsystem behind ``repro run --profile``. See
+:mod:`repro.obs.spans` for the collection API (near-zero overhead when
+disabled), :mod:`repro.obs.schema` for the machine-readable artifact
+shapes, and :mod:`repro.obs.profile` for the human rendering.
 """
 
 from repro.obs.profile import format_experiment_profile, format_profile_report
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     METRICS_SCHEMA,
     RESULT_SCHEMA,
     SchemaError,
@@ -29,7 +27,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
     "METRICS_SCHEMA",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",

@@ -1,13 +1,11 @@
 """Explicit schemas for the machine-readable run artifacts.
 
-Three JSON payload families leave the toolchain:
+Two JSON payload families leave the toolchain:
 
 * **experiment results** (``repro run --out DIR`` → ``DIR/<id>.json``,
   written by :func:`repro.persistence.save_experiment_result`);
 * **run metrics** (``repro run --out DIR --profile`` →
-  ``DIR/metrics.json``, one span/counter aggregate per experiment);
-* **bench trajectory records** (``scripts/bench_trajectory.py`` →
-  ``BENCH_<date>.json`` at the repo root).
+  ``DIR/metrics.json``, one span/counter aggregate per experiment).
 
 The schemas here pin their shapes so downstream tooling — and the test
 suite — can validate artifacts without guessing, and so a metrics file
@@ -20,7 +18,6 @@ exactly what these payloads need (``type``, ``enum``, ``required``,
 from __future__ import annotations
 
 __all__ = [
-    "BENCH_SCHEMA",
     "METRICS_SCHEMA",
     "RESULT_SCHEMA",
     "SchemaError",
@@ -88,49 +85,6 @@ RESULT_SCHEMA = {
         "tables": {"type": "array", "items": {"type": "string"}},
         "headline": {"type": "object"},
         "data": {"type": "object"},
-    },
-}
-
-#: ``BENCH_<date>.json`` — one point on the perf trajectory.
-BENCH_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "schema_version", "created_utc", "entries"],
-    "properties": {
-        "kind": {"enum": ["bench-trajectory"]},
-        "schema_version": {"type": "integer", "minimum": 1},
-        "created_utc": {"type": "string"},
-        "git_rev": {"type": "string"},
-        "config": {"type": "object"},
-        "entries": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["wall_s"],
-                "properties": {
-                    "wall_s": {"type": "number", "minimum": 0},
-                    "cpu_s": {"type": "number", "minimum": 0},
-                    "source": {"type": "string"},
-                    "spans": _SPANS_SCHEMA,
-                    "counters": _COUNTERS_SCHEMA,
-                    # Snapshot-engine cache behaviour: frame/static
-                    # hit-miss counts plus the derived hit rate.
-                    "engine_cache": {
-                        "type": "object",
-                        "required": ["frame_hits", "frame_misses", "frame_hit_rate"],
-                        "properties": {
-                            "frame_hits": {"type": "number", "minimum": 0},
-                            "frame_misses": {"type": "number", "minimum": 0},
-                            "frame_hit_rate": {"type": "number", "minimum": 0},
-                            "static_hits": {"type": "number", "minimum": 0},
-                            "static_misses": {"type": "number", "minimum": 0},
-                        },
-                    },
-                    # Aggregate of every graph_build span in the entry
-                    # (same shape as one span-tree node).
-                    "graph_build": _SPAN_STATS_SCHEMA,
-                },
-            },
-        },
     },
 }
 

@@ -22,7 +22,6 @@ import pytest
 from repro.core.runner import run_experiments
 from repro.experiments.base import ExperimentResult
 from repro.obs import (
-    BENCH_SCHEMA,
     METRICS_SCHEMA,
     RESULT_SCHEMA,
     SchemaError,
@@ -121,25 +120,18 @@ class TestSchemaValidator:
         with pytest.raises(SchemaError, match=r"\$\.experiments\.fig2"):
             validate(payload, METRICS_SCHEMA)
 
+    @staticmethod
+    def _metrics_with_wall_s(wall_s) -> dict:
+        entry = {"wall_s": wall_s, "cpu_s": 0.0, "spans": {}, "counters": {}}
+        return {"kind": "metrics", "schema_version": 1, "experiments": {"fig2": entry}}
+
     def test_bool_is_not_a_number(self):
-        bad = {
-            "kind": "bench-trajectory",
-            "schema_version": 1,
-            "created_utc": "2026-01-01T00:00:00Z",
-            "entries": {"fig2": {"wall_s": True}},
-        }
         with pytest.raises(SchemaError, match="wall_s"):
-            validate(bad, BENCH_SCHEMA)
+            validate(self._metrics_with_wall_s(True), METRICS_SCHEMA)
 
     def test_negative_timing_rejected(self):
-        bad = {
-            "kind": "bench-trajectory",
-            "schema_version": 1,
-            "created_utc": "2026-01-01T00:00:00Z",
-            "entries": {"fig2": {"wall_s": -1.0}},
-        }
         with pytest.raises(SchemaError, match="minimum"):
-            validate(bad, BENCH_SCHEMA)
+            validate(self._metrics_with_wall_s(-1.0), METRICS_SCHEMA)
 
 
 class TestProfiledHeadlineRun:
@@ -194,6 +186,10 @@ class TestProfiledHeadlineRun:
         assert metrics["fig2"]["counters"]["checkpoint.hits"] == 0
         # ... so it built frames, whose candidate rows the counter sums.
         assert metrics["fig2"]["counters"]["engine.cand_edges"] > 0
+        # BP and hybrid at one instant share a geometry frame.
+        assert metrics["fig2"]["counters"]["engine.frame_hits"] > 0
+        # Routing takes the source-batched Dijkstra fast path.
+        assert metrics["fig4"]["counters"]["routing.batched_dijkstras"] > 0
 
     def test_rerun_with_resume_hits_the_checkpoint(self, profiled_run, tmp_path_factory):
         _, resume = profiled_run

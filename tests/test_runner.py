@@ -123,6 +123,13 @@ class TestSelection:
         )
         assert order == ["b", "a"]
 
+    def test_one_shot_iterable_runs_every_id(self):
+        summary = run_experiments(
+            iter(["good"]), experiments={"good": _good}, echo=_silent
+        )
+        assert [o.experiment_id for o in summary.outcomes] == ["good"]
+        assert summary.exit_code == 0
+
 
 class TestOutputs:
     def test_out_dir_gets_text_and_json(self, tmp_path):

@@ -15,11 +15,13 @@ module checkpoints per-snapshot RTT rows to disk as they finish:
 
 Resume *verifies* rather than trusts: :meth:`RttCheckpoint.completed_indices`
 recomputes each shard's digest and validates its payload against the
-manifest; a truncated, bit-flipped, misindexed, or unrecorded shard is
-moved to a ``quarantine/`` subdirectory with a structured reason record
-(see :mod:`repro.integrity.quarantine`) and the snapshot is scheduled
-for recompute — the sweep self-heals instead of crashing or, worse,
-producing poisoned figures.
+manifest; a truncated, bit-flipped, misindexed, malformed, NaN-holding
+or unrecorded shard is moved to a ``quarantine/`` subdirectory with a
+structured reason record (see :mod:`repro.integrity.quarantine`) and the
+snapshot is scheduled for recompute — the sweep self-heals instead of
+crashing or, worse, producing poisoned figures. This module is the only
+place that defines a valid shard: :func:`audit_checkpoint_dir` runs the
+same checks read-only for ``repro verify``.
 
 Every sweep runs through :func:`repro.core.parallel.map_snapshot_rows`,
 which accepts checkpoints per mode, verifies each once, and evaluates
@@ -50,7 +52,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.integrity.digest import digest_bytes, digest_file
-from repro.integrity.quarantine import QUARANTINE_DIRNAME, note, quarantine_file
+from repro.integrity.quarantine import note, quarantine_file
 from repro.network.graph import ConnectivityMode
 from repro.obs import span
 
@@ -65,6 +67,7 @@ __all__ = [
     "active_checkpoint_for",
     "active_checkpoint_root",
     "atomic_write_bytes",
+    "audit_checkpoint_dir",
     "checkpoint_for",
     "checkpoint_root",
     "scenario_fingerprint",
@@ -304,102 +307,109 @@ class RttCheckpoint:
         digests = self._read_manifest().get("digests", {})
         return dict(digests) if isinstance(digests, dict) else {}
 
-    def _verify_shard_payload(self, path: Path, index: int) -> None:
-        """Structural validation of one shard; raises ``ValueError``."""
-        with np.load(path, allow_pickle=False) as data:
-            if "rtt_ms" not in data or "time_s" not in data:
-                raise ValueError("missing rtt_ms/time_s arrays")
-            row = np.asarray(data["rtt_ms"])
-            if row.dtype.kind != "f":
-                raise ValueError(f"rtt_ms has dtype {row.dtype}, expected float")
-            if row.shape != (self.num_pairs,):
-                raise ValueError(
-                    f"rtt_ms has shape {row.shape}, expected ({self.num_pairs},)"
-                )
-            time_s = float(data["time_s"])
-        expected_time = float(self.times_s[index])
-        if not np.isclose(time_s, expected_time, rtol=0.0, atol=1e-6):
-            raise ValueError(
-                f"shard records t={time_s:g}s but manifest index {index} "
-                f"is t={expected_time:g}s (manifest/shard disagreement)"
-            )
-
-    def completed_indices(self, verify: bool = True) -> set[int]:
+    def completed_indices(self) -> set[int]:
         """Snapshot indices whose shard on disk passes verification.
 
         Every candidate shard must carry the digest the manifest
-        recorded for it and hold a structurally valid payload for its
-        index. Shards failing any check — truncated, bit-flipped,
-        unrecorded (a manifest update that never landed), misindexed, or
-        out of range — are quarantined with a structured reason and
-        *excluded*, so the caller recomputes them. ``verify=False``
-        skips content checks (listing only).
+        recorded for it and hold a valid payload for its index (see
+        :meth:`_shard_problem`). Shards failing any check — truncated,
+        bit-flipped, unrecorded (a manifest update that never landed),
+        misindexed, malformed, or out of range — are quarantined with a
+        structured reason and *excluded*, so the caller recomputes them.
         """
         completed: set[int] = set()
         if not self.directory.is_dir():
             return completed
-        digests = self.recorded_digests() if verify else {}
+        digests = self.recorded_digests()
         pruned = dict(digests)
-        for entry in sorted(os.listdir(self.directory)):
-            match = _SHARD_PATTERN.match(entry)
-            if not match:
-                continue
-            index = int(match.group(1))
-            if not verify:
-                if index < self.num_snapshots:
-                    completed.add(index)
-                continue
-            path = self.directory / entry
-            reason = self._shard_problem(path, entry, index, digests)
-            if reason is None:
+        for path, index, problem in self._scan(digests):
+            if problem is None:
                 completed.add(index)
                 note("shards_verified")
             else:
-                quarantine_file(path, reason, index=index)
-                pruned.pop(entry, None)
-        if verify:
-            # Drop digest entries whose shard is gone (quarantined above,
-            # or lost): recompute overwrites them, and a pruned manifest
-            # keeps `repro verify` and resume in agreement.
-            live = {
-                name: digest
-                for name, digest in pruned.items()
-                if (self.directory / name).exists()
-            }
-            if live != digests:
-                config = self._read_manifest() or self._expected_config()
-                config["digests"] = live
-                try:
-                    self._write_manifest(config)
-                except OSError:
-                    note("store_errors")
+                quarantine_file(path, problem[1], index=index)
+                pruned.pop(path.name, None)
+        # Drop digest entries whose shard is gone (quarantined above, or
+        # lost): recompute overwrites them, and a pruned manifest keeps
+        # `repro verify` and resume in agreement.
+        live = {
+            name: digest
+            for name, digest in pruned.items()
+            if (self.directory / name).exists()
+        }
+        if live != digests:
+            config = self._read_manifest() or self._expected_config()
+            config["digests"] = live
+            try:
+                self._write_manifest(config)
+            except OSError:
+                note("store_errors")
         return completed
 
+    def _scan(self, digests: dict[str, str]):
+        """Yield ``(path, index, problem)`` for every shard-named file."""
+        for entry in sorted(os.listdir(self.directory)):
+            match = _SHARD_PATTERN.match(entry)
+            if match:
+                index = int(match.group(1))
+                path = self.directory / entry
+                yield path, index, self._shard_problem(path, index, digests)
+
     def _shard_problem(
-        self, path: Path, entry: str, index: int, digests: dict[str, str]
-    ) -> str | None:
-        """Why a shard is unusable, or ``None`` when it verifies clean."""
+        self, path: Path, index: int, digests: dict[str, str]
+    ) -> tuple[str, str] | None:
+        """``(code, reason)`` why a shard is unusable, or ``None`` if valid.
+
+        The one definition of a valid shard: resume quarantines what
+        this rejects, and ``repro verify`` reports it. Row entries may
+        be any float but NaN ("no value" is ``inf``); a negative RTT is
+        caught on the assembled series by
+        :func:`repro.integrity.check_rtt_series`, since generic rows may
+        be signed.
+        """
         if index >= self.num_snapshots:
-            return (
+            return "index-out-of-range", (
                 f"shard index {index} out of range for a "
                 f"{self.num_snapshots}-snapshot sweep"
             )
-        recorded = digests.get(entry)
+        recorded = digests.get(path.name)
         if recorded is None:
-            return (
+            return "shard-unrecorded", (
                 "shard has no digest in the manifest (stale manifest or "
                 "interrupted commit)"
             )
         try:
             actual = digest_file(path)
         except OSError as exc:
-            return f"shard unreadable: {exc}"
+            return "shard-unreadable", f"shard unreadable: {exc}"
         if actual != recorded:
-            return f"digest mismatch: manifest={recorded}, disk={actual}"
+            return "digest-mismatch", (
+                f"digest mismatch: manifest={recorded}, disk={actual}"
+            )
         try:
-            self._verify_shard_payload(path, index)
-        except (ValueError, OSError, KeyError) as exc:
-            return f"malformed shard payload: {exc}"
+            with np.load(path, allow_pickle=False) as data:
+                row = np.asarray(data["rtt_ms"])
+                time_s = np.asarray(data["time_s"])
+        except Exception as exc:  # missing array, or zipfile/zlib/npy damage
+            return "shard-malformed", f"malformed shard payload: {exc}"
+        if row.dtype.kind != "f" or row.shape != (self.num_pairs,):
+            return "shard-malformed", (
+                f"malformed shard payload: rtt_ms has dtype {row.dtype} and "
+                f"shape {row.shape}, expected float ({self.num_pairs},)"
+            )
+        if time_s.shape != () or time_s.dtype.kind not in "fiu":
+            return "shard-malformed", (
+                f"malformed shard payload: time_s has dtype {time_s.dtype} "
+                f"and shape {time_s.shape}, expected a number"
+            )
+        if np.isnan(row).any():
+            return "invalid-rtt", "NaN row entry (no value must be inf)"
+        expected_time = float(self.times_s[index])
+        if not np.isclose(float(time_s), expected_time, rtol=0.0, atol=1e-6):
+            return "index-disagreement", (
+                f"shard records t={float(time_s):g}s but manifest index "
+                f"{index} is t={expected_time:g}s (manifest/shard disagreement)"
+            )
         return None
 
     def store_snapshot(self, index: int, rtts_ms: np.ndarray) -> Path:
@@ -461,6 +471,56 @@ class RttCheckpoint:
             [self.load_snapshot(i) for i in range(self.num_snapshots)], axis=1
         )
         return RttSeries(mode=self.mode, times_s=self.times_s, rtt_ms=rtt)
+
+
+def audit_checkpoint_dir(directory: str | Path) -> list[tuple[Path, str, str]]:
+    """``(path, code, detail)`` for every problem in one checkpoint directory.
+
+    Read-only: the sweep configuration comes from the directory's own
+    manifest and every shard gets exactly the checks resume applies
+    (:meth:`RttCheckpoint._shard_problem`), but nothing is quarantined
+    or rewritten. On top of those shard codes it reports
+    ``manifest-unreadable``, ``manifest-malformed`` (fields that cannot
+    describe a sweep) and ``shard-missing`` (a recorded digest whose
+    shard is gone).
+    """
+    directory = Path(directory)
+    manifest_path = directory / _MANIFEST_NAME
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return [(manifest_path, "manifest-unreadable", str(exc))]
+    try:
+        times_s = np.asarray(manifest["times_s"], dtype=float)
+        if times_s.ndim != 1:
+            raise ValueError(f"times_s has shape {times_s.shape}, expected a list")
+        checkpoint = RttCheckpoint(
+            directory=directory,
+            mode=ConnectivityMode(manifest["mode"]),
+            times_s=times_s,
+            num_pairs=int(manifest["num_pairs"]),
+        )
+        digests = manifest.get("digests", {})
+        if not isinstance(digests, dict):
+            raise TypeError("digests entry is not an object")
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        return [(manifest_path, "manifest-malformed", detail)]
+    problems = [
+        (path, *problem)
+        for path, _, problem in checkpoint._scan(digests)
+        if problem is not None
+    ]
+    problems += [
+        (
+            directory / name,
+            "shard-missing",
+            "manifest records a digest but the shard is gone",
+        )
+        for name in digests
+        if not (directory / name).exists()
+    ]
+    return problems
 
 
 # --- Ambient checkpoint root -------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "IO_FAULT_KINDS",
     "IoFaultSpec",
     "active_fault_spec",
-    "active_io_fault",
     "apply_faults",
     "consume_io_fault",
     "corrupt_bytes",
@@ -284,11 +283,6 @@ def set_active_io_fault(spec: IoFaultSpec | None) -> IoFaultSpec | None:
     _IO_MATCHES_SEEN = 0
     _IO_SHOTS_FIRED = 0
     return previous
-
-
-def active_io_fault() -> IoFaultSpec | None:
-    """The armed I/O fault spec, or ``None`` when storage is healthy."""
-    return _ACTIVE_IO_SPEC
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-__all__ = ["DIGEST_ALGORITHM", "digest_bytes", "digest_file", "digests_match"]
+__all__ = ["DIGEST_ALGORITHM", "digest_bytes", "digest_file"]
 
 #: Algorithm prefix carried inside every rendered digest.
 DIGEST_ALGORITHM = "sha256"
@@ -35,7 +35,3 @@ def digest_file(path: str | Path) -> str:
             hasher.update(chunk)
     return f"{DIGEST_ALGORITHM}:{hasher.hexdigest()}"
 
-
-def digests_match(recorded: str, actual: str) -> bool:
-    """Whether two rendered digests agree (algorithm and hex)."""
-    return recorded == actual

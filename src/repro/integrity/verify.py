@@ -4,17 +4,19 @@ Resume-time verification only inspects the checkpoint directory a sweep
 is about to reuse. This module audits an *entire* artifact tree after
 the fact — before archived series feed a plot, or in CI after a smoke
 sweep — and reports every violation it can find without recomputing
-anything:
+anything. It holds no rules of its own; each artifact family is judged
+by the code that owns it:
 
 * **checkpoint directories** (anything holding a ``manifest.json``):
-  the manifest must parse, every shard's bytes must match its recorded
-  digest, every recorded digest must have its shard on disk, shard
-  indices must be in range, and payloads must be structurally sound;
+  :func:`repro.core.checkpoint.audit_checkpoint_dir`, the same shard
+  checks resume applies, read-only — a shard ``repro verify`` flags is
+  exactly one resume would quarantine and recompute;
 * **kind-tagged JSON artifacts** (results and metrics):
   validated against their schemas from :mod:`repro.obs.schema`;
-* **``.npz`` RTT series**: must load, carry the expected arrays, and
-  satisfy the cheap physical invariants (2-D, finite-or-inf,
-  non-negative, snapshot count matching the time grid).
+* **``.npz`` RTT series**: loaded by
+  :func:`repro.persistence.load_rtt_series` (structure) and checked by
+  :func:`repro.integrity.guards.check_rtt_series` (no NaN, no negative
+  RTT).
 
 Quarantine subdirectories are skipped — their contents are *known* bad;
 re-flagging them would turn every healed sweep into a failing audit.
@@ -31,9 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.integrity.digest import digest_file
+from repro.integrity.guards import InvariantViolation, check_rtt_series
 from repro.integrity.quarantine import QUARANTINE_DIRNAME
-from repro.network.graph import ConnectivityMode
 from repro.obs.schema import (
     METRICS_SCHEMA,
     RESULT_SCHEMA,
@@ -100,130 +101,14 @@ class VerifyReport:
 
 
 def verify_checkpoint_dir(directory: str | Path) -> list[Violation]:
-    """Audit one checkpoint directory (a ``manifest.json`` plus shards)."""
-    directory = Path(directory)
-    manifest_path = directory / _MANIFEST_NAME
-    violations: list[Violation] = []
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [Violation(manifest_path, "manifest-unreadable", str(exc))]
-    if not isinstance(manifest, dict):
-        return [
-            Violation(
-                manifest_path,
-                "manifest-malformed",
-                f"expected a JSON object, got {type(manifest).__name__}",
-            )
-        ]
-    times = manifest.get("times_s")
-    num_snapshots = len(times) if isinstance(times, list) else None
-    num_pairs = manifest.get("num_pairs")
-    digests = manifest.get("digests")
-    if not isinstance(digests, dict):
-        if manifest.get("version", 0) >= 2 or digests is not None:
-            violations.append(
-                Violation(
-                    manifest_path,
-                    "manifest-malformed",
-                    "digests entry missing or not an object",
-                )
-            )
-        digests = {}
-    shards = sorted(p for p in directory.glob("snap_*.npz"))
-    for shard in shards:
-        recorded = digests.get(shard.name)
-        if recorded is None:
-            violations.append(
-                Violation(shard, "shard-unrecorded", "no digest in manifest")
-            )
-            continue
-        try:
-            actual = digest_file(shard)
-        except OSError as exc:
-            violations.append(Violation(shard, "shard-unreadable", str(exc)))
-            continue
-        if actual != recorded:
-            violations.append(
-                Violation(
-                    shard,
-                    "digest-mismatch",
-                    f"manifest={recorded}, disk={actual}",
-                )
-            )
-            continue
-        violations.extend(
-            _check_shard_payload(shard, num_pairs, num_snapshots, times)
-        )
-    for name in digests:
-        if not (directory / name).exists():
-            violations.append(
-                Violation(
-                    directory / name,
-                    "shard-missing",
-                    "manifest records a digest but the shard is gone",
-                )
-            )
-    return violations
+    """Audit one checkpoint directory with the checks resume applies."""
+    # Lazy: repro.core imports repro.integrity, which imports this module.
+    from repro.core.checkpoint import audit_checkpoint_dir
 
-
-def _check_shard_payload(
-    shard: Path, num_pairs, num_snapshots, times
-) -> list[Violation]:
-    """Structural checks on one digest-clean shard."""
-    try:
-        index = int(shard.stem.split("_")[1])
-    except (IndexError, ValueError):
-        return [Violation(shard, "shard-misnamed", "cannot parse snapshot index")]
-    if num_snapshots is not None and index >= num_snapshots:
-        return [
-            Violation(
-                shard,
-                "index-out-of-range",
-                f"index {index} in a {num_snapshots}-snapshot sweep",
-            )
-        ]
-    try:
-        with np.load(shard, allow_pickle=False) as data:
-            if "rtt_ms" not in data or "time_s" not in data:
-                return [
-                    Violation(
-                        shard, "shard-malformed", "missing rtt_ms/time_s arrays"
-                    )
-                ]
-            row = np.asarray(data["rtt_ms"])
-            time_s = float(data["time_s"])
-    except (OSError, ValueError, KeyError) as exc:
-        return [Violation(shard, "shard-malformed", str(exc))]
-    violations = []
-    if isinstance(num_pairs, int) and row.shape != (num_pairs,):
-        violations.append(
-            Violation(
-                shard,
-                "shard-malformed",
-                f"rtt_ms shape {row.shape}, expected ({num_pairs},)",
-            )
-        )
-    if (
-        num_snapshots is not None
-        and index < num_snapshots
-        and not np.isclose(time_s, float(times[index]), rtol=0.0, atol=1e-6)
-    ):
-        violations.append(
-            Violation(
-                shard,
-                "index-disagreement",
-                f"shard records t={time_s:g}s, manifest index {index} "
-                f"is t={float(times[index]):g}s",
-            )
-        )
-    if row.dtype.kind == "f" and np.isnan(row).any():
-        violations.append(
-            Violation(shard, "invalid-rtt", "NaN RTT (unreachable must be inf)")
-        )
-    elif row.dtype.kind == "f" and (row < 0).any():
-        violations.append(Violation(shard, "invalid-rtt", "negative RTT"))
-    return violations
+    return [
+        Violation(path, code, detail)
+        for path, code, detail in audit_checkpoint_dir(directory)
+    ]
 
 
 def _verify_json(path: Path) -> list[Violation]:
@@ -247,44 +132,25 @@ def _verify_json(path: Path) -> list[Violation]:
 
 def _verify_series(path: Path) -> list[Violation]:
     """Audit one ``.npz`` RTT-series artifact."""
+    from repro.persistence import load_rtt_series
+
     try:
         with np.load(path, allow_pickle=False) as data:
-            keys = set(data.files)
-            if not _SERIES_KEYS <= keys:
+            if not _SERIES_KEYS <= set(data.files):
                 return []  # some other .npz — out of scope
-            mode = str(data["mode"])
-            times = np.asarray(data["times_s"], dtype=float)
-            rtt = np.asarray(data["rtt_ms"], dtype=float)
-    except (OSError, ValueError, KeyError) as exc:
+    except Exception as exc:  # not an npz archive, or a damaged directory
         return [Violation(path, "series-unreadable", str(exc))]
-    violations = []
     try:
-        ConnectivityMode(mode)
-    except ValueError:
-        violations.append(
-            Violation(path, "series-malformed", f"unknown mode {mode!r}")
-        )
-    if rtt.ndim != 2:
-        violations.append(
-            Violation(
-                path, "series-malformed", f"rtt_ms must be 2-D, got {rtt.shape}"
-            )
-        )
-    elif rtt.shape[1] != len(times):
-        violations.append(
-            Violation(
-                path,
-                "series-malformed",
-                f"{rtt.shape[1]} snapshot columns vs {len(times)} times",
-            )
-        )
-    if np.isnan(rtt).any():
-        violations.append(
-            Violation(path, "invalid-rtt", "NaN RTT (unreachable must be inf)")
-        )
-    elif (rtt < 0).any():
-        violations.append(Violation(path, "invalid-rtt", "negative RTT"))
-    return violations
+        series = load_rtt_series(path)
+    except ValueError as exc:
+        return [Violation(path, "series-malformed", str(exc))]
+    except Exception as exc:  # a damaged member: zipfile, zlib, OS errors
+        return [Violation(path, "series-unreadable", str(exc))]
+    try:
+        check_rtt_series(series, source=path.name)
+    except InvariantViolation as exc:
+        return [Violation(path, "invalid-rtt", str(exc))]
+    return []
 
 
 def verify_tree(root: str | Path) -> VerifyReport:

@@ -1,10 +1,12 @@
 """Tests for the integrity subsystem: digests, validators, guards, audit."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import RttCheckpoint
 from repro.core.pipeline import RttSeries
 from repro.flows.traffic import CityPair
 from repro.integrity import (
@@ -369,11 +371,187 @@ class TestVerifyTree:
         report = verify_tree(tmp_path)
         assert [v.code for v in report.violations] == ["invalid-rtt"]
 
+    def test_negative_series_flagged(self, tmp_path):
+        from repro.persistence import save_rtt_series
+
+        save_rtt_series(_series([[-1.0, 1.0]]), tmp_path / "s.npz")
+        report = verify_tree(tmp_path)
+        assert [v.code for v in report.violations] == ["invalid-rtt"]
+
+    def test_unknown_mode_series_flagged(self, tmp_path):
+        np.savez(
+            tmp_path / "s.npz",
+            mode=np.array("warp"),
+            times_s=np.zeros(2),
+            rtt_ms=np.ones((1, 2)),
+        )
+        report = verify_tree(tmp_path)
+        assert [v.code for v in report.violations] == ["series-malformed"]
+        assert "unknown mode 'warp'" in report.violations[0].detail
+
+    def test_damaged_series_reported_not_raised(self, tmp_path):
+        from repro.persistence import save_rtt_series
+
+        path = tmp_path / "s.npz"
+        save_rtt_series(_series(np.ones((50, 3))), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01  # in rtt_ms's member header: BadZipFile on read
+        path.write_bytes(bytes(raw))
+        report = verify_tree(tmp_path)
+        assert [v.code for v in report.violations] == ["series-unreadable"]
+
     def test_quarantine_contents_not_reflagged(self, tmp_path):
         qdir = tmp_path / "quarantine"
         qdir.mkdir()
         (qdir / "snap_00000.npz").write_bytes(b"known bad")
         assert verify_tree(tmp_path).ok
+
+
+_TIMES = np.array([0.0, 900.0, 1800.0])
+
+
+def _checkpoint(tmp_path) -> RttCheckpoint:
+    """A three-snapshot, three-entry checkpoint with every shard committed."""
+    ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, _TIMES, 3)
+    for index in range(3):
+        ck.store_snapshot(index, np.array([10.0 + index, np.inf, 12.0]))
+    return ck
+
+
+def _commit(ck, index, rtt_ms, time_s=None):
+    """Write shard ``index`` from raw arrays and record its digest."""
+    buffer = io.BytesIO()
+    time_s = np.float64(_TIMES[1]) if time_s is None else time_s
+    np.savez_compressed(buffer, rtt_ms=rtt_ms, time_s=time_s)
+    path = ck.directory / f"snap_{index:05d}.npz"
+    path.write_bytes(buffer.getvalue())
+    _set_digest(ck, path.name, digest_file(path))
+
+
+def _set_digest(ck, name, digest):
+    manifest_path = ck.directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if digest is None:
+        del manifest["digests"][name]
+    else:
+        manifest["digests"][name] = digest
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:20])
+
+
+def _flip_bit(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+#: (id, corruption applied to a committed checkpoint, code verify reports)
+_SHARD_CORRUPTIONS = [
+    (
+        "truncated",
+        lambda ck: _truncate(ck.shard_path(1)),
+        "digest-mismatch",
+    ),
+    ("bit-flipped", lambda ck: _flip_bit(ck.shard_path(1)), "digest-mismatch"),
+    (
+        "int64-row",
+        lambda ck: _commit(ck, 1, np.array([1, 2, 3], dtype=np.int64)),
+        "shard-malformed",
+    ),
+    (
+        "nan-row",
+        lambda ck: _commit(ck, 1, np.array([1.0, np.nan, 3.0])),
+        "invalid-rtt",
+    ),
+    ("wrong-shape", lambda ck: _commit(ck, 1, np.ones(4)), "shard-malformed"),
+    (
+        "time-disagreement",
+        lambda ck: _commit(ck, 1, np.ones(3), np.float64(_TIMES[2])),
+        "index-disagreement",
+    ),
+    (
+        "unrecorded",
+        lambda ck: _set_digest(ck, "snap_00001.npz", None),
+        "shard-unrecorded",
+    ),
+    ("out-of-range", lambda ck: _commit(ck, 9, np.ones(3)), "index-out-of-range"),
+    (
+        "one-dimensional-time",
+        lambda ck: _commit(ck, 1, np.ones(3), np.array([_TIMES[1]])),
+        "shard-malformed",
+    ),
+    # Generic snapshot rows may be signed; negativity is an RTT-series rule.
+    (
+        "signed-row",
+        lambda ck: ck.store_snapshot(1, np.array([-1.0, 0.0, 2.5])),
+        None,
+    ),
+]
+
+
+class TestCheckpointAudit:
+    """``repro verify`` and resume judge checkpoint shards identically."""
+
+    @pytest.mark.parametrize(
+        "corrupt, code",
+        [pytest.param(fn, code, id=name) for name, fn, code in _SHARD_CORRUPTIONS],
+    )
+    def test_resume_keeps_exactly_the_shards_verify_passes(
+        self, tmp_path, corrupt, code
+    ):
+        ck = _checkpoint(tmp_path)
+        corrupt(ck)
+        flagged = {v.path.name: v.code for v in verify_tree(tmp_path).violations}
+        assert sorted(flagged.values()) == ([] if code is None else [code])
+        shards = sorted(p.name for p in ck.directory.glob("snap_*.npz"))
+        completed = ck.completed_indices()
+        for name in shards:
+            index = int(name[len("snap_") : -len(".npz")])
+            assert (index in completed) == (name not in flagged), name
+        # What the audit flagged, resume quarantined: the tree passes now.
+        assert verify_tree(tmp_path).ok
+
+    def test_audit_is_read_only(self, tmp_path):
+        ck = _checkpoint(tmp_path)
+        _flip_bit(ck.shard_path(0))
+        _set_digest(ck, "snap_00002.npz", None)
+        before = {p: p.read_bytes() for p in ck.directory.iterdir()}
+        assert len(verify_tree(tmp_path).violations) == 2
+        assert {p: p.read_bytes() for p in ck.directory.iterdir()} == before
+
+    def test_missing_shard_flagged(self, tmp_path):
+        ck = _checkpoint(tmp_path)
+        ck.shard_path(2).unlink()
+        (violation,) = verify_tree(tmp_path).violations
+        assert (violation.path.name, violation.code) == (
+            "snap_00002.npz",
+            "shard-missing",
+        )
+
+    def test_unreadable_manifest_flagged(self, tmp_path):
+        ck = _checkpoint(tmp_path)
+        (ck.directory / "manifest.json").write_text("{not json")
+        codes = [v.code for v in verify_tree(tmp_path).violations]
+        assert codes == ["manifest-unreadable"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mode", "warp"), ("times_s", [[0.0]]), ("num_pairs", None), ("digests", [])],
+        ids=["mode", "times_s", "num_pairs", "digests"],
+    )
+    def test_manifest_that_cannot_describe_a_sweep_flagged(
+        self, tmp_path, field, value
+    ):
+        ck = _checkpoint(tmp_path)
+        manifest_path = ck.directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        codes = [v.code for v in verify_tree(tmp_path).violations]
+        assert codes == ["manifest-malformed"]
 
 
 class TestPersistenceValidation:

@@ -15,6 +15,10 @@ prints a Markdown table, and exits 1 when
 * a change median is worse than the parent median by more than the
   metric's bound, taken relative to the parent median.
 
+It exits 2, with a one-line message, on a usage error: a result file
+that is missing, holds a line that is not a result object, or holds
+fewer than two runs.
+
 A metric whose parent runs spread wider than its bound (quartile
 distance over median) cannot be resolved by these runs. It is printed
 as ``unresolved`` and does not fail the gate. The parent and change runs
@@ -30,8 +34,26 @@ from pathlib import Path
 
 
 def read_runs(path) -> list[dict]:
-    """The result objects in ``path``, one per non-empty line."""
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    """The result objects in ``path``, one per non-empty line.
+
+    Raises ``ValueError`` naming the file and line of a line that is not
+    a JSON object (say, a run that died before printing its result), and
+    when the file holds fewer than two runs: quartiles need two.
+    """
+    runs = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            run = json.loads(line)
+        except json.JSONDecodeError:
+            run = None
+        if not isinstance(run, dict):
+            raise ValueError(f"{path}:{number}: not a perfbench result object: {line[:60]!r}")
+        runs.append(run)
+    if len(runs) < 2:
+        raise ValueError(f"{path}: {len(runs)} run(s); the gate needs at least 2 per side")
+    return runs
 
 
 def _values(runs: list[dict], name: str) -> list[float]:
@@ -105,7 +127,12 @@ def main(argv=None) -> int:
         return 2
     benchmark_path, parent_path, change_path = args
     benchmark = json.loads(Path(benchmark_path).read_text())
-    passed, table = judge(benchmark, read_runs(parent_path), read_runs(change_path))
+    try:
+        parent, change = read_runs(parent_path), read_runs(change_path)
+    except (OSError, ValueError) as exc:
+        print(f"perf_gate: {exc}", file=sys.stderr)
+        return 2
+    passed, table = judge(benchmark, parent, change)
     print(table)
     return 0 if passed else 1
 

@@ -16,8 +16,9 @@ workloads make:
   distances, and lazily the ISL lengths. Frames live in an LRU cache.
   Candidate rows are ordered by satellite ascending; within one
   satellite, its static GTs (cities, then relays) come first, then
-  its aircraft, each ascending by GT index. The frame places every
-  KD-tree hit straight into that row without a sort, and computes
+  its aircraft, each ascending by GT index. The frame finds the hits
+  with one dual-tree query per (shell, GT block), encodes each as the
+  key ``sat * num_gts + gt`` and sorts the keys once, and computes
   slant ranges with the same left-to-right sum as ``np.linalg.norm``.
 * **per-mode assembly** (:func:`assemble_graph`) — the cheap final
   step: BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
@@ -52,8 +53,8 @@ Observability: the engine bumps ``engine.static_hits/misses``,
 ``engine.assemblies`` counters, plus ``engine.cand_edges`` (candidate
 rows built, per frame miss: the frame layer's work, by which its time
 can be normalized). It nests its work under the ``graph_build`` span
-(children: ``frame_build`` with ``kdtree_query`` — the KD-tree query
-and the row placement — on a frame miss, ``edge_assembly`` always),
+(children: ``frame_build`` with ``kdtree_query`` — the dual-tree
+queries and the key sort — on a frame miss, ``edge_assembly`` always),
 so profiles of the old and new paths line up. A contraction runs
 under a ``transit_contraction`` span and bumps
 ``engine.contraction_misses``; a graph that reuses its frame's bounce
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,44 +270,26 @@ def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
         for tree, gt_offset in ((static.static_tree, 0), (air_tree, static_count))
         if tree is not None
     ]
+    num_gts = len(gt_ecef)
     with span("kdtree_query"):
-        # Per GT block: hits per satellite, and the hit lists shell by shell.
-        counts = np.zeros((len(blocks), num_sats), dtype=np.int64)
-        block_lists: list[list] = [[] for _ in blocks]
+        # One dual-tree query per (shell, GT block). A hit's key is
+        # sat * num_gts + gt, so one sort puts the rows in (satellite, GT)
+        # order; aircraft follow static GTs because their ids are larger.
+        # The empty first entry stands for a ground with no GT at all.
+        keys = [np.empty(0, dtype=np.int64)]
         for offset, count, chord in static.shell_params:
             shell_sats = sat_ecef[offset : offset + count]
-            sat_units = shell_sats / np.linalg.norm(shell_sats, axis=1, keepdims=True)
-            for (tree, _), counts_row, lists_row in zip(blocks, counts, block_lists):
-                lists = tree.query_ball_point(sat_units, r=chord, return_sorted=True)
-                counts_row[offset : offset + count] = np.fromiter(
-                    map(len, lists), dtype=np.int64, count=count
-                )
-                lists_row.append(lists)
-
-        # Rows are (satellite, GT) ascending with no sort: every hit list
-        # is ascending and every aircraft id exceeds every static id, so
-        # a hit's row is its satellite's first row, plus the hits earlier
-        # blocks placed there, plus its rank within the satellite's list.
-        row_counts = counts.sum(axis=0)
-        row_start = np.cumsum(row_counts) - row_counts
-        gts = np.empty(int(row_counts.sum()), dtype=np.int64)
-        placed = np.zeros(num_sats, dtype=np.int64)
-        for (_, gt_offset), counts_row, lists_row in zip(blocks, counts, block_lists):
-            total = int(counts_row.sum())
-            flat = np.fromiter(
-                chain.from_iterable(chain.from_iterable(lists_row)),
-                dtype=np.int64,
-                count=total,
+            sat_tree = cKDTree(
+                shell_sats / np.linalg.norm(shell_sats, axis=1, keepdims=True)
             )
-            flat += gt_offset
-            rank_start = np.cumsum(counts_row) - counts_row
-            slots = np.repeat(row_start + placed - rank_start, counts_row)
-            slots += np.arange(total)
-            gts[slots] = flat
-            placed += counts_row
+            for tree, gt_offset in blocks:
+                hits = sat_tree.sparse_distance_matrix(tree, chord, output_type="ndarray")
+                keys.append((hits["i"] + offset) * num_gts + (hits["j"] + gt_offset))
+        sats, gts = np.divmod(np.sort(np.concatenate(keys)), num_gts)
+        row_counts = np.bincount(sats, minlength=num_sats)
 
     cand_edges = np.empty((len(gts), 2), dtype=np.int64)
-    cand_edges[:, 0] = np.repeat(np.arange(num_sats, dtype=np.int64), row_counts)
+    cand_edges[:, 0] = sats
     cand_edges[:, 1] = gts + num_sats
     # Slant ranges as sqrt(dx*dx + dy*dy + dz*dz) on ECEF columns: the
     # same left-to-right sum as ``np.linalg.norm`` over gathered rows

@@ -27,10 +27,14 @@ from repro.constants import EARTH_RADIUS
 from repro.core.engine import (
     DEFAULT_FRAME_CACHE_SIZE,
     SnapshotEngine,
+    StaticContext,
 )
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec, apply_faults, fault_injection
+from repro.ground.aircraft import default_schedule
+from repro.ground.cities import City
+from repro.ground.stations import GroundSegment
 from repro.network.graph import (
     ConnectivityMode,
     GsoProtectionPolicy,
@@ -68,8 +72,57 @@ def base_scenario() -> Scenario:
 #: no GT, and the rest see static GTs only, aircraft only, or both.
 SPARSE_SCALE = replace(ENGINE_SCALE, name="engine-sparse", num_cities=2, num_pairs=1)
 
-#: Scenarios that reach every branch of the frame's row placement: one
-#: shell or two, an aircraft block or none, satellites with no hits.
+
+def with_ground(cities=(), schedule=None) -> Scenario:
+    """The engine-tiny scenario on a hand-built relay-free ground."""
+    scenario = fresh_scenario()
+    ground = GroundSegment(
+        cities=tuple(cities),
+        relay_lats=np.empty(0),
+        relay_lons=np.empty(0),
+        schedule=schedule,
+        use_relays=False,
+        use_aircraft=schedule is not None,
+    )
+    object.__setattr__(scenario, "ground", ground)
+    return scenario
+
+
+def cone_edge_cities(constellation) -> list[City]:
+    """Cities at exactly the coverage chord of every 40th t = 0 satellite.
+
+    Three bearings per satellite; the lat/lon round trip leaves each city
+    a few ulps inside or outside the cone.
+    """
+    static = StaticContext.build(constellation, with_ground().ground)
+    ((offset, count, chord),) = static.shell_params
+    sat_ecef = constellation.positions_ecef(0.0)[offset : offset + count]
+    units = sat_ecef / np.linalg.norm(sat_ecef, axis=1, keepdims=True)
+    psi = 2.0 * np.arcsin(chord / 2.0)
+    rng = np.random.default_rng(5)
+    cities = []
+    for sat in units[::40]:
+        for _ in range(3):
+            tangent = np.cross(sat, rng.normal(size=3))
+            tangent /= np.linalg.norm(tangent)
+            x, y, z = np.cos(psi) * sat + np.sin(psi) * tangent
+            cities.append(
+                City(
+                    name=f"edge-{len(cities)}",
+                    country="XX",
+                    lat_deg=float(np.degrees(np.arcsin(z))),
+                    lon_deg=float(np.degrees(np.arctan2(y, x))),
+                    population_k=1.0,
+                )
+            )
+    return cities
+
+
+#: Scenarios at the edges of the frame's candidate query: one shell or
+#: two, an aircraft block or none, satellites with no hits, no static
+#: tree ("aircraft_only"), no GT at all ("empty": no KD-tree block and
+#: ``num_gts == 0``), and cities on the coverage-cone boundary of t = 0
+#: satellites ("cone_edge").
 FRAME_SCENARIOS = {
     "starlink": fresh_scenario,
     "two_shell": lambda: Scenario.paper_default("starlink+polar", ENGINE_SCALE),
@@ -79,6 +132,9 @@ FRAME_SCENARIOS = {
         use_relays=False,
         aircraft_density_scale=0.05,
     ),
+    "empty": lambda: with_ground(),
+    "aircraft_only": lambda: with_ground(schedule=default_schedule(0.05)),
+    "cone_edge": lambda: with_ground(cone_edge_cities(fresh_scenario().constellation)),
 }
 
 
@@ -163,7 +219,9 @@ class TestNumericalEquivalence:
             want = legacy_graph(scenario, float(time_s), mode)
             assert_graphs_identical(got, want)
 
-    @pytest.mark.parametrize("name", ["two_shell", "no_aircraft"])
+    @pytest.mark.parametrize(
+        "name", ["two_shell", "no_aircraft", "empty", "aircraft_only", "cone_edge"]
+    )
     @pytest.mark.parametrize(
         "mode",
         [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID],
@@ -201,7 +259,9 @@ def sorted_candidates(static, frame):
         geodetic_to_ecef(stations.lats[first_air:], stations.lons[first_air:], 0.0)
         / EARTH_RADIUS
     )
-    trees = [(static.static_tree, 0)]
+    trees = []
+    if static.static_tree is not None:
+        trees.append((static.static_tree, 0))
     if len(air_units):
         trees.append((cKDTree(air_units), first_air))
     sats: list[int] = []
@@ -235,6 +295,21 @@ class TestFrameRowOrder:
             assert frame.cand_edges.dtype == edges.dtype
             assert np.array_equal(frame.cand_edges, edges)
             assert np.array_equal(frame.cand_dist_m, dists)
+
+    def test_edge_grounds_have_the_shapes_they_name(self):
+        empty = FRAME_SCENARIOS["empty"]().engine.frame_at(0.0)
+        assert empty.gt_ecef.shape == (0, 3) and empty.cand_edges.shape == (0, 2)
+        scenario = FRAME_SCENARIOS["aircraft_only"]()
+        assert scenario.engine.static.static_tree is None
+        assert len(scenario.engine.frame_at(0.0).cand_edges) > 0
+        # The cone-edge cities straddle the chord: some are candidates of
+        # the satellite they were placed around, and some fall just outside.
+        scenario = FRAME_SCENARIOS["cone_edge"]()
+        frame = scenario.engine.frame_at(0.0)
+        owners = (40 * (np.arange(len(scenario.ground.cities)) // 3)).tolist()
+        seen = set(map(tuple, frame.cand_edges.tolist()))
+        kept = [(sat, gt + frame.num_sats) in seen for gt, sat in enumerate(owners)]
+        assert any(kept) and not all(kept)
 
     def test_sparse_ground_reaches_every_placement_case(self):
         scenario = FRAME_SCENARIOS["sparse"]()

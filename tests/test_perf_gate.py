@@ -115,3 +115,24 @@ class TestInputs:
         slow = _scaled(parent, "snapshots_per_s", 0.5)
         change_path.write_text("".join(json.dumps(run) + "\n" for run in slow))
         assert gate.main(args) == 1
+
+    @pytest.mark.parametrize(
+        "change_text, message",
+        [
+            ("{}\n", "1 run(s); the gate needs at least 2 per side"),
+            ("{}\n{}\n[run died]\n", ":3: not a perfbench result object"),
+            ('{}\n{"correct": tr\n', ":2: not a perfbench result object"),
+        ],
+        ids=["one_run", "non_json_line", "truncated_object"],
+    )
+    def test_bad_result_file_is_a_usage_error(
+        self, gate, tmp_path, capsys, change_text, message
+    ):
+        parent_path, change_path = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+        parent_path.write_text("".join(json.dumps(run) + "\n" for run in _runs()))
+        change_path.write_text(change_text)
+        args = [str(ROOT / "BENCHMARK.json"), str(parent_path), str(change_path)]
+        assert gate.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{change_path}" in err and message in err

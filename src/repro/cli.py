@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help=(
             "seeded component-outage spec, e.g. 'sat:0.05' or "
-            "'sat:0.05,relay:0.1,seed:7'; repeatable (specs merge)"
+            "'sat:0.05,relay:0.1,seed:7'; repeatable, and a later entry "
+            "for the same component overrides an earlier one"
         ),
     )
     run.add_argument(

@@ -1,0 +1,110 @@
+"""The run context: every run-wide setting in one immutable value.
+
+Experiments build their scenarios and sweeps internally, so ``repro run``
+cannot hand each one its run-wide settings (``--profile``, ``--strict``,
+``--inject-fault``, ``--resume DIR``, ``--fresh``). Instead the runner
+installs one :class:`RunContext` for the batch and the layers that care
+read it with :func:`current`:
+
+* ``registry`` — the :class:`repro.obs.MetricsRegistry` collecting spans
+  and counters, or ``None`` when collection is off (see
+  :func:`repro.obs.observe`);
+* ``strict`` — whether result invariant guards run
+  (:mod:`repro.integrity.guards`);
+* ``faults`` — the ambient :class:`repro.faults.FaultSpec`, applied to
+  every scenario that carries no ``faults`` of its own;
+* ``io_fault`` — the armed storage fault and its counts
+  (:func:`repro.faults.consume_io_fault`);
+* ``checkpoint_root`` and ``fresh`` — where RTT sweeps checkpoint, and
+  whether a mismatched checkpoint directory is restarted instead of
+  raising (:func:`repro.core.checkpoint.checkpoint_root`).
+
+:func:`run_context` changes fields for the duration of a block and
+restores the previous context on exit. The pool initializer in
+:mod:`repro.core.parallel` ships the whole context to every worker and
+installs it there with :func:`install`, so fork- and spawn-started
+workers compute under the same settings as the parent.
+
+The context is one module global, not a ``contextvars.ContextVar``: a
+thread started after ``ContextVar.set`` reads the default, and threads
+recording into the registry of an enclosing :func:`repro.obs.observe`
+must see it. This module imports nothing from the package, so every
+layer can depend on it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from repro.faults import FaultSpec, IoFaultSpec
+    from repro.obs.spans import MetricsRegistry
+
+__all__ = ["ArmedIoFault", "RunContext", "current", "install", "run_context"]
+
+
+@dataclass
+class ArmedIoFault:
+    """An armed :class:`repro.faults.IoFaultSpec` and its counts so far.
+
+    Mutable on purpose: the write layer counts matching writes and fired
+    shots here. Arming a spec through :func:`run_context` starts a fresh
+    instance, so each armed spec counts matching writes from zero.
+    """
+
+    spec: "IoFaultSpec"
+    matches_seen: int = 0
+    shots_fired: int = 0
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """The run-wide settings in force (see the module docstring)."""
+
+    registry: "MetricsRegistry | None" = None
+    strict: bool = False
+    faults: "FaultSpec | None" = None
+    io_fault: ArmedIoFault | None = None
+    checkpoint_root: Path | None = None
+    fresh: bool = False
+
+
+_CURRENT = RunContext()
+
+
+def current() -> RunContext:
+    """The run context in force."""
+    return _CURRENT
+
+
+def install(context: RunContext) -> RunContext:
+    """Make ``context`` current; returns the previous one.
+
+    Prefer :func:`run_context`. This exists for worker-process
+    initializers, which cannot hold a ``with`` block open across tasks.
+    """
+    global _CURRENT
+    previous = _CURRENT
+    _CURRENT = context
+    return previous
+
+
+@contextmanager
+def run_context(**changes) -> Iterator[RunContext]:
+    """Change fields of the current context inside the block.
+
+    ``io_fault`` takes an :class:`repro.faults.IoFaultSpec` (or ``None``)
+    and arms it with zero counts. The previous context, counts included,
+    is restored on exit, also when the block raises.
+    """
+    if changes.get("io_fault") is not None:
+        changes["io_fault"] = ArmedIoFault(changes["io_fault"])
+    previous = install(dataclasses.replace(_CURRENT, **changes))
+    try:
+        yield _CURRENT
+    finally:
+        install(previous)

@@ -26,7 +26,8 @@ same checks read-only for ``repro verify``.
 Every sweep runs through :func:`repro.core.parallel.map_snapshot_rows`,
 which accepts checkpoints per mode, verifies each once, and evaluates
 only the snapshots they lack. The *checkpoint root*
-context (:func:`checkpoint_root`) lets an orchestrator — ``repro run
+(:func:`checkpoint_root`, the ``checkpoint_root`` and ``fresh`` fields of
+the run context in :mod:`repro.context`) lets an orchestrator — ``repro run
 --resume DIR`` — turn checkpointing on for every sweep executed inside
 it without threading a parameter through each experiment: checkpoint
 directories are derived from a scenario fingerprint, so distinct
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.context import current, run_context
 from repro.integrity.digest import digest_bytes, digest_file
 from repro.integrity.quarantine import note, quarantine_file
 from repro.network.graph import ConnectivityMode
@@ -65,13 +67,11 @@ __all__ = [
     "MANIFEST_VERSION",
     "RttCheckpoint",
     "active_checkpoint_for",
-    "active_checkpoint_root",
     "atomic_write_bytes",
     "audit_checkpoint_dir",
     "checkpoint_for",
     "checkpoint_root",
     "scenario_fingerprint",
-    "set_checkpoint_root",
 ]
 
 _MANIFEST_NAME = "manifest.json"
@@ -161,9 +161,11 @@ def scenario_fingerprint(
     """Stable short hash identifying (scenario configuration, mode, label).
 
     Built from the scenario's frozen-dataclass repr (constellation,
-    scale, traffic seed, ablation knobs...) plus the connectivity mode
-    and any ambient fault-injection spec, so checkpoints from different
-    configurations land in different directories under one root.
+    scale, traffic seed, ablation knobs, its own ``faults``...) plus the
+    connectivity mode and, for a scenario without ``faults`` of its own,
+    the run context's fault spec — the spec that scenario actually runs
+    under — so checkpoints from different configurations land in
+    different directories under one root.
 
     ``label`` distinguishes different *sweeps* over the same scenario —
     the RTT series (the historical default, empty label) versus e.g. a
@@ -171,9 +173,7 @@ def scenario_fingerprint(
     different. A non-empty label folds into the hash, so two sweeps can
     never resume from each other's shards.
     """
-    from repro.faults import active_fault_spec
-
-    spec = active_fault_spec()
+    spec = current().faults if scenario.faults is None else None
     key = f"{scenario!r}|{mode.value}|{'' if spec is None else spec.describe()}"
     if label:
         key += f"|{label}"
@@ -527,42 +527,20 @@ def audit_checkpoint_dir(directory: str | Path) -> list[tuple[Path, str, str]]:
 #
 # ``repro run --resume DIR`` wants every RTT sweep in the batch to
 # checkpoint under DIR without rewriting each experiment to accept a
-# checkpoint argument. A module-level root (set via context manager)
-# plus per-scenario fingerprinted subdirectories gives exactly that.
-
-_ACTIVE_ROOT: Path | None = None
-_ACTIVE_FRESH: bool = False
-
-
-def set_checkpoint_root(
-    root: str | Path | None, fresh: bool = False
-) -> Path | None:
-    """Set the ambient checkpoint root; returns the previous root.
-
-    ``fresh`` makes sweeps inside quarantine-and-restart mismatched
-    checkpoint directories instead of raising (``repro run --fresh``).
-    """
-    global _ACTIVE_ROOT, _ACTIVE_FRESH
-    previous = _ACTIVE_ROOT
-    _ACTIVE_ROOT = None if root is None else Path(root)
-    _ACTIVE_FRESH = bool(fresh) and root is not None
-    return previous
-
-
-def active_checkpoint_root() -> Path | None:
-    """The ambient checkpoint root, or ``None`` when checkpointing is off."""
-    return _ACTIVE_ROOT
+# checkpoint argument. A run-context root plus per-scenario
+# fingerprinted subdirectories gives exactly that.
 
 
 @contextmanager
 def checkpoint_root(root: str | Path | None, fresh: bool = False):
-    """Context manager: all RTT sweeps inside checkpoint under ``root``."""
-    previous_root, previous_fresh = _ACTIVE_ROOT, _ACTIVE_FRESH
-    set_checkpoint_root(root, fresh=fresh)
-    try:
-        yield None if root is None else Path(root)
-    finally:
-        set_checkpoint_root(previous_root, fresh=previous_fresh)
+    """Context manager: all RTT sweeps inside checkpoint under ``root``.
+
+    ``fresh`` makes sweeps inside quarantine-and-restart mismatched
+    checkpoint directories instead of raising (``repro run --fresh``).
+    """
+    root = None if root is None else Path(root)
+    with run_context(checkpoint_root=root, fresh=bool(fresh) and root is not None):
+        yield root
 
 
 #: Characters allowed verbatim in a checkpoint directory name's label part.
@@ -613,14 +591,15 @@ def active_checkpoint_for(
     times_s: np.ndarray | None = None,
     row_len: int | None = None,
 ) -> RttCheckpoint | None:
-    """Checkpoint under the ambient root, or ``None`` when none is set."""
-    if _ACTIVE_ROOT is None:
+    """Checkpoint under the run context's root, or ``None`` when none is set."""
+    context = current()
+    if context.checkpoint_root is None:
         return None
     return checkpoint_for(
-        _ACTIVE_ROOT,
+        context.checkpoint_root,
         scenario,
         mode,
-        fresh=_ACTIVE_FRESH,
+        fresh=context.fresh,
         label=label,
         times_s=times_s,
         row_len=row_len,

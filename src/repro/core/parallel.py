@@ -39,14 +39,15 @@ by the checkpoint ``label`` (see :func:`repro.core.checkpoint.checkpoint_for`).
 
 The scenario and evaluator are shipped to workers once (pool
 initializer), not once per snapshot; on fork-based platforms (Linux)
-even that copy is copy-on-write. The parent's ambient fault spec and
-strict flag travel with them, so spawn-started workers compute exactly
-what forked ones do.
+even that copy is copy-on-write. The parent's whole run context
+(:mod:`repro.context`) travels with them, so spawn-started workers
+compute exactly what forked ones do.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -59,10 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.context import RunContext, current, install
 from repro.core.checkpoint import RttCheckpoint, active_checkpoint_for
 from repro.core.scenario import Scenario
-from repro.faults import active_fault_spec, set_active_fault_spec
-from repro.integrity.guards import set_strict, strict_enabled
 from repro.integrity.quarantine import note
 from repro.network.graph import ConnectivityMode
 
@@ -302,13 +302,13 @@ def _init_worker(
     evaluator: SnapshotEvaluator,
     times: np.ndarray,
     fault_hook: Callable[[int, float], None] | None,
-    ambient: tuple,
+    context: RunContext,
+    collect_metrics: bool,
 ) -> None:
     global _WORKER
-    collect_metrics, fault_spec, strict = ambient
-    # Installed explicitly: a spawn-started worker inherits no globals.
-    set_active_fault_spec(fault_spec)
-    set_strict(strict)
+    # Installed explicitly: a spawn-started worker inherits no globals,
+    # and a fork-started one must not keep the parent's registry.
+    install(context)
     _WORKER = (scenario, evaluator, times, fault_hook, collect_metrics)
 
 
@@ -355,16 +355,22 @@ def _map_on_pool(
     # Materialize lazy state before forking so workers don't redo it.
     scenario.ground
     scenario.pairs
-    context = _pool_context()
-    # Parent state workers mirror: (collect metrics, fault spec, strict).
-    ambient = (obs.active_registry() is not None, active_fault_spec(), strict_enabled())
+    mp_context = _pool_context()
+    # Workers run under the parent's context minus its registry, which
+    # holds a lock and cannot be pickled; each task collects into its
+    # own registry instead when the parent is collecting.
+    parent = current()
+    worker_context = dataclasses.replace(parent, registry=None)
+    collect_metrics = parent.registry is not None
 
     def make_executor() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=min(processes, len(pending)),
-            mp_context=context,
+            mp_context=mp_context,
             initializer=_init_worker,
-            initargs=(scenario, evaluator, times, fault_hook, ambient),
+            initargs=(
+                scenario, evaluator, times, fault_hook, worker_context, collect_metrics
+            ),
         )
 
     attempts = dict.fromkeys(pending, 0)

@@ -14,11 +14,12 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.context import current
 from repro.core.checkpoint import RttCheckpoint
 from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.core.scenario import Scenario
 from repro.flows.traffic import CityPair, pair_index
-from repro.integrity.guards import check_graph, check_rtt_series, strict_enabled
+from repro.integrity.guards import check_graph, check_rtt_series
 from repro.network.graph import ConnectivityMode, SnapshotGraph
 from repro.network.paths import Path, extract_path, shortest_path, shortest_paths_from
 from repro.obs import span
@@ -95,7 +96,7 @@ def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
     the strict guard runs the same way in either.
     """
     graph = scenario.graph_at(float(time_s), mode)
-    if strict_enabled():
+    if current().strict:
         check_graph(graph, source=f"graph[t={float(time_s):g}s]")
     return _pair_rtts_on_graph(graph, scenario.pairs)
 
@@ -142,7 +143,7 @@ def compute_rtt_series_multi(
         mode: RttSeries(mode=mode, times_s=scenario.times_s, rtt_ms=rows[mode])
         for mode in modes
     }
-    if strict_enabled():
+    if current().strict:
         for mode in modes:
             check_rtt_series(series[mode], scenario.pairs, source=f"rtt[{mode.value}]")
     return series

@@ -8,15 +8,16 @@ records, and renders an end-of-run summary; the batch exits non-zero
 when anything failed, but (by default) only after everything else has
 had its turn. ``keep_going=False`` restores abort-on-first-failure.
 
-Two ambient contexts wrap the whole batch:
+One run context (:mod:`repro.context`) wraps the whole batch:
 
-* ``resume_dir`` activates the checkpoint root
+* ``resume_dir`` sets its checkpoint root
   (:mod:`repro.core.checkpoint`), so every RTT sweep inside the batch
   checkpoints per-snapshot results and resumes from whatever a previous
   interrupted run left on disk;
-* ``fault_spec`` activates fault injection (:mod:`repro.faults`), so
-  every scenario in the batch degrades under the same seeded component
-  outages — turning any experiment into an outage-robustness probe.
+* ``fault_spec`` sets its fault spec (:mod:`repro.faults`), so every
+  scenario in the batch degrades under the same seeded component
+  outages — turning any experiment into an outage-robustness probe;
+* ``strict`` turns on its result invariant guards.
 
 ``profile=True`` additionally runs every experiment under an
 observability registry (:mod:`repro.obs`): per-experiment wall/CPU time
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -186,8 +186,8 @@ def run_experiments(
     writes its rendered table (``<id>.txt``) and machine-readable JSON
     (``<id>.json``). ``keep_going`` (default) isolates failures;
     ``False`` stops the batch at the first one. ``resume_dir`` and
-    ``fault_spec`` activate the ambient checkpoint/fault contexts for
-    the whole batch. ``profile`` collects per-experiment spans/counters
+    ``fault_spec`` set the run context's checkpoint root and fault spec
+    for the whole batch. ``profile`` collects per-experiment spans/counters
     (see module docstring), echoes the profile tables, and — with
     ``out_dir`` — writes ``metrics.json``. ``strict`` turns on result
     invariant guards (:mod:`repro.integrity.guards`) for the batch;
@@ -197,9 +197,8 @@ def run_experiments(
     is unknown.
     """
     from repro import obs
-    from repro.core.checkpoint import atomic_write_bytes, checkpoint_root
-    from repro.faults import fault_injection
-    from repro.integrity.guards import strict_checks
+    from repro.context import run_context
+    from repro.core.checkpoint import atomic_write_bytes
     from repro.integrity.quarantine import integrity_counters
     from repro.persistence import save_experiment_result
 
@@ -220,13 +219,16 @@ def run_experiments(
     summary = RunSummary()
     batch_started = time.perf_counter()
     integrity_before = integrity_counters()
-    with ExitStack() as stack:
-        if resume_dir is not None:
-            stack.enter_context(checkpoint_root(resume_dir, fresh=fresh))
-        if fault_spec is not None:
-            stack.enter_context(fault_injection(fault_spec))
-        if strict:
-            stack.enter_context(strict_checks())
+    # Only the settings this batch asks for change; the rest stay as the
+    # caller's context has them.
+    changes: dict = {}
+    if resume_dir is not None:
+        changes.update(checkpoint_root=Path(resume_dir), fresh=fresh)
+    if fault_spec is not None:
+        changes["faults"] = fault_spec
+    if strict:
+        changes["strict"] = True
+    with run_context(**changes):
         for eid in selected:
             started = time.perf_counter()
             cpu_started = time.process_time()

@@ -25,8 +25,9 @@ from repro.constants import (
     RELAY_GRID_SPACING_DEG,
     SNAPSHOT_INTERVAL_S,
 )
+from repro.context import current
 from repro.core.engine import SnapshotEngine
-from repro.faults import FaultSpec, active_fault_spec
+from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair, sample_city_pairs
 from repro.ground.stations import GroundSegment
 from repro.network.graph import (
@@ -177,14 +178,6 @@ class Scenario:
             constellation = preset(constellation)
         return cls(constellation=constellation, scale=scale or ScenarioScale.small())
 
-    def with_scale(self, scale: ScenarioScale) -> "Scenario":
-        """This scenario at a different scale."""
-        return replace(self, scale=scale)
-
-    def with_constellation(self, constellation: Constellation) -> "Scenario":
-        """This scenario on a different constellation."""
-        return replace(self, constellation=constellation)
-
     def with_faults(self, faults: FaultSpec | None) -> "Scenario":
         """This scenario degraded by a fault-injection spec.
 
@@ -284,13 +277,13 @@ class Scenario:
         return SnapshotEngine(self.constellation, self.ground)
 
     def _fault_spec(self) -> "FaultSpec | None":
-        """The fault spec in effect: this scenario's, else the ambient one.
+        """The fault spec in effect: this scenario's, else the run context's.
 
         Resolved at graph-build time and handed to the engine's assembly
         layer explicitly, so the ambient spec can never be baked into a
         cached geometry frame.
         """
-        return self.faults if self.faults is not None else active_fault_spec()
+        return self.faults if self.faults is not None else current().faults
 
     def graph_at(
         self, time_s: float, mode: ConnectivityMode

@@ -17,12 +17,13 @@ populations, identical draws), aircraft outages re-sample per snapshot
 only because the airborne population itself changes.
 
 Faults attach to a scenario (``Scenario.with_faults``) or ambiently to
-a whole batch via :func:`fault_injection` — this is how ``repro run
---inject-fault sat:0.05`` reaches every experiment in a sweep.
+a whole batch via ``run_context(faults=spec)`` (:mod:`repro.context`) —
+this is how ``repro run --inject-fault sat:0.05`` reaches every
+experiment in a sweep.
 
 The second half of the module injects *storage* faults instead of
-network ones: an :class:`IoFaultSpec` armed via :func:`io_fault_injection`
-makes the next matching write through
+network ones: an :class:`IoFaultSpec` armed via
+``run_context(io_fault=spec)`` makes the next matching write through
 :func:`repro.core.checkpoint.atomic_write_bytes` fail the way real disks
 fail — a torn (truncated, non-atomic) write, a flipped bit, a disk-full
 ``OSError``, or a silently dropped manifest update. The chaos test suite
@@ -32,30 +33,24 @@ reconverges to byte-identical results.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
+from repro.context import current
 from repro.network.graph import SnapshotGraph
 
 __all__ = [
     "FaultSpec",
     "IO_FAULT_KINDS",
     "IoFaultSpec",
-    "active_fault_spec",
     "apply_faults",
     "consume_io_fault",
     "corrupt_bytes",
     "failed_node_mask",
-    "fault_injection",
-    "io_fault_injection",
     "parse_fault_spec",
-    "set_active_fault_spec",
-    "set_active_io_fault",
 ]
 
 #: Component keys accepted by :func:`parse_fault_spec`.
@@ -92,14 +87,6 @@ class FaultSpec:
         ]
         parts.append(f"seed:{self.seed}")
         return ",".join(parts)
-
-    def merged_with(self, other: "FaultSpec") -> "FaultSpec":
-        """Combine two specs: max fraction per family, ``other``'s seed wins."""
-        kwargs = {
-            key: max(getattr(self, key), getattr(other, key))
-            for key in _FRACTION_KEYS
-        }
-        return FaultSpec(seed=other.seed, **kwargs)
 
 
 def parse_fault_spec(text: str, seed: int = 0) -> FaultSpec:
@@ -190,46 +177,14 @@ def apply_faults(graph: SnapshotGraph, spec: FaultSpec | None) -> SnapshotGraph:
     )
 
 
-# --- Ambient fault spec ------------------------------------------------------
-#
-# Experiments build their scenarios internally, so ``repro run
-# --inject-fault`` cannot hand each one a spec. Instead the runner sets
-# an ambient spec; ``Scenario.graph_at`` consults it whenever the
-# scenario carries no explicit ``faults`` of its own.
-
-_ACTIVE_SPEC: FaultSpec | None = None
-
-
-def set_active_fault_spec(spec: FaultSpec | None) -> FaultSpec | None:
-    """Set the ambient fault spec; returns the previous value."""
-    global _ACTIVE_SPEC
-    previous = _ACTIVE_SPEC
-    _ACTIVE_SPEC = spec
-    return previous
-
-
-def active_fault_spec() -> FaultSpec | None:
-    """The ambient fault spec, or ``None`` when fault injection is off."""
-    return _ACTIVE_SPEC
-
-
-@contextmanager
-def fault_injection(spec: FaultSpec | None) -> Iterator[FaultSpec | None]:
-    """Context manager: scenarios inside degrade under ``spec``."""
-    previous = set_active_fault_spec(spec)
-    try:
-        yield spec
-    finally:
-        set_active_fault_spec(previous)
-
-
 # --- Injectable I/O faults ---------------------------------------------------
 #
 # The checkpoint layer's crash-safety claims are only claims until a
-# test makes the disk misbehave. The write path consults this registry:
-# when a spec is armed, the Nth write whose filename matches the pattern
-# fails in the requested way, once (or ``shots`` times), after which the
-# run proceeds normally — exactly the shape of a transient storage fault.
+# test makes the disk misbehave. The write path consults the run
+# context's ``io_fault`` (armed with ``run_context(io_fault=spec)``): when
+# a spec is armed, the Nth write whose filename matches the pattern fails
+# in the requested way, once (or ``shots`` times), after which the run
+# proceeds normally — exactly the shape of a transient storage fault.
 
 #: Supported I/O fault kinds. ``torn_write`` leaves a truncated file at
 #: the destination (a crash on a non-atomic filesystem); ``bit_flip``
@@ -266,35 +221,6 @@ class IoFaultSpec:
             raise ValueError("shots must be positive")
 
 
-_ACTIVE_IO_SPEC: IoFaultSpec | None = None
-_IO_MATCHES_SEEN = 0
-_IO_SHOTS_FIRED = 0
-
-
-def set_active_io_fault(spec: IoFaultSpec | None) -> IoFaultSpec | None:
-    """Arm (or disarm) the ambient I/O fault; returns the previous spec.
-
-    Arming resets the match/shot counters, so each armed spec counts
-    matching writes from zero.
-    """
-    global _ACTIVE_IO_SPEC, _IO_MATCHES_SEEN, _IO_SHOTS_FIRED
-    previous = _ACTIVE_IO_SPEC
-    _ACTIVE_IO_SPEC = spec
-    _IO_MATCHES_SEEN = 0
-    _IO_SHOTS_FIRED = 0
-    return previous
-
-
-@contextmanager
-def io_fault_injection(spec: IoFaultSpec | None) -> Iterator[IoFaultSpec | None]:
-    """Context manager: writes inside fail per ``spec`` (see above)."""
-    previous = set_active_io_fault(spec)
-    try:
-        yield spec
-    finally:
-        set_active_io_fault(previous)
-
-
 def consume_io_fault(path) -> str | None:
     """The fault kind to apply to a write of ``path``, or ``None``.
 
@@ -303,16 +229,15 @@ def consume_io_fault(path) -> str | None:
     a retried or resumed write goes through clean — the self-healing
     path gets a healthy disk.
     """
-    global _IO_MATCHES_SEEN, _IO_SHOTS_FIRED
-    spec = _ACTIVE_IO_SPEC
-    if spec is None or not fnmatch(Path(path).name, spec.pattern):
+    armed = current().io_fault
+    if armed is None or not fnmatch(Path(path).name, armed.spec.pattern):
         return None
-    index = _IO_MATCHES_SEEN
-    _IO_MATCHES_SEEN += 1
-    if index < spec.after or _IO_SHOTS_FIRED >= spec.shots:
+    index = armed.matches_seen
+    armed.matches_seen += 1
+    if index < armed.spec.after or armed.shots_fired >= armed.spec.shots:
         return None
-    _IO_SHOTS_FIRED += 1
-    return spec.kind
+    armed.shots_fired += 1
+    return armed.spec.kind
 
 
 def corrupt_bytes(kind: str, data: bytes) -> bytes:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.integrity.guards import check_allocation, strict_enabled
+from repro.context import current
+from repro.integrity.guards import check_allocation
 from repro.obs import incr, traced
 
 __all__ = ["MaxMinResult", "max_min_fair_allocation"]
@@ -154,7 +155,7 @@ def max_min_fair_allocation(
 
     loads = capacities - remaining
     incr("maxmin.bottleneck_rounds", rounds)
-    if strict_enabled():
+    if current().strict:
         # Feasibility is the allocator's contract; under strict mode we
         # re-assert it on every real allocation, not just in the tests.
         check_allocation(rates, loads, capacities, source="maxmin")

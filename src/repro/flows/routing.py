@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
+from repro.context import current
 from repro.flows.traffic import CityPair, pair_index
-from repro.integrity.guards import check_graph, check_routing, strict_enabled
+from repro.integrity.guards import check_graph, check_routing
 from repro.network.graph import SnapshotGraph
 from repro.network.paths import Path, extract_path
 from repro.obs import incr, span, traced
@@ -233,7 +234,7 @@ def route_traffic_multi_k(
         raise ValueError("ks must name at least one path count")
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    strict = strict_enabled()
+    strict = current().strict
     if strict:
         check_graph(graph, source=f"graph[t={graph.time_s:g}s]")
     index = pair_index(pairs)

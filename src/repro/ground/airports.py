@@ -15,7 +15,7 @@ Atlantic (a handful), which the route table preserves.
 
 from __future__ import annotations
 
-__all__ = ["AIRPORTS", "ROUTES", "route_endpoints"]
+__all__ = ["AIRPORTS", "ROUTES"]
 
 #: IATA code -> (lat_deg, lon_deg).
 AIRPORTS: dict[str, tuple[float, float]] = {
@@ -218,8 +218,3 @@ ROUTES: list[tuple[str, str, int]] = [
     ("JFK", "DEL", 2), ("IAD", "ADD", 1), ("JFK", "JNB", 2),
     ("ATL", "JNB", 1), ("JFK", "ACC", 1), ("IAD", "DKR", 1),
 ]
-
-
-def route_endpoints(origin: str, destination: str):
-    """Return ``((lat, lon), (lat, lon))`` for a route; raises ``KeyError``."""
-    return AIRPORTS[origin], AIRPORTS[destination]

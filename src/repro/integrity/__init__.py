@@ -22,9 +22,6 @@ from repro.integrity.guards import (
     check_routing,
     check_rtt_series,
     rtt_lower_bound_ms,
-    set_strict,
-    strict_checks,
-    strict_enabled,
 )
 from repro.integrity.quarantine import (
     QUARANTINE_DIRNAME,
@@ -32,7 +29,6 @@ from repro.integrity.quarantine import (
     note,
     quarantine_file,
     quarantine_reasons,
-    reset_integrity_counters,
 )
 from repro.integrity.validators import (
     Column,
@@ -70,11 +66,7 @@ __all__ = [
     "note",
     "quarantine_file",
     "quarantine_reasons",
-    "reset_integrity_counters",
     "rtt_lower_bound_ms",
-    "set_strict",
-    "strict_checks",
-    "strict_enabled",
     "validate_latlon_arrays",
     "verify_checkpoint_dir",
     "verify_tree",

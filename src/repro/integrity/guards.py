@@ -15,8 +15,9 @@ the pipeline's products the moment they are computed:
 * max-min allocations are feasible: rates finite and non-negative,
   no link loaded past its capacity.
 
-Checks run when *strict mode* is on — enabled by ``repro run --strict``
-and by the whole test suite (see ``tests/conftest.py``) — so production
+Checks run when *strict mode* is on — the ``strict`` field of the run
+context (:mod:`repro.context`), set by ``repro run --strict`` and for
+the whole test suite (see ``tests/conftest.py``) — so production
 sweeps can opt into them while default interactive runs stay lean.
 A violation raises :class:`InvariantViolation` naming the failing
 invariant and the offending index.
@@ -24,8 +25,7 @@ invariant and the offending index.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,9 +43,6 @@ __all__ = [
     "check_routing",
     "check_rtt_series",
     "rtt_lower_bound_ms",
-    "set_strict",
-    "strict_checks",
-    "strict_enabled",
 ]
 
 #: Relative tolerance between a sub-flow's recorded length and the sum
@@ -59,34 +56,6 @@ _RTT_BOUND_RTOL = 1e-6
 
 class InvariantViolation(RuntimeError):
     """A computed result violates a physical or accounting invariant."""
-
-
-# --- Strict mode -------------------------------------------------------------
-
-_STRICT = False
-
-
-def strict_enabled() -> bool:
-    """Whether strict result guards are currently active."""
-    return _STRICT
-
-
-def set_strict(enabled: bool) -> bool:
-    """Set strict mode; returns the previous value."""
-    global _STRICT
-    previous = _STRICT
-    _STRICT = bool(enabled)
-    return previous
-
-
-@contextmanager
-def strict_checks(enabled: bool = True) -> Iterator[None]:
-    """Context manager: result invariant guards on (or off) inside."""
-    previous = set_strict(enabled)
-    try:
-        yield
-    finally:
-        set_strict(previous)
 
 
 # --- Invariants --------------------------------------------------------------

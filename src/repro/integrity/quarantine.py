@@ -28,7 +28,6 @@ __all__ = [
     "note",
     "quarantine_file",
     "quarantine_reasons",
-    "reset_integrity_counters",
 ]
 
 #: Subdirectory (inside a checkpoint/artifact directory) holding
@@ -50,12 +49,6 @@ def integrity_counters() -> dict[str, int]:
     """Snapshot of the process-wide integrity counters."""
     with _lock:
         return dict(_COUNTERS)
-
-
-def reset_integrity_counters() -> None:
-    """Zero the counters (test isolation; the runner diffs instead)."""
-    with _lock:
-        _COUNTERS.clear()
 
 
 def quarantine_file(path: str | Path, reason: str, **details) -> Path | None:

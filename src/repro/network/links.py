@@ -50,14 +50,6 @@ class LinkCapacities:
         if self.gt_sat_bps <= 0 or self.isl_bps <= 0 or self.fiber_bps <= 0:
             raise ValueError("link capacities must be positive")
 
-    def for_kind(self, kind: LinkKind) -> float:
-        """Capacity of a link family, bits/s."""
-        if kind is LinkKind.GT_SAT:
-            return self.gt_sat_bps
-        if kind is LinkKind.ISL:
-            return self.isl_bps
-        return self.fiber_bps
-
     def scaled_isl(self, ratio: float) -> "LinkCapacities":
         """Capacities with ISL capacity set to ``ratio`` x GT-link capacity."""
         return LinkCapacities(

@@ -17,11 +17,9 @@ from repro.obs.spans import (
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     SpanStats,
-    active_registry,
     incr,
     merge_payload,
     observe,
-    set_active_registry,
     span,
     traced,
 )
@@ -33,13 +31,11 @@ __all__ = [
     "RESULT_SCHEMA",
     "SchemaError",
     "SpanStats",
-    "active_registry",
     "format_experiment_profile",
     "format_profile_report",
     "incr",
     "merge_payload",
     "observe",
-    "set_active_registry",
     "span",
     "traced",
     "validate",

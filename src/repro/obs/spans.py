@@ -11,11 +11,12 @@ sections that nest — and *counters*. Both aggregate into a
 * ``incr("parallel.worker_retries")`` bumps a named counter.
 
 Collection is **off by default** and the disabled paths are near-free:
-``span()`` returns a shared no-op object after a single module-global
+``span()`` returns a shared no-op object after a single run-context
 check, ``traced`` adds one ``is None`` test per call, and ``incr``
 returns immediately. Pipelines therefore stay un-instrumented in effect
 unless an :func:`observe` context is active (``repro run --profile``
-turns one on per experiment).
+turns one on per experiment). The collecting registry is the ``registry``
+field of the run context (:mod:`repro.context`).
 
 Aggregation is thread-safe (one lock per registry, per-thread span
 stacks) and process-friendly: a worker process opens its own
@@ -33,15 +34,15 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.context import current, run_context
+
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
     "SpanStats",
-    "active_registry",
     "incr",
     "merge_payload",
     "observe",
-    "set_active_registry",
     "span",
     "traced",
 ]
@@ -160,29 +161,6 @@ class MetricsRegistry:
             return set(self._spans)
 
 
-# The active registry. ``None`` means collection is disabled and every
-# instrumentation entry point short-circuits.
-_ACTIVE: MetricsRegistry | None = None
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The registry currently collecting, or ``None`` when disabled."""
-    return _ACTIVE
-
-
-def set_active_registry(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Swap the active registry; returns the previous one.
-
-    Prefer the :func:`observe` context manager; this low-level setter
-    exists for worker-process initializers that cannot hold a context
-    open across tasks.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    return previous
-
-
 @contextmanager
 def observe(registry: MetricsRegistry | None = None):
     """Enable collection inside the block; yields the registry.
@@ -192,11 +170,8 @@ def observe(registry: MetricsRegistry | None = None):
     sub-sections.
     """
     target = registry if registry is not None else MetricsRegistry()
-    previous = set_active_registry(target)
-    try:
+    with run_context(registry=target):
         yield target
-    finally:
-        set_active_registry(previous)
 
 
 class _NoopSpan:
@@ -241,10 +216,10 @@ def span(name: str):
     """A context manager timing one named section.
 
     When no registry is active this returns a shared no-op object — the
-    disabled cost is one global load and one attribute-free allocation
+    disabled cost is one run-context field read and one allocation
     avoided, well under a microsecond per call.
     """
-    registry = _ACTIVE
+    registry = current().registry
     if registry is None:
         return _NOOP
     return _Span(registry, name)
@@ -263,7 +238,7 @@ def traced(name: str | None = None):
 
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            registry = _ACTIVE
+            registry = current().registry
             if registry is None:
                 return func(*args, **kwargs)
             with _Span(registry, label):
@@ -276,7 +251,7 @@ def traced(name: str | None = None):
 
 def incr(name: str, value: float = 1) -> None:
     """Bump a named counter on the active registry (no-op when disabled)."""
-    registry = _ACTIVE
+    registry = current().registry
     if registry is not None:
         registry.incr(name, value)
 
@@ -287,6 +262,6 @@ def merge_payload(payload: dict) -> None:
     No-op when collection is disabled — callers can always forward
     whatever payload a worker returned without checking first.
     """
-    registry = _ACTIVE
+    registry = current().registry
     if registry is not None and payload:
         registry.merge(payload)

@@ -122,12 +122,6 @@ class Shell:
         lat, lon, _ = ecef_to_geodetic(self.positions_ecef(time_s))
         return lat, lon
 
-    def plane_and_slot(self, sat_index: int):
-        """Map a flat satellite index back to ``(plane, slot)``."""
-        if not 0 <= sat_index < self.num_satellites:
-            raise IndexError(f"satellite index {sat_index} out of range")
-        return divmod(sat_index, self.sats_per_plane)
-
 
 @dataclass(frozen=True)
 class Constellation:

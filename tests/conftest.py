@@ -38,11 +38,11 @@ def _strict_integrity():
 
     The guards are cheap and the suite is exactly where a violated
     invariant should surface first; tests exercising non-strict behaviour
-    can turn them off locally with ``strict_checks(False)``.
+    can turn them off locally with ``run_context(strict=False)``.
     """
-    from repro.integrity.guards import strict_checks
+    from repro.context import run_context
 
-    with strict_checks():
+    with run_context(strict=True):
         yield
 
 

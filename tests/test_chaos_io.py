@@ -12,6 +12,7 @@ non-zero.
 import numpy as np
 import pytest
 
+from repro.context import run_context
 from repro.core.checkpoint import RttCheckpoint
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.faults import (
@@ -19,7 +20,6 @@ from repro.faults import (
     IoFaultSpec,
     consume_io_fault,
     corrupt_bytes,
-    io_fault_injection,
 )
 from repro.integrity.quarantine import integrity_counters, quarantine_reasons
 from repro.network.graph import ConnectivityMode
@@ -45,13 +45,13 @@ class TestIoFaultSpec:
             IoFaultSpec(kind="gamma_ray")
 
     def test_consumed_once(self, tmp_path):
-        with io_fault_injection(IoFaultSpec(kind="disk_full", pattern="x.bin")):
+        with run_context(io_fault=IoFaultSpec(kind="disk_full", pattern="x.bin")):
             assert consume_io_fault(tmp_path / "x.bin") == "disk_full"
             assert consume_io_fault(tmp_path / "x.bin") is None
 
     def test_pattern_and_after(self, tmp_path):
         spec = IoFaultSpec(kind="bit_flip", pattern="snap_*.npz", after=1)
-        with io_fault_injection(spec):
+        with run_context(io_fault=spec):
             assert consume_io_fault(tmp_path / "manifest.json") is None
             assert consume_io_fault(tmp_path / "snap_00000.npz") is None  # after=1
             assert consume_io_fault(tmp_path / "snap_00001.npz") == "bit_flip"
@@ -72,7 +72,7 @@ class TestIoFaultSpec:
 def _sweep_through_fault(tiny_scenario, directory, spec):
     """Run a checkpointed sweep with ``spec`` armed; return the series."""
     ck = _open_checkpoint(tiny_scenario, directory)
-    with io_fault_injection(spec):
+    with run_context(io_fault=spec):
         series = compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
         return series[MODE], ck
 
@@ -147,7 +147,7 @@ def test_disk_full_in_parallel_sweep_degrades_gracefully(
 
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
-    with io_fault_injection(spec):
+    with run_context(io_fault=spec):
         series = compute_rtt_series_multi(
             tiny_scenario, [MODE], processes=2, checkpoints={MODE: ck}
         )[MODE]

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline
+from repro.context import current, run_context
 from repro.core.checkpoint import (
     CheckpointMismatchError,
     RttCheckpoint,
-    active_checkpoint_root,
     atomic_write_bytes,
     checkpoint_for,
     checkpoint_root,
@@ -125,27 +125,37 @@ class TestFingerprint:
         ) != scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
 
     def test_ambient_fault_spec_changes_fingerprint(self, tiny_scenario):
-        from repro.faults import FaultSpec, fault_injection
+        from repro.faults import FaultSpec
 
         plain = scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY)
-        with fault_injection(FaultSpec(sat=0.1)):
+        with run_context(faults=FaultSpec(sat=0.1)):
             assert scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY) != plain
+
+    def test_ambient_fault_spec_ignored_under_explicit_faults(self, tiny_scenario):
+        """A scenario with its own faults runs under them alone, so an
+        ambient spec must not move its checkpoint directory."""
+        from repro.faults import FaultSpec
+
+        degraded = tiny_scenario.with_faults(FaultSpec(sat=0.1, seed=1))
+        alone = scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
+        with run_context(faults=FaultSpec(relay=0.3, seed=9)):
+            assert scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY) == alone
 
 
 class TestCheckpointRoot:
     def test_default_off(self):
-        assert active_checkpoint_root() is None
+        assert current().checkpoint_root is None
 
     def test_context_sets_and_restores(self, tmp_path):
         with checkpoint_root(tmp_path):
-            assert active_checkpoint_root() == tmp_path
-        assert active_checkpoint_root() is None
+            assert current().checkpoint_root == tmp_path
+        assert current().checkpoint_root is None
 
     def test_nested_restores_outer(self, tmp_path):
         with checkpoint_root(tmp_path / "outer"):
             with checkpoint_root(tmp_path / "inner"):
-                assert active_checkpoint_root() == tmp_path / "inner"
-            assert active_checkpoint_root() == tmp_path / "outer"
+                assert current().checkpoint_root == tmp_path / "inner"
+            assert current().checkpoint_root == tmp_path / "outer"
 
 
 def _crash_after_first_snapshot(index: int, time_s: float) -> None:

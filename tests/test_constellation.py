@@ -60,15 +60,6 @@ class TestShell(object):
         np.fill_diagonal(distances, np.inf)
         assert distances.min() > 100e3  # No two satellites co-located.
 
-    def test_plane_and_slot_roundtrip(self, tiny_shell):
-        assert tiny_shell.plane_and_slot(0) == (0, 0)
-        assert tiny_shell.plane_and_slot(8) == (1, 0)
-        assert tiny_shell.plane_and_slot(47) == (5, 7)
-
-    def test_plane_and_slot_bounds(self, tiny_shell):
-        with pytest.raises(IndexError):
-            tiny_shell.plane_and_slot(48)
-
     def test_coverage_radius_property(self, tiny_shell):
         assert tiny_shell.coverage_radius_m == pytest.approx(941e3, rel=0.01)
 

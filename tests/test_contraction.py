@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.context import run_context
 from repro.core import scenario as scenario_module
 from repro.core.parallel import FaultPolicy, SweepError
 from repro.core.pipeline import _pair_rtts_on_graph, compute_rtt_series_multi
@@ -33,7 +34,7 @@ from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair, pair_index
 from repro.ground.stations import StationTable
-from repro.integrity.guards import InvariantViolation, strict_checks
+from repro.integrity.guards import InvariantViolation
 from repro.network import contraction
 from repro.network.contraction import bounce_edges, min_per_pair
 from repro.network.graph import (
@@ -300,7 +301,7 @@ class TestStrictGuardInBothSweeps:
         assert all("InvariantViolation" in error for error in errors)
 
     def test_guard_off_lets_both_through(self, tiny_scenario, bad_graphs):
-        with strict_checks(False):
+        with run_context(strict=False):
             serial = compute_rtt_series_multi(tiny_scenario, [self.MODE])[self.MODE]
             parallel = compute_rtt_series_multi(
                 tiny_scenario, [self.MODE], processes=2

@@ -24,6 +24,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.constants import EARTH_RADIUS
+from repro.context import run_context
 from repro.core.engine import (
     DEFAULT_FRAME_CACHE_SIZE,
     SnapshotEngine,
@@ -31,7 +32,7 @@ from repro.core.engine import (
 )
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.faults import FaultSpec, apply_faults, fault_injection
+from repro.faults import FaultSpec, apply_faults
 from repro.ground.aircraft import default_schedule
 from repro.ground.cities import City
 from repro.ground.stations import GroundSegment
@@ -398,7 +399,7 @@ class TestFaultIsolation:
     def test_ambient_faults_do_not_poison_cached_frames(self):
         scenario = fresh_scenario()
         with observe() as registry:
-            with fault_injection(self.SPEC):
+            with run_context(faults=self.SPEC):
                 faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
                 faulted_contracted = faulted.contracted_matrix()
             # The frame built under the ambient spec is now cached; graphs
@@ -421,7 +422,7 @@ class TestFaultIsolation:
         scenario = fresh_scenario()
         clean_first = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         clean_first.contracted_matrix()  # fills the frame's bounce memo
-        with observe() as registry, fault_injection(self.SPEC):
+        with observe() as registry, run_context(faults=self.SPEC):
             faulted = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
 
         # Reused the clean-built frame, and still applied the faults.
@@ -436,7 +437,7 @@ class TestFaultIsolation:
 
     def test_explicit_faults_beat_ambient_spec(self):
         scenario = fresh_scenario().with_faults(FaultSpec(sat=0.1, seed=7))
-        with fault_injection(self.SPEC):
+        with run_context(faults=self.SPEC):
             got = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         assert_graphs_identical(got, legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID))
 

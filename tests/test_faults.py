@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.context import current, run_context
 from repro.experiments.ext_fault_tolerance import outage_reachability
 from repro.faults import (
     FaultSpec,
-    active_fault_spec,
     apply_faults,
     failed_node_mask,
-    fault_injection,
     parse_fault_spec,
 )
 from repro.network.graph import ConnectivityMode
@@ -29,12 +28,6 @@ class TestFaultSpec:
         spec = FaultSpec(sat=0.05, relay=0.1, seed=7)
         assert parse_fault_spec(spec.describe()) == spec
 
-    def test_merged_with_takes_max_fractions(self):
-        merged = FaultSpec(sat=0.2, relay=0.1).merged_with(
-            FaultSpec(sat=0.05, aircraft=0.3, seed=9)
-        )
-        assert merged == FaultSpec(sat=0.2, relay=0.1, aircraft=0.3, seed=9)
-
 
 class TestParseFaultSpec:
     def test_single_component(self):
@@ -43,6 +36,11 @@ class TestParseFaultSpec:
     def test_multiple_components_and_seed(self):
         spec = parse_fault_spec("sat:0.05, relay:0.1, seed:7")
         assert spec == FaultSpec(sat=0.05, relay=0.1, seed=7)
+
+    def test_later_entry_overrides_earlier(self):
+        # ``repro run`` joins repeated --inject-fault entries with commas.
+        spec = parse_fault_spec("sat:0.2,relay:0.1,seed:3,sat:0.05,seed:4")
+        assert spec == FaultSpec(sat=0.05, relay=0.1, seed=4)
 
     def test_unknown_component_named_in_error(self):
         with pytest.raises(ValueError, match="ground_station"):
@@ -122,18 +120,18 @@ class TestScenarioIntegration:
 
     def test_ambient_spec_applies_and_clears(self, tiny_scenario):
         plain = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        with fault_injection(FaultSpec(sat=0.5, seed=5)):
-            assert active_fault_spec() == FaultSpec(sat=0.5, seed=5)
+        with run_context(faults=FaultSpec(sat=0.5, seed=5)):
+            assert current().faults == FaultSpec(sat=0.5, seed=5)
             inside = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         after = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        assert active_fault_spec() is None
+        assert current().faults is None
         assert inside.num_edges < plain.num_edges
         assert after.num_edges == plain.num_edges
 
     def test_explicit_faults_win_over_ambient(self, tiny_scenario):
         degraded = tiny_scenario.with_faults(FaultSpec(sat=0.5, seed=5))
         expected = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        with fault_injection(FaultSpec(sat=0.9, seed=99)):
+        with run_context(faults=FaultSpec(sat=0.9, seed=99)):
             inside = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
         assert inside.num_edges == expected.num_edges
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.context import current, run_context
 from repro.core.checkpoint import RttCheckpoint
 from repro.core.pipeline import RttSeries
 from repro.flows.traffic import CityPair
@@ -24,9 +25,6 @@ from repro.integrity import (
     quarantine_file,
     quarantine_reasons,
     rtt_lower_bound_ms,
-    set_strict,
-    strict_checks,
-    strict_enabled,
     validate_latlon_arrays,
     verify_tree,
 )
@@ -98,18 +96,21 @@ class TestValidators:
 
 class TestStrictMode:
     def test_suite_runs_strict(self):
-        assert strict_enabled()  # conftest autouse fixture
+        assert current().strict  # conftest autouse fixture
 
     def test_context_restores(self):
-        with strict_checks(False):
-            assert not strict_enabled()
-            with strict_checks(True):
-                assert strict_enabled()
-            assert not strict_enabled()
-        assert strict_enabled()
+        with run_context(strict=False):
+            assert not current().strict
+            with run_context(strict=True):
+                assert current().strict
+            assert not current().strict
+        assert current().strict
 
-    def test_set_strict_returns_previous(self):
-        assert set_strict(True) is True  # suite already strict
+    def test_context_restores_after_error(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with run_context(strict=False):
+                raise RuntimeError("boom")
+        assert current().strict
 
 
 def _series(rtt, times=None):
@@ -198,7 +199,7 @@ class TestRoutingGuards:
         from repro.flows.routing import route_traffic
 
         pairs = tiny_scenario.pairs
-        with strict_checks(False):
+        with run_context(strict=False):
             routed = route_traffic(tiny_hybrid_graph, pairs, k=4)
         return tiny_hybrid_graph, pairs, routed
 
@@ -283,7 +284,7 @@ class TestRoutingGuards:
         routing.route_traffic_multi_k(graph, tiny_scenario.pairs, (1, 4))
         assert calls == ["graph[t=0s]", "routing[k=1]", "routing[k=4]"]
         calls.clear()
-        with strict_checks(False):
+        with run_context(strict=False):
             routing.route_traffic_multi_k(graph, tiny_scenario.pairs, (1, 4))
         assert calls == []
 

@@ -41,12 +41,6 @@ class TestLinkCapacities:
         assert caps.isl_bps == 100e9
         assert caps.fiber_bps == FIBER_CAPACITY_BPS
 
-    def test_for_kind(self):
-        caps = LinkCapacities(gt_sat_bps=1.0, isl_bps=2.0, fiber_bps=3.0)
-        assert caps.for_kind(LinkKind.GT_SAT) == 1.0
-        assert caps.for_kind(LinkKind.ISL) == 2.0
-        assert caps.for_kind(LinkKind.FIBER) == 3.0
-
     def test_scaled_isl(self):
         scaled = LinkCapacities().scaled_isl(0.5)
         assert scaled.isl_bps == 10e9

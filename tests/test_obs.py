@@ -14,12 +14,12 @@ import time
 import pytest
 
 from repro import obs
+from repro.context import current
 from repro.network.graph import ConnectivityMode
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     SpanStats,
-    active_registry,
     incr,
     merge_payload,
     observe,
@@ -27,6 +27,11 @@ from repro.obs import (
     traced,
 )
 from repro.obs.spans import _NOOP
+
+
+def active_registry():
+    """The registry the run context collects into, or ``None``."""
+    return current().registry
 
 
 class TestSpanNesting:

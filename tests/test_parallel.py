@@ -3,12 +3,14 @@
 import dataclasses
 import multiprocessing
 import os
+import zlib
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.context import current, run_context
 from repro.core import parallel
 from repro.core.parallel import (
     FaultPolicy,
@@ -17,9 +19,9 @@ from repro.core.parallel import (
     default_worker_count,
 )
 from repro.core.pipeline import _rtt_snapshot_row, compute_rtt_series_multi
-from repro.faults import FaultSpec, fault_injection
-from repro.integrity.guards import strict_checks
+from repro.faults import FaultSpec
 from repro.network.graph import ConnectivityMode
+from repro.obs import observe
 
 BP = ConnectivityMode.BP_ONLY
 HYBRID = ConnectivityMode.HYBRID
@@ -205,12 +207,29 @@ def _rtt_row_on_poisoned_graph(scenario, time_s, mode) -> np.ndarray:
         return _rtt_snapshot_row(scenario, time_s, mode)
 
 
+def _context_view(scenario, time_s, mode):
+    """The evaluating process's run context as one row.
+
+    Strict flag, CRC of the fault spec, CRC of the checkpoint root, and
+    whether a registry is collecting.
+    """
+    context = current()
+    return np.array(
+        [
+            float(context.strict),
+            zlib.crc32(repr(context.faults).encode()),
+            zlib.crc32(repr(context.checkpoint_root).encode()),
+            float(context.registry is not None),
+        ]
+    )
+
+
 class TestStartMethodParity:
-    """Workers mirror the parent's fault spec and strict flag.
+    """Workers run under the parent's run context.
 
     A fork-started worker inherits module globals; a spawn-started one
-    imports everything afresh, so it sees the parent's ambient state
-    only because the pool initializer installs it.
+    imports everything afresh, so it sees the parent's context only
+    because the pool initializer installs it.
     """
 
     SPEC = FaultSpec(sat=0.5, seed=7)
@@ -229,7 +248,7 @@ class TestStartMethodParity:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
     def test_rows_match_serial_under_fault_spec(self, tiny_scenario, start_method):
         modes = [BP, HYBRID]
-        with fault_injection(self.SPEC):
+        with run_context(faults=self.SPEC):
             serial = compute_rtt_series_multi(tiny_scenario, modes)
             pooled = compute_rtt_series_multi(
                 tiny_scenario, modes, processes=2, policy=self.NO_RETRY
@@ -239,6 +258,27 @@ class TestStartMethodParity:
             np.testing.assert_array_equal(pooled[mode].rtt_ms, serial[mode].rtt_ms)
         # The spec really bites, so equality is not trivial.
         assert serial[BP].reachable_fraction() < clean[BP].reachable_fraction()
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_workers_see_parent_context(self, tiny_scenario, start_method, tmp_path):
+        with observe(), run_context(
+            faults=self.SPEC, checkpoint_root=tmp_path / "ck"
+        ):
+            parent = _context_view(tiny_scenario, 0.0, BP)
+            rows = parallel.map_snapshot_rows(
+                tiny_scenario,
+                [BP],
+                _context_view,
+                row_len=4,
+                label="context-view",
+                processes=2,
+                policy=self.NO_RETRY,
+            )[BP]
+        # Strict and collecting differ from a bare worker's defaults.
+        assert parent[0] == 1.0 and parent[3] == 1.0
+        assert rows.shape == (4, len(tiny_scenario.times_s))
+        for column in rows.T:
+            np.testing.assert_array_equal(column, parent)
 
     @pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
     def test_strict_guard_raises_in_spawned_worker(self, tiny_scenario, start_method):
@@ -257,6 +297,6 @@ class TestStartMethodParity:
         errors = [failure.error for failure in excinfo.value.failures]
         assert len(errors) == len(tiny_scenario.times_s)
         assert all("InvariantViolation" in error for error in errors)
-        with strict_checks(False):
+        with run_context(strict=False):
             rows = sweep()
         assert rows[BP].shape == (len(tiny_scenario.pairs), len(tiny_scenario.times_s))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import active_checkpoint_root
+from repro.context import current, run_context
 from repro.core.runner import (
     ExperimentFailure,
     ExperimentOutcome,
@@ -12,7 +12,7 @@ from repro.core.runner import (
     run_experiments,
 )
 from repro.experiments.base import ExperimentResult
-from repro.faults import FaultSpec, active_fault_spec
+from repro.faults import FaultSpec
 from repro.persistence import load_experiment_result
 
 
@@ -153,8 +153,8 @@ class TestAmbientContexts:
         seen = {}
 
         def probe(scale=None):
-            seen["root"] = active_checkpoint_root()
-            seen["spec"] = active_fault_spec()
+            seen["root"] = current().checkpoint_root
+            seen["spec"] = current().faults
             return _result("probe")
 
         spec = FaultSpec(sat=0.25, seed=3)
@@ -167,8 +167,8 @@ class TestAmbientContexts:
         )
         assert seen["root"] == tmp_path / "ck"
         assert seen["spec"] == spec
-        assert active_checkpoint_root() is None
-        assert active_fault_spec() is None
+        assert current().checkpoint_root is None
+        assert current().faults is None
 
     def test_contexts_restored_even_after_failure(self, tmp_path):
         run_experiments(
@@ -178,8 +178,8 @@ class TestAmbientContexts:
             fault_spec=FaultSpec(sat=0.1),
             echo=_silent,
         )
-        assert active_checkpoint_root() is None
-        assert active_fault_spec() is None
+        assert current().checkpoint_root is None
+        assert current().faults is None
 
 
 class TestRunSummary:
@@ -198,15 +198,13 @@ class TestRunSummary:
 
 class TestIntegrityIntegration:
     def test_strict_context_active_during_run(self):
-        from repro.integrity.guards import strict_checks, strict_enabled
-
         observed = {}
 
         def probe(scale=None):
-            observed["strict"] = strict_enabled()
+            observed["strict"] = current().strict
             return _result("probe")
 
-        with strict_checks(False):  # suite default is strict; isolate
+        with run_context(strict=False):  # suite default is strict; isolate
             run_experiments(
                 ["probe"], experiments={"probe": probe}, strict=True,
                 echo=_silent,

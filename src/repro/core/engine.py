@@ -1,8 +1,7 @@
 """Layered snapshot engine: cached static / per-time / per-mode stages.
 
-:func:`repro.network.graph.build_snapshot_graph` recomputes everything
-on every call, yet most of its work is invariant across the calls real
-workloads make:
+Building a snapshot graph from scratch on every call would redo work
+that is invariant across the calls real workloads make:
 
 * **static layer** (:class:`StaticContext`) — invariant for a
   (constellation, ground segment): station ECEF for the static ground
@@ -16,12 +15,18 @@ workloads make:
   distances, and lazily the ISL lengths. Frames live in an LRU cache.
   Candidate rows are ordered by satellite ascending; within one
   satellite, its static GTs (cities, then relays) come first, then
-  its aircraft, each ascending by GT index. The frame finds the hits
-  with one dual-tree query per (shell, GT block), encodes each as the
-  key ``sat * num_gts + gt`` and sorts the keys once, and computes
-  slant ranges with the same left-to-right sum as ``np.linalg.norm``.
+  its aircraft, each ascending by GT index. They are stored as a CSR
+  by satellite: ``cand_start`` offsets (``num_sats + 1``), an int32
+  ``cand_gt`` column and the float64 ``cand_dist_m`` column, 12 bytes
+  per row. The frame finds the hits with one dual-tree query per
+  (shell, GT block), encodes each as the key ``sat * num_gts + gt``
+  and sorts the keys once; the offsets are a ``searchsorted`` of the
+  sorted keys at ``sat * num_gts``. Slant ranges are summed one ECEF
+  axis at a time, in the same left-to-right order as
+  ``np.linalg.norm``.
 * **per-mode assembly** (:func:`assemble_graph`) — the cheap final
-  step: BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
+  step: the candidate rows become the graph's int64 ``(m, 2)`` edge
+  table, BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
   beam-limit / fiber / fault filters apply here. Faults are *never*
   cached: a frame holds only fault-free geometry, so an ambient
   :class:`~repro.faults.FaultSpec` can neither leak into nor out of the
@@ -31,20 +36,25 @@ workloads make:
   relay and aircraft (pure transit nodes, satellite neighbours only)
   replaced by satellite-satellite bounce edges of weight
   ``min_R d(a, R) + d(R, b)`` (:mod:`repro.network.contraction`).
-  Distances between cities are exact. The bounce edges depend only on
-  the GT-satellite block, which BP, hybrid and ISL-only share, so they
-  are memoized on the frame keyed by ``(gso_policy,
-  max_gts_per_satellite)`` and :func:`assemble_graph` gives each graph
-  a handle to that memo. Faulted graphs lose the handle (``apply_faults``
-  rebuilds the graph) and contract their own edges. Cities, paths,
-  routing and the assembled graph itself are not contracted. ISL_ONLY
-  keeps hybrid's graph, bounce edges included, so its behaviour is
-  unchanged; an ISL_ONLY graph without ground transit would simply
-  leave the bounce edges out.
+  Distances between cities are exact. The *contracted radio block* —
+  the city GT-satellite edges plus the bounce edges, one minimum per
+  pair — depends only on the GT-satellite rows, which BP, hybrid and
+  ISL-only share, so it is memoized on the frame keyed by
+  ``(gso_policy, max_gts_per_satellite)`` and :func:`assemble_graph`
+  gives each graph a handle to that memo. The frame's rows are thus
+  read by one contraction per frame and filter set; each graph merges
+  only its own ISL and fiber rows into the block before its CSR build.
+  Faulted graphs lose the handle (``apply_faults`` rebuilds the graph)
+  and contract their own radio rows through the same function. Cities,
+  paths, routing and the assembled graph itself are not contracted.
+  ISL_ONLY keeps hybrid's graph, bounce edges included, so its
+  behaviour is unchanged; an ISL_ONLY graph without ground transit
+  would simply leave the bounce edges out.
 
-The assembled graphs are numerically identical to
-``build_snapshot_graph`` output (same edges, distances, kinds, in the
-same order) — the splitting only removes redundant recomputation. A
+The assembled graphs are numerically identical to a monolithic
+from-scratch build (same edges, distances, kinds, in the same order;
+the test suite keeps one as its reference) — the splitting only
+removes redundant recomputation. A
 two-mode sweep therefore pays for propagation and KD-tree queries once
 per snapshot instead of once per (snapshot, mode).
 
@@ -52,13 +62,15 @@ Observability: the engine bumps ``engine.static_hits/misses``,
 ``engine.frame_hits/misses``, ``engine.frame_evictions`` and
 ``engine.assemblies`` counters, plus ``engine.cand_edges`` (candidate
 rows built, per frame miss: the frame layer's work, by which its time
-can be normalized). It nests its work under the ``graph_build`` span
+can be normalized) and ``engine.frame_bytes`` (the array bytes of each
+built frame). It nests its work under the ``graph_build`` span
 (children: ``frame_build`` with ``kdtree_query`` — the dual-tree
 queries and the key sort — on a frame miss, ``edge_assembly`` always),
 so profiles of the old and new paths line up. A contraction runs
-under a ``transit_contraction`` span and bumps
-``engine.contraction_misses``; a graph that reuses its frame's bounce
-edges bumps ``engine.contraction_hits``.
+under a ``transit_contraction`` span, bumps
+``engine.contraction_misses`` and adds the (GT, a, b) triples it
+expands to ``engine.bounce_candidates``; a graph that reuses its
+frame's radio block bumps ``engine.contraction_hits``.
 """
 
 from __future__ import annotations
@@ -100,8 +112,8 @@ __all__ = [
 #: Default number of geometry frames kept alive per engine. A two-mode
 #: same-instant workload needs exactly one; serial one-mode-at-a-time
 #: passes over short series benefit from a few more. Frames are the
-#: memory-heavy layer (candidate edges scale with GTs x coverage), so
-#: the default stays small.
+#: memory-heavy layer (candidate rows scale with GTs x coverage, 12
+#: bytes each), so the default stays small.
 DEFAULT_FRAME_CACHE_SIZE = 8
 
 
@@ -192,31 +204,54 @@ class StaticContext:
 class GeometryFrame:
     """Mode-independent geometry of one snapshot time.
 
-    ``cand_edges`` are *candidate* GT-satellite edges — every satellite
-    visible from every GT under the coverage-cone condition, before any
-    policy filter — as ``(m, 2)`` ``[sat_index, gt_node]`` rows with
-    ``cand_dist_m`` slant distances, in the row order the module
-    docstring states. Assembly filters copies of these;
-    the frame itself is immutable by convention and safe to share
-    across modes, policies, and fault specs.
+    The *candidate* GT-satellite edges — every satellite visible from
+    every GT under the coverage-cone condition, before any policy
+    filter — are a CSR by satellite: satellite ``s`` owns rows
+    ``cand_start[s]:cand_start[s + 1]``, whose int32 ``cand_gt`` holds
+    GT station indices and ``cand_dist_m`` slant distances, in the row
+    order the module docstring states. That is 12 bytes per row plus
+    ``num_sats + 1`` offsets. Assembly filters copies of these; the
+    frame itself is immutable by convention and safe to share across
+    modes, policies, and fault specs.
     """
 
     time_s: float
     stations: StationTable
     sat_ecef: np.ndarray
     gt_ecef: np.ndarray
-    cand_edges: np.ndarray
+    cand_start: np.ndarray
+    cand_gt: np.ndarray
     cand_dist_m: np.ndarray
     _static: StaticContext
     _isl_dist_m: np.ndarray | None = None
-    #: Bounce edges keyed by the filters that shape the GT-satellite
-    #: block (``gso_policy``, ``max_gts_per_satellite``).
-    _bounce: dict = field(default_factory=dict, repr=False)
+    #: Contracted radio blocks keyed by the filters that shape the
+    #: GT-satellite block (``gso_policy``, ``max_gts_per_satellite``).
+    _radio: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_sats(self) -> int:
         """Number of satellites (the GT node-id offset in graphs)."""
         return len(self.sat_ecef)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays built for this frame (the memos excluded)."""
+        arrays = (
+            self.sat_ecef,
+            self.gt_ecef,
+            self.cand_start,
+            self.cand_gt,
+            self.cand_dist_m,
+            self.stations.lats,
+            self.stations.lons,
+            self.stations.altitudes,
+        )
+        return sum(array.nbytes for array in arrays)
+
+    def cand_sat(self) -> np.ndarray:
+        """The satellite of each candidate row (int32), from ``cand_start``."""
+        counts = np.diff(self.cand_start)
+        return np.repeat(np.arange(self.num_sats, dtype=np.int32), counts)
 
     def isl_dist_m(self) -> np.ndarray:
         """ISL lengths at this snapshot time (lazy, memoized).
@@ -230,25 +265,33 @@ class GeometryFrame:
             self._isl_dist_m = isl_lengths_m(self._static.isl_edges, self.sat_ecef)
         return self._isl_dist_m
 
-    def bounce_edges(self, key, build):
-        """Transit-contraction bounce edges for one GT-satellite block.
+    def contracted_radio(self, key, build):
+        """The contracted radio block for one set of GT-satellite filters.
 
-        The block depends on the frame and the GSO / beam-limit filters
-        only — not on the mode or fiber — so BP, hybrid and ISL-only
-        graphs of one snapshot share a single contraction. ``build``
-        computes it on a miss. Like :meth:`isl_dist_m`, a race merely
-        recomputes the same deterministic value.
+        The block (city GT-satellite edges plus bounce edges, one
+        minimum per pair) depends on the frame and the GSO / beam-limit
+        filters only — not on the mode or fiber — so BP, hybrid and
+        ISL-only graphs of one snapshot share a single contraction.
+        ``build`` computes it on a miss. Like :meth:`isl_dist_m`, a race
+        merely recomputes the same deterministic value.
         """
-        bounce = self._bounce.get(key)
-        if bounce is None:
-            bounce = self._bounce[key] = build()
+        block = self._radio.get(key)
+        if block is None:
+            block = self._radio[key] = build()
         else:
             incr("engine.contraction_hits")
-        return bounce
+        return block
 
 
 def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
-    """The per-time layer: propagate, materialize GTs, find candidates."""
+    """The per-time layer: propagate, materialize GTs, find candidates.
+
+    A GT may use a satellite when the central angle between the GT and
+    the sub-satellite point is at most the shell's coverage angle. For
+    aircraft at 11 km this ground-projection test shifts the elevation
+    threshold by well under a degree, negligible next to the 25-30
+    degree minimum elevations involved.
+    """
     sat_ecef = static.constellation.positions_ecef(time_s)
     stations = static.ground.stations_at(time_s)
     num_sats = len(sat_ecef)
@@ -285,27 +328,33 @@ def _build_frame(static: StaticContext, time_s: float) -> GeometryFrame:
             for tree, gt_offset in blocks:
                 hits = sat_tree.sparse_distance_matrix(tree, chord, output_type="ndarray")
                 keys.append((hits["i"] + offset) * num_gts + (hits["j"] + gt_offset))
-        sats, gts = np.divmod(np.sort(np.concatenate(keys)), num_gts)
-        row_counts = np.bincount(sats, minlength=num_sats)
+        keys = np.sort(np.concatenate(keys))
+        sat_keys = np.arange(num_sats + 1, dtype=np.int64) * num_gts
+        cand_start = np.searchsorted(keys, sat_keys)
+        cand_gt = np.empty(len(keys), dtype=np.int32)
+        np.remainder(keys, num_gts, out=cand_gt, casting="unsafe")
+        del keys  # freed before the slant temporaries below
 
-    cand_edges = np.empty((len(gts), 2), dtype=np.int64)
-    cand_edges[:, 0] = sats
-    cand_edges[:, 1] = gts + num_sats
-    # Slant ranges as sqrt(dx*dx + dy*dy + dz*dz) on ECEF columns: the
-    # same left-to-right sum as ``np.linalg.norm`` over gathered rows
-    # (``axis=1``), so bit-identical to it, without the row gathers.
-    diff = np.repeat(sat_ecef.T, row_counts, axis=1)
-    diff -= np.take(np.ascontiguousarray(gt_ecef.T), gts, axis=1)
-    diff *= diff
-    cand_dist_m = diff[0] + diff[1]
-    cand_dist_m += diff[2]
+    # Slant ranges as sqrt((dx*dx + dy*dy) + dz*dz), one ECEF axis at a
+    # time: the same left-to-right sum as ``np.linalg.norm`` over gathered
+    # rows (``axis=1``), so bit-identical to it, with one axis of
+    # temporaries at a time.
+    row_counts = np.diff(cand_start)
+    gt_axes = np.ascontiguousarray(gt_ecef.T)
+    cand_dist_m = np.zeros(len(cand_gt))
+    for axis in range(3):
+        delta = np.repeat(sat_ecef[:, axis], row_counts)
+        delta -= gt_axes[axis].take(cand_gt)
+        delta *= delta
+        cand_dist_m += delta
     np.sqrt(cand_dist_m, out=cand_dist_m)
     return GeometryFrame(
         time_s=time_s,
         stations=stations,
         sat_ecef=sat_ecef,
         gt_ecef=gt_ecef,
-        cand_edges=cand_edges,
+        cand_start=cand_start,
+        cand_gt=cand_gt,
         cand_dist_m=cand_dist_m,
         _static=static,
     )
@@ -323,42 +372,40 @@ def assemble_graph(
 ) -> SnapshotGraph:
     """The per-mode layer: compose a :class:`SnapshotGraph` from a frame.
 
-    Filter order is load-bearing and mirrors the monolithic builder:
-    GSO-noncompliant candidate edges are dropped *first*, then the beam
-    limit ranks what remains (a forbidden edge must not consume a
-    beam), then ISL and fiber rows are appended, and faults are applied
-    to the fully assembled graph. Faults always run here — never in a
-    cached layer — so fault injection cannot poison frames.
+    Filter order is load-bearing: GSO-noncompliant candidate edges are
+    dropped *first*, then the beam limit ranks what remains (a forbidden
+    edge must not consume a beam), then ISL and fiber rows are appended,
+    and faults are applied to the fully assembled graph. Faults always
+    run here — never in a cached layer — so fault injection cannot
+    poison frames.
     """
     stations = frame.stations
     num_sats = frame.num_sats
-    edges = frame.cand_edges
-    dists = frame.cand_dist_m
-
     with span("edge_assembly"):
-        if gso_policy is not None and len(edges):
+        sats = frame.cand_sat()
+        gts = frame.cand_gt
+        dists = frame.cand_dist_m
+        if gso_policy is not None and len(gts):
             compliant = gso_compliant_edge_mask(
                 stations.lats,
                 stations.lons,
                 frame.gt_ecef,
                 frame.sat_ecef,
-                edges[:, 1] - num_sats,
-                edges[:, 0],
+                gts,
+                sats,
                 gso_policy,
             )
-            edges = edges[compliant]
-            dists = dists[compliant]
+            sats, gts, dists = sats[compliant], gts[compliant], dists[compliant]
 
-        if max_gts_per_satellite is not None and len(edges):
-            keep = beam_limited_edge_mask(edges[:, 0], dists, max_gts_per_satellite)
-            edges = edges[keep]
-            dists = dists[keep]
+        if max_gts_per_satellite is not None and len(gts):
+            keep = beam_limited_edge_mask(sats, dists, max_gts_per_satellite)
+            sats, gts, dists = sats[keep], gts[keep], dists[keep]
         elif max_gts_per_satellite is not None and max_gts_per_satellite < 1:
             raise ValueError("max_gts_per_satellite must be >= 1")
 
-        edge_blocks = [edges.reshape(-1, 2)]
+        edge_blocks = []
         dist_blocks = [dists]
-        kind_blocks = [np.full(len(edges), _KIND_GT_SAT, dtype=np.int8)]
+        kind_blocks = [np.full(len(gts), _KIND_GT_SAT, dtype=np.int8)]
 
         if mode.uses_isls:
             edge_blocks.append(static.isl_edges)
@@ -374,7 +421,16 @@ def assemble_graph(
                     np.full(len(city_edges), _KIND_FIBER, dtype=np.int8)
                 )
 
-        all_edges = np.vstack(edge_blocks)
+        # Radio rows are written straight into the int64 edge table, from
+        # the frame's narrow columns, then the ISL and fiber rows follow.
+        radio = len(gts)
+        all_edges = np.empty(
+            (radio + sum(len(block) for block in edge_blocks), 2), dtype=np.int64
+        )
+        all_edges[:radio, 0] = sats
+        np.add(gts, num_sats, out=all_edges[:radio, 1], casting="unsafe")
+        if edge_blocks:
+            np.concatenate(edge_blocks, out=all_edges[radio:])
         all_dists = np.concatenate(dist_blocks)
         all_kinds = np.concatenate(kind_blocks)
 
@@ -389,7 +445,7 @@ def assemble_graph(
         edge_dist_m=all_dists,
         edge_kind=all_kinds,
         stations=stations,
-        _bounce_share=(frame, (gso_policy, max_gts_per_satellite)),
+        _radio_share=(frame, (gso_policy, max_gts_per_satellite)),
     )
     return apply_faults(graph, faults)
 
@@ -453,7 +509,8 @@ class SnapshotEngine:
             frame = _build_frame(static, key)
         with self._lock:
             incr("engine.frame_misses")
-            incr("engine.cand_edges", len(frame.cand_edges))
+            incr("engine.cand_edges", len(frame.cand_gt))
+            incr("engine.frame_bytes", frame.nbytes)
             self._frames[key] = frame
             self._frames.move_to_end(key)
             while len(self._frames) > self.frame_cache_size:

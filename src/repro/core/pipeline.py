@@ -19,7 +19,11 @@ from repro.core.checkpoint import RttCheckpoint
 from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.core.scenario import Scenario
 from repro.flows.traffic import CityPair, pair_index
-from repro.integrity.guards import check_graph, check_rtt_series
+from repro.integrity.guards import (
+    check_cross_mode_rtt,
+    check_graph,
+    check_rtt_series,
+)
 from repro.network.graph import ConnectivityMode, SnapshotGraph
 from repro.network.paths import Path, extract_path, shortest_path, shortest_paths_from
 from repro.obs import span
@@ -125,7 +129,8 @@ def compute_rtt_series_multi(
     checkpoint root when one is active, so an interrupted sweep resumes
     from disk. ``policy``, ``progress`` and ``fault_hook`` are
     documented on the map. Results are bit-identical for any
-    ``processes``.
+    ``processes``. Under strict mode every series is checked, and a
+    sweep over both BP and hybrid also checks hybrid <= BP per cell.
     """
     modes = list(modes)
     rows = map_snapshot_rows(
@@ -146,6 +151,10 @@ def compute_rtt_series_multi(
     if current().strict:
         for mode in modes:
             check_rtt_series(series[mode], scenario.pairs, source=f"rtt[{mode.value}]")
+        bp = series.get(ConnectivityMode.BP_ONLY)
+        hybrid = series.get(ConnectivityMode.HYBRID)
+        if bp is not None and hybrid is not None:
+            check_cross_mode_rtt(bp, hybrid, source="rtt[hybrid vs bp]")
     return series
 
 

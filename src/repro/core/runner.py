@@ -101,9 +101,11 @@ _BASELINE_COUNTERS = (
     "engine.frame_hits",
     "engine.frame_misses",
     "engine.cand_edges",
+    "engine.frame_bytes",
     "engine.frame_evictions",
     "engine.contraction_hits",
     "engine.contraction_misses",
+    "engine.bounce_candidates",
     "routing.pair_retries",
     "integrity.quarantined",
     "integrity.shards_verified",

@@ -18,6 +18,7 @@ from repro.integrity.digest import DIGEST_ALGORITHM, digest_bytes, digest_file
 from repro.integrity.guards import (
     InvariantViolation,
     check_allocation,
+    check_cross_mode_rtt,
     check_graph,
     check_routing,
     check_rtt_series,
@@ -57,6 +58,7 @@ __all__ = [
     "VerifyReport",
     "Violation",
     "check_allocation",
+    "check_cross_mode_rtt",
     "check_graph",
     "check_routing",
     "check_rtt_series",

@@ -7,6 +7,8 @@ the pipeline's products the moment they are computed:
 * RTTs are finite-or-``inf`` (unreachable), never negative or NaN, and
   never below the speed-of-light bound set by the straight-line chord
   between the two cities — a provable floor for *any* relayed path;
+* hybrid RTTs never exceed BP's for the same cell, and hybrid reaches
+  every cell BP reaches: its graph holds BP's edges plus ISLs;
 * snapshot graphs carry in-range node ids, finite positive edge
   lengths, and no self-loops or duplicate undirected edges;
 * routed sub-flows run between their pair's cities over exactly the
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.core
 __all__ = [
     "InvariantViolation",
     "check_allocation",
+    "check_cross_mode_rtt",
     "check_graph",
     "check_routing",
     "check_rtt_series",
@@ -52,6 +55,10 @@ _LENGTH_RTOL = 1e-9
 #: Relative slack on the RTT lower bound — covers float accumulation in
 #: the haversine/chord conversion, nothing physical.
 _RTT_BOUND_RTOL = 1e-6
+
+#: Relative slack of hybrid <= BP: the two modes' distances are sums
+#: over different graphs, which may round apart in the last ulp.
+_CROSS_MODE_RTOL = 1e-12
 
 
 class InvariantViolation(RuntimeError):
@@ -121,6 +128,31 @@ def check_rtt_series(series: "RttSeries", pairs=None, source: str = "rtt") -> No
                 f"{bound[pair]:.3f} ms (chord distance "
                 f"{pairs[pair].distance_m / 1e3:.0f} km great-circle)"
             )
+
+
+def check_cross_mode_rtt(
+    bp: "RttSeries", hybrid: "RttSeries", source: str = "rtt"
+) -> None:
+    """Hybrid is never slower than BP, nor unreachable where BP reaches.
+
+    Both series must cover the same (pair, snapshot) grid. Hybrid's
+    graph holds BP's edges plus ISLs, so every cell with a finite BP
+    RTT needs ``hybrid <= BP * (1 + 1e-12)``; a violation means the
+    two modes were built from different ground segments or filters.
+    """
+    bp_rtt = np.asarray(bp.rtt_ms, dtype=float)
+    hybrid_rtt = np.asarray(hybrid.rtt_ms, dtype=float)
+    if bp_rtt.shape != hybrid_rtt.shape:
+        raise InvariantViolation(
+            f"{source}: BP series is {bp_rtt.shape} but hybrid is {hybrid_rtt.shape}"
+        )
+    worse = np.isfinite(bp_rtt) & ~(hybrid_rtt <= bp_rtt * (1.0 + _CROSS_MODE_RTOL))
+    if worse.any():
+        pair, snap = np.argwhere(worse)[0]
+        raise InvariantViolation(
+            f"{source}: hybrid RTT {hybrid_rtt[pair, snap]:g} ms exceeds BP "
+            f"{bp_rtt[pair, snap]:g} ms at pair {pair}, snapshot {snap}"
+        )
 
 
 def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:

@@ -12,7 +12,6 @@ from repro.network.graph import (
     ConnectivityMode,
     GsoProtectionPolicy,
     SnapshotGraph,
-    build_snapshot_graph,
     isl_grazing_altitude_m,
 )
 from repro.network.linkbudget import (
@@ -54,7 +53,6 @@ __all__ = [
     "free_space_path_loss_db",
     "k_node_disjoint_paths",
     "SnapshotGraph",
-    "build_snapshot_graph",
     "isl_grazing_altitude_m",
     "LinkCapacities",
     "LinkKind",

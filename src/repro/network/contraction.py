@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from repro.obs import incr
+
 __all__ = ["PAIR_CHUNK", "bounce_edges", "min_per_pair"]
 
 #: Most satellite pairs materialized at once while enumerating bounce
@@ -62,10 +64,14 @@ def bounce_edges(
     which sums a duplicated edge exactly as ``SnapshotGraph.matrix``
     does, and sorts each GT's satellites so ``a < b`` below). GTs of
     equal degree ``d`` are expanded together through ``triu_indices(d,
-    1)``, at most :data:`PAIR_CHUNK` pairs at a time, and
-    ``np.minimum.at`` folds each chunk into a dense ``num_sats x
-    num_sats`` table (8 bytes per entry: 20 MB for 1,584 satellites,
-    whatever the size of the ground segment).
+    1)``, at most :data:`PAIR_CHUNK` pairs at a time, gathered as
+    ``(d, GTs)`` blocks so every pair's gather copies whole rows.
+    ``np.minimum.at`` folds each chunk into a table with one slot per
+    satellite pair ``a < b``, packed row by row: slot ``a * n - a (a +
+    1) / 2 + (b - a - 1)`` for ``n`` satellites (8 bytes per pair: 10 MB
+    for 1,584 satellites, whatever the size of the ground segment). The
+    expanded (GT, a, b) triples are counted in
+    ``engine.bounce_candidates``.
     """
     if not len(sats):
         return _EMPTY
@@ -74,18 +80,27 @@ def bounce_edges(
     )
     indptr, indices, data = by_gt.indptr, by_gt.indices, by_gt.data
     degree = np.diff(indptr)
-    best = np.full(num_sats * num_sats, np.inf)
+    sat_ids = np.arange(num_sats, dtype=np.int64)
+    # Pair (a, b) lives at slot row_base[a] + b; row a starts at row_start[a].
+    row_start = sat_ids * num_sats - sat_ids * (sat_ids + 1) // 2
+    row_base = row_start - sat_ids - 1
+    best = np.full(num_sats * (num_sats - 1) // 2, np.inf)
+    expanded = 0
     for d in np.unique(degree[degree >= 2]):
         rows = np.flatnonzero(degree == d)
         first, second = np.triu_indices(d, 1)
         step = max(1, PAIR_CHUNK // len(first))
         for start in range(0, len(rows), step):
-            slots = indptr[rows[start : start + step], None] + np.arange(d)
-            sat, dist = indices[slots].astype(np.int64), data[slots]
+            slots = indptr[rows[start : start + step]] + np.arange(d)[:, None]
+            sat, dist = indices[slots], data[slots]
+            base = row_base[sat]
             np.minimum.at(
                 best,
-                (sat[:, first] * num_sats + sat[:, second]).ravel(),
-                (dist[:, first] + dist[:, second]).ravel(),
+                (base[first] + sat[second]).ravel(),
+                (dist[first] + dist[second]).ravel(),
             )
-    key = np.flatnonzero(best < np.inf)
-    return key // num_sats, key % num_sats, best[key]
+        expanded += len(rows) * len(first)
+    incr("engine.bounce_candidates", expanded)
+    slot = np.flatnonzero(best < np.inf)
+    a = np.searchsorted(row_start, slot, side="right") - 1
+    return a, slot - row_base[a], best[slot]

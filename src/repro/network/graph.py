@@ -10,8 +10,8 @@ graph the paper routes over:
   elevation (equivalently: the GT lies in the satellite's coverage cone);
 * ISL edges (hybrid/ISL-only modes) follow the +Grid topology.
 
-Edge discovery is vectorized: GT unit vectors go into a KD-tree once and
-each shell queries it with its coverage cone's chord radius.
+Graphs are built by the layered :mod:`repro.core.engine`; this module
+holds the graph type and the GSO and beam-limit edge filters it uses.
 """
 
 from __future__ import annotations
@@ -22,20 +22,12 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
-from repro.constants import EARTH_RADIUS, SPEED_OF_LIGHT
-from repro.obs import incr, span, traced
+from repro.constants import EARTH_RADIUS
+from repro.obs import incr, span
 from repro.network.contraction import bounce_edges, min_per_pair
-from repro.network.fiber import city_fiber_edges
-from repro.network.links import LinkCapacities, LinkKind
-from repro.network.topology import constellation_isl_edges, isl_lengths_m
-from repro.orbits.constellation import Constellation
-from repro.orbits.coordinates import geodetic_to_ecef
-from repro.orbits.visibility import (
-    coverage_central_angle_rad,
-    gso_arc_directions_enu,
-)
+from repro.network.links import LinkCapacities
+from repro.orbits.visibility import gso_arc_directions_enu
 from repro.ground.stations import StationTable
 
 __all__ = [
@@ -43,7 +35,6 @@ __all__ = [
     "GsoProtectionPolicy",
     "SnapshotGraph",
     "beam_limited_edge_mask",
-    "build_snapshot_graph",
     "isl_grazing_altitude_m",
     "gso_compliant_edge_mask",
 ]
@@ -107,7 +98,7 @@ class SnapshotGraph:
     """One time snapshot of the network.
 
     Edges are undirected and stored once; ``matrix()`` symmetrizes.
-    Distances are metres; ``latency_matrix()`` converts to seconds.
+    Distances are metres.
     """
 
     time_s: float
@@ -126,9 +117,10 @@ class SnapshotGraph:
     _csr_pos_cache: np.ndarray | None = None
     _edge_caps_cache: dict | None = None
     _contracted_cache: sparse.csr_matrix | None = None
-    #: ``(frame, key)`` when the engine shares this graph's bounce edges
-    #: with every graph of the same frame and GT-satellite filters.
-    _bounce_share: tuple | None = field(default=None, repr=False)
+    #: ``(frame, key)`` when the engine shares this graph's contracted
+    #: radio block with every graph of the same frame and GT-satellite
+    #: filters.
+    _radio_share: tuple | None = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -168,15 +160,6 @@ class SnapshotGraph:
             self._edge_caps_cache[key] = caps
         return caps
 
-    def edge_link_kind(self, edge_index: int) -> LinkKind:
-        """Physical link family of one edge."""
-        code = self.edge_kind[edge_index]
-        if code == _KIND_ISL:
-            return LinkKind.ISL
-        if code == _KIND_FIBER:
-            return LinkKind.FIBER
-        return LinkKind.GT_SAT
-
     def matrix(self) -> sparse.csr_matrix:
         """Symmetric CSR distance matrix (metres) over all nodes."""
         if self._matrix_cache is None:
@@ -196,27 +179,36 @@ class SnapshotGraph:
         replaced by satellite-satellite bounce edges (see
         :mod:`repro.network.contraction`), so node ids of satellites and
         cities are unchanged and every shortest distance between them
-        equals the one on :meth:`matrix`. A bounce edge parallel to an
-        ISL keeps the shorter of the two. RTT sweeps run Dijkstra here;
-        paths and routing use the physical :meth:`matrix`.
+        equals the one on :meth:`matrix`. The contracted radio block
+        (city GT-satellite edges plus bounce edges) comes from the
+        frame's memo when the engine shares it; this graph then merges
+        only its ISL and fiber rows into it. A bounce edge parallel to
+        an ISL keeps the shorter of the two. RTT sweeps run Dijkstra
+        here; paths and routing use the physical :meth:`matrix`.
         """
         if self._contracted_cache is None:
             kept = self.num_sats + self.stations.city_count
-            lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-            hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-            transit = hi >= kept
-            if self._bounce_share is None:
-                bounce = self._contract_transit(lo, hi, transit)
+            radio = self.edge_kind == _KIND_GT_SAT
+            if self._radio_share is None:
+                block = self._contract_radio(radio)
             else:
-                frame, key = self._bounce_share
-                bounce = frame.bounce_edges(
-                    key, lambda: self._contract_transit(lo, hi, transit)
+                frame, key = self._radio_share
+                block = frame.contracted_radio(
+                    key, lambda: self._contract_radio(radio)
                 )
-            u, v, w = min_per_pair(
-                np.concatenate([lo[~transit], bounce[0]]),
-                np.concatenate([hi[~transit], bounce[1]]),
-                np.concatenate([self.edge_dist_m[~transit], bounce[2]]),
-            )
+            other = ~radio
+            if other.any():
+                edges = self.edges[other]
+                if edges.max() >= kept:
+                    raise ValueError(
+                        "a relay or aircraft has a non-satellite neighbour"
+                    )
+                block = min_per_pair(
+                    np.concatenate([block[0], edges[:, 0]]),
+                    np.concatenate([block[1], edges[:, 1]]),
+                    np.concatenate([block[2], self.edge_dist_m[other]]),
+                )
+            u, v, w = block
             row = np.concatenate([u, v])
             col = np.concatenate([v, u])
             self._contracted_cache = sparse.csr_matrix(
@@ -224,17 +216,32 @@ class SnapshotGraph:
             )
         return self._contracted_cache
 
-    def _contract_transit(self, lo, hi, transit):
-        """This graph's bounce edges, contracted from its own edges."""
-        if np.any(lo[transit] >= self.num_sats):
+    def _contract_radio(self, radio: np.ndarray):
+        """This graph's contracted radio block, from its own radio rows.
+
+        ``radio`` masks the GT-satellite rows, stored ``(satellite,
+        GT node)``. City rows are kept as they are; rows ending at a
+        relay or aircraft become bounce edges. Returns ``(lo, hi, w)``
+        with one minimum per node pair, sorted by ``(lo, hi)``.
+        """
+        kept = self.num_sats + self.stations.city_count
+        sats = self.edges[:, 0][radio]
+        gts = self.edges[:, 1][radio]
+        dists = self.edge_dist_m[radio]
+        transit = gts >= kept
+        transit_sats = sats[transit]
+        if np.any(transit_sats >= self.num_sats):
             raise ValueError("a relay or aircraft has a non-satellite neighbour")
         with span("transit_contraction"):
             incr("engine.contraction_misses")
-            return bounce_edges(
-                lo[transit],
-                hi[transit] - (self.num_sats + self.stations.city_count),
-                self.edge_dist_m[transit],
-                self.num_sats,
+            bounce = bounce_edges(
+                transit_sats, gts[transit] - kept, dists[transit], self.num_sats
+            )
+            city = ~transit
+            return min_per_pair(
+                np.concatenate([sats[city], bounce[0]]),
+                np.concatenate([gts[city], bounce[1]]),
+                np.concatenate([dists[city], bounce[2]]),
             )
 
     def _edge_key_index(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -295,26 +302,6 @@ class SnapshotGraph:
                 axis=1,
             )
         return self._csr_pos_cache[np.asarray(edge_ids, dtype=np.int64)].reshape(-1)
-
-    def latency_matrix(self) -> sparse.csr_matrix:
-        """Symmetric CSR matrix of one-way propagation delays, seconds."""
-        matrix = self.matrix().copy()
-        matrix.data = matrix.data / SPEED_OF_LIGHT
-        return matrix
-
-    def summary(self) -> dict:
-        """One-glance description of the snapshot (sizes per family)."""
-        return {
-            "time_s": self.time_s,
-            "mode": self.mode.value,
-            "satellites": self.num_sats,
-            "cities": self.stations.city_count,
-            "relays": self.stations.relay_count,
-            "aircraft": self.stations.aircraft_count,
-            "radio_edges": int(np.sum(self.edge_kind == _KIND_GT_SAT)),
-            "isl_edges": int(np.sum(self.edge_kind == _KIND_ISL)),
-            "fiber_edges": int(np.sum(self.edge_kind == _KIND_FIBER)),
-        }
 
     def to_networkx(self, capacities: LinkCapacities | None = None):
         """Export the snapshot as a ``networkx.Graph``.
@@ -463,135 +450,3 @@ def beam_limited_edge_mask(
     keep = np.zeros(len(edge_sat_index), dtype=bool)
     keep[order[keep_sorted]] = True
     return keep
-
-
-@traced("graph_build")
-def build_snapshot_graph(
-    constellation: Constellation,
-    stations: StationTable,
-    time_s: float,
-    mode: ConnectivityMode = ConnectivityMode.HYBRID,
-    gso_policy: GsoProtectionPolicy | None = None,
-    fiber_max_km: float | None = None,
-    max_gts_per_satellite: int | None = None,
-) -> SnapshotGraph:
-    """Build the network graph for one snapshot, monolithically.
-
-    This is the single-shot reference path: every call recomputes all
-    geometry from scratch. Repeated builds (time series, multi-mode
-    comparisons) should go through the layered
-    :class:`repro.core.engine.SnapshotEngine`, which caches the
-    time-invariant and mode-invariant stages and produces numerically
-    identical graphs.
-
-    GT-satellite visibility uses the spherical coverage-cone condition:
-    a GT may use a satellite when the central angle between the GT and
-    the sub-satellite point is at most the shell's coverage angle. (For
-    aircraft GTs at 11 km the ground-projection approximation shifts the
-    elevation threshold by well under a degree, which is negligible next
-    to the 25-30 degree minimum elevations involved.)
-
-    ``gso_policy`` additionally drops GT-satellite edges violating the
-    Section 7 GSO arc-avoidance separation. ``fiber_max_km`` adds
-    terrestrial fiber edges between city GTs within that distance
-    (Section 8 "distributed GTs"). ``max_gts_per_satellite`` models a
-    finite beam count: each satellite keeps only its N closest GTs (the
-    paper's Section 2 notes satellites "connect simultaneously to
-    multiple GTs using different frequency bands" — the default ``None``
-    matches the paper's unbounded reading; real spot-beam payloads are
-    bounded, which the D8 ablation probes).
-    """
-    sat_ecef = constellation.positions_ecef(time_s)
-    gt_ecef = geodetic_to_ecef(stations.lats, stations.lons, stations.altitudes)
-    num_sats = len(sat_ecef)
-    num_gts = len(gt_ecef)
-
-    with span("kdtree_query"):
-        gt_units = geodetic_to_ecef(stations.lats, stations.lons, 0.0) / EARTH_RADIUS
-        tree = cKDTree(gt_units)
-
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
-        offsets = constellation.shell_offsets()
-        for offset, shell in zip(offsets, constellation.shells):
-            psi = coverage_central_angle_rad(shell.altitude_m, shell.min_elevation_deg)
-            chord = 2.0 * np.sin(psi / 2.0)
-            shell_sats = sat_ecef[offset : offset + shell.num_satellites]
-            sat_units = shell_sats / np.linalg.norm(shell_sats, axis=1, keepdims=True)
-            neighbour_lists = tree.query_ball_point(sat_units, r=chord)
-            for local_idx, gt_indices in enumerate(neighbour_lists):
-                if not gt_indices:
-                    continue
-                gts = np.asarray(gt_indices, dtype=np.int64)
-                edge_u.append(np.full(len(gts), offset + local_idx, dtype=np.int64))
-                edge_v.append(gts + num_sats)
-
-    with span("edge_assembly"):
-        if edge_u:
-            u = np.concatenate(edge_u)
-            v = np.concatenate(edge_v)
-        else:
-            u = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.int64)
-        gt_sat_edges = np.stack([u, v], axis=1)
-
-        if gso_policy is not None and len(gt_sat_edges):
-            compliant = gso_compliant_edge_mask(
-                stations.lats,
-                stations.lons,
-                gt_ecef,
-                sat_ecef,
-                gt_sat_edges[:, 1] - num_sats,
-                gt_sat_edges[:, 0],
-                gso_policy,
-            )
-            gt_sat_edges = gt_sat_edges[compliant]
-
-        gt_sat_dists = np.linalg.norm(
-            sat_ecef[gt_sat_edges[:, 0]] - gt_ecef[gt_sat_edges[:, 1] - num_sats], axis=1
-        ) if len(gt_sat_edges) else np.empty(0)
-
-        if max_gts_per_satellite is not None and len(gt_sat_edges):
-            keep = beam_limited_edge_mask(
-                gt_sat_edges[:, 0], gt_sat_dists, max_gts_per_satellite
-            )
-            gt_sat_edges = gt_sat_edges[keep]
-            gt_sat_dists = gt_sat_dists[keep]
-
-        edge_blocks = [gt_sat_edges.reshape(-1, 2)]
-        dist_blocks = [gt_sat_dists]
-        kind_blocks = [np.full(len(gt_sat_edges), _KIND_GT_SAT, dtype=np.int8)]
-
-        if mode.uses_isls:
-            isl_edges = constellation_isl_edges(constellation)
-            edge_blocks.append(isl_edges)
-            dist_blocks.append(isl_lengths_m(isl_edges, sat_ecef))
-            kind_blocks.append(np.full(len(isl_edges), _KIND_ISL, dtype=np.int8))
-
-        if fiber_max_km is not None and stations.city_count >= 2:
-            city_edges, fiber_dists = city_fiber_edges(
-                stations.lats[: stations.city_count],
-                stations.lons[: stations.city_count],
-                fiber_max_km,
-            )
-            if len(city_edges):
-                edge_blocks.append(city_edges + num_sats)
-                dist_blocks.append(fiber_dists)
-                kind_blocks.append(np.full(len(city_edges), _KIND_FIBER, dtype=np.int8))
-
-        edges = np.vstack(edge_blocks)
-        dists = np.concatenate(dist_blocks)
-        kinds = np.concatenate(kind_blocks)
-
-    return SnapshotGraph(
-        time_s=time_s,
-        mode=mode,
-        num_sats=num_sats,
-        num_gts=num_gts,
-        sat_ecef=sat_ecef,
-        gt_ecef=gt_ecef,
-        edges=edges,
-        edge_dist_m=dists,
-        edge_kind=kinds,
-        stations=stations,
-    )

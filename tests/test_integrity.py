@@ -17,6 +17,7 @@ from repro.integrity import (
     LATITUDE,
     TableSpec,
     check_allocation,
+    check_cross_mode_rtt,
     check_graph,
     check_routing,
     check_rtt_series,
@@ -154,6 +155,56 @@ class TestRttGuards:
             tiny_scenario, [ConnectivityMode.HYBRID]
         )[ConnectivityMode.HYBRID]
         check_rtt_series(series, tiny_scenario.pairs)
+
+
+class TestCrossModeRttGuard:
+    """Hybrid <= BP per cell, and hybrid reaches what BP reaches."""
+
+    BP = [[10.0, np.inf, 30.0], [40.0, 50.0, np.inf]]
+
+    def test_hybrid_no_worse_passes(self):
+        hybrid = [[9.0, 20.0, 30.0 * (1 + 1e-13)], [40.0, 50.0, np.inf]]
+        check_cross_mode_rtt(_series(self.BP), _series(hybrid))
+
+    def test_slower_hybrid_names_first_cell(self):
+        hybrid = [[9.0, 20.0, 30.0], [40.0, 50.0 * (1 + 1e-9), np.inf]]
+        with pytest.raises(InvariantViolation, match="pair 1, snapshot 1"):
+            check_cross_mode_rtt(_series(self.BP), _series(hybrid))
+
+    def test_unreachable_hybrid_rejected(self):
+        hybrid = [[10.0, np.inf, np.inf], [40.0, 50.0, np.inf]]
+        match = "hybrid RTT inf .* pair 0, snapshot 2"
+        with pytest.raises(InvariantViolation, match=match):
+            check_cross_mode_rtt(_series(self.BP), _series(hybrid))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvariantViolation, match="BP series"):
+            check_cross_mode_rtt(_series(self.BP), _series([[1.0, 2.0, 3.0]]))
+
+    def test_real_two_mode_sweep_passes(self, tiny_scenario):
+        from repro.core.pipeline import compute_rtt_series_multi
+
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        series = compute_rtt_series_multi(tiny_scenario, modes)
+        check_cross_mode_rtt(*(series[mode] for mode in modes))
+
+    def test_strict_sweep_rejects_doctored_hybrid(self, tiny_scenario, monkeypatch):
+        from repro.core import pipeline
+
+        evaluate = pipeline._rtt_snapshot_row
+
+        def doctored(scenario, time_s, mode):
+            row = evaluate(scenario, time_s, mode)
+            if mode is ConnectivityMode.HYBRID and float(time_s) > 0:
+                row = row * 1.5
+            return row
+
+        monkeypatch.setattr(pipeline, "_rtt_snapshot_row", doctored)
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        with pytest.raises(InvariantViolation, match=r"hybrid vs bp.*snapshot 1"):
+            pipeline.compute_rtt_series_multi(tiny_scenario, modes)
+        with run_context(strict=False):
+            pipeline.compute_rtt_series_multi(tiny_scenario, modes)
 
 
 class TestGraphGuards:

@@ -181,11 +181,18 @@ class TestProfiledHeadlineRun:
             # Present (possibly zero) even for fig2, which never routes.
             assert "routing.pair_retries" in counters
             assert "engine.cand_edges" in counters
+            assert "engine.frame_bytes" in counters
+            assert "engine.bounce_candidates" in counters
         # fig2 computed (not resumed) every snapshot of both modes.
         assert metrics["fig2"]["counters"]["checkpoint.misses"] > 0
         assert metrics["fig2"]["counters"]["checkpoint.hits"] == 0
         # ... so it built frames, whose candidate rows the counter sums.
         assert metrics["fig2"]["counters"]["engine.cand_edges"] > 0
+        # ... whose array bytes, at least 12 per candidate row, are summed too,
+        # and the RTT sweep contracted relays and aircraft into bounce edges.
+        fig2 = metrics["fig2"]["counters"]
+        assert fig2["engine.frame_bytes"] >= 12 * fig2["engine.cand_edges"]
+        assert fig2["engine.bounce_candidates"] > 0
         # BP and hybrid at one instant share a geometry frame.
         assert metrics["fig2"]["counters"]["engine.frame_hits"] > 0
         # Routing takes the source-batched Dijkstra fast path.

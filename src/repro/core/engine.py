@@ -25,12 +25,18 @@ that is invariant across the calls real workloads make:
   axis at a time, in the same left-to-right order as
   ``np.linalg.norm``.
 * **per-mode assembly** (:func:`assemble_graph`) — the cheap final
-  step: the candidate rows become the graph's int64 ``(m, 2)`` edge
-  table, BP drops ISL rows, hybrid/ISL modes append them, and the GSO /
-  beam-limit / fiber / fault filters apply here. Faults are *never*
-  cached: a frame holds only fault-free geometry, so an ambient
-  :class:`~repro.faults.FaultSpec` can neither leak into nor out of the
-  cache.
+  step: the GSO / beam-limit filters apply to the candidate rows (a
+  filtered copy stays a CSR by satellite; unfiltered graphs share the
+  frame's arrays), hybrid/ISL modes add the ISL rows and fiber adds
+  city-city rows as a small eager non-radio block, and faults apply.
+  The graph's physical edge table (int64 ``(m, 2)`` ``edges``,
+  ``edge_dist_m``, ``edge_kind``: radio rows, then ISL, then fiber) is
+  *lazy*: it is built from those two parts on first read, which
+  ``matrix()``, routing, strict guards and faults do, and bumps
+  ``engine.edge_tables``. An RTT sweep never reads it. Faults are
+  *never* cached: a frame holds only fault-free geometry, so an
+  ambient :class:`~repro.faults.FaultSpec` can neither leak into nor
+  out of the cache.
 * **transit contraction** (:meth:`SnapshotGraph.contracted_matrix`) —
   what RTT sweeps run Dijkstra on: satellites + cities, with every
   relay and aircraft (pure transit nodes, satellite neighbours only)
@@ -41,15 +47,18 @@ that is invariant across the calls real workloads make:
   pair — depends only on the GT-satellite rows, which BP, hybrid and
   ISL-only share, so it is memoized on the frame keyed by
   ``(gso_policy, max_gts_per_satellite)`` and :func:`assemble_graph`
-  gives each graph a handle to that memo. The frame's rows are thus
-  read by one contraction per frame and filter set; each graph merges
-  only its own ISL and fiber rows into the block before its CSR build.
-  Faulted graphs lose the handle (``apply_faults`` rebuilds the graph)
-  and contract their own radio rows through the same function. Cities,
-  paths, routing and the assembled graph itself are not contracted.
-  ISL_ONLY keeps hybrid's graph, bounce edges included, so its
-  behaviour is unchanged; an ISL_ONLY graph without ground transit
-  would simply leave the bounce edges out.
+  gives each graph a handle to that memo. The block is read straight
+  from the graph's satellite CSR: one counting-sort transpose gives
+  the by-GT view, whose leading columns are the cities and whose
+  remaining columns are the transit GTs. Each graph then merges only
+  its ISL and fiber rows into the block before its CSR build.
+  Faulted graphs lose the handle (``apply_faults`` rebuilds the graph
+  from the materialized table) and contract their own radio rows
+  through the same function. Cities, paths, routing and the assembled
+  graph itself are not contracted. ISL_ONLY keeps hybrid's graph,
+  bounce edges included, so its behaviour is unchanged; an ISL_ONLY
+  graph without ground transit would simply leave the bounce edges
+  out.
 
 The assembled graphs are numerically identical to a monolithic
 from-scratch build (same edges, distances, kinds, in the same order;
@@ -59,10 +68,11 @@ two-mode sweep therefore pays for propagation and KD-tree queries once
 per snapshot instead of once per (snapshot, mode).
 
 Observability: the engine bumps ``engine.static_hits/misses``,
-``engine.frame_hits/misses``, ``engine.frame_evictions`` and
-``engine.assemblies`` counters, plus ``engine.cand_edges`` (candidate
-rows built, per frame miss: the frame layer's work, by which its time
-can be normalized) and ``engine.frame_bytes`` (the array bytes of each
+``engine.frame_hits/misses``, ``engine.frame_evictions``,
+``engine.assemblies`` and ``engine.edge_tables`` (physical tables
+built) counters, plus ``engine.cand_edges`` (candidate rows built,
+per frame miss: the frame layer's work, by which its time can be
+normalized) and ``engine.frame_bytes`` (the array bytes of each
 built frame). It nests its work under the ``graph_build`` span
 (children: ``frame_build`` with ``kdtree_query`` — the dual-tree
 queries and the key sort — on a frame miss, ``edge_assembly`` always),
@@ -82,13 +92,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.constants import EARTH_RADIUS
+from repro.constants import EARTH_RADIUS, slant_range_m
 from repro.faults import FaultSpec, apply_faults
 from repro.ground.stations import GroundSegment, StationTable
 from repro.network.fiber import city_fiber_edges
 from repro.network.graph import (
     _KIND_FIBER,
-    _KIND_GT_SAT,
     _KIND_ISL,
     ConnectivityMode,
     GsoProtectionPolicy,
@@ -127,6 +136,9 @@ class StaticContext:
     chord)`` per shell: the flat satellite index range plus the coverage
     cone's chord radius on the unit sphere. ``isl_edges`` is the +Grid
     topology in flat satellite indices (lengths are per-frame).
+    ``radio_range_m`` is each satellite's longest GT-satellite link, its
+    shell's ``slant_range_m(altitude, min_elevation)``: the bound the
+    strict graph guard holds radio rows to.
     """
 
     constellation: Constellation
@@ -138,6 +150,7 @@ class StaticContext:
     static_tree: cKDTree | None
     shell_params: tuple[tuple[int, int, float], ...]
     isl_edges: np.ndarray
+    radio_range_m: np.ndarray
     #: Memoized fiber edge sets keyed by ``fiber_max_km``.
     _fiber_cache: dict = field(default_factory=dict, repr=False)
 
@@ -184,6 +197,13 @@ class StaticContext:
             static_tree=static_tree,
             shell_params=shell_params,
             isl_edges=constellation_isl_edges(constellation),
+            radio_range_m=np.repeat(
+                [
+                    slant_range_m(shell.altitude_m, shell.min_elevation_deg)
+                    for shell in constellation.shells
+                ],
+                [shell.num_satellites for shell in constellation.shells],
+            ),
         )
 
     def fiber_edges(self, fiber_max_km: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +285,11 @@ class GeometryFrame:
             self._isl_dist_m = isl_lengths_m(self._static.isl_edges, self.sat_ecef)
         return self._isl_dist_m
 
+    @property
+    def radio_range_m(self) -> np.ndarray:
+        """Each satellite's longest GT-satellite link (see :class:`StaticContext`)."""
+        return self._static.radio_range_m
+
     def contracted_radio(self, key, build):
         """The contracted radio block for one set of GT-satellite filters.
 
@@ -272,7 +297,9 @@ class GeometryFrame:
         minimum per pair) depends on the frame and the GSO / beam-limit
         filters only — not on the mode or fiber — so BP, hybrid and
         ISL-only graphs of one snapshot share a single contraction.
-        ``build`` computes it on a miss. Like :meth:`isl_dist_m`, a race
+        ``build`` computes it on a miss from the asking graph's
+        satellite CSR (the frame's own rows when no filter applies), so
+        no physical edge table is built. Like :meth:`isl_dist_m`, a race
         merely recomputes the same deterministic value.
         """
         block = self._radio.get(key)
@@ -382,36 +409,35 @@ def assemble_graph(
     stations = frame.stations
     num_sats = frame.num_sats
     with span("edge_assembly"):
-        sats = frame.cand_sat()
-        gts = frame.cand_gt
-        dists = frame.cand_dist_m
-        if gso_policy is not None and len(gts):
-            compliant = gso_compliant_edge_mask(
-                stations.lats,
-                stations.lons,
-                frame.gt_ecef,
-                frame.sat_ecef,
-                gts,
-                sats,
-                gso_policy,
-            )
-            sats, gts, dists = sats[compliant], gts[compliant], dists[compliant]
-
-        if max_gts_per_satellite is not None and len(gts):
-            keep = beam_limited_edge_mask(sats, dists, max_gts_per_satellite)
-            sats, gts, dists = sats[keep], gts[keep], dists[keep]
-        elif max_gts_per_satellite is not None and max_gts_per_satellite < 1:
+        start, gts, dists = frame.cand_start, frame.cand_gt, frame.cand_dist_m
+        if max_gts_per_satellite is not None and max_gts_per_satellite < 1:
             raise ValueError("max_gts_per_satellite must be >= 1")
+        if (gso_policy is not None or max_gts_per_satellite is not None) and len(gts):
+            sats = frame.cand_sat()
+            if gso_policy is not None:
+                compliant = gso_compliant_edge_mask(
+                    stations.lats,
+                    stations.lons,
+                    frame.gt_ecef,
+                    frame.sat_ecef,
+                    gts,
+                    sats,
+                    gso_policy,
+                )
+                sats, gts, dists = sats[compliant], gts[compliant], dists[compliant]
+            if max_gts_per_satellite is not None:
+                keep = beam_limited_edge_mask(sats, dists, max_gts_per_satellite)
+                sats, gts, dists = sats[keep], gts[keep], dists[keep]
+            # Masks keep the satellite order, so the rows stay a CSR.
+            start = np.searchsorted(sats, np.arange(num_sats + 1))
 
-        edge_blocks = []
-        dist_blocks = [dists]
-        kind_blocks = [np.full(len(gts), _KIND_GT_SAT, dtype=np.int8)]
-
+        edge_blocks = [np.empty((0, 2), dtype=np.int64)]
+        dist_blocks = [np.empty(0)]
+        kind_blocks = [np.empty(0, dtype=np.int8)]
         if mode.uses_isls:
             edge_blocks.append(static.isl_edges)
             dist_blocks.append(frame.isl_dist_m())
             kind_blocks.append(np.full(len(static.isl_edges), _KIND_ISL, dtype=np.int8))
-
         if fiber_max_km is not None and stations.city_count >= 2:
             city_edges, fiber_dists = static.fiber_edges(fiber_max_km)
             if len(city_edges):
@@ -420,19 +446,11 @@ def assemble_graph(
                 kind_blocks.append(
                     np.full(len(city_edges), _KIND_FIBER, dtype=np.int8)
                 )
-
-        # Radio rows are written straight into the int64 edge table, from
-        # the frame's narrow columns, then the ISL and fiber rows follow.
-        radio = len(gts)
-        all_edges = np.empty(
-            (radio + sum(len(block) for block in edge_blocks), 2), dtype=np.int64
+        non_radio = (
+            np.concatenate(edge_blocks, dtype=np.int64),
+            np.concatenate(dist_blocks),
+            np.concatenate(kind_blocks),
         )
-        all_edges[:radio, 0] = sats
-        np.add(gts, num_sats, out=all_edges[:radio, 1], casting="unsafe")
-        if edge_blocks:
-            np.concatenate(edge_blocks, out=all_edges[radio:])
-        all_dists = np.concatenate(dist_blocks)
-        all_kinds = np.concatenate(kind_blocks)
 
     graph = SnapshotGraph(
         time_s=frame.time_s,
@@ -441,11 +459,13 @@ def assemble_graph(
         num_gts=stations.total,
         sat_ecef=frame.sat_ecef,
         gt_ecef=frame.gt_ecef,
-        edges=all_edges,
-        edge_dist_m=all_dists,
-        edge_kind=all_kinds,
+        edges=None,
+        edge_dist_m=None,
+        edge_kind=None,
         stations=stations,
         _radio_share=(frame, (gso_policy, max_gts_per_satellite)),
+        _sat_rows=(start, gts, dists),
+        _non_radio=non_radio,
     )
     return apply_faults(graph, faults)
 

@@ -106,6 +106,7 @@ _BASELINE_COUNTERS = (
     "engine.contraction_hits",
     "engine.contraction_misses",
     "engine.bounce_candidates",
+    "engine.edge_tables",
     "routing.pair_retries",
     "integrity.quarantined",
     "integrity.shards_verified",

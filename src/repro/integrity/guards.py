@@ -10,7 +10,10 @@ the pipeline's products the moment they are computed:
 * hybrid RTTs never exceed BP's for the same cell, and hybrid reaches
   every cell BP reaches: its graph holds BP's edges plus ISLs;
 * snapshot graphs carry in-range node ids, finite positive edge
-  lengths, and no self-loops or duplicate undirected edges;
+  lengths, and no self-loops or duplicate undirected edges; an
+  engine-built graph also obeys its physics (:func:`check_graph_physics`:
+  lengths match positions, kinds match endpoints, BP has no ISL, no
+  radio link beyond its shell's slant range);
 * routed sub-flows run between their pair's cities over exactly the
   edges they name, carry the left-fold length of those edges, and the
   sub-flows of one pair share no edge;
@@ -43,6 +46,7 @@ __all__ = [
     "check_allocation",
     "check_cross_mode_rtt",
     "check_graph",
+    "check_graph_physics",
     "check_routing",
     "check_rtt_series",
     "rtt_lower_bound_ms",
@@ -55,6 +59,13 @@ _LENGTH_RTOL = 1e-9
 #: Relative slack on the RTT lower bound — covers float accumulation in
 #: the haversine/chord conversion, nothing physical.
 _RTT_BOUND_RTOL = 1e-6
+
+#: Relative slack of an edge length against its endpoints' distance.
+_EDGE_LENGTH_RTOL = 1e-12
+
+#: Relative slack of a GT-satellite length against its shell's slant
+#: range: a GT exactly on the coverage cone may land a few ulps beyond.
+_SLANT_RTOL = 1e-9
 
 #: Relative slack of hybrid <= BP: the two modes' distances are sums
 #: over different graphs, which may round apart in the last ulp.
@@ -156,7 +167,11 @@ def check_cross_mode_rtt(
 
 
 def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
-    """Validate a snapshot graph's structural invariants."""
+    """Validate a snapshot graph's structural invariants.
+
+    An engine-built graph (one with a frame) is then held to its
+    physics by :func:`check_graph_physics`.
+    """
     edges = np.asarray(graph.edges)
     dists = np.asarray(graph.edge_dist_m, dtype=float)
     if len(edges) != len(dists) or len(edges) != len(graph.edge_kind):
@@ -210,6 +225,94 @@ def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
             raise InvariantViolation(
                 f"{source}: non-finite position in {name} row {bad}"
             )
+    if graph.frame is not None:
+        check_graph_physics(graph, graph.frame.radio_range_m, source)
+
+
+def check_graph_physics(
+    graph: "SnapshotGraph", radio_range_m: np.ndarray, source: str = "graph"
+) -> None:
+    """Validate a snapshot graph against the physics it models, in O(E).
+
+    * each ``edge_kind`` matches its endpoints: a GT-satellite row is
+      stored ``(satellite, GT)``, an ISL joins two satellites, and a
+      fiber row two cities;
+    * a BP graph has no ISL row;
+    * GT-satellite and ISL lengths equal the distance between their
+      endpoints' ECEF positions (relative 1e-12), and a fiber row is
+      at least that chord;
+    * no GT-satellite row is longer than ``radio_range_m`` of its
+      satellite, its shell's slant range at the minimum elevation.
+
+    Expects ``check_graph``'s structural checks to have passed.
+    """
+    from repro.network.graph import (
+        _KIND_FIBER,
+        _KIND_GT_SAT,
+        _KIND_ISL,
+        ConnectivityMode,
+    )
+
+    edges = np.asarray(graph.edges)
+    kinds = np.asarray(graph.edge_kind)
+    dists = np.asarray(graph.edge_dist_m, dtype=float)
+    u, v = edges[:, 0], edges[:, 1]
+    num_sats = graph.num_sats
+    cities_end = num_sats + graph.stations.city_count
+    sat_u, sat_v = u < num_sats, v < num_sats
+    matches = np.select(
+        [kinds == _KIND_GT_SAT, kinds == _KIND_ISL, kinds == _KIND_FIBER],
+        [
+            sat_u & ~sat_v,
+            sat_u & sat_v,
+            ~sat_u & ~sat_v & (u < cities_end) & (v < cities_end),
+        ],
+        default=False,
+    )
+    if not matches.all():
+        bad = int(np.argmin(matches))
+        raise InvariantViolation(
+            f"{source}: edge {bad} of kind {int(kinds[bad])} joins nodes "
+            f"{int(u[bad])} and {int(v[bad])}, which that kind cannot join"
+        )
+    if graph.mode is ConnectivityMode.BP_ONLY and (kinds == _KIND_ISL).any():
+        bad = int(np.argmax(kinds == _KIND_ISL))
+        raise InvariantViolation(f"{source}: BP graph holds ISL edge {bad}")
+
+    # The chord one ECEF axis at a time: the same sum as np.linalg.norm
+    # over gathered rows, without (E, 3) temporaries.
+    axes = np.concatenate([graph.sat_ecef, graph.gt_ecef]).T.copy()
+    chord = np.zeros(len(edges))
+    for axis in axes:
+        delta = axis.take(u)
+        delta -= axis.take(v)
+        delta *= delta
+        chord += delta
+    np.sqrt(chord, out=chord)
+    fiber = kinds == _KIND_FIBER
+    wrong = np.where(
+        fiber,
+        dists < chord * (1.0 - _EDGE_LENGTH_RTOL),
+        np.abs(dists - chord) > _EDGE_LENGTH_RTOL * chord,
+    )
+    if wrong.any():
+        bad = int(np.argmax(wrong))
+        want = "at least" if fiber[bad] else "equal to"
+        raise InvariantViolation(
+            f"{source}: edge {bad} has length {dists[bad]!r} m, not {want} "
+            f"the {chord[bad]!r} m between its endpoints"
+        )
+    radio = np.flatnonzero(kinds == _KIND_GT_SAT)
+    limit = np.asarray(radio_range_m, dtype=float)[u[radio]]
+    beyond = dists[radio] > limit * (1.0 + _SLANT_RTOL)
+    if beyond.any():
+        first = int(np.argmax(beyond))
+        bad = int(radio[first])
+        raise InvariantViolation(
+            f"{source}: GT-satellite edge {bad} is {dists[bad] / 1e3:.3f} km "
+            f"long, beyond satellite {int(u[bad])}'s slant range "
+            f"{limit[first] / 1e3:.3f} km"
+        )
 
 
 def check_routing(

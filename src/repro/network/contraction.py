@@ -13,13 +13,16 @@ Dijkstra cheap.
 Cities are *not* contracted: they are sources and targets, and with
 fiber they have ground neighbours. Paths and routing also stay on the
 physical graph; only distances are computed on the contracted one.
+
+The contraction reads the GT-satellite rows as a *by-GT CSR*: GT ``g``
+(a station index) owns rows ``indptr[g]:indptr[g + 1]``, whose
+satellites ascend (see ``SnapshotGraph._contract_radio`` for the two
+ways a graph builds it).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-
 from repro.obs import incr
 
 __all__ = ["PAIR_CHUNK", "bounce_edges", "min_per_pair"]
@@ -30,6 +33,12 @@ __all__ = ["PAIR_CHUNK", "bounce_edges", "min_per_pair"]
 PAIR_CHUNK = 1 << 18
 
 _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+
+#: Idle pair-minimum tables, all ``inf``, keyed by satellite count. A
+#: call takes its table out of the pool while it works (``dict.pop`` is
+#: atomic), so no two threads ever share one, and an exception leaves
+#: no dirty table behind.
+_idle_tables: dict[int, np.ndarray] = {}
 
 
 def min_per_pair(u: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -49,42 +58,38 @@ def min_per_pair(u: np.ndarray, v: np.ndarray, w: np.ndarray):
     return lo[keep], hi[keep], np.minimum.reduceat(w[order], starts)
 
 
-def bounce_edges(
-    sats: np.ndarray, transit: np.ndarray, dist_m: np.ndarray, num_sats: int
-):
+def bounce_edges(indptr, sats, dist_m, num_sats: int):
     """Satellite-satellite bounce edges replacing the transit GTs.
 
-    ``sats[i]`` - ``transit[i]`` is one satellite-transit-GT edge of
-    length ``dist_m[i]``; ``transit`` holds dense transit ids in
-    ``[0, n)``. Returns ``(a, b, w)``: every satellite pair ``a < b``
-    sharing a transit GT, with ``w = min_R d(a, R) + d(R, b)``, sorted
-    by ``(a, b)``.
+    The transit GTs are a by-GT CSR: transit GT ``g`` sees satellites
+    ``sats[indptr[g]:indptr[g + 1]]``, ascending, at slant lengths
+    ``dist_m[...]`` (``indptr`` need not start at 0, so a slice of a
+    whole ground segment's offsets serves as is). Returns ``(a, b, w)``:
+    every satellite pair ``a < b`` sharing a transit GT, with ``w =
+    min_R d(a, R) + d(R, b)``, sorted by ``(a, b)``.
 
-    The edges are grouped by GT with a counting sort (scipy coo -> csr,
-    which sums a duplicated edge exactly as ``SnapshotGraph.matrix``
-    does, and sorts each GT's satellites so ``a < b`` below). GTs of
-    equal degree ``d`` are expanded together through ``triu_indices(d,
-    1)``, at most :data:`PAIR_CHUNK` pairs at a time, gathered as
-    ``(d, GTs)`` blocks so every pair's gather copies whole rows.
-    ``np.minimum.at`` folds each chunk into a table with one slot per
-    satellite pair ``a < b``, packed row by row: slot ``a * n - a (a +
-    1) / 2 + (b - a - 1)`` for ``n`` satellites (8 bytes per pair: 10 MB
-    for 1,584 satellites, whatever the size of the ground segment). The
-    expanded (GT, a, b) triples are counted in
+    GTs of equal degree ``d`` are expanded together through
+    ``triu_indices(d, 1)``, at most :data:`PAIR_CHUNK` pairs at a time,
+    gathered as ``(d, GTs)`` blocks so every pair's gather copies whole
+    rows. ``np.minimum.at`` folds each chunk into a table with one slot
+    per satellite pair ``a < b``, packed row by row: slot ``a * n - a (a
+    + 1) / 2 + (b - a - 1)`` for ``n`` satellites (8 bytes per pair:
+    10 MB for 1,584 satellites, whatever the size of the ground
+    segment). The table is reused across calls, one per satellite count
+    and concurrent call; after decoding, only its touched slots are
+    reset to ``inf``. The expanded (GT, a, b) triples are counted in
     ``engine.bounce_candidates``.
     """
-    if not len(sats):
-        return _EMPTY
-    by_gt = sparse.csr_matrix(
-        (dist_m, (transit, sats)), shape=(int(transit.max()) + 1, num_sats)
-    )
-    indptr, indices, data = by_gt.indptr, by_gt.indices, by_gt.data
     degree = np.diff(indptr)
+    if not degree.any():
+        return _EMPTY
     sat_ids = np.arange(num_sats, dtype=np.int64)
     # Pair (a, b) lives at slot row_base[a] + b; row a starts at row_start[a].
     row_start = sat_ids * num_sats - sat_ids * (sat_ids + 1) // 2
     row_base = row_start - sat_ids - 1
-    best = np.full(num_sats * (num_sats - 1) // 2, np.inf)
+    best = _idle_tables.pop(num_sats, None)
+    if best is None:
+        best = np.full(num_sats * (num_sats - 1) // 2, np.inf)
     expanded = 0
     for d in np.unique(degree[degree >= 2]):
         rows = np.flatnonzero(degree == d)
@@ -92,7 +97,7 @@ def bounce_edges(
         step = max(1, PAIR_CHUNK // len(first))
         for start in range(0, len(rows), step):
             slots = indptr[rows[start : start + step]] + np.arange(d)[:, None]
-            sat, dist = indices[slots], data[slots]
+            sat, dist = sats[slots], dist_m[slots]
             base = row_base[sat]
             np.minimum.at(
                 best,
@@ -102,5 +107,8 @@ def bounce_edges(
         expanded += len(rows) * len(first)
     incr("engine.bounce_candidates", expanded)
     slot = np.flatnonzero(best < np.inf)
+    weights = best[slot]
+    best[slot] = np.inf
+    _idle_tables[num_sats] = best
     a = np.searchsorted(row_start, slot, side="right") - 1
-    return a, slot - row_base[a], best[slot]
+    return a, slot - row_base[a], weights

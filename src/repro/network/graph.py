@@ -93,12 +93,49 @@ class ConnectivityMode(Enum):
         return self is not ConnectivityMode.BP_ONLY
 
 
+class _TableColumn:
+    """One column of a :class:`SnapshotGraph`'s physical edge table.
+
+    A dataclass field with no default. The engine passes ``None``: the
+    first read of any column then builds all three from the graph's
+    satellite rows (:meth:`SnapshotGraph._build_table`) and keeps them.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            raise AttributeError(self.name)  # no class-level default
+        value = graph.__dict__[self.name]
+        if value is None:
+            graph._build_table()
+            value = graph.__dict__[self.name]
+        return value
+
+    def __set__(self, graph, value):
+        graph.__dict__[self.name] = value
+
+
 @dataclass
 class SnapshotGraph:
     """One time snapshot of the network.
 
     Edges are undirected and stored once; ``matrix()`` symmetrizes.
-    Distances are metres.
+    Distances are metres. The physical edge table is ``edges`` (node
+    ids), ``edge_dist_m`` and ``edge_kind``: GT-satellite rows stored
+    ``(satellite, GT node)``, then ISL rows, then fiber rows.
+
+    Graphs built from explicit arrays (faulted graphs, test fixtures)
+    hold that table from the start. An engine-built graph is given
+    ``None`` for it, plus its GT-satellite rows as a CSR by satellite
+    (``_sat_rows``: offsets, GT station indices, slant lengths — its
+    frame's own arrays when no filter applies) and its ISL and fiber
+    rows as a small eager block (``_non_radio``). The table is then
+    built on first read and kept, with the same rows, order and dtypes,
+    so ``matrix()``, routing, guards and ``apply_faults`` see the same
+    arrays. An RTT sweep reads only :meth:`contracted_matrix`, which
+    works from the satellite rows, and never builds the table.
     """
 
     time_s: float
@@ -107,9 +144,9 @@ class SnapshotGraph:
     num_gts: int
     sat_ecef: np.ndarray
     gt_ecef: np.ndarray
-    edges: np.ndarray  # (m, 2) node ids
-    edge_dist_m: np.ndarray  # (m,)
-    edge_kind: np.ndarray  # (m,) _KIND_GT_SAT | _KIND_ISL
+    edges: np.ndarray = _TableColumn()  # (m, 2) int64 node ids
+    edge_dist_m: np.ndarray = _TableColumn()  # (m,) float64
+    edge_kind: np.ndarray = _TableColumn()  # (m,) int8 _KIND_*
     stations: StationTable
 
     _matrix_cache: sparse.csr_matrix | None = None
@@ -121,6 +158,11 @@ class SnapshotGraph:
     #: radio block with every graph of the same frame and GT-satellite
     #: filters.
     _radio_share: tuple | None = field(default=None, repr=False)
+    #: Engine-built graphs: GT-satellite rows ``(start, gt, dist_m)`` as
+    #: a CSR by satellite, and the ``(edges, dist_m, kind)`` ISL + fiber
+    #: block.
+    _sat_rows: tuple | None = field(default=None, repr=False)
+    _non_radio: tuple | None = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -128,7 +170,34 @@ class SnapshotGraph:
 
     @property
     def num_edges(self) -> int:
+        if self.__dict__["edges"] is None:
+            return len(self._sat_rows[1]) + len(self._non_radio[0])
         return len(self.edges)
+
+    @property
+    def frame(self):
+        """The engine frame this graph was assembled from, else ``None``."""
+        return None if self._radio_share is None else self._radio_share[0]
+
+    def _build_table(self) -> None:
+        """Build the physical edge table from the satellite rows."""
+        start, gts, dists = self._sat_rows
+        other_edges, other_dist_m, other_kind = self._non_radio
+        radio = len(gts)
+        edges = np.empty((radio + len(other_edges), 2), dtype=np.int64)
+        edges[:radio, 0] = np.repeat(
+            np.arange(self.num_sats, dtype=np.int64), np.diff(start)
+        )
+        np.add(gts, self.num_sats, out=edges[:radio, 1], casting="unsafe")
+        edges[radio:] = other_edges
+        kinds = np.full(radio + len(other_kind), _KIND_GT_SAT, dtype=np.int8)
+        kinds[radio:] = other_kind
+        incr("engine.edge_tables")
+        self.__dict__.update(
+            edges=edges,
+            edge_dist_m=np.concatenate([dists, other_dist_m]),
+            edge_kind=kinds,
+        )
 
     def gt_node(self, gt_index: int) -> int:
         """Graph node id of a GT given its station-table index."""
@@ -182,23 +251,25 @@ class SnapshotGraph:
         equals the one on :meth:`matrix`. The contracted radio block
         (city GT-satellite edges plus bounce edges) comes from the
         frame's memo when the engine shares it; this graph then merges
-        only its ISL and fiber rows into it. A bounce edge parallel to
-        an ISL keeps the shorter of the two. RTT sweeps run Dijkstra
-        here; paths and routing use the physical :meth:`matrix`.
+        only its ISL and fiber rows into it, from its eager non-radio
+        block, so an engine-built graph never builds its edge table
+        here. A bounce edge parallel to an ISL keeps the shorter of the
+        two. RTT sweeps run Dijkstra here; paths and routing use the
+        physical :meth:`matrix`.
         """
         if self._contracted_cache is None:
             kept = self.num_sats + self.stations.city_count
-            radio = self.edge_kind == _KIND_GT_SAT
             if self._radio_share is None:
-                block = self._contract_radio(radio)
+                block = self._contract_radio()
             else:
                 frame, key = self._radio_share
-                block = frame.contracted_radio(
-                    key, lambda: self._contract_radio(radio)
-                )
-            other = ~radio
-            if other.any():
-                edges = self.edges[other]
+                block = frame.contracted_radio(key, self._contract_radio)
+            if self._non_radio is None:
+                other = self.edge_kind != _KIND_GT_SAT
+                edges, dists = self.edges[other], self.edge_dist_m[other]
+            else:
+                edges, dists, _ = self._non_radio
+            if len(edges):
                 if edges.max() >= kept:
                     raise ValueError(
                         "a relay or aircraft has a non-satellite neighbour"
@@ -206,7 +277,7 @@ class SnapshotGraph:
                 block = min_per_pair(
                     np.concatenate([block[0], edges[:, 0]]),
                     np.concatenate([block[1], edges[:, 1]]),
-                    np.concatenate([block[2], self.edge_dist_m[other]]),
+                    np.concatenate([block[2], dists]),
                 )
             u, v, w = block
             row = np.concatenate([u, v])
@@ -216,32 +287,53 @@ class SnapshotGraph:
             )
         return self._contracted_cache
 
-    def _contract_radio(self, radio: np.ndarray):
-        """This graph's contracted radio block, from its own radio rows.
+    def _contract_radio(self):
+        """This graph's contracted radio block, from its GT-satellite rows.
 
-        ``radio`` masks the GT-satellite rows, stored ``(satellite,
-        GT node)``. City rows are kept as they are; rows ending at a
-        relay or aircraft become bounce edges. Returns ``(lo, hi, w)``
-        with one minimum per node pair, sorted by ``(lo, hi)``.
+        The rows are regrouped by GT: an engine-built graph transposes
+        its satellite CSR; a graph built from arrays regroups the
+        ``(satellite, GT node)`` rows of its own table. City rows are
+        kept as they are; rows ending at a relay or aircraft become
+        bounce edges. Returns ``(lo, hi, w)`` with one minimum per node
+        pair, sorted by ``(lo, hi)``.
         """
-        kept = self.num_sats + self.stations.city_count
-        sats = self.edges[:, 0][radio]
-        gts = self.edges[:, 1][radio]
-        dists = self.edge_dist_m[radio]
-        transit = gts >= kept
-        transit_sats = sats[transit]
-        if np.any(transit_sats >= self.num_sats):
-            raise ValueError("a relay or aircraft has a non-satellite neighbour")
         with span("transit_contraction"):
             incr("engine.contraction_misses")
-            bounce = bounce_edges(
-                transit_sats, gts[transit] - kept, dists[transit], self.num_sats
+            if self._sat_rows is not None:
+                # One counting-sort transpose of the CSR by satellite;
+                # each GT's satellites come out ascending.
+                start, gts, dists = self._sat_rows
+                by_gt = sparse.csr_matrix(
+                    (dists, gts, start), shape=(self.num_sats, self.num_gts)
+                ).tocsc()
+            else:
+                radio = self.edge_kind == _KIND_GT_SAT
+                sats = self.edges[radio, 0]
+                if np.any(sats >= self.num_sats):
+                    raise ValueError(
+                        "a GT-satellite row has a non-satellite neighbour"
+                    )
+                # coo -> csr sums a duplicated row as matrix() does and
+                # sorts each GT's satellites.
+                gts = self.edges[radio, 1] - self.num_sats
+                by_gt = sparse.csr_matrix(
+                    (self.edge_dist_m[radio], (gts, sats)),
+                    shape=(self.num_gts, self.num_sats),
+                )
+            # Cities are GTs [0, city_count): the leading rows stay edges,
+            # every later GT's rows become bounce edges.
+            indptr, sats, dists = by_gt.indptr, by_gt.indices, by_gt.data
+            city_count = self.stations.city_count
+            bounce = bounce_edges(indptr[city_count:], sats, dists, self.num_sats)
+            end = indptr[city_count]
+            cities = np.repeat(
+                np.arange(self.num_sats, self.num_sats + city_count, dtype=np.int64),
+                np.diff(indptr[: city_count + 1]),
             )
-            city = ~transit
             return min_per_pair(
-                np.concatenate([sats[city], bounce[0]]),
-                np.concatenate([gts[city], bounce[1]]),
-                np.concatenate([dists[city], bounce[2]]),
+                np.concatenate([sats[:end], bounce[0]]),
+                np.concatenate([cities, bounce[1]]),
+                np.concatenate([dists[:end], bounce[2]]),
             )
 
     def _edge_key_index(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -302,40 +394,6 @@ class SnapshotGraph:
                 axis=1,
             )
         return self._csr_pos_cache[np.asarray(edge_ids, dtype=np.int64)].reshape(-1)
-
-    def to_networkx(self, capacities: LinkCapacities | None = None):
-        """Export the snapshot as a ``networkx.Graph``.
-
-        Node attributes: ``kind`` (``"sat"``/``"city"``/``"relay"``/
-        ``"aircraft"``), plus ``lat``/``lon`` for GTs. Edge attributes:
-        ``dist_m``, ``kind`` and ``capacity_bps``. Intended for users who
-        want to run their own graph analyses; the simulator itself works
-        on the CSR matrix, which is far faster.
-        """
-        import networkx as nx
-
-        capacities = capacities or LinkCapacities()
-        graph = nx.Graph()
-        for sat in range(self.num_sats):
-            graph.add_node(sat, kind="sat")
-        for gt_index in range(self.num_gts):
-            graph.add_node(
-                self.gt_node(gt_index),
-                kind=self.stations.kind_of(gt_index).value,
-                lat=float(self.stations.lats[gt_index]),
-                lon=float(self.stations.lons[gt_index]),
-            )
-        caps = self.edge_capacities(capacities)
-        kind_names = {_KIND_GT_SAT: "gt-sat", _KIND_ISL: "isl", _KIND_FIBER: "fiber"}
-        for i, (u, v) in enumerate(self.edges):
-            graph.add_edge(
-                int(u),
-                int(v),
-                dist_m=float(self.edge_dist_m[i]),
-                kind=kind_names[int(self.edge_kind[i])],
-                capacity_bps=float(caps[i]),
-            )
-        return graph
 
     def satellite_component_stats(self) -> dict:
         """Connectivity stats for Section 5's disconnected-satellite count.

@@ -15,6 +15,11 @@ bounce edges. The contract pinned here:
   ISL keeps the *minimum* (scipy's ``csr_matrix`` would sum them);
 * **sharing** — graphs of one frame with the same GT-satellite filters
   share one contraction, whatever their mode;
+* **frame-fed path** — the contraction an engine-built graph reads
+  straight from its satellite CSR equals the one its own materialized
+  table gives through the loose-rows adapter, that table is built only
+  on demand and equals the monolithic reference builder's, and threads
+  contracting different frames at once get the serial results;
 * **guards** — RTT endpoints must be cities, and the strict graph guard
   runs in both the serial and the parallel sweep.
 """
@@ -22,6 +27,7 @@ bounce edges. The contract pinned here:
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +56,7 @@ from repro.network.graph import (
     SnapshotGraph,
 )
 from repro.obs import observe
+from tests.reference_graph import build_snapshot_graph
 
 SCALE = ScenarioScale(
     name="contraction-tiny",
@@ -138,7 +145,9 @@ class TestDifferential:
         assert not contracted.diagonal().any()
 
     def test_chunked_contraction_is_identical(self, scenarios, monkeypatch):
-        args = transit_rows(scenarios[True].graph_at(0.0, ConnectivityMode.HYBRID))
+        args = transit_csr(
+            *transit_rows(scenarios[True].graph_at(0.0, ConnectivityMode.HYBRID))
+        )
         whole = bounce_edges(*args)
         monkeypatch.setattr(contraction, "PAIR_CHUNK", 7)
         chunked = bounce_edges(*args)
@@ -198,7 +207,7 @@ def assert_identical(got, want):
 
 
 def transit_rows(graph: SnapshotGraph):
-    """``bounce_edges`` arguments for a graph's relay and aircraft rows."""
+    """A graph's relay and aircraft rows: satellites, transit ids, lengths."""
     kept = graph.num_sats + graph.stations.city_count
     transit = graph.edges[:, 1] >= kept
     return (
@@ -207,6 +216,15 @@ def transit_rows(graph: SnapshotGraph):
         graph.edge_dist_m[transit],
         graph.num_sats,
     )
+
+
+def transit_csr(sats, transit, dist_m, num_sats):
+    """``bounce_edges`` arguments for loose transit rows: their by-GT CSR."""
+    num_transit = int(transit.max()) + 1 if len(transit) else 0
+    by_gt = sparse.csr_matrix(
+        (dist_m, (transit, sats)), shape=(num_transit, num_sats)
+    )
+    return by_gt.indptr, by_gt.indices, by_gt.data, num_sats
 
 
 #: Scenarios pinned to the plain reference: one shell with aircraft on
@@ -229,7 +247,7 @@ class TestPlainReference:
         for time_s in scenario.times_s:
             graphs = scenario.graphs_at(float(time_s), list(ConnectivityMode))
             args = transit_rows(graphs[ConnectivityMode.BP_ONLY])
-            got = bounce_edges(*args)
+            got = bounce_edges(*transit_csr(*args))
             assert len(got[0]) > 0
             assert_identical(got, plain_bounce_edges(*args[:3]))
             for graph in graphs.values():
@@ -245,7 +263,7 @@ class TestPlainReference:
         scenario = REFERENCE_SCENARIOS["two_shell"]()
         first_shell = scenario.constellation.shells[0].num_satellites
         graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        a, b, _ = bounce_edges(*transit_rows(graph))
+        a, b, _ = bounce_edges(*transit_csr(*transit_rows(graph)))
         assert np.any((a < first_shell) & (b >= first_shell))
 
     @pytest.mark.parametrize(
@@ -262,12 +280,12 @@ class TestPlainReference:
         sats = np.array(sats, dtype=np.int64)
         transit = np.array(transit, dtype=np.int64)
         dist_m = np.arange(1.0, len(sats) + 1.0) * 100.0
-        got = bounce_edges(sats, transit, dist_m, num_sats)
+        got = bounce_edges(*transit_csr(sats, transit, dist_m, num_sats))
         assert_identical(got, plain_bounce_edges(sats, transit, dist_m))
 
     def test_empty_input(self):
         empty = np.empty(0, dtype=np.int64)
-        got = bounce_edges(empty, empty, np.empty(0), 4)
+        got = bounce_edges(*transit_csr(empty, empty, np.empty(0), 4))
         assert_identical(got, plain_bounce_edges(empty, empty, np.empty(0)))
 
     def test_counts_expanded_triples(self):
@@ -275,8 +293,108 @@ class TestPlainReference:
         sats = np.array([0, 1, 2, 1, 3])
         transit = np.array([0, 0, 0, 1, 1])
         with observe() as registry:
-            bounce_edges(sats, transit, np.ones(5), 4)
+            bounce_edges(*transit_csr(sats, transit, np.ones(5), 4))
         assert registry.snapshot()["counters"]["engine.bounce_candidates"] == 4
+
+
+#: GT-satellite filter sets the frame-fed path must match under.
+FRAME_FED_VARIANTS = {
+    name: VARIANTS[name] for name in ("plain", "gso", "beam", "fiber")
+}
+
+
+def csr_parts(matrix):
+    return matrix.indptr, matrix.indices, matrix.data
+
+
+def from_table(graph: SnapshotGraph) -> SnapshotGraph:
+    """The same graph built from its materialized table: no frame rows."""
+    return SnapshotGraph(
+        time_s=graph.time_s,
+        mode=graph.mode,
+        num_sats=graph.num_sats,
+        num_gts=graph.num_gts,
+        sat_ecef=graph.sat_ecef,
+        gt_ecef=graph.gt_ecef,
+        edges=graph.edges,
+        edge_dist_m=graph.edge_dist_m,
+        edge_kind=graph.edge_kind,
+        stations=graph.stations,
+    )
+
+
+class TestFrameFedContraction:
+    """The frame-fed contraction and lazy table against their references."""
+
+    @pytest.mark.parametrize("variant", sorted(FRAME_FED_VARIANTS))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+    def test_matches_own_rows_and_reference_table(self, name, variant):
+        scenario = REFERENCE_SCENARIOS[name]().with_assembly(
+            **FRAME_FED_VARIANTS[variant]
+        )
+        for time_s in scenario.times_s:
+            for mode in ConnectivityMode:
+                graph = scenario.graph_at(float(time_s), mode)
+                with observe() as registry:
+                    frame_fed = graph.contracted_matrix()
+                    assert graph.num_edges > 0
+                counters = registry.snapshot()["counters"]
+                assert counters.get("engine.edge_tables", 0) == 0
+                own_rows = from_table(graph).contracted_matrix()
+                assert_identical(csr_parts(frame_fed), csr_parts(own_rows))
+                want = build_snapshot_graph(
+                    scenario.constellation,
+                    scenario.ground.stations_at(float(time_s)),
+                    float(time_s),
+                    mode,
+                    gso_policy=scenario.gso_policy,
+                    fiber_max_km=scenario.fiber_max_km,
+                    max_gts_per_satellite=scenario.max_gts_per_satellite,
+                )
+                assert_identical(
+                    (graph.edges, graph.edge_dist_m, graph.edge_kind),
+                    (want.edges, want.edge_dist_m, want.edge_kind),
+                )
+                assert graph.num_edges == len(want.edges)
+
+    def test_table_is_built_once_on_first_read(self):
+        graph = Scenario.paper_default("starlink", SCALE).graph_at(
+            0.0, ConnectivityMode.HYBRID
+        )
+        with observe() as registry:
+            edges = graph.edges
+            assert graph.edge_kind is graph.edge_kind
+            assert graph.edges is edges
+            graph.matrix()
+        assert registry.snapshot()["counters"]["engine.edge_tables"] == 1
+
+    def test_concurrent_contractions_match_serial(self):
+        base = REFERENCE_SCENARIOS["two_shell"]()
+        jobs = [(float(t), mode) for t in base.times_s for mode in ConnectivityMode]
+        serial = [
+            csr_parts(dataclasses.replace(base).graph_at(t, mode).contracted_matrix())
+            for t, mode in jobs
+        ]
+        for _ in range(3):
+            # One fresh engine per job: every thread contracts its own frame.
+            graphs = [dataclasses.replace(base).graph_at(t, mode) for t, mode in jobs]
+            results = [None] * len(jobs)
+            barrier = threading.Barrier(len(jobs))
+
+            def contract(slot):
+                barrier.wait()
+                results[slot] = csr_parts(graphs[slot].contracted_matrix())
+
+            threads = [
+                threading.Thread(target=contract, args=(slot,))
+                for slot in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for got, want in zip(results, serial):
+                assert_identical(got, want)
 
 
 def hand_built_graph(isl_m: float) -> SnapshotGraph:
@@ -321,10 +439,12 @@ class TestHandBuiltFixture:
         graph = hand_built_graph(isl_m=5000.0)
         transit = graph.edges[:, 1] >= 5
         a, b, w = bounce_edges(
-            graph.edges[transit, 0],
-            graph.edges[transit, 1] - 5,
-            graph.edge_dist_m[transit],
-            graph.num_sats,
+            *transit_csr(
+                graph.edges[transit, 0],
+                graph.edges[transit, 1] - 5,
+                graph.edge_dist_m[transit],
+                graph.num_sats,
+            )
         )
         assert list(zip(a, b, w)) == [(0, 1, 1000.0), (0, 2, 800.0), (1, 2, 1000.0)]
 

@@ -132,25 +132,7 @@ class TestDynamics:
 
 
 class TestNetworkxExport:
-    def test_node_and_edge_counts(self, tiny_hybrid_graph):
-        nx_graph = tiny_hybrid_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == tiny_hybrid_graph.num_nodes
-        assert nx_graph.number_of_edges() == tiny_hybrid_graph.num_edges
-
-    def test_node_attributes(self, tiny_hybrid_graph):
-        nx_graph = tiny_hybrid_graph.to_networkx()
-        assert nx_graph.nodes[0]["kind"] == "sat"
-        city_node = tiny_hybrid_graph.gt_node(0)
-        assert nx_graph.nodes[city_node]["kind"] == "city"
-        assert -90 <= nx_graph.nodes[city_node]["lat"] <= 90
-
-    def test_edge_attributes(self, tiny_hybrid_graph):
-        nx_graph = tiny_hybrid_graph.to_networkx()
-        u, v = tiny_hybrid_graph.edges[0]
-        attrs = nx_graph.edges[int(u), int(v)]
-        assert attrs["dist_m"] > 0
-        assert attrs["kind"] in ("gt-sat", "isl", "fiber")
-        assert attrs["capacity_bps"] > 0
+    """The physical CSR, exported to networkx, gives the same shortest paths."""
 
     def test_shortest_path_agrees_with_csgraph(self, tiny_hybrid_graph, tiny_scenario):
         import networkx as nx
@@ -161,7 +143,7 @@ class TestNetworkxExport:
         s = tiny_hybrid_graph.gt_node(pair.a)
         t = tiny_hybrid_graph.gt_node(pair.b)
         own = shortest_path(tiny_hybrid_graph.matrix(), s, t)
-        nx_graph = tiny_hybrid_graph.to_networkx()
-        nx_length = nx.shortest_path_length(nx_graph, s, t, weight="dist_m")
+        nx_graph = nx.from_scipy_sparse_array(tiny_hybrid_graph.matrix())
+        nx_length = nx.shortest_path_length(nx_graph, s, t, weight="weight")
         assert own.length_m == pytest.approx(nx_length, rel=1e-9)
 

@@ -242,6 +242,90 @@ class TestGraphGuards:
             check_graph(bad)
 
 
+class TestGraphPhysicsGuards:
+    """check_graph holds engine-built graphs to their physics."""
+
+    @staticmethod
+    def _replace(graph, **columns):
+        import dataclasses
+
+        return dataclasses.replace(graph, **columns)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"fiber_max_km": 1500.0}, {"max_gts_per_satellite": 3}],
+        ids=["plain", "fiber", "beam"],
+    )
+    def test_real_graphs_pass(self, tiny_scenario, overrides):
+        scenario = tiny_scenario.with_assembly(**overrides)
+        for mode in ConnectivityMode:
+            graph = scenario.graph_at(0.0, mode)
+            assert graph.frame is not None
+            check_graph(graph)
+
+    def test_swapped_kind_rejected(self, tiny_hybrid_graph):
+        kinds = tiny_hybrid_graph.edge_kind.copy()
+        radio = int(np.argmax(kinds == 0))
+        kinds[radio] = 1
+        bad = self._replace(tiny_hybrid_graph, edge_kind=kinds)
+        with pytest.raises(InvariantViolation, match=f"edge {radio} of kind 1"):
+            check_graph(bad)
+
+    def test_isl_in_bp_rejected(self, tiny_bp_graph, tiny_hybrid_graph):
+        isl = int(np.argmax(tiny_hybrid_graph.edge_kind == 1))
+        bad = self._replace(
+            tiny_bp_graph,
+            edges=np.vstack([tiny_bp_graph.edges, tiny_hybrid_graph.edges[isl]]),
+            edge_dist_m=np.append(
+                tiny_bp_graph.edge_dist_m, tiny_hybrid_graph.edge_dist_m[isl]
+            ),
+            edge_kind=np.append(tiny_bp_graph.edge_kind, np.int8(1)),
+        )
+        last = len(bad.edges) - 1
+        with pytest.raises(InvariantViolation, match=f"BP graph holds ISL edge {last}"):
+            check_graph(bad)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["radio", "isl"])
+    def test_length_off_its_endpoints_rejected(self, tiny_hybrid_graph, kind):
+        dists = tiny_hybrid_graph.edge_dist_m.copy()
+        edge = int(np.argmax(tiny_hybrid_graph.edge_kind == kind))
+        dists[edge] *= 1.0 - 1e-9
+        bad = self._replace(tiny_hybrid_graph, edge_dist_m=dists)
+        with pytest.raises(InvariantViolation, match=f"edge {edge} has length"):
+            check_graph(bad)
+
+    def test_fiber_shorter_than_its_chord_rejected(self, tiny_scenario):
+        graph = tiny_scenario.with_assembly(fiber_max_km=1500.0).graph_at(
+            0.0, ConnectivityMode.BP_ONLY
+        )
+        edge = int(np.argmax(graph.edge_kind == 2))
+        u, v = graph.edges[edge] - graph.num_sats
+        dists = graph.edge_dist_m.copy()
+        dists[edge] = 0.999 * np.linalg.norm(graph.gt_ecef[u] - graph.gt_ecef[v])
+        with pytest.raises(InvariantViolation, match="not at least"):
+            check_graph(self._replace(graph, edge_dist_m=dists))
+
+    def test_slant_range_bound(self, tiny_bp_graph):
+        from repro.constants import slant_range_m
+        from repro.integrity.guards import check_graph_physics
+
+        bound = tiny_bp_graph.frame.radio_range_m
+        assert np.all(bound == slant_range_m(550_000.0, 25.0))
+        radio = tiny_bp_graph.edge_kind == 0
+        longest = tiny_bp_graph.edge_dist_m[radio].max()
+        assert longest <= bound[0]
+        check_graph_physics(tiny_bp_graph, bound)
+        with pytest.raises(InvariantViolation, match="beyond satellite"):
+            check_graph_physics(tiny_bp_graph, np.full_like(bound, 0.999 * longest))
+
+    def test_hand_built_graph_skips_physics(self):
+        from tests.test_contraction import hand_built_graph
+
+        graph = hand_built_graph(isl_m=800.0)
+        assert graph.frame is None
+        check_graph(graph)
+
+
 class TestRoutingGuards:
     """check_routing on real routings and on hand-modified copies."""
 

@@ -183,6 +183,7 @@ class TestProfiledHeadlineRun:
             assert "engine.cand_edges" in counters
             assert "engine.frame_bytes" in counters
             assert "engine.bounce_candidates" in counters
+            assert "engine.edge_tables" in counters
         # fig2 computed (not resumed) every snapshot of both modes.
         assert metrics["fig2"]["counters"]["checkpoint.misses"] > 0
         assert metrics["fig2"]["counters"]["checkpoint.hits"] == 0
@@ -197,6 +198,25 @@ class TestProfiledHeadlineRun:
         assert metrics["fig2"]["counters"]["engine.frame_hits"] > 0
         # Routing takes the source-batched Dijkstra fast path.
         assert metrics["fig4"]["counters"]["routing.batched_dijkstras"] > 0
+        # Routing runs on the physical graph, so it builds edge tables.
+        assert metrics["fig4"]["counters"]["engine.edge_tables"] > 0
+
+    def test_non_strict_rtt_sweep_builds_no_edge_table(self, tmp_path):
+        """RTT sweeps contract straight from the frame; only guards need tables."""
+        from repro.context import run_context
+
+        with run_context(strict=False):
+            summary = run_experiments(
+                ["fig2"],
+                scale=TINY_SCALE,
+                out_dir=tmp_path,
+                profile=True,
+                echo=lambda _: None,
+            )
+        assert not summary.failures
+        counters = summary.metrics_by_experiment["fig2"]["counters"]
+        assert counters["engine.contraction_misses"] > 0
+        assert counters["engine.edge_tables"] == 0
 
     def test_rerun_with_resume_hits_the_checkpoint(self, profiled_run, tmp_path_factory):
         _, resume = profiled_run

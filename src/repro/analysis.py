@@ -94,21 +94,6 @@ class LinkUtilization:
 
     by_kind: dict[LinkKind, dict]
 
-    def summary_rows(self) -> list[list]:
-        """Rows for :func:`repro.reporting.format_table` rendering."""
-        rows = []
-        for kind, stats in self.by_kind.items():
-            rows.append(
-                [
-                    kind.value,
-                    stats["links"],
-                    f"{stats['mean_utilization']:.2f}",
-                    f"{stats['p95_utilization']:.2f}",
-                    stats["saturated_links"],
-                ]
-            )
-        return rows
-
 
 def rtt_jumps_ms(series) -> np.ndarray:
     """Absolute RTT step changes between consecutive snapshots, ms.

@@ -28,13 +28,14 @@ that is invariant across the calls real workloads make:
   step: the GSO / beam-limit filters apply to the candidate rows (a
   filtered copy stays a CSR by satellite; unfiltered graphs share the
   frame's arrays), hybrid/ISL modes add the ISL rows and fiber adds
-  city-city rows as a small eager non-radio block, and faults apply.
-  The graph's physical edge table (int64 ``(m, 2)`` ``edges``,
-  ``edge_dist_m``, ``edge_kind``: radio rows, then ISL, then fiber) is
-  *lazy*: it is built from those two parts on first read, which
-  ``matrix()``, routing, strict guards and faults do, and bumps
-  ``engine.edge_tables``. An RTT sweep never reads it. Faults are
-  *never* cached: a frame holds only fault-free geometry, so an
+  city-city rows as a small ISL/fiber block, and faults apply. These
+  two parts plus the frame are the graph's one form
+  (:class:`~repro.network.graph.SnapshotGraph`). Its physical edge
+  table (int64 ``(m, 2)`` ``edges``, ``edge_dist_m``, ``edge_kind``:
+  radio rows, then ISL, then fiber) is a view derived from the parts
+  on first read, which ``matrix()``, routing and strict guards do, and
+  bumps ``engine.edge_tables``. An RTT sweep never reads it. Faults
+  are *never* cached: a frame holds only fault-free geometry, so an
   ambient :class:`~repro.faults.FaultSpec` can neither leak into nor
   out of the cache.
 * **transit contraction** (:meth:`SnapshotGraph.contracted_matrix`) —
@@ -52,9 +53,10 @@ that is invariant across the calls real workloads make:
   the by-GT view, whose leading columns are the cities and whose
   remaining columns are the transit GTs. Each graph then merges only
   its ISL and fiber rows into the block before its CSR build.
-  Faulted graphs lose the handle (``apply_faults`` rebuilds the graph
-  from the materialized table) and contract their own radio rows
-  through the same function. Cities, paths, routing and the assembled
+  ``apply_faults`` masks both parts and keeps the frame, so strict
+  mode checks a faulted graph's physics too, but it drops the memo
+  handle: a faulted graph contracts its own rows through the same
+  transpose. Cities, paths, routing and the assembled
   graph itself are not contracted. ISL_ONLY keeps hybrid's graph,
   bounce edges included, so its behaviour is unchanged; an ISL_ONLY
   graph without ground transit would simply leave the bounce edges
@@ -118,11 +120,11 @@ __all__ = [
     "assemble_graph",
 ]
 
-#: Default number of geometry frames kept alive per engine. A two-mode
+#: Number of geometry frames kept alive per engine. A two-mode
 #: same-instant workload needs exactly one; serial one-mode-at-a-time
 #: passes over short series benefit from a few more. Frames are the
 #: memory-heavy layer (candidate rows scale with GTs x coverage, 12
-#: bytes each), so the default stays small.
+#: bytes each), so the cache stays small.
 DEFAULT_FRAME_CACHE_SIZE = 8
 
 
@@ -446,7 +448,7 @@ def assemble_graph(
                 kind_blocks.append(
                     np.full(len(city_edges), _KIND_FIBER, dtype=np.int8)
                 )
-        non_radio = (
+        isl_fiber = (
             np.concatenate(edge_blocks, dtype=np.int64),
             np.concatenate(dist_blocks),
             np.concatenate(kind_blocks),
@@ -459,14 +461,12 @@ def assemble_graph(
         num_gts=stations.total,
         sat_ecef=frame.sat_ecef,
         gt_ecef=frame.gt_ecef,
-        edges=None,
-        edge_dist_m=None,
-        edge_kind=None,
         stations=stations,
-        _radio_share=(frame, (gso_policy, max_gts_per_satellite)),
-        _sat_rows=(start, gts, dists),
-        _non_radio=non_radio,
+        sat_rows=(start, gts, dists),
+        isl_fiber_rows=isl_fiber,
+        frame=frame,
     )
+    graph._radio_key = (gso_policy, max_gts_per_satellite)
     return apply_faults(graph, faults)
 
 
@@ -476,25 +476,15 @@ class SnapshotEngine:
     One engine per (constellation, ground segment); both are treated as
     immutable, so the static layer never invalidates. Frames are keyed
     by exact snapshot time and kept in an LRU cache of
-    ``frame_cache_size`` entries; :meth:`clear` empties it (e.g. after
-    an experiment mutates global state the engine cannot see — there is
-    no such state today, but the escape hatch is cheap).
+    ``DEFAULT_FRAME_CACHE_SIZE`` entries.
 
     Thread-safe for concurrent ``graph_at`` calls: cache bookkeeping is
     lock-protected and frames are immutable once published.
     """
 
-    def __init__(
-        self,
-        constellation: Constellation,
-        ground: GroundSegment,
-        frame_cache_size: int = DEFAULT_FRAME_CACHE_SIZE,
-    ):
-        if frame_cache_size < 1:
-            raise ValueError("frame_cache_size must be >= 1")
+    def __init__(self, constellation: Constellation, ground: GroundSegment):
         self.constellation = constellation
         self.ground = ground
-        self.frame_cache_size = frame_cache_size
         self._static: StaticContext | None = None
         self._frames: OrderedDict[float, GeometryFrame] = OrderedDict()
         self._lock = threading.Lock()
@@ -533,7 +523,7 @@ class SnapshotEngine:
             incr("engine.frame_bytes", frame.nbytes)
             self._frames[key] = frame
             self._frames.move_to_end(key)
-            while len(self._frames) > self.frame_cache_size:
+            while len(self._frames) > DEFAULT_FRAME_CACHE_SIZE:
                 self._frames.popitem(last=False)
                 incr("engine.frame_evictions")
         return frame
@@ -584,13 +574,3 @@ class SnapshotEngine:
             )
             for mode in modes
         }
-
-    def cached_frame_times(self) -> list[float]:
-        """Snapshot times currently held in the frame cache (LRU order)."""
-        with self._lock:
-            return list(self._frames)
-
-    def clear(self) -> None:
-        """Drop every cached frame (the static layer stays)."""
-        with self._lock:
-            self._frames.clear()

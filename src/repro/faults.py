@@ -33,7 +33,7 @@ reconverges to byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -160,20 +160,20 @@ def apply_faults(graph: SnapshotGraph, spec: FaultSpec | None) -> SnapshotGraph:
     mask = failed_node_mask(graph, spec)
     if not mask.any():
         return graph
-    keep = ~(mask[graph.edges[:, 0]] | mask[graph.edges[:, 1]])
-    # Rebuild rather than dataclasses.replace: the latter would carry the
-    # stale CSR matrix cache into the degraded graph.
-    return SnapshotGraph(
-        time_s=graph.time_s,
-        mode=graph.mode,
-        num_sats=graph.num_sats,
-        num_gts=graph.num_gts,
-        sat_ecef=graph.sat_ecef,
-        gt_ecef=graph.gt_ecef,
-        edges=graph.edges[keep],
-        edge_dist_m=graph.edge_dist_m[keep],
-        edge_kind=graph.edge_kind[keep],
-        stations=graph.stations,
+    num_sats = graph.num_sats
+    start, gts, dists = graph.sat_rows
+    sats = np.repeat(np.arange(num_sats), np.diff(start))
+    keep = ~(mask[sats] | mask[num_sats + gts])
+    # Masks keep the satellite order, so the kept rows stay a CSR.
+    start = np.searchsorted(sats[keep], np.arange(num_sats + 1))
+    edges, other_dists, kinds = graph.isl_fiber_rows
+    other = ~(mask[edges[:, 0]] | mask[edges[:, 1]])
+    # replace() keeps the frame but starts with empty caches and no
+    # handle on the frame's contraction memo, which holds fault-free rows.
+    return replace(
+        graph,
+        sat_rows=(start, gts[keep], dists[keep]),
+        isl_fiber_rows=(edges[other], other_dists[other], kinds[other]),
     )
 
 

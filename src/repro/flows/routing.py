@@ -86,10 +86,6 @@ class RoutedTraffic:
     #: without a bound (the ``routing.pair_retries`` counter, per k).
     retries: int = 0
 
-    @property
-    def num_subflows(self) -> int:
-        return len(self.subflows)
-
     def flow_edge_lists(self) -> list[np.ndarray]:
         """Per-subflow edge-id arrays, the max-min allocator's input."""
         return [sf.edge_ids for sf in self.subflows]

@@ -144,13 +144,6 @@ class ThroughputResult:
     def aggregate_gbps(self) -> float:
         return self.aggregate_bps / 1e9
 
-    def per_pair_rates_bps(self, num_pairs: int) -> np.ndarray:
-        """Sum sub-flow rates back to their city pairs."""
-        rates = np.zeros(num_pairs)
-        for subflow, rate in zip(self.routing.subflows, self.allocation.rates):
-            rates[subflow.pair_index] += rate
-        return rates
-
 
 @traced("throughput_eval")
 def evaluate_throughput(

@@ -16,8 +16,8 @@ physical graph; only distances are computed on the contracted one.
 
 The contraction reads the GT-satellite rows as a *by-GT CSR*: GT ``g``
 (a station index) owns rows ``indptr[g]:indptr[g + 1]``, whose
-satellites ascend (see ``SnapshotGraph._contract_radio`` for the two
-ways a graph builds it).
+satellites ascend (``SnapshotGraph._contract_radio`` builds it with one
+transpose of the graph's CSR by satellite).
 """
 
 from __future__ import annotations

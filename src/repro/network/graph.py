@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +31,9 @@ from repro.network.contraction import bounce_edges, min_per_pair
 from repro.network.links import LinkCapacities
 from repro.orbits.visibility import gso_arc_directions_enu
 from repro.ground.stations import StationTable
+
+if TYPE_CHECKING:  # runtime import would cycle: the engine builds graphs
+    from repro.core.engine import GeometryFrame
 
 __all__ = [
     "ConnectivityMode",
@@ -93,49 +98,31 @@ class ConnectivityMode(Enum):
         return self is not ConnectivityMode.BP_ONLY
 
 
-class _TableColumn:
-    """One column of a :class:`SnapshotGraph`'s physical edge table.
-
-    A dataclass field with no default. The engine passes ``None``: the
-    first read of any column then builds all three from the graph's
-    satellite rows (:meth:`SnapshotGraph._build_table`) and keeps them.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, graph, owner=None):
-        if graph is None:
-            raise AttributeError(self.name)  # no class-level default
-        value = graph.__dict__[self.name]
-        if value is None:
-            graph._build_table()
-            value = graph.__dict__[self.name]
-        return value
-
-    def __set__(self, graph, value):
-        graph.__dict__[self.name] = value
-
-
 @dataclass
 class SnapshotGraph:
     """One time snapshot of the network.
 
     Edges are undirected and stored once; ``matrix()`` symmetrizes.
-    Distances are metres. The physical edge table is ``edges`` (node
-    ids), ``edge_dist_m`` and ``edge_kind``: GT-satellite rows stored
-    ``(satellite, GT node)``, then ISL rows, then fiber rows.
+    Distances are metres. Every graph holds its edges in two parts:
 
-    Graphs built from explicit arrays (faulted graphs, test fixtures)
-    hold that table from the start. An engine-built graph is given
-    ``None`` for it, plus its GT-satellite rows as a CSR by satellite
-    (``_sat_rows``: offsets, GT station indices, slant lengths — its
-    frame's own arrays when no filter applies) and its ISL and fiber
-    rows as a small eager block (``_non_radio``). The table is then
-    built on first read and kept, with the same rows, order and dtypes,
-    so ``matrix()``, routing, guards and ``apply_faults`` see the same
-    arrays. An RTT sweep reads only :meth:`contracted_matrix`, which
-    works from the satellite rows, and never builds the table.
+    * ``sat_rows``: the GT-satellite rows as a CSR by satellite,
+      ``(start, gt, dist_m)``. Satellite ``s`` owns rows
+      ``start[s]:start[s + 1]``; ``gt`` holds GT station indices and
+      ``dist_m`` slant lengths. Unfiltered engine graphs share their
+      frame's own arrays here.
+    * ``isl_fiber_rows``: the ISL and fiber rows, ``(edges, dist_m,
+      kind)``, with int64 node-id pairs and int8 ``_KIND_*`` codes.
+
+    ``frame`` is the engine frame the graph was assembled from (faults
+    keep it), else ``None``. The physical edge table ``edges``,
+    ``edge_dist_m`` and ``edge_kind`` (the GT-satellite rows stored
+    ``(satellite, GT node)`` in CSR order, then the ISL/fiber block) is
+    a view derived from the parts on first read and kept; ``matrix()``,
+    routing and the strict guards read it. An RTT sweep reads only
+    :meth:`contracted_matrix`, which works from the parts and never
+    builds the table. The caches and the contraction memo handle are
+    not constructor fields, so ``dataclasses.replace`` on the parts
+    gives a graph that derives everything afresh.
     """
 
     time_s: float
@@ -144,25 +131,26 @@ class SnapshotGraph:
     num_gts: int
     sat_ecef: np.ndarray
     gt_ecef: np.ndarray
-    edges: np.ndarray = _TableColumn()  # (m, 2) int64 node ids
-    edge_dist_m: np.ndarray = _TableColumn()  # (m,) float64
-    edge_kind: np.ndarray = _TableColumn()  # (m,) int8 _KIND_*
     stations: StationTable
+    sat_rows: tuple = field(repr=False)
+    isl_fiber_rows: tuple = field(repr=False)
+    frame: GeometryFrame | None = field(default=None, repr=False)
 
-    _matrix_cache: sparse.csr_matrix | None = None
-    _edge_key_cache: "tuple[np.ndarray, np.ndarray] | None" = None
-    _csr_pos_cache: np.ndarray | None = None
-    _edge_caps_cache: dict | None = None
-    _contracted_cache: sparse.csr_matrix | None = None
-    #: ``(frame, key)`` when the engine shares this graph's contracted
-    #: radio block with every graph of the same frame and GT-satellite
-    #: filters.
-    _radio_share: tuple | None = field(default=None, repr=False)
-    #: Engine-built graphs: GT-satellite rows ``(start, gt, dist_m)`` as
-    #: a CSR by satellite, and the ``(edges, dist_m, kind)`` ISL + fiber
-    #: block.
-    _sat_rows: tuple | None = field(default=None, repr=False)
-    _non_radio: tuple | None = field(default=None, repr=False)
+    #: The key of this graph's contracted radio block in ``frame``'s
+    #: memo, set by the engine for graphs whose GT-satellite rows are the
+    #: frame's under that key's filters; ``None`` contracts its own rows.
+    _radio_key: tuple | None = field(default=None, init=False, repr=False)
+    _matrix_cache: sparse.csr_matrix | None = field(
+        default=None, init=False, repr=False
+    )
+    _edge_key_cache: "tuple[np.ndarray, np.ndarray] | None" = field(
+        default=None, init=False, repr=False
+    )
+    _csr_pos_cache: np.ndarray | None = field(default=None, init=False, repr=False)
+    _edge_caps_cache: dict | None = field(default=None, init=False, repr=False)
+    _contracted_cache: sparse.csr_matrix | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def num_nodes(self) -> int:
@@ -170,34 +158,34 @@ class SnapshotGraph:
 
     @property
     def num_edges(self) -> int:
-        if self.__dict__["edges"] is None:
-            return len(self._sat_rows[1]) + len(self._non_radio[0])
-        return len(self.edges)
+        return len(self.sat_rows[1]) + len(self.isl_fiber_rows[0])
 
-    @property
-    def frame(self):
-        """The engine frame this graph was assembled from, else ``None``."""
-        return None if self._radio_share is None else self._radio_share[0]
-
-    def _build_table(self) -> None:
-        """Build the physical edge table from the satellite rows."""
-        start, gts, dists = self._sat_rows
-        other_edges, other_dist_m, other_kind = self._non_radio
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """``(m, 2)`` int64 node ids of the physical edge table."""
+        start, gts, _ = self.sat_rows
+        other = self.isl_fiber_rows[0]
         radio = len(gts)
-        edges = np.empty((radio + len(other_edges), 2), dtype=np.int64)
+        edges = np.empty((radio + len(other), 2), dtype=np.int64)
         edges[:radio, 0] = np.repeat(
             np.arange(self.num_sats, dtype=np.int64), np.diff(start)
         )
         np.add(gts, self.num_sats, out=edges[:radio, 1], casting="unsafe")
-        edges[radio:] = other_edges
-        kinds = np.full(radio + len(other_kind), _KIND_GT_SAT, dtype=np.int8)
-        kinds[radio:] = other_kind
+        edges[radio:] = other
         incr("engine.edge_tables")
-        self.__dict__.update(
-            edges=edges,
-            edge_dist_m=np.concatenate([dists, other_dist_m]),
-            edge_kind=kinds,
-        )
+        return edges
+
+    @cached_property
+    def edge_dist_m(self) -> np.ndarray:
+        """``(m,)`` float64 lengths of the physical edge table."""
+        return np.concatenate([self.sat_rows[2], self.isl_fiber_rows[1]])
+
+    @cached_property
+    def edge_kind(self) -> np.ndarray:
+        """``(m,)`` int8 ``_KIND_*`` codes of the physical edge table."""
+        kinds = np.full(self.num_edges, _KIND_GT_SAT, dtype=np.int8)
+        kinds[len(self.sat_rows[1]) :] = self.isl_fiber_rows[2]
+        return kinds
 
     def gt_node(self, gt_index: int) -> int:
         """Graph node id of a GT given its station-table index."""
@@ -250,25 +238,22 @@ class SnapshotGraph:
         cities are unchanged and every shortest distance between them
         equals the one on :meth:`matrix`. The contracted radio block
         (city GT-satellite edges plus bounce edges) comes from the
-        frame's memo when the engine shares it; this graph then merges
-        only its ISL and fiber rows into it, from its eager non-radio
-        block, so an engine-built graph never builds its edge table
-        here. A bounce edge parallel to an ISL keeps the shorter of the
-        two. RTT sweeps run Dijkstra here; paths and routing use the
-        physical :meth:`matrix`.
+        frame's memo when the engine gave this graph a memo handle, else
+        from this graph's own GT-satellite rows; the ISL/fiber block is
+        then merged into it. The edge table is never built here. A
+        bounce edge parallel to an ISL keeps the shorter of the two. RTT
+        sweeps run Dijkstra here; paths and routing use the physical
+        :meth:`matrix`.
         """
         if self._contracted_cache is None:
             kept = self.num_sats + self.stations.city_count
-            if self._radio_share is None:
+            if self._radio_key is None:
                 block = self._contract_radio()
             else:
-                frame, key = self._radio_share
-                block = frame.contracted_radio(key, self._contract_radio)
-            if self._non_radio is None:
-                other = self.edge_kind != _KIND_GT_SAT
-                edges, dists = self.edges[other], self.edge_dist_m[other]
-            else:
-                edges, dists, _ = self._non_radio
+                block = self.frame.contracted_radio(
+                    self._radio_key, self._contract_radio
+                )
+            edges, dists, _ = self.isl_fiber_rows
             if len(edges):
                 if edges.max() >= kept:
                     raise ValueError(
@@ -290,38 +275,19 @@ class SnapshotGraph:
     def _contract_radio(self):
         """This graph's contracted radio block, from its GT-satellite rows.
 
-        The rows are regrouped by GT: an engine-built graph transposes
-        its satellite CSR; a graph built from arrays regroups the
-        ``(satellite, GT node)`` rows of its own table. City rows are
-        kept as they are; rows ending at a relay or aircraft become
-        bounce edges. Returns ``(lo, hi, w)`` with one minimum per node
-        pair, sorted by ``(lo, hi)``.
+        One counting-sort transpose turns the CSR by satellite into the
+        by-GT view, in which each GT's satellites come out ascending.
+        Cities are GTs ``[0, city_count)``: their rows stay edges, and
+        the rows of every later GT (relays, aircraft) become bounce
+        edges. Returns ``(lo, hi, w)`` with one minimum per node pair,
+        sorted by ``(lo, hi)``.
         """
         with span("transit_contraction"):
             incr("engine.contraction_misses")
-            if self._sat_rows is not None:
-                # One counting-sort transpose of the CSR by satellite;
-                # each GT's satellites come out ascending.
-                start, gts, dists = self._sat_rows
-                by_gt = sparse.csr_matrix(
-                    (dists, gts, start), shape=(self.num_sats, self.num_gts)
-                ).tocsc()
-            else:
-                radio = self.edge_kind == _KIND_GT_SAT
-                sats = self.edges[radio, 0]
-                if np.any(sats >= self.num_sats):
-                    raise ValueError(
-                        "a GT-satellite row has a non-satellite neighbour"
-                    )
-                # coo -> csr sums a duplicated row as matrix() does and
-                # sorts each GT's satellites.
-                gts = self.edges[radio, 1] - self.num_sats
-                by_gt = sparse.csr_matrix(
-                    (self.edge_dist_m[radio], (gts, sats)),
-                    shape=(self.num_gts, self.num_sats),
-                )
-            # Cities are GTs [0, city_count): the leading rows stay edges,
-            # every later GT's rows become bounce edges.
+            start, gts, dists = self.sat_rows
+            by_gt = sparse.csr_matrix(
+                (dists, gts, start), shape=(self.num_sats, self.num_gts)
+            ).tocsc()
             indptr, sats, dists = by_gt.indptr, by_gt.indices, by_gt.data
             city_count = self.stations.city_count
             bounce = bounce_edges(indptr[city_count:], sats, dists, self.num_sats)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import coverage_radius_m, orbital_period
-from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef
+from repro.orbits.coordinates import eci_to_ecef
 from repro.orbits.kepler import propagate_circular
 
 __all__ = ["Shell", "Constellation", "walker_delta_elements"]
@@ -117,11 +117,6 @@ class Shell:
         """Earth-fixed positions of all satellites at ``time_s``."""
         return eci_to_ecef(self.positions_eci(time_s), time_s)
 
-    def subsatellite_points(self, time_s: float):
-        """``(lat_deg, lon_deg)`` of each satellite's nadir at ``time_s``."""
-        lat, lon, _ = ecef_to_geodetic(self.positions_ecef(time_s))
-        return lat, lon
-
 
 @dataclass(frozen=True)
 class Constellation:
@@ -164,18 +159,3 @@ class Constellation:
     def positions_ecef(self, time_s: float) -> np.ndarray:
         """Earth-fixed positions of every satellite, shape ``(total, 3)``."""
         return np.vstack([shell.positions_ecef(time_s) for shell in self.shells])
-
-    def altitudes_m(self) -> np.ndarray:
-        """Per-satellite altitude array aligned with the flat index space."""
-        return np.concatenate(
-            [np.full(shell.num_satellites, shell.altitude_m) for shell in self.shells]
-        )
-
-    def min_elevations_deg(self) -> np.ndarray:
-        """Per-satellite minimum elevation aligned with the flat index space."""
-        return np.concatenate(
-            [
-                np.full(shell.num_satellites, shell.min_elevation_deg)
-                for shell in self.shells
-            ]
-        )

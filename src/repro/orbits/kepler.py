@@ -121,10 +121,6 @@ class CircularOrbit:
             time_s,
         )[0]
 
-    def ground_track_velocity_mps(self) -> float:
-        """Magnitude of the satellite's orbital velocity, m/s."""
-        return float(self.radius_m * mean_motion_rad_s(self.altitude_m))
-
 
 def propagate_circular(
     altitude_m: np.ndarray,

@@ -4,6 +4,9 @@
 per-satellite ``query_ball_point``, the plain way the layered
 :class:`repro.core.engine.SnapshotEngine` must agree with bit for bit
 (``tests/test_engine.py::TestNumericalEquivalence``).
+:func:`graph_from_rows` turns an explicit edge table into a
+:class:`~repro.network.graph.SnapshotGraph`; the reference and the
+hand-built test graphs go through it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from repro.ground.stations import StationTable
 from repro.network.fiber import city_fiber_edges
 from repro.network.graph import (
     _KIND_FIBER,
-    _KIND_GT_SAT,
     _KIND_ISL,
     ConnectivityMode,
     GsoProtectionPolicy,
@@ -103,13 +105,11 @@ def build_snapshot_graph(
 
     edge_blocks = [gt_sat_edges.reshape(-1, 2)]
     dist_blocks = [gt_sat_dists]
-    kind_blocks = [np.full(len(gt_sat_edges), _KIND_GT_SAT, dtype=np.int8)]
 
     if mode.uses_isls:
         isl_edges = constellation_isl_edges(constellation)
         edge_blocks.append(isl_edges)
         dist_blocks.append(isl_lengths_m(isl_edges, sat_ecef))
-        kind_blocks.append(np.full(len(isl_edges), _KIND_ISL, dtype=np.int8))
 
     if fiber_max_km is not None and stations.city_count >= 2:
         city_edges, fiber_dists = city_fiber_edges(
@@ -120,21 +120,61 @@ def build_snapshot_graph(
         if len(city_edges):
             edge_blocks.append(city_edges + num_sats)
             dist_blocks.append(fiber_dists)
-            kind_blocks.append(np.full(len(city_edges), _KIND_FIBER, dtype=np.int8))
 
-    edges = np.vstack(edge_blocks)
-    dists = np.concatenate(dist_blocks)
-    kinds = np.concatenate(kind_blocks)
+    return graph_from_rows(
+        np.vstack(edge_blocks),
+        np.concatenate(dist_blocks),
+        num_sats=num_sats,
+        stations=stations,
+        mode=mode,
+        time_s=time_s,
+        sat_ecef=sat_ecef,
+        gt_ecef=gt_ecef,
+    )
 
+
+def graph_from_rows(
+    edges,
+    dist_m,
+    *,
+    num_sats: int,
+    stations: StationTable,
+    mode: ConnectivityMode = ConnectivityMode.BP_ONLY,
+    time_s: float = 0.0,
+    sat_ecef: np.ndarray | None = None,
+    gt_ecef: np.ndarray | None = None,
+) -> SnapshotGraph:
+    """A frameless graph from ``(u, v)`` node-id rows and their lengths.
+
+    A row joining a satellite and a GT goes into the CSR by satellite,
+    stored ``(satellite, GT)``, with rows kept in input order within a
+    satellite. Every other row goes into the ISL/fiber block in input
+    order: an ISL when both ends are satellites, fiber otherwise.
+    Positions default to all-ones rows (hand-built graphs have no
+    geometry).
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    dist_m = np.asarray(dist_m, dtype=float)
+    is_sat = edges < num_sats
+    radio = is_sat[:, 0] != is_sat[:, 1]
+    rows = np.sort(edges[radio], axis=1)  # satellite ids come first
+    order = np.argsort(rows[:, 0], kind="stable")
+    rows = rows[order]
+    other = ~radio
+    kinds = np.where(is_sat[other].all(axis=1), _KIND_ISL, _KIND_FIBER)
+    num_gts = stations.total
     return SnapshotGraph(
         time_s=time_s,
         mode=mode,
         num_sats=num_sats,
         num_gts=num_gts,
-        sat_ecef=sat_ecef,
-        gt_ecef=gt_ecef,
-        edges=edges,
-        edge_dist_m=dists,
-        edge_kind=kinds,
+        sat_ecef=np.ones((num_sats, 3)) if sat_ecef is None else sat_ecef,
+        gt_ecef=np.ones((num_gts, 3)) if gt_ecef is None else gt_ecef,
         stations=stations,
+        sat_rows=(
+            np.searchsorted(rows[:, 0], np.arange(num_sats + 1)),
+            (rows[:, 1] - num_sats).astype(np.int32),
+            dist_m[radio][order],
+        ),
+        isl_fiber_rows=(edges[other], dist_m[other], kinds.astype(np.int8)),
     )

@@ -102,10 +102,6 @@ class TestLinkUtilization:
         util = link_utilization(result)
         assert any(s["saturated_links"] > 0 for s in util.by_kind.values())
 
-    def test_summary_rows_shape(self, result):
-        rows = link_utilization(result).summary_rows()
-        assert all(len(row) == 5 for row in rows)
-
 
 class TestRttJumps:
     def test_jump_values(self):

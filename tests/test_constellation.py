@@ -5,6 +5,7 @@ import pytest
 
 from repro.constants import EARTH_RADIUS
 from repro.orbits.constellation import Constellation, Shell, walker_delta_elements
+from repro.orbits.coordinates import ecef_to_geodetic
 
 
 class TestWalkerDeltaElements:
@@ -51,7 +52,7 @@ class TestShell(object):
 
     def test_subsatellite_latitudes_bounded_by_inclination(self, tiny_shell):
         for t in (0.0, 900.0, 2700.0):
-            lats, _ = tiny_shell.subsatellite_points(t)
+            lats, _, _ = ecef_to_geodetic(tiny_shell.positions_ecef(t))
             assert np.max(np.abs(lats)) <= tiny_shell.inclination_deg + 0.01
 
     def test_satellites_distinct(self, tiny_shell):
@@ -93,13 +94,3 @@ class TestConstellation:
         np.testing.assert_allclose(
             positions[:48], tiny_shell.positions_ecef(100.0)
         )
-
-    def test_per_satellite_altitudes(self, tiny_shell):
-        polar = Shell("p", 3, 5, 560e3, 90.0, 30.0)
-        constellation = Constellation(name="two", shells=(tiny_shell, polar))
-        altitudes = constellation.altitudes_m()
-        assert set(altitudes[:48]) == {550e3}
-        assert set(altitudes[48:]) == {560e3}
-        elevations = constellation.min_elevations_deg()
-        assert set(elevations[:48]) == {25.0}
-        assert set(elevations[48:]) == {30.0}

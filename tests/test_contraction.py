@@ -50,13 +50,12 @@ from repro.network import contraction
 from repro.network.contraction import bounce_edges, min_per_pair
 from repro.network.graph import (
     _KIND_GT_SAT,
-    _KIND_ISL,
     ConnectivityMode,
     GsoProtectionPolicy,
     SnapshotGraph,
 )
 from repro.obs import observe
-from tests.reference_graph import build_snapshot_graph
+from tests.reference_graph import build_snapshot_graph, graph_from_rows
 
 SCALE = ScenarioScale(
     name="contraction-tiny",
@@ -307,24 +306,42 @@ def csr_parts(matrix):
     return matrix.indptr, matrix.indices, matrix.data
 
 
-def from_table(graph: SnapshotGraph) -> SnapshotGraph:
-    """The same graph built from its materialized table: no frame rows."""
-    return SnapshotGraph(
-        time_s=graph.time_s,
-        mode=graph.mode,
-        num_sats=graph.num_sats,
-        num_gts=graph.num_gts,
-        sat_ecef=graph.sat_ecef,
-        gt_ecef=graph.gt_ecef,
-        edges=graph.edges,
-        edge_dist_m=graph.edge_dist_m,
-        edge_kind=graph.edge_kind,
-        stations=graph.stations,
+def coo_contracted_matrix(graph: SnapshotGraph) -> sparse.csr_matrix:
+    """Reference: the contraction regrouped from the edge table via COO.
+
+    The table's GT-satellite rows are regrouped by GT with a COO -> CSR
+    build, which sorts each GT's satellites; city rows stay, transit
+    rows become bounce edges, and the ISL/fiber rows join them in one
+    minimum per pair.
+    """
+    num_sats, city_count = graph.num_sats, graph.stations.city_count
+    kept = num_sats + city_count
+    radio = graph.edge_kind == _KIND_GT_SAT
+    by_gt = sparse.csr_matrix(
+        (
+            graph.edge_dist_m[radio],
+            (graph.edges[radio, 1] - num_sats, graph.edges[radio, 0]),
+        ),
+        shape=(graph.num_gts, num_sats),
+    )
+    indptr, sats, dists = by_gt.indptr, by_gt.indices, by_gt.data
+    end = indptr[city_count]
+    bounce = bounce_edges(indptr[city_count:], sats, dists, num_sats)
+    cities = np.repeat(np.arange(num_sats, kept), np.diff(indptr[: city_count + 1]))
+    other = ~radio
+    lo, hi, w = min_per_pair(
+        np.concatenate([sats[:end], bounce[0], graph.edges[other, 0]]),
+        np.concatenate([cities, bounce[1], graph.edges[other, 1]]),
+        np.concatenate([dists[:end], bounce[2], graph.edge_dist_m[other]]),
+    )
+    return sparse.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(kept, kept),
     )
 
 
 class TestFrameFedContraction:
-    """The frame-fed contraction and lazy table against their references."""
+    """The frame-fed contraction and derived table against their references."""
 
     @pytest.mark.parametrize("variant", sorted(FRAME_FED_VARIANTS))
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
@@ -340,8 +357,8 @@ class TestFrameFedContraction:
                     assert graph.num_edges > 0
                 counters = registry.snapshot()["counters"]
                 assert counters.get("engine.edge_tables", 0) == 0
-                own_rows = from_table(graph).contracted_matrix()
-                assert_identical(csr_parts(frame_fed), csr_parts(own_rows))
+                want_csr = coo_contracted_matrix(graph)
+                assert_identical(csr_parts(frame_fed), csr_parts(want_csr))
                 want = build_snapshot_graph(
                     scenario.constellation,
                     scenario.ground.stations_at(float(time_s)),
@@ -397,15 +414,49 @@ class TestFrameFedContraction:
                 assert_identical(got, want)
 
 
-def hand_built_graph(isl_m: float) -> SnapshotGraph:
+class TestReplacedGraph:
+    """``dataclasses.replace`` on the parts keeps the frame, not the caches."""
+
+    def test_dropped_rows_reach_the_contraction(self):
+        scenario = Scenario.paper_default("starlink", ScenarioScale.small())
+        graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        full = graph.contracted_matrix()
+        graph.matrix()
+        start, gts, dists = graph.sat_rows
+        sats = np.repeat(np.arange(graph.num_sats), np.diff(start))[::2]
+        thinned = dataclasses.replace(
+            graph,
+            sat_rows=(
+                np.searchsorted(sats, np.arange(graph.num_sats + 1)),
+                gts[::2],
+                dists[::2],
+            ),
+        )
+        assert thinned.frame is graph.frame
+        assert thinned._radio_key is None
+        assert thinned._contracted_cache is None and thinned._matrix_cache is None
+        assert thinned.matrix().nnz < graph.matrix().nnz
+        contracted = thinned.contracted_matrix()
+        assert contracted.nnz < full.nnz
+        kept = graph.num_sats + graph.stations.city_count
+        cities = np.arange(graph.num_sats, kept)
+        want = csgraph.dijkstra(thinned.matrix(), indices=cities)[:, cities]
+        got = csgraph.dijkstra(contracted, indices=cities)[:, cities]
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12)
+
+
+def hand_built_graph(isl_m: float, extra_rows=()) -> SnapshotGraph:
     """3 satellites, 2 cities, 2 relays, and one ISL between sats 0-1.
 
     Node ids: satellites 0-2, cities 3-4, relays 5-6. City 3 hangs off
     satellite 0 and city 4 off satellite 1. Relay 5 bounces 0<->1 for
     500 + 500 m; relay 6 bounces 0<->1 for 700 + 900 m, 0<->2 for
-    700 + 100 m and 1<->2 for 900 + 100 m.
+    700 + 100 m and 1<->2 for 900 + 100 m. ``extra_rows`` are more
+    ``(u, v, metres)`` rows.
     """
-    edges = [
+    rows = [
         (0, 3, 1000.0),
         (1, 4, 1000.0),
         (0, 5, 500.0),
@@ -414,23 +465,18 @@ def hand_built_graph(isl_m: float) -> SnapshotGraph:
         (1, 6, 900.0),
         (2, 6, 100.0),
         (0, 1, isl_m),
+        *extra_rows,
     ]
-    kinds = [_KIND_GT_SAT] * 7 + [_KIND_ISL]
     stations = StationTable(
         lats=np.zeros(4), lons=np.zeros(4), altitudes=np.zeros(4),
         city_count=2, relay_count=2,
     )
-    return SnapshotGraph(
-        time_s=0.0,
-        mode=ConnectivityMode.HYBRID,
+    return graph_from_rows(
+        [row[:2] for row in rows],
+        [row[2] for row in rows],
         num_sats=3,
-        num_gts=4,
-        sat_ecef=np.ones((3, 3)),
-        gt_ecef=np.ones((4, 3)),
-        edges=np.array([e[:2] for e in edges], dtype=np.int64),
-        edge_dist_m=np.array([e[2] for e in edges]),
-        edge_kind=np.array(kinds, dtype=np.int8),
         stations=stations,
+        mode=ConnectivityMode.HYBRID,
     )
 
 
@@ -463,10 +509,7 @@ class TestHandBuiltFixture:
             np.testing.assert_allclose(rtts_of(graph, pairs), [want], rtol=1e-12)
 
     def test_transit_node_with_ground_neighbour_is_rejected(self):
-        graph = hand_built_graph(isl_m=800.0)
-        graph.edges = np.vstack([graph.edges, [[3, 5]]])
-        graph.edge_dist_m = np.append(graph.edge_dist_m, 10.0)
-        graph.edge_kind = np.append(graph.edge_kind, np.int8(_KIND_GT_SAT))
+        graph = hand_built_graph(isl_m=800.0, extra_rows=[(3, 5, 10.0)])
         with pytest.raises(ValueError, match="non-satellite neighbour"):
             graph.contracted_matrix()
 

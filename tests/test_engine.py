@@ -578,42 +578,30 @@ class TestEnginePickling:
 
 
 class TestFrameCacheLru:
-    """Frame cache: bounded, LRU-ordered, clearable."""
-
-    def test_rejects_non_positive_cache_size(self, base_scenario):
-        with pytest.raises(ValueError, match="frame_cache_size"):
-            SnapshotEngine(
-                base_scenario.constellation,
-                base_scenario.ground,
-                frame_cache_size=0,
-            )
+    """Frame cache: bounded at ``DEFAULT_FRAME_CACHE_SIZE``, LRU-ordered."""
 
     def test_default_cache_size(self, base_scenario):
-        assert base_scenario.engine.frame_cache_size == DEFAULT_FRAME_CACHE_SIZE
+        engine = SnapshotEngine(base_scenario.constellation, base_scenario.ground)
+        times = [900.0 * i for i in range(DEFAULT_FRAME_CACHE_SIZE)]
+        with observe() as registry:
+            for time_s in times + times:
+                engine.frame_at(time_s)
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.frame_misses"] == DEFAULT_FRAME_CACHE_SIZE
+        assert counters["engine.frame_hits"] == DEFAULT_FRAME_CACHE_SIZE
+        assert "engine.frame_evictions" not in counters
 
     def test_eviction_drops_least_recently_used(self, base_scenario):
-        engine = SnapshotEngine(
-            base_scenario.constellation, base_scenario.ground, frame_cache_size=2
-        )
+        engine = SnapshotEngine(base_scenario.constellation, base_scenario.ground)
+        times = [900.0 * i for i in range(DEFAULT_FRAME_CACHE_SIZE + 1)]
         with observe() as registry:
-            engine.frame_at(0.0)
-            engine.frame_at(900.0)
-            engine.frame_at(0.0)  # refresh 0.0 so 900.0 is the LRU victim
-            engine.frame_at(1800.0)
-        assert engine.cached_frame_times() == [0.0, 1800.0]
+            for time_s in times[:-1]:
+                engine.frame_at(time_s)
+            engine.frame_at(times[0])  # refresh times[0]: times[1] is the LRU victim
+            engine.frame_at(times[-1])  # one past the bound evicts times[1]
+            engine.frame_at(times[0])  # still cached
+            engine.frame_at(times[1])  # rebuilt, evicting times[2]
         counters = registry.snapshot()["counters"]
-        assert counters["engine.frame_evictions"] == 1
-        assert counters["engine.frame_misses"] == 3
-        assert counters["engine.frame_hits"] == 1
-
-    def test_clear_empties_frames_but_keeps_static(self, base_scenario):
-        engine = SnapshotEngine(
-            base_scenario.constellation, base_scenario.ground, frame_cache_size=2
-        )
-        with observe() as registry:
-            engine.frame_at(0.0)
-            static_before = engine.static
-            engine.clear()
-            assert engine.cached_frame_times() == []
-            assert engine.static is static_before
-        assert registry.snapshot()["counters"]["engine.static_misses"] == 1
+        assert counters["engine.frame_evictions"] == 2
+        assert counters["engine.frame_misses"] == DEFAULT_FRAME_CACHE_SIZE + 2
+        assert counters["engine.frame_hits"] == 2

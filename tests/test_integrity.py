@@ -1,5 +1,6 @@
 """Tests for the integrity subsystem: digests, validators, guards, audit."""
 
+import dataclasses
 import io
 import json
 
@@ -9,6 +10,7 @@ import pytest
 from repro.context import current, run_context
 from repro.core.checkpoint import RttCheckpoint
 from repro.core.pipeline import RttSeries
+from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair
 from repro.integrity import (
     Column,
@@ -207,54 +209,85 @@ class TestCrossModeRttGuard:
             pipeline.compute_rtt_series_multi(tiny_scenario, modes)
 
 
+def _flat_sat_rows(graph):
+    """A graph's GT-satellite rows as flat ``(sat, gt, dist_m)`` columns."""
+    start, gts, dists = graph.sat_rows
+    return np.repeat(np.arange(graph.num_sats), np.diff(start)), gts, dists
+
+
+def _with_sat_rows(graph, sats, gts, dists):
+    """``graph`` with new GT-satellite rows, given flat and by satellite."""
+    start = np.searchsorted(sats, np.arange(graph.num_sats + 1))
+    return dataclasses.replace(graph, sat_rows=(start, gts, dists))
+
+
+def _sat_rows_at(graph, rows):
+    """``graph`` keeping (or repeating) the GT-satellite rows ``rows``."""
+    return _with_sat_rows(graph, *(part[rows] for part in _flat_sat_rows(graph)))
+
+
+def _with_block_row(graph, edge, dist_m, kind):
+    """``graph`` with one ``(u, v)`` row appended to its ISL/fiber block."""
+    edges, dists, kinds = graph.isl_fiber_rows
+    return dataclasses.replace(
+        graph,
+        isl_fiber_rows=(
+            np.vstack([edges, np.asarray(edge, dtype=np.int64)]),
+            np.append(dists, dist_m),
+            np.append(kinds, np.int8(kind)),
+        ),
+    )
+
+
 class TestGraphGuards:
     def test_real_graphs_pass(self, tiny_bp_graph, tiny_hybrid_graph):
         check_graph(tiny_bp_graph)
         check_graph(tiny_hybrid_graph)
 
     def test_edge_out_of_range_rejected(self, tiny_bp_graph):
-        import dataclasses
-
-        edges = np.asarray(tiny_bp_graph.edges).copy()
-        edges[0, 0] = tiny_bp_graph.num_nodes + 5
-        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
+        sats, gts, dists = _flat_sat_rows(tiny_bp_graph)
+        gts = gts.copy()
+        gts[0] = tiny_bp_graph.num_gts + 5
+        bad = _with_sat_rows(tiny_bp_graph, sats, gts, dists)
         with pytest.raises(InvariantViolation, match="outside"):
             check_graph(bad)
 
-
     def test_self_loop_rejected(self, tiny_bp_graph):
-        import dataclasses
-
-        edges = np.asarray(tiny_bp_graph.edges).copy()
-        edges[3, 1] = edges[3, 0]
-        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
-        with pytest.raises(InvariantViolation, match="edge 3 is a self-loop"):
+        sat = int(tiny_bp_graph.edges[3, 0])
+        bad = _with_block_row(tiny_bp_graph, [sat, sat], 1000.0, 1)
+        last = bad.num_edges - 1
+        with pytest.raises(InvariantViolation, match=f"edge {last} is a self-loop"):
             check_graph(bad)
 
     @pytest.mark.parametrize("flip", [False, True], ids=["same", "reversed"])
     def test_duplicate_undirected_edge_rejected(self, tiny_bp_graph, flip):
-        import dataclasses
-
-        edges = np.asarray(tiny_bp_graph.edges).copy()
-        edges[7] = edges[2][::-1] if flip else edges[2]
-        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
-        with pytest.raises(InvariantViolation, match="edges 2 and 7 both"):
+        # Row 2 repeated in the CSR, or reversed in the ISL/fiber block.
+        if flip:
+            edge, dist_m = tiny_bp_graph.edges[2], tiny_bp_graph.edge_dist_m[2]
+            bad = _with_block_row(tiny_bp_graph, edge[::-1], dist_m, 1)
+            copy = bad.num_edges - 1
+        else:
+            rows = np.insert(np.arange(tiny_bp_graph.num_edges), 3, 2)
+            bad = _sat_rows_at(tiny_bp_graph, rows)
+            copy = 3
+        with pytest.raises(InvariantViolation, match=f"edges 2 and {copy} both"):
             check_graph(bad)
 
 
 class TestGraphPhysicsGuards:
     """check_graph holds engine-built graphs to their physics."""
 
-    @staticmethod
-    def _replace(graph, **columns):
-        import dataclasses
-
-        return dataclasses.replace(graph, **columns)
+    FAULTS = FaultSpec(sat=0.05, relay=0.1, aircraft=0.1, seed=3)
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"fiber_max_km": 1500.0}, {"max_gts_per_satellite": 3}],
-        ids=["plain", "fiber", "beam"],
+        [
+            {},
+            {"fiber_max_km": 1500.0},
+            {"max_gts_per_satellite": 3},
+            {"faults": FAULTS},
+        ],
+        ids=["plain", "fiber", "beam", "faults"],
     )
     def test_real_graphs_pass(self, tiny_scenario, overrides):
         scenario = tiny_scenario.with_assembly(**overrides)
@@ -263,34 +296,53 @@ class TestGraphPhysicsGuards:
             assert graph.frame is not None
             check_graph(graph)
 
+    def test_faulted_length_off_its_endpoints_rejected(self, tiny_scenario):
+        graph = tiny_scenario.with_faults(self.FAULTS).graph_at(
+            0.0, ConnectivityMode.HYBRID
+        )
+        sats, gts, dists = _flat_sat_rows(graph)
+        dists = dists.copy()
+        dists[0] *= 1.0 - 1e-9
+        with pytest.raises(InvariantViolation, match="edge 0 has length"):
+            check_graph(_with_sat_rows(graph, sats, gts, dists))
+
     def test_swapped_kind_rejected(self, tiny_hybrid_graph):
-        kinds = tiny_hybrid_graph.edge_kind.copy()
-        radio = int(np.argmax(kinds == 0))
-        kinds[radio] = 1
-        bad = self._replace(tiny_hybrid_graph, edge_kind=kinds)
-        with pytest.raises(InvariantViolation, match=f"edge {radio} of kind 1"):
+        # The first GT-satellite row moves into the ISL block as an ISL.
+        radio = len(tiny_hybrid_graph.sat_rows[1])
+        graph = _sat_rows_at(tiny_hybrid_graph, np.arange(1, radio))
+        bad = _with_block_row(
+            graph, tiny_hybrid_graph.edges[0], tiny_hybrid_graph.edge_dist_m[0], 1
+        )
+        last = bad.num_edges - 1
+        with pytest.raises(InvariantViolation, match=f"edge {last} of kind 1"):
             check_graph(bad)
 
     def test_isl_in_bp_rejected(self, tiny_bp_graph, tiny_hybrid_graph):
         isl = int(np.argmax(tiny_hybrid_graph.edge_kind == 1))
-        bad = self._replace(
+        bad = _with_block_row(
             tiny_bp_graph,
-            edges=np.vstack([tiny_bp_graph.edges, tiny_hybrid_graph.edges[isl]]),
-            edge_dist_m=np.append(
-                tiny_bp_graph.edge_dist_m, tiny_hybrid_graph.edge_dist_m[isl]
-            ),
-            edge_kind=np.append(tiny_bp_graph.edge_kind, np.int8(1)),
+            tiny_hybrid_graph.edges[isl],
+            tiny_hybrid_graph.edge_dist_m[isl],
+            1,
         )
-        last = len(bad.edges) - 1
+        last = bad.num_edges - 1
         with pytest.raises(InvariantViolation, match=f"BP graph holds ISL edge {last}"):
             check_graph(bad)
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["radio", "isl"])
     def test_length_off_its_endpoints_rejected(self, tiny_hybrid_graph, kind):
-        dists = tiny_hybrid_graph.edge_dist_m.copy()
-        edge = int(np.argmax(tiny_hybrid_graph.edge_kind == kind))
-        dists[edge] *= 1.0 - 1e-9
-        bad = self._replace(tiny_hybrid_graph, edge_dist_m=dists)
+        graph = tiny_hybrid_graph
+        edge = int(np.argmax(graph.edge_kind == kind))
+        if kind == 0:
+            sats, gts, dists = _flat_sat_rows(graph)
+            dists = dists.copy()
+            dists[edge] *= 1.0 - 1e-9
+            bad = _with_sat_rows(graph, sats, gts, dists)
+        else:
+            edges, dists, kinds = graph.isl_fiber_rows
+            dists = dists.copy()
+            dists[edge - len(graph.sat_rows[1])] *= 1.0 - 1e-9
+            bad = dataclasses.replace(graph, isl_fiber_rows=(edges, dists, kinds))
         with pytest.raises(InvariantViolation, match=f"edge {edge} has length"):
             check_graph(bad)
 
@@ -298,12 +350,14 @@ class TestGraphPhysicsGuards:
         graph = tiny_scenario.with_assembly(fiber_max_km=1500.0).graph_at(
             0.0, ConnectivityMode.BP_ONLY
         )
-        edge = int(np.argmax(graph.edge_kind == 2))
-        u, v = graph.edges[edge] - graph.num_sats
-        dists = graph.edge_dist_m.copy()
-        dists[edge] = 0.999 * np.linalg.norm(graph.gt_ecef[u] - graph.gt_ecef[v])
+        edges, dists, kinds = graph.isl_fiber_rows
+        row = int(np.argmax(kinds == 2))
+        u, v = edges[row] - graph.num_sats
+        dists = dists.copy()
+        dists[row] = 0.999 * np.linalg.norm(graph.gt_ecef[u] - graph.gt_ecef[v])
+        bad = dataclasses.replace(graph, isl_fiber_rows=(edges, dists, kinds))
         with pytest.raises(InvariantViolation, match="not at least"):
-            check_graph(self._replace(graph, edge_dist_m=dists))
+            check_graph(bad)
 
     def test_slant_range_bound(self, tiny_bp_graph):
         from repro.constants import slant_range_m
@@ -341,8 +395,6 @@ class TestRoutingGuards:
     @staticmethod
     def _check_modified(case, edit, match):
         """Apply ``edit`` to a copy of the sub-flow list, expect ``match``."""
-        import dataclasses
-
         graph, pairs, routed = case
         flows = list(routed.subflows)
         edit(flows)
@@ -358,8 +410,6 @@ class TestRoutingGuards:
         self._check_modified(case, lambda f: f.insert(1, f[0]), "reuses edge")
 
     def test_wrong_length_rejected(self, case):
-        import dataclasses
-
         def stretch(flows):
             path = flows[2].path
             longer = dataclasses.replace(path, length_m=path.length_m * 1.001)
@@ -368,8 +418,6 @@ class TestRoutingGuards:
         self._check_modified(case, stretch, "its edges sum to")
 
     def test_edge_not_on_path_rejected(self, case):
-        import dataclasses
-
         def swap(flows):
             ids = flows[0].edge_ids.copy()
             ids[-1] = ids[0]
@@ -378,8 +426,6 @@ class TestRoutingGuards:
         self._check_modified(case, swap, "does not join hop")
 
     def test_wrong_endpoints_rejected(self, case):
-        import dataclasses
-
         _, pairs, _ = case
 
         def relabel(flows):
@@ -390,13 +436,10 @@ class TestRoutingGuards:
         self._check_modified(case, relabel, "not between its city nodes")
 
     def test_route_traffic_rejects_duplicate_edge_under_strict(self, tiny_bp_graph):
-        import dataclasses
-
         from repro.flows.routing import route_traffic
 
-        edges = np.asarray(tiny_bp_graph.edges).copy()
-        edges[7] = edges[2]
-        bad = dataclasses.replace(tiny_bp_graph, edges=edges)
+        rows = np.insert(np.arange(tiny_bp_graph.num_edges), 3, 2)
+        bad = _sat_rows_at(tiny_bp_graph, rows)
         with pytest.raises(InvariantViolation, match="both join"):
             route_traffic(bad, [CityPair(0, 1, 0.0)], k=4)
 

@@ -35,9 +35,10 @@ from repro.flows.maxmin import max_min_fair_allocation
 from repro.flows.routing import route_traffic, route_traffic_multi_k
 from repro.flows.traffic import CityPair
 from repro.ground.stations import StationTable
-from repro.network.graph import _KIND_GT_SAT, ConnectivityMode, SnapshotGraph
+from repro.network.graph import ConnectivityMode, SnapshotGraph
 from repro.network.paths import k_edge_disjoint_paths
 from repro.obs import observe
+from tests.reference_graph import graph_from_rows
 
 # ---------------------------------------------------------------------------
 # Routing: source-batched rounds vs the per-pair reference search.
@@ -85,16 +86,10 @@ def _hand_graph(num_sats: int, num_cities: int, edges) -> SnapshotGraph:
         city_count=num_cities,
         relay_count=0,
     )
-    return SnapshotGraph(
-        time_s=0.0,
-        mode=ConnectivityMode.BP_ONLY,
+    return graph_from_rows(
+        [e[:2] for e in edges],
+        [e[2] for e in edges],
         num_sats=num_sats,
-        num_gts=num_cities,
-        sat_ecef=np.ones((num_sats, 3)),
-        gt_ecef=np.ones((num_cities, 3)),
-        edges=np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2),
-        edge_dist_m=np.array([e[2] for e in edges], dtype=float),
-        edge_kind=np.full(len(edges), _KIND_GT_SAT, dtype=np.int8),
         stations=stations,
     )
 
@@ -177,7 +172,7 @@ class TestRoutingMatchesPerPairReference:
         for k in (1, 4):
             separate = route_traffic(graph, pairs, k=k)
             assert combined[k].unrouted_pairs == separate.unrouted_pairs
-            assert combined[k].num_subflows == separate.num_subflows
+            assert len(combined[k].subflows) == len(separate.subflows)
             for ours, theirs in zip(combined[k].subflows, separate.subflows):
                 assert ours.pair_index == theirs.pair_index
                 assert ours.path.nodes == theirs.path.nodes

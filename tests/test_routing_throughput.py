@@ -9,6 +9,12 @@ from repro.network.graph import ConnectivityMode
 from repro.network.links import LinkCapacities
 
 
+def _pair_rates_bps(result, num_pairs: int) -> np.ndarray:
+    """Sub-flow rates summed back to their city pairs."""
+    pair_index = [subflow.pair_index for subflow in result.routing.subflows]
+    return np.bincount(pair_index, weights=result.allocation.rates, minlength=num_pairs)
+
+
 @pytest.fixture(scope="module")
 def pairs(tiny_scenario):
     # module-scoped alias; tiny_scenario itself is session-scoped.
@@ -18,7 +24,7 @@ def pairs(tiny_scenario):
 class TestRouteTraffic:
     def test_k1_one_subflow_per_routable_pair(self, tiny_hybrid_graph, pairs):
         routed = route_traffic(tiny_hybrid_graph, pairs, k=1)
-        assert routed.num_subflows + len(routed.unrouted_pairs) == len(pairs)
+        assert len(routed.subflows) + len(routed.unrouted_pairs) == len(pairs)
 
     def test_k4_at_most_4_subflows_per_pair(self, tiny_hybrid_graph, pairs):
         routed = route_traffic(tiny_hybrid_graph, pairs, k=4)
@@ -85,7 +91,7 @@ class TestEvaluateThroughput:
 
     def test_per_pair_rates_sum_to_aggregate(self, tiny_hybrid_graph, pairs):
         result = evaluate_throughput(tiny_hybrid_graph, pairs, k=4)
-        per_pair = result.per_pair_rates_bps(len(pairs))
+        per_pair = _pair_rates_bps(result, len(pairs))
         assert per_pair.sum() == pytest.approx(result.aggregate_bps, rel=1e-9)
 
     def test_link_loads_feasible(self, tiny_hybrid_graph, pairs):
@@ -118,8 +124,8 @@ class TestDemandWeightedThroughput:
         weighted = evaluate_throughput(
             tiny_hybrid_graph, pairs, k=1, pair_weights=weights
         )
-        plain_rate = plain.per_pair_rates_bps(len(pairs))[0]
-        weighted_rate = weighted.per_pair_rates_bps(len(pairs))[0]
+        plain_rate = _pair_rates_bps(plain, len(pairs))[0]
+        weighted_rate = _pair_rates_bps(weighted, len(pairs))[0]
         assert weighted_rate >= plain_rate
 
     def test_uniform_weights_match_plain(self, tiny_hybrid_graph, tiny_scenario):

@@ -12,7 +12,8 @@ that is invariant across the calls real workloads make:
   snapshot time across connectivity modes and policies: satellite ECEF
   (propagation), the materialized station table (aircraft move), GT
   ECEF, the *candidate* GT-satellite visibility edges with slant
-  distances, and lazily the ISL lengths. Frames live in an LRU cache.
+  distances, and lazily the ISL lengths. The engine holds one frame:
+  the current instant's.
   Candidate rows are ordered by satellite ascending; within one
   satellite, its static GTs (cities, then relays) come first, then
   its aircraft, each ascending by GT index. They are stored as a CSR
@@ -70,25 +71,23 @@ two-mode sweep therefore pays for propagation and KD-tree queries once
 per snapshot instead of once per (snapshot, mode).
 
 Observability: the engine bumps ``engine.static_hits/misses``,
-``engine.frame_hits/misses``, ``engine.frame_evictions``,
-``engine.assemblies`` and ``engine.edge_tables`` (physical tables
-built) counters, plus ``engine.cand_edges`` (candidate rows built,
-per frame miss: the frame layer's work, by which its time can be
-normalized) and ``engine.frame_bytes`` (the array bytes of each
-built frame). It nests its work under the ``graph_build`` span
-(children: ``frame_build`` with ``kdtree_query`` — the dual-tree
-queries and the key sort — on a frame miss, ``edge_assembly`` always),
-so profiles of the old and new paths line up. A contraction runs
-under a ``transit_contraction`` span, bumps
-``engine.contraction_misses`` and adds the (GT, a, b) triples it
-expands to ``engine.bounce_candidates``; a graph that reuses its
-frame's radio block bumps ``engine.contraction_hits``.
+``engine.frame_hits/misses``, ``engine.assemblies`` and
+``engine.edge_tables`` (physical tables built) counters, plus
+``engine.cand_edges`` (candidate rows built, per frame miss: the frame
+layer's work, by which its time can be normalized) and
+``engine.frame_bytes`` (the array bytes of each built frame). It nests
+its work under the ``graph_build`` span (children: ``frame_build``
+with ``kdtree_query`` — the dual-tree queries and the key sort — on a
+frame miss, ``edge_assembly`` always), so profiles of the old and new
+paths line up. A contraction runs under a ``transit_contraction``
+span, bumps ``engine.contraction_misses`` and adds the (GT, a, b)
+triples it expands to ``engine.bounce_candidates``; a graph that
+reuses its frame's radio block bumps ``engine.contraction_hits``.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +118,6 @@ __all__ = [
     "StaticContext",
     "assemble_graph",
 ]
-
-#: Number of geometry frames kept alive per engine. A two-mode
-#: same-instant workload needs exactly one; serial one-mode-at-a-time
-#: passes over short series benefit from a few more. Frames are the
-#: memory-heavy layer (candidate rows scale with GTs x coverage, 12
-#: bytes each), so the cache stays small.
-DEFAULT_FRAME_CACHE_SIZE = 8
-
 
 @dataclass(frozen=True)
 class StaticContext:
@@ -474,19 +465,21 @@ class SnapshotEngine:
     """Layered graph construction with caching between the layers.
 
     One engine per (constellation, ground segment); both are treated as
-    immutable, so the static layer never invalidates. Frames are keyed
-    by exact snapshot time and kept in an LRU cache of
-    ``DEFAULT_FRAME_CACHE_SIZE`` entries.
+    immutable, so the static layer never invalidates. The engine holds
+    one frame, the current instant's, keyed by exact snapshot time: every
+    sweep runs time-outer, and each graph keeps its own ``frame``
+    reference, so an older frame lives exactly as long as a graph that
+    still reads it.
 
-    Thread-safe for concurrent ``graph_at`` calls: cache bookkeeping is
-    lock-protected and frames are immutable once published.
+    Thread-safe for concurrent ``graph_at`` calls: the held frame is
+    swapped under the lock and frames are immutable once published.
     """
 
     def __init__(self, constellation: Constellation, ground: GroundSegment):
         self.constellation = constellation
         self.ground = ground
         self._static: StaticContext | None = None
-        self._frames: OrderedDict[float, GeometryFrame] = OrderedDict()
+        self._frame: GeometryFrame | None = None
         self._lock = threading.Lock()
 
     @property
@@ -502,15 +495,16 @@ class SnapshotEngine:
             return self._static
 
     def frame_at(self, time_s: float) -> GeometryFrame:
-        """The per-time layer for one snapshot, LRU-cached by exact time."""
+        """The per-time layer for one snapshot: the held frame, or a new one."""
         key = float(time_s)
         static = self.static
         with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                self._frames.move_to_end(key)
+            if self._frame is not None and self._frame.time_s == key:
                 incr("engine.frame_hits")
-                return frame
+                return self._frame
+            # Drop the held frame before the build, so the build's
+            # temporaries never stack on a frame nothing will read again.
+            self._frame = None
         # Build outside the lock: frame construction is the expensive
         # stage and concurrent builders of different times shouldn't
         # serialize. Two racers on the same time build identical frames;
@@ -521,11 +515,7 @@ class SnapshotEngine:
             incr("engine.frame_misses")
             incr("engine.cand_edges", len(frame.cand_gt))
             incr("engine.frame_bytes", frame.nbytes)
-            self._frames[key] = frame
-            self._frames.move_to_end(key)
-            while len(self._frames) > DEFAULT_FRAME_CACHE_SIZE:
-                self._frames.popitem(last=False)
-                incr("engine.frame_evictions")
+            self._frame = frame
         return frame
 
     def graph_at(

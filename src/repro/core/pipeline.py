@@ -33,6 +33,7 @@ __all__ = [
     "compute_rtt_series_multi",
     "pair_path_at",
     "pair_paths_on_graph",
+    "pair_rtts_on_graph",
 ]
 
 
@@ -71,38 +72,39 @@ def _pairs_by_source(pairs: list[CityPair]) -> dict[int, list[int]]:
     return by_source
 
 
-def _pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
+def pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
     """Shortest-path RTT in ms for every pair on one snapshot graph.
 
-    Dijkstra runs on :meth:`SnapshotGraph.contracted_matrix` (satellites
-    + cities, relays and aircraft replaced by bounce edges): the same
-    distances as the physical graph at a fraction of the CSR entries.
+    The one RTT evaluator: every RTT sweep and experiment reads pairs
+    through it, so under strict mode it checks each graph with
+    :func:`~repro.integrity.guards.check_graph` first. Dijkstra runs on
+    :meth:`SnapshotGraph.contracted_matrix` (satellites + cities, relays
+    and aircraft replaced by bounce edges): the same distances as the
+    physical graph at a fraction of the CSR entries. RTT is symmetric,
+    so it runs from the pair graph's vertex cover
+    (:attr:`~repro.flows.traffic.PairIndex.cover_cities`) and reads each
+    pair from whichever endpoint is in it.
     """
+    if current().strict:
+        check_graph(graph, source=f"graph[t={graph.time_s:g}s]")
     if not pairs:
         return np.full(0, np.inf)
     index = pair_index(pairs)
-    _, target_nodes = index.gt_nodes(graph.num_sats, graph.stations.city_count)
+    index.gt_nodes(graph.num_sats, graph.stations.city_count)  # cities only
     matrix = graph.contracted_matrix()
     with span("dijkstra"):
         distances = csgraph.dijkstra(
             matrix,
             directed=True,
-            indices=graph.num_sats + index.source_cities,
+            indices=graph.num_sats + index.cover_cities,
         )
-    dist_m = distances[index.source_row, target_nodes]
+    dist_m = distances[index.cover_row, graph.num_sats + index.cover_target]
     return np.where(np.isfinite(dist_m), 2e3 * dist_m / SPEED_OF_LIGHT, np.inf)
 
 
 def _rtt_snapshot_row(scenario, time_s, mode) -> np.ndarray:
-    """The RTT evaluator: one snapshot's RTT row, strict-checked.
-
-    Every RTT sweep maps this function, in-process or in workers, so
-    the strict guard runs the same way in either.
-    """
-    graph = scenario.graph_at(float(time_s), mode)
-    if current().strict:
-        check_graph(graph, source=f"graph[t={float(time_s):g}s]")
-    return _pair_rtts_on_graph(graph, scenario.pairs)
+    """One snapshot's RTT row: what every RTT sweep maps, in-process or in workers."""
+    return pair_rtts_on_graph(scenario.graph_at(float(time_s), mode), scenario.pairs)
 
 
 def compute_rtt_series_multi(

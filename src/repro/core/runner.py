@@ -102,7 +102,6 @@ _BASELINE_COUNTERS = (
     "engine.frame_misses",
     "engine.cand_edges",
     "engine.frame_bytes",
-    "engine.frame_evictions",
     "engine.contraction_hits",
     "engine.contraction_misses",
     "engine.bounce_candidates",

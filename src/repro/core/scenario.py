@@ -182,7 +182,9 @@ class Scenario:
         """This scenario degraded by a fault-injection spec.
 
         Faults are an assembly-layer knob, so the variant shares this
-        scenario's engine (and hence its cached geometry frames).
+        scenario's engine and hence its held geometry frame. The engine
+        holds one instant, so a sweep over several fault specs loops
+        instants outermost (see :meth:`with_assembly`).
         """
         return self.with_assembly(faults=faults)
 
@@ -193,8 +195,9 @@ class Scenario:
         and ``faults`` — the knobs applied *after* the cached static and
         per-time layers. The variant therefore shares this scenario's
         ground segment, traffic pairs, and :class:`SnapshotEngine`, so a
-        policy sweep (e.g. GSO separation angles, fiber radii) reuses one
-        set of geometry frames instead of rebuilding them per variant.
+        policy sweep (e.g. GSO separation angles, fiber radii) that
+        assembles every variant of one instant before moving to the next
+        builds each geometry frame once instead of once per variant.
         """
         unknown = set(overrides) - _ASSEMBLY_FIELDS
         if unknown:

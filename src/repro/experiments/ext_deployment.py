@@ -85,10 +85,11 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
         )
         stage = {}
         modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-        # Both modes sweep together (shared frames), and the t=0 graphs
-        # for throughput reassemble from the already cached frame.
-        all_series = compute_rtt_series_multi(scenario, modes)
+        # The t = 0 graphs for throughput come first: the sweep's first
+        # instant is t = 0, so it reads the frame they built, and the
+        # engine then holds one frame at a time.
         graphs = scenario.graphs_at(0.0, modes)
+        all_series = compute_rtt_series_multi(scenario, modes)
         for mode in modes:
             series = all_series[mode]
             finite = series.rtt_ms[np.isfinite(series.rtt_ms)]

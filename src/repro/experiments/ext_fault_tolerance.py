@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import _pair_rtts_on_graph
+from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, default_scale, register
 from repro.faults import FaultSpec
@@ -29,30 +29,38 @@ __all__ = ["outage_reachability", "run"]
 
 def outage_reachability(
     scenario: Scenario,
-    fraction: float,
-    mode: ConnectivityMode,
+    fractions,
+    modes,
     seed: int = 7,
     times_s: list[float] | None = None,
 ) -> dict:
     """Reachability and latency of a scenario under satellite outages.
 
-    Returns ``reachable`` (fraction of (pair, snapshot) cells with a
-    finite RTT) and ``median_rtt_ms`` (over the reachable cells; ``nan``
-    when nothing is reachable). Deterministic under a fixed seed.
+    Maps each ``(fraction, mode)`` to ``reachable`` (fraction of (pair,
+    snapshot) cells with a finite RTT) and ``median_rtt_ms`` (over the
+    reachable cells; ``nan`` when nothing is reachable). Deterministic
+    under a fixed seed. Instants are the outer loop: every fault variant
+    shares the scenario's engine, so each instant's graphs all read the
+    one frame the engine holds.
     """
-    degraded = scenario.with_faults(FaultSpec(sat=fraction, seed=seed))
-    if times_s is None:
-        times_s = [float(t) for t in degraded.times_s]
-    rtts = []
-    for time_s in times_s:
-        graph = degraded.graph_at(float(time_s), mode)
-        rtts.append(_pair_rtts_on_graph(graph, degraded.pairs))
-    rtt = np.stack(rtts, axis=1)
-    finite = np.isfinite(rtt)
-    return {
-        "reachable": float(np.mean(finite)),
-        "median_rtt_ms": float(np.median(rtt[finite])) if finite.any() else float("nan"),
+    variants = {
+        fraction: scenario.with_faults(FaultSpec(sat=fraction, seed=seed))
+        for fraction in fractions
     }
+    if times_s is None:
+        times_s = [float(t) for t in scenario.times_s]
+    rtts = {(fraction, mode): [] for fraction in fractions for mode in modes}
+    for time_s in times_s:
+        for (fraction, mode), rows in rtts.items():
+            graph = variants[fraction].graph_at(float(time_s), mode)
+            rows.append(pair_rtts_on_graph(graph, scenario.pairs))
+    result = {}
+    for key, rows in rtts.items():
+        rtt = np.stack(rows, axis=1)
+        finite = rtt[np.isfinite(rtt)]
+        median = float(np.median(finite)) if finite.size else float("nan")
+        result[key] = {"reachable": finite.size / rtt.size, "median_rtt_ms": median}
+    return result
 
 
 @register("faults")
@@ -68,16 +76,14 @@ def run(
     # A handful of snapshots suffices for the degradation curve; the
     # outage draw is persistent across snapshots anyway.
     times = [float(t) for t in scenario.times_s[:: max(1, len(scenario.times_s) // 4)]]
+    modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+    outcomes = outage_reachability(scenario, fractions, modes, seed=seed, times_s=times)
 
     rows = []
     bp_reachable, hybrid_reachable = [], []
     for fraction in fractions:
-        bp = outage_reachability(
-            scenario, fraction, ConnectivityMode.BP_ONLY, seed=seed, times_s=times
-        )
-        hybrid = outage_reachability(
-            scenario, fraction, ConnectivityMode.HYBRID, seed=seed, times_s=times
-        )
+        bp = outcomes[(fraction, ConnectivityMode.BP_ONLY)]
+        hybrid = outcomes[(fraction, ConnectivityMode.HYBRID)]
         bp_reachable.append(bp["reachable"])
         hybrid_reachable.append(hybrid["reachable"])
         rows.append(

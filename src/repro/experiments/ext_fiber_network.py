@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import _pair_rtts_on_graph
+from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
@@ -54,7 +54,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     for mode in (ConnectivityMode.HYBRID, ConnectivityMode.BP_ONLY):
         graph = base.graph_at(0.0, mode)
         baseline = evaluate_throughput(graph, base.pairs, k=k).aggregate_gbps
-        base_rtts = _pair_rtts_on_graph(graph, base.pairs)
+        base_rtts = pair_rtts_on_graph(graph, base.pairs)
         data[(mode.value, None)] = baseline
         rows.append([mode.value, "none", f"{baseline:.0f}", "1.00x", "0.00"])
         for radius in FIBER_RADII_KM:
@@ -64,7 +64,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
             augmented = evaluate_throughput(
                 fiber_graph, scenario.pairs, k=k
             ).aggregate_gbps
-            fiber_rtts = _pair_rtts_on_graph(fiber_graph, scenario.pairs)
+            fiber_rtts = pair_rtts_on_graph(fiber_graph, scenario.pairs)
             both = np.isfinite(base_rtts) & np.isfinite(fiber_rtts)
             rtt_improvement = (
                 float(np.median(base_rtts[both] - fiber_rtts[both]))

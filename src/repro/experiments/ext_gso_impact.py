@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import STARLINK_GSO_SEPARATION_DEG
-from repro.core.pipeline import _pair_rtts_on_graph
+from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, default_scale, register
 from repro.ground.cities import City
@@ -45,14 +45,14 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
         raise RuntimeError("no cross-equatorial pairs at this scale")
     policy = GsoProtectionPolicy(STARLINK_GSO_SEPARATION_DEG)
     # Assembly-only variant: shares the base scenario's engine, so the
-    # GSO-protected graphs reuse the same cached geometry frames.
+    # GSO-protected graphs reuse its held t = 0 geometry frame.
     protected = base.with_assembly(gso_policy=policy)
 
     rows = []
     data = {}
     for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
-        rtt_free = _pair_rtts_on_graph(base.graph_at(0.0, mode), pairs)
-        rtt_gso = _pair_rtts_on_graph(protected.graph_at(0.0, mode), pairs)
+        rtt_free = pair_rtts_on_graph(base.graph_at(0.0, mode), pairs)
+        rtt_gso = pair_rtts_on_graph(protected.graph_at(0.0, mode), pairs)
         both = np.isfinite(rtt_free) & np.isfinite(rtt_gso)
         lost = int(np.sum(np.isfinite(rtt_free) & ~np.isfinite(rtt_gso)))
         inflation = (

@@ -46,20 +46,24 @@ class PairIndex:
     """Array view of a pair list, built once and shared across snapshots.
 
     Both the RTT pipeline and the routing layer repeatedly need the same
-    three things for a pair list: each pair's source/target city, the
-    sorted unique source cities (one batched Dijkstra serves every pair
-    sharing a source), and the grouping of pair indices by source. All
-    of it is pure pair-list data — independent of the snapshot graph —
-    so it is computed once per distinct pair list (see
-    :func:`pair_index`) instead of per pair per snapshot.
+    things for a pair list: each pair's source/target city, the sorted
+    unique source cities (one batched Dijkstra serves every pair sharing
+    a source), the grouping of pair indices by source, and a vertex
+    cover of the pair graph (RTT is symmetric, so one Dijkstra from
+    either endpoint serves a pair). All of it is pure pair-list data —
+    independent of the snapshot graph — so it is computed once per
+    distinct pair list (see :func:`pair_index`) instead of per pair per
+    snapshot.
     """
 
     sources: np.ndarray  # (P,) source city of each pair
     targets: np.ndarray  # (P,) target city of each pair
     source_cities: np.ndarray  # (S,) unique source cities, ascending
-    source_row: np.ndarray  # (P,) position of each pair's source in source_cities
     pair_order: np.ndarray  # (P,) pair indices grouped by source city
     source_ptr: np.ndarray  # (S + 1,) group boundaries into pair_order
+    cover_cities: np.ndarray  # (C,) vertex cover of the pair graph, ascending
+    cover_row: np.ndarray  # (P,) position in cover_cities of the endpoint read from
+    cover_target: np.ndarray  # (P,) each pair's other endpoint
 
     @property
     def num_pairs(self) -> int:
@@ -86,6 +90,25 @@ class PairIndex:
         return num_sats + self.sources, num_sats + self.targets
 
 
+def _greedy_cover(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """A vertex cover of the pair graph, ascending.
+
+    Greedy and deterministic: each step takes the city with the most
+    still-uncovered pairs, the lower city index on a tie, until every
+    pair has an endpoint in the cover.
+    """
+    cities, ends = np.unique(np.concatenate([sources, targets]), return_inverse=True)
+    ends = ends.reshape(2, -1)
+    uncovered = np.ones(len(sources), dtype=bool)
+    cover = []
+    while uncovered.any():
+        degree = np.bincount(ends[:, uncovered].ravel(), minlength=len(cities))
+        pick = int(np.argmax(degree))
+        cover.append(pick)
+        uncovered &= (ends[0] != pick) & (ends[1] != pick)
+    return cities[np.sort(np.asarray(cover, dtype=np.int64))]
+
+
 @lru_cache(maxsize=64)
 def _build_pair_index(key: tuple[tuple[int, int], ...]) -> PairIndex:
     sources = np.fromiter((a for a, _ in key), dtype=np.int64, count=len(key))
@@ -95,13 +118,21 @@ def _build_pair_index(key: tuple[tuple[int, int], ...]) -> PairIndex:
     source_ptr = np.searchsorted(
         source_row[pair_order], np.arange(len(source_cities) + 1)
     )
+    cover_cities = _greedy_cover(sources, targets)
+    if len(cover_cities) > len(source_cities):
+        cover_cities = source_cities  # also a cover; greedy is not optimal
+    from_source = np.isin(sources, cover_cities)
     return PairIndex(
         sources=sources,
         targets=targets,
         source_cities=source_cities,
-        source_row=np.asarray(source_row, dtype=np.int64),
         pair_order=pair_order,
         source_ptr=source_ptr,
+        cover_cities=cover_cities,
+        cover_row=np.searchsorted(
+            cover_cities, np.where(from_source, sources, targets)
+        ),
+        cover_target=np.where(from_source, targets, sources),
     )
 
 

@@ -5,7 +5,6 @@ from repro.ground.cities import City, city_by_name, load_cities, real_city_count
 from repro.ground.relays import relay_grid, relay_grid_for_cities
 from repro.ground.stations import (
     GroundSegment,
-    GroundStation,
     StationKind,
     StationTable,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "FlightSchedule",
     "default_schedule",
     "GroundSegment",
-    "GroundStation",
     "StationKind",
     "StationTable",
 ]

@@ -57,10 +57,6 @@ class Flight:
     departure_s: float
     duration_s: float
 
-    def airborne_at(self, time_s: float) -> bool:
-        """Whether the flight is in the air at ``time_s`` (daily schedule)."""
-        return self.progress_at(time_s) is not None
-
     def progress_at(self, time_s: float) -> float | None:
         """Fractional progress along the route at ``time_s``, or ``None``.
 

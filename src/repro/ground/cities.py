@@ -38,12 +38,6 @@ class City:
     population_k: float
     synthetic: bool = False
 
-    def distance_to_m(self, other: "City") -> float:
-        """Great-circle distance to another city, metres."""
-        return float(
-            haversine_m(self.lat_deg, self.lon_deg, other.lat_deg, other.lon_deg)
-        )
-
 
 def real_city_count() -> int:
     """Number of cities in the embedded real table."""

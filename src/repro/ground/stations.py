@@ -25,7 +25,7 @@ from repro.ground.cities import City, load_cities
 from repro.ground.relays import relay_grid_for_cities
 from repro.obs import incr, span, traced
 
-__all__ = ["StationKind", "GroundStation", "GroundSegment", "StationTable"]
+__all__ = ["StationKind", "GroundSegment", "StationTable"]
 
 
 class StationKind(Enum):
@@ -34,22 +34,6 @@ class StationKind(Enum):
     CITY = "city"
     RELAY = "relay"
     AIRCRAFT = "aircraft"
-
-
-@dataclass(frozen=True)
-class GroundStation:
-    """A single GT: location plus role."""
-
-    name: str
-    kind: StationKind
-    lat_deg: float
-    lon_deg: float
-    altitude_m: float = 0.0
-
-    @property
-    def is_endpoint(self) -> bool:
-        """Whether traffic may originate/terminate here (cities only)."""
-        return self.kind is StationKind.CITY
 
 
 @dataclass(frozen=True)

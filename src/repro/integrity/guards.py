@@ -67,6 +67,11 @@ _EDGE_LENGTH_RTOL = 1e-12
 #: range: a GT exactly on the coverage cone may land a few ulps beyond.
 _SLANT_RTOL = 1e-9
 
+#: Lowest altitude an ISL's straight segment may pass above the
+#: spherical Earth: the paper's ~80 km atmosphere (Section 2), the same
+#: floor behind Hypatia's 5,016,591 m ISL limit at 550 km.
+_ISL_MIN_ALTITUDE_M = 80e3
+
 #: Relative slack of hybrid <= BP: the two modes' distances are sums
 #: over different graphs, which may round apart in the last ulp.
 _CROSS_MODE_RTOL = 1e-12
@@ -242,7 +247,9 @@ def check_graph_physics(
       endpoints' ECEF positions (relative 1e-12), and a fiber row is
       at least that chord;
     * no GT-satellite row is longer than ``radio_range_m`` of its
-      satellite, its shell's slant range at the minimum elevation.
+      satellite, its shell's slant range at the minimum elevation;
+    * every ISL's straight segment passes at least 80 km above the
+      spherical Earth, computed from its endpoints' ECEF positions.
 
     Expects ``check_graph``'s structural checks to have passed.
     """
@@ -251,6 +258,7 @@ def check_graph_physics(
         _KIND_GT_SAT,
         _KIND_ISL,
         ConnectivityMode,
+        isl_grazing_altitude_m,
     )
 
     edges = np.asarray(graph.edges)
@@ -312,6 +320,16 @@ def check_graph_physics(
             f"{source}: GT-satellite edge {bad} is {dists[bad] / 1e3:.3f} km "
             f"long, beyond satellite {int(u[bad])}'s slant range "
             f"{limit[first] / 1e3:.3f} km"
+        )
+    isl = np.flatnonzero(kinds == _KIND_ISL)
+    altitude = isl_grazing_altitude_m(graph.sat_ecef[u[isl]], graph.sat_ecef[v[isl]])
+    grazing = altitude < _ISL_MIN_ALTITUDE_M
+    if grazing.any():
+        first = int(np.argmax(grazing))
+        raise InvariantViolation(
+            f"{source}: ISL edge {int(isl[first])} passes "
+            f"{altitude[first] / 1e3:.1f} km above the Earth, below the "
+            f"{_ISL_MIN_ALTITUDE_M / 1e3:.0f} km atmosphere floor"
         )
 
 

@@ -383,18 +383,25 @@ class SnapshotGraph:
         }
 
 
-def isl_grazing_altitude_m(orbit_radius_m: float, isl_length_m: float) -> float:
-    """Minimum altitude above Earth's surface along an ISL segment.
+def isl_grazing_altitude_m(a_ecef: np.ndarray, b_ecef: np.ndarray) -> np.ndarray:
+    """Lowest altitude above the spherical Earth along straight links, metres.
 
-    An ISL between two satellites at radius ``r`` separated by chord
-    length ``L`` passes closest to Earth at its midpoint, at distance
-    ``sqrt(r^2 - (L/2)^2)`` from the centre. ISLs must stay above ~80 km
-    to avoid atmospheric effects (paper Section 2).
+    ``a_ecef`` and ``b_ecef`` are the links' endpoints, shape ``(..., 3)``.
+    A segment ``a + t (b - a)`` passes closest to Earth's centre at
+    ``t = clip(-a . (b - a) / |b - a|^2, 0, 1)``; for two satellites of
+    one shell that is the midpoint, and the ECEF form covers links
+    between shells too. ISLs must stay above about 80 km to avoid
+    atmospheric effects (paper Section 2).
     """
-    half = isl_length_m / 2.0
-    if half >= orbit_radius_m:
-        return -EARTH_RADIUS
-    return float(np.sqrt(orbit_radius_m**2 - half**2) - EARTH_RADIUS)
+    a = np.asarray(a_ecef, dtype=float)
+    delta = np.asarray(b_ecef, dtype=float) - a
+    length_sq = np.sum(delta * delta, axis=-1)
+    t = np.clip(
+        -np.sum(a * delta, axis=-1) / np.where(length_sq == 0.0, 1.0, length_sq),
+        0.0,
+        1.0,
+    )
+    return np.linalg.norm(a + t[..., None] * delta, axis=-1) - EARTH_RADIUS
 
 
 def gso_compliant_edge_mask(

@@ -93,10 +93,6 @@ class LinkBudget:
         esn0 = self.esn0_db(distance_m, extra_attenuation_db)
         return spectral_efficiency(esn0) * self.bandwidth_hz
 
-    def fade_margin_db(self, distance_m, target_esn0_db: float) -> np.ndarray:
-        """Clear-sky margin above ``target_esn0_db`` at a slant range."""
-        return self.esn0_db(distance_m) - target_esn0_db
-
 
 #: Representative Ku-band down-link budget (satellite -> user terminal):
 #: ~37 dBW EIRP per beam, 12 dB/K terminal G/T, 240 MHz channel. At the

@@ -78,9 +78,9 @@ def constellation_isl_edges(constellation: Constellation) -> np.ndarray:
 def isl_lengths_m(edges: np.ndarray, sat_positions: np.ndarray) -> np.ndarray:
     """Euclidean ISL lengths given satellite positions, metres.
 
-    +Grid ISLs are straight lines between satellites. Callers should
-    verify (once, not per snapshot) that the links clear the atmosphere;
-    for the paper's shells they do by a wide margin
+    +Grid ISLs are straight lines between satellites. For the paper's
+    shells they clear the atmosphere by a wide margin; the strict graph
+    guard checks every ISL row
     (:func:`repro.network.graph.isl_grazing_altitude_m`).
     """
     diffs = sat_positions[edges[:, 0]] - sat_positions[edges[:, 1]]

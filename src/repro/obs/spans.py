@@ -154,12 +154,6 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
             }
 
-    @property
-    def span_paths(self) -> set[str]:
-        """All span paths recorded so far (snapshot copy)."""
-        with self._lock:
-            return set(self._spans)
-
 
 @contextmanager
 def observe(registry: MetricsRegistry | None = None):

@@ -14,7 +14,6 @@ from repro.orbits.coordinates import geodetic_to_ecef
 
 __all__ = [
     "elevation_deg",
-    "look_angles",
     "coverage_central_angle_rad",
     "is_visible",
     "enu_basis",
@@ -43,27 +42,6 @@ def elevation_deg(gt_ecef: np.ndarray, sat_ecef: np.ndarray) -> np.ndarray:
         (los_norm * gt_norm) == 0.0, 1.0, los_norm * gt_norm
     )
     return np.degrees(np.arcsin(np.clip(sin_elev, -1.0, 1.0)))
-
-
-def look_angles(gt_lat_deg: float, gt_lon_deg: float, target_ecef: np.ndarray):
-    """Elevation, azimuth and slant range from a ground point to targets.
-
-    Returns ``(elevation_deg, azimuth_deg, slant_range_m)`` with azimuth
-    measured clockwise from North — the standard antenna-pointing
-    convention. ``target_ecef`` may be a single position or an array of
-    shape ``(n, 3)``.
-    """
-    gt = geodetic_to_ecef(gt_lat_deg, gt_lon_deg, 0.0)
-    target = np.asarray(target_ecef, dtype=float)
-    los = target - gt
-    slant = np.linalg.norm(los, axis=-1)
-    directions = direction_to_enu(gt_lat_deg, gt_lon_deg, target)
-    east = directions[..., 0]
-    north = directions[..., 1]
-    up = directions[..., 2]
-    elevation = np.degrees(np.arcsin(np.clip(up, -1.0, 1.0)))
-    azimuth = np.mod(np.degrees(np.arctan2(east, north)), 360.0)
-    return elevation, azimuth, slant
 
 
 def coverage_central_angle_rad(altitude_m: float, min_elevation_deg: float) -> float:

@@ -140,7 +140,6 @@ class TestFlight:
         assert flight.progress_at(0.0) == pytest.approx(0.5)
         # An hour after midnight it is just landing.
         assert flight.progress_at(3600.0) == pytest.approx(1.0)
-        assert flight.airborne_at(0.0)
 
     def test_positions_lie_near_great_circle(self):
         schedule = aircraft.default_schedule()

@@ -195,13 +195,13 @@ class TestResume:
         # Resume: count actual snapshot computations; the checkpointed
         # snapshot must contribute zero of them.
         computed_times = []
-        real = pipeline._pair_rtts_on_graph
+        real = pipeline.pair_rtts_on_graph
 
         def counting(graph, pairs):
             computed_times.append(graph.time_s)
             return real(graph, pairs)
 
-        monkeypatch.setattr(pipeline, "_pair_rtts_on_graph", counting)
+        monkeypatch.setattr(pipeline, "pair_rtts_on_graph", counting)
         resumed = compute_rtt_series_multi(
             tiny_scenario, [mode], checkpoints={mode: ck}
         )[mode]

@@ -40,7 +40,7 @@ from repro.constants import SPEED_OF_LIGHT
 from repro.context import run_context
 from repro.core import scenario as scenario_module
 from repro.core.parallel import FaultPolicy, SweepError
-from repro.core.pipeline import _pair_rtts_on_graph, compute_rtt_series_multi
+from repro.core.pipeline import compute_rtt_series_multi, pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair, pair_index
@@ -127,12 +127,50 @@ class TestDifferential:
         graph = scenario.graph_at(float(base.times_s[time_index]), mode)
         pairs = [CityPair(a, b, 0.0) for a, b in endpoints]
 
-        got = _pair_rtts_on_graph(graph, pairs)
+        got = pair_rtts_on_graph(graph, pairs)
         want = plain_dijkstra_rtts(graph, pairs)
 
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from([ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]),
+        time_index=st.integers(0, SCALE.num_snapshots - 1),
+        endpoints=st.lists(
+            st.tuples(
+                st.integers(0, SCALE.num_cities - 1),
+                st.integers(0, SCALE.num_cities - 1),
+            ).filter(lambda ab: ab[0] != ab[1]),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_vertex_cover_matches_per_source_evaluation(
+        self, scenarios, mode, time_index, endpoints
+    ):
+        base = scenarios[True]
+        graph = base.graph_at(float(base.times_s[time_index]), mode)
+        pairs = [CityPair(a, b, 0.0) for a, b in endpoints]
+        index = pair_index(pairs)
+        cover = set(index.cover_cities.tolist())
+        assert all(a in cover or b in cover for a, b in endpoints)
+        assert len(cover) <= len(index.source_cities)
+
+        got = pair_rtts_on_graph(graph, pairs)
+        # Reference: one Dijkstra per distinct source, read at the target.
+        dist = csgraph.dijkstra(
+            graph.contracted_matrix(),
+            directed=True,
+            indices=graph.num_sats + index.source_cities,
+        )
+        rows = np.searchsorted(index.source_cities, index.sources)
+        want_m = dist[rows, graph.num_sats + index.targets]
+        want = np.where(np.isfinite(want_m), 2e3 * want_m / SPEED_OF_LIGHT, np.inf)
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12)
 
     def test_contracted_graph_covers_satellites_and_cities(self, scenarios):
         graph = scenarios[True].graph_at(0.0, ConnectivityMode.BP_ONLY)
@@ -505,7 +543,7 @@ class TestHandBuiltFixture:
         assert contracted[0, 2] == 800.0
         pairs = [CityPair(0, 1, 0.0)]
         want = 2e3 * (1000.0 + min(isl_m, 1000.0) + 1000.0) / SPEED_OF_LIGHT
-        for rtts_of in (_pair_rtts_on_graph, plain_dijkstra_rtts):
+        for rtts_of in (pair_rtts_on_graph, plain_dijkstra_rtts):
             np.testing.assert_allclose(rtts_of(graph, pairs), [want], rtol=1e-12)
 
     def test_transit_node_with_ground_neighbour_is_rejected(self):
@@ -552,7 +590,7 @@ class TestPairEndpointGuard:
         with pytest.raises(IndexError, match=f"endpoint {relay} is not a city"):
             index.gt_nodes(graph.num_sats, graph.stations.city_count)
         with pytest.raises(IndexError, match=str(relay)):
-            _pair_rtts_on_graph(graph, [CityPair(relay, 0, 0.0)])
+            pair_rtts_on_graph(graph, [CityPair(relay, 0, 0.0)])
 
     def test_negative_endpoint_is_rejected(self):
         index = pair_index([CityPair(-1, 1, 0.0)])
@@ -578,6 +616,16 @@ class TestStrictGuardInBothSweeps:
     """The serial and the parallel sweep run the same strict evaluator."""
 
     MODE = ConnectivityMode.BP_ONLY
+
+    def test_direct_evaluation_raises(self, tiny_scenario, bad_graphs):
+        # What the outage, GSO and fiber experiments call per graph.
+        graph = tiny_scenario.graph_at(0.0, self.MODE)
+        with pytest.raises(InvariantViolation, match="non-finite position"):
+            pair_rtts_on_graph(graph, tiny_scenario.pairs)
+        with run_context(strict=False):
+            assert len(pair_rtts_on_graph(graph, tiny_scenario.pairs)) == len(
+                tiny_scenario.pairs
+            )
 
     def test_serial_sweep_raises(self, tiny_scenario, bad_graphs):
         with pytest.raises(InvariantViolation, match="non-finite position"):

@@ -11,12 +11,15 @@ The engine's contract has three load-bearing pieces, each pinned here:
   through obs counters and a propagation call count);
 * **fault isolation** — fault injection acts strictly in the assembly
   layer, so an ambient :class:`~repro.faults.FaultSpec` can neither
-  leak into a cached geometry frame nor back out of one.
+  leak into a cached geometry frame nor back out of one;
+* **one frame** — the engine holds only the current instant's frame and
+  drops it before building the next, while a graph keeps its own.
 """
 
 from __future__ import annotations
 
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,11 +28,7 @@ from scipy.spatial import cKDTree
 
 from repro.constants import EARTH_RADIUS
 from repro.context import run_context
-from repro.core.engine import (
-    DEFAULT_FRAME_CACHE_SIZE,
-    SnapshotEngine,
-    StaticContext,
-)
+from repro.core.engine import SnapshotEngine, StaticContext
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec, apply_faults
@@ -398,7 +397,6 @@ class TestTwoModeSweepSharesWork:
         assert counters["engine.frame_misses"] == 1
         assert counters["engine.frame_hits"] == 1
         assert counters["engine.assemblies"] == 2
-        assert "engine.frame_evictions" not in counters
         # One frame built: the counter holds its candidate rows.
         frame = scenario.engine.frame_at(0.0)
         assert counters["engine.cand_edges"] == len(frame.cand_gt) > 0
@@ -577,31 +575,60 @@ class TestEnginePickling:
         assert_graphs_identical(got, want)
 
 
-class TestFrameCacheLru:
-    """Frame cache: bounded at ``DEFAULT_FRAME_CACHE_SIZE``, LRU-ordered."""
+class TestOneFrame:
+    """The engine holds one frame, the current instant's; graphs hold theirs."""
 
-    def test_default_cache_size(self, base_scenario):
-        engine = SnapshotEngine(base_scenario.constellation, base_scenario.ground)
-        times = [900.0 * i for i in range(DEFAULT_FRAME_CACHE_SIZE)]
+    def test_time_outer_sweep_builds_one_frame_per_instant(self):
+        scenario = fresh_scenario()
+        modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
         with observe() as registry:
-            for time_s in times + times:
-                engine.frame_at(time_s)
+            compute_rtt_series_multi(scenario, modes)
         counters = registry.snapshot()["counters"]
-        assert counters["engine.frame_misses"] == DEFAULT_FRAME_CACHE_SIZE
-        assert counters["engine.frame_hits"] == DEFAULT_FRAME_CACHE_SIZE
-        assert "engine.frame_evictions" not in counters
+        instants = len(scenario.times_s)
+        assert instants > 1
+        assert counters["engine.frame_misses"] == instants
+        assert counters["engine.frame_hits"] == instants * (len(modes) - 1)
 
-    def test_eviction_drops_least_recently_used(self, base_scenario):
-        engine = SnapshotEngine(base_scenario.constellation, base_scenario.ground)
-        times = [900.0 * i for i in range(DEFAULT_FRAME_CACHE_SIZE + 1)]
+    def test_previous_frame_is_dropped_before_the_next_build(self, monkeypatch):
+        from repro.core import engine as engine_module
+
+        engine = SnapshotEngine(*self._layers())
+        first = weakref.ref(engine.frame_at(0.0))
+        alive_at_build = []
+        build = engine_module._build_frame
+
+        def watching(static, time_s):
+            alive_at_build.append(first() is not None)
+            return build(static, time_s)
+
+        monkeypatch.setattr(engine_module, "_build_frame", watching)
+        second = engine.frame_at(900.0)
+        assert alive_at_build == [False]
+        assert first() is None
+        assert engine.frame_at(900.0) is second
+
+    def test_frame_held_by_a_live_graph_survives(self):
+        scenario = fresh_scenario()
+        held = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        frame = weakref.ref(held.frame)
+        scenario.graph_at(900.0, ConnectivityMode.HYBRID)
+        assert frame() is held.frame
+        # The engine rebuilds t = 0 on request; the held graph keeps its own.
+        rebuilt = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        assert rebuilt.frame is not held.frame
+        assert_graphs_identical(held, legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID))
+        assert_csr_identical(held.contracted_matrix(), rebuilt.contracted_matrix())
+
+    def test_fault_sweep_builds_one_frame_per_instant(self):
+        from repro.experiments import get_experiment
+        from tests.conftest import TINY_SCALE
+
         with observe() as registry:
-            for time_s in times[:-1]:
-                engine.frame_at(time_s)
-            engine.frame_at(times[0])  # refresh times[0]: times[1] is the LRU victim
-            engine.frame_at(times[-1])  # one past the bound evicts times[1]
-            engine.frame_at(times[0])  # still cached
-            engine.frame_at(times[1])  # rebuilt, evicting times[2]
+            get_experiment("faults")(scale=TINY_SCALE, fractions=(0.0, 0.5, 0.9))
         counters = registry.snapshot()["counters"]
-        assert counters["engine.frame_evictions"] == 2
-        assert counters["engine.frame_misses"] == DEFAULT_FRAME_CACHE_SIZE + 2
-        assert counters["engine.frame_hits"] == 2
+        assert counters["engine.frame_misses"] == TINY_SCALE.num_snapshots
+
+    @staticmethod
+    def _layers():
+        scenario = fresh_scenario()
+        return scenario.constellation, scenario.ground

@@ -141,29 +141,22 @@ class TestDegradation:
 
     def test_deterministic_under_fixed_seed(self, tiny_scenario):
         first = outage_reachability(
-            tiny_scenario, 0.9, ConnectivityMode.BP_ONLY, seed=7, times_s=[0.0]
+            tiny_scenario, (0.9,), (ConnectivityMode.BP_ONLY,), seed=7, times_s=[0.0]
         )
         second = outage_reachability(
-            tiny_scenario, 0.9, ConnectivityMode.BP_ONLY, seed=7, times_s=[0.0]
+            tiny_scenario, (0.9,), (ConnectivityMode.BP_ONLY,), seed=7, times_s=[0.0]
         )
         assert first == second
 
     def test_bp_degrades_faster_than_hybrid(self, tiny_scenario):
-        bp_healthy = outage_reachability(
-            tiny_scenario, 0.0, ConnectivityMode.BP_ONLY, seed=7, times_s=[0.0]
+        bp, hybrid = ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID
+        outcomes = outage_reachability(
+            tiny_scenario, (0.0, 0.9), (bp, hybrid), seed=7, times_s=[0.0]
         )
-        hybrid_healthy = outage_reachability(
-            tiny_scenario, 0.0, ConnectivityMode.HYBRID, seed=7, times_s=[0.0]
-        )
-        bp_degraded = outage_reachability(
-            tiny_scenario, 0.9, ConnectivityMode.BP_ONLY, seed=7, times_s=[0.0]
-        )
-        hybrid_degraded = outage_reachability(
-            tiny_scenario, 0.9, ConnectivityMode.HYBRID, seed=7, times_s=[0.0]
-        )
-        bp_drop = bp_healthy["reachable"] - bp_degraded["reachable"]
-        hybrid_drop = hybrid_healthy["reachable"] - hybrid_degraded["reachable"]
-        assert bp_degraded["reachable"] < hybrid_degraded["reachable"]
+        reachable = {key: value["reachable"] for key, value in outcomes.items()}
+        bp_drop = reachable[(0.0, bp)] - reachable[(0.9, bp)]
+        hybrid_drop = reachable[(0.0, hybrid)] - reachable[(0.9, hybrid)]
+        assert reachable[(0.9, bp)] < reachable[(0.9, hybrid)]
         assert bp_drop > hybrid_drop
 
     def test_experiment_runs_and_reports(self, tiny_scenario):

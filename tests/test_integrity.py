@@ -346,6 +346,19 @@ class TestGraphPhysicsGuards:
         with pytest.raises(InvariantViolation, match=f"edge {edge} has length"):
             check_graph(bad)
 
+    def test_isl_through_the_atmosphere_rejected(self, tiny_hybrid_graph):
+        # A true-length ISL row to the satellite nearest 6,000 km away
+        # dips below 80 km; one about 4,500 km away clears it.
+        graph = tiny_hybrid_graph
+        apart = np.linalg.norm(graph.sat_ecef - graph.sat_ecef[0], axis=1)
+        near, far = (int(np.argmin(np.abs(apart - d))) for d in (4_500e3, 6_000e3))
+        assert abs(apart[far] - 6_000e3) < 100e3
+        check_graph(_with_block_row(graph, [0, near], apart[near], 1))
+        bad = _with_block_row(graph, [0, far], apart[far], 1)
+        last = bad.num_edges - 1
+        with pytest.raises(InvariantViolation, match=f"ISL edge {last} passes -"):
+            check_graph(bad)
+
     def test_fiber_shorter_than_its_chord_rejected(self, tiny_scenario):
         graph = tiny_scenario.with_assembly(fiber_max_km=1500.0).graph_at(
             0.0, ConnectivityMode.BP_ONLY

@@ -63,11 +63,6 @@ class TestLinkBudget:
         distance = slant_range_m(550e3, 25.0)
         assert float(DEFAULT_DOWNLINK_BUDGET.capacity_bps(distance, 30.0)) == 0.0
 
-    def test_fade_margin(self):
-        distance = slant_range_m(550e3, 90.0)
-        margin = float(DEFAULT_DOWNLINK_BUDGET.fade_margin_db(distance, 13.13))
-        assert margin > 5.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LinkBudget(eirp_dbw=30, g_over_t_dbk=10, bandwidth_hz=0, freq_ghz=11.7)

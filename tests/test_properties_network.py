@@ -59,9 +59,12 @@ class TestPlusGridProperties:
         if shell.num_planes < 3 or shell.sats_per_plane < 3:
             return
         edges = plus_grid_edges(shell)
-        lengths = isl_lengths_m(edges, shell.positions_eci(0.0))
+        positions = shell.positions_eci(0.0)
+        lengths = isl_lengths_m(edges, positions)
         orbit_radius = 6_371_000.0 + shell.altitude_m
-        worst = isl_grazing_altitude_m(orbit_radius, float(lengths.max()))
+        worst = isl_grazing_altitude_m(
+            positions[edges[:, 0]], positions[edges[:, 1]]
+        ).min()
         assert worst > -6_371_000.0
         assert np.all(lengths > 0)
         # Chord length can never exceed the orbital diameter...
@@ -102,13 +105,22 @@ class TestModcodProperties:
         assert 0.0 <= factor <= 1.0
 
 
+def _pair_apart(radius_m, chord_m):
+    """Two points at ``radius_m`` from Earth's centre, ``chord_m`` apart."""
+    half = np.arcsin(chord_m / (2.0 * radius_m))
+    return (
+        radius_m * np.array([np.cos(half), -np.sin(half), 0.0]),
+        radius_m * np.array([np.cos(half), np.sin(half), 0.0]),
+    )
+
+
 class TestGrazingAltitudeProperties:
     @given(
         st.floats(min_value=6.5e6, max_value=8e6),
         st.floats(min_value=0.0, max_value=5e6),
     )
     def test_bounded_by_orbit_altitude(self, orbit_radius, length):
-        grazing = isl_grazing_altitude_m(orbit_radius, length)
+        grazing = isl_grazing_altitude_m(*_pair_apart(orbit_radius, length))
         assert grazing <= orbit_radius - 6_371_000.0 + 1e-6
 
     @given(
@@ -117,6 +129,6 @@ class TestGrazingAltitudeProperties:
         st.floats(min_value=1.0, max_value=1e6),
     )
     def test_monotone_decreasing_in_length(self, orbit_radius, length, extra):
-        assert isl_grazing_altitude_m(orbit_radius, length + extra) <= (
-            isl_grazing_altitude_m(orbit_radius, length) + 1e-9
-        )
+        longer = isl_grazing_altitude_m(*_pair_apart(orbit_radius, length + extra))
+        shorter = isl_grazing_altitude_m(*_pair_apart(orbit_radius, length))
+        assert longer <= shorter + 1e-9

@@ -7,7 +7,7 @@ from repro.geo.geodesy import haversine_m
 from repro.geo.landmask import is_land
 from repro.ground.relays import relay_grid, relay_grid_for_cities
 from repro.ground.cities import load_cities
-from repro.ground.stations import GroundSegment, GroundStation, StationKind
+from repro.ground.stations import GroundSegment, StationKind
 
 
 class TestRelayGrid:
@@ -34,16 +34,6 @@ class TestRelayGrid:
         coarse = relay_grid_for_cities(load_cities(30), spacing_deg=4.0)
         fine = relay_grid_for_cities(load_cities(30), spacing_deg=2.0)
         assert len(fine[0]) > 2 * len(coarse[0])
-
-
-class TestGroundStation:
-    def test_city_is_endpoint(self):
-        station = GroundStation("x", StationKind.CITY, 0.0, 0.0)
-        assert station.is_endpoint
-
-    def test_relay_is_not_endpoint(self):
-        for kind in (StationKind.RELAY, StationKind.AIRCRAFT):
-            assert not GroundStation("x", kind, 0.0, 0.0).is_endpoint
 
 
 class TestGroundSegment:

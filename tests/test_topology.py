@@ -106,10 +106,10 @@ class TestIslLengths:
         shell = starlink_shell()
         edges = plus_grid_edges(shell)
         for t in (0.0, 1800.0):
-            lengths = isl_lengths_m(edges, shell.positions_eci(t))
+            positions = shell.positions_eci(t)
             worst = isl_grazing_altitude_m(
-                EARTH_RADIUS + shell.altitude_m, float(lengths.max())
-            )
+                positions[edges[:, 0]], positions[edges[:, 1]]
+            ).min()
             assert worst > 80_000.0
 
     def test_intra_plane_lengths_constant_over_time(self, tiny_shell):
@@ -120,12 +120,40 @@ class TestIslLengths:
         l1 = isl_lengths_m(intra, tiny_shell.positions_eci(1234.0))
         np.testing.assert_allclose(l0, l1, rtol=1e-9)
 
+    @staticmethod
+    def _pair_apart(radius_m, chord_m):
+        """Two points at ``radius_m`` from the centre, ``chord_m`` apart."""
+        half = np.arcsin(chord_m / (2.0 * radius_m))
+        return (
+            radius_m * np.array([np.cos(half), -np.sin(half), 0.0]),
+            radius_m * np.array([np.cos(half), np.sin(half), 0.0]),
+        )
+
     def test_grazing_altitude_of_zero_length_isl(self):
-        orbit_radius = EARTH_RADIUS + 550e3
-        assert isl_grazing_altitude_m(orbit_radius, 0.0) == pytest.approx(550e3)
+        a, b = self._pair_apart(EARTH_RADIUS + 550e3, 0.0)
+        assert isl_grazing_altitude_m(a, b) == pytest.approx(550e3)
 
     def test_grazing_altitude_decreases_with_length(self):
         orbit_radius = EARTH_RADIUS + 550e3
-        short = isl_grazing_altitude_m(orbit_radius, 1000e3)
-        long = isl_grazing_altitude_m(orbit_radius, 5000e3)
+        short = isl_grazing_altitude_m(*self._pair_apart(orbit_radius, 1000e3))
+        long = isl_grazing_altitude_m(*self._pair_apart(orbit_radius, 5000e3))
         assert long < short
+
+    def test_hypatia_isl_limit_grazes_80_km(self):
+        # Hypatia's MAX_ISL_DISTANCE (5,016,591 m at 550 km) is the chord
+        # whose midpoint is 80 km above its Earth of radius 6,378,135 m.
+        hypatia_radius = 6_378_135.0
+        a, b = self._pair_apart(hypatia_radius + 550e3, 5_016_591.0)
+        closest = isl_grazing_altitude_m(a, b) + EARTH_RADIUS
+        assert closest == pytest.approx(hypatia_radius + 80e3, abs=1.0)
+
+    def test_cross_shell_isl_uses_the_closest_point(self):
+        # A radial link from 550 km up to 1,100 km never dips below 550 km;
+        # the closest point is its lower endpoint, not the midpoint.
+        low = np.array([EARTH_RADIUS + 550e3, 0.0, 0.0])
+        high = np.array([EARTH_RADIUS + 1100e3, 0.0, 0.0])
+        assert isl_grazing_altitude_m(low, high) == pytest.approx(550e3)
+        np.testing.assert_allclose(
+            isl_grazing_altitude_m(np.stack([low, high]), np.stack([high, low])),
+            [550e3, 550e3],
+        )

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.flows.traffic import CityPair, eligible_pairs, sample_city_pairs
+from repro.flows.traffic import CityPair, eligible_pairs, pair_index, sample_city_pairs
 from repro.geo.geodesy import haversine_m
 from repro.ground.cities import load_cities
 
@@ -164,3 +164,32 @@ class TestSamplingMatchesReference:
                     cities, num_pairs, seed=seed, weighting=weighting
                 )
                 assert got == reference_sample(cities, num_pairs, seed, weighting)
+
+
+class TestPairCover:
+    """The RTT evaluator's sources: a greedy vertex cover of the pair graph."""
+
+    @staticmethod
+    def _index(endpoints):
+        return pair_index([CityPair(a, b, 0.0) for a, b in endpoints])
+
+    def test_highest_degree_first_and_lower_index_on_ties(self):
+        # City 3 covers four pairs; 0 and 1 tie for (0, 1) and 0 wins.
+        index = self._index([(3, 0), (3, 1), (3, 2), (3, 4), (0, 1)])
+        assert index.cover_cities.tolist() == [0, 3]
+        # A pair is read from its source whenever the source is in the cover.
+        read = index.cover_cities[index.cover_row]
+        assert read.tolist() == [3, 3, 3, 3, 0]
+        assert index.cover_target.tolist() == [0, 1, 2, 4, 1]
+
+    def test_never_larger_than_the_source_set(self):
+        # Greedy takes 0, then 1, then 2; the two sources cover it too.
+        index = self._index([(5, 0), (6, 0), (5, 1), (6, 2)])
+        assert index.cover_cities.tolist() == [5, 6]
+        assert index.cover_target.tolist() == [0, 0, 1, 2]
+
+    def test_pairs_read_from_the_target_swap_ends(self):
+        index = self._index([(1, 0), (2, 0), (3, 0)])
+        assert index.cover_cities.tolist() == [0]
+        assert index.cover_row.tolist() == [0, 0, 0]
+        assert index.cover_target.tolist() == [1, 2, 3]

@@ -137,30 +137,37 @@ class TestReachableSkyFraction:
         assert tight < loose
 
 
+def _look_angles(gt_lat_deg, gt_lon_deg, target_ecef):
+    """(elevation, azimuth clockwise from North, slant range) via the ENU frame."""
+    east, north, up = np.moveaxis(
+        visibility.direction_to_enu(gt_lat_deg, gt_lon_deg, target_ecef), -1, 0
+    )
+    gt = geodetic_to_ecef(gt_lat_deg, gt_lon_deg, 0.0)
+    slant = np.linalg.norm(np.asarray(target_ecef) - gt, axis=-1)
+    elevation = np.degrees(np.arcsin(np.clip(up, -1.0, 1.0)))
+    return elevation, np.mod(np.degrees(np.arctan2(east, north)), 360.0), slant
+
+
 class TestLookAngles:
+    """Antenna look angles read off ``direction_to_enu``, the GSO mask's frame."""
+
     def test_zenith_target(self):
-        elev, azim, slant = visibility.look_angles(
-            10.0, 20.0, geodetic_to_ecef(10.0, 20.0, 550e3)
-        )
+        elev, _, slant = _look_angles(10.0, 20.0, geodetic_to_ecef(10.0, 20.0, 550e3))
         assert float(elev) == pytest.approx(90.0, abs=1e-6)
         assert float(slant) == pytest.approx(550e3, rel=1e-9)
 
     def test_northern_target_azimuth_zero(self):
-        elev, azim, slant = visibility.look_angles(
-            0.0, 0.0, geodetic_to_ecef(5.0, 0.0, 550e3)
-        )
+        _, azim, _ = _look_angles(0.0, 0.0, geodetic_to_ecef(5.0, 0.0, 550e3))
         assert float(azim) == pytest.approx(0.0, abs=1e-6)
 
     def test_eastern_target_azimuth_90(self):
-        elev, azim, slant = visibility.look_angles(
-            0.0, 0.0, geodetic_to_ecef(0.0, 5.0, 550e3)
-        )
+        _, azim, _ = _look_angles(0.0, 0.0, geodetic_to_ecef(0.0, 5.0, 550e3))
         assert float(azim) == pytest.approx(90.0, abs=1e-6)
 
     def test_elevation_matches_elevation_deg(self):
         gt = geodetic_to_ecef(40.0, -70.0, 0.0)
         sat = geodetic_to_ecef(43.0, -66.0, 550e3)
-        elev, _, _ = visibility.look_angles(40.0, -70.0, sat)
+        elev, _, _ = _look_angles(40.0, -70.0, sat)
         assert float(elev) == pytest.approx(
             float(visibility.elevation_deg(gt, sat)), abs=1e-9
         )
@@ -169,7 +176,7 @@ class TestLookAngles:
         sats = geodetic_to_ecef(
             np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0]), 550e3
         )
-        elev, azim, slant = visibility.look_angles(0.0, 0.0, sats)
+        elev, azim, slant = _look_angles(0.0, 0.0, sats)
         assert elev.shape == azim.shape == slant.shape == (3,)
 
     def test_slant_range_consistent_with_constants(self):
@@ -179,6 +186,6 @@ class TestLookAngles:
         elev_target = 25.0
         psi = visibility.coverage_central_angle_rad(550e3, elev_target)
         sat = geodetic_to_ecef(0.0, np.degrees(psi), 550e3)
-        elev, _, slant = visibility.look_angles(0.0, 0.0, sat)
+        elev, _, slant = _look_angles(0.0, 0.0, sat)
         assert float(elev) == pytest.approx(elev_target, abs=1e-6)
         assert float(slant) == pytest.approx(slant_range_m(550e3, elev_target), rel=1e-9)

@@ -1,9 +1,8 @@
-"""Post-hoc analysis utilities: path stretch, hop mixes, link utilization.
+"""Post-hoc analysis utilities: hop mixes, RTT jumps, corridor gaps.
 
 These helpers answer the questions a network analyst asks *after* a
-simulation: how far from the geodesic do paths stray, what do they hop
-through, and where does the capacity go. They are consumed by examples
-and ablation benchmarks, and exercised directly in tests.
+simulation: what do paths hop through, how hard does RTT jump between
+snapshots, and which continent corridors gain most from ISLs.
 """
 
 from __future__ import annotations
@@ -13,32 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flows.throughput import ThroughputResult
 from repro.ground.stations import StationKind
 from repro.network.graph import SnapshotGraph
-from repro.network.links import LinkKind
 
 __all__ = [
-    "path_stretch",
     "PathComposition",
     "path_composition",
-    "LinkUtilization",
-    "link_utilization",
     "rtt_jumps_ms",
     "corridor_summary",
 ]
-
-
-def path_stretch(path_length_m: float, geodesic_m: float) -> float:
-    """Ratio of routed path length to the great-circle distance (>= 1).
-
-    The satellite path includes the up and down hops, so even a perfect
-    route exceeds 1; hybrid LEO paths typically land between 1.1 and 1.6,
-    while BP detours (Fig. 3) push far beyond.
-    """
-    if geodesic_m <= 0:
-        raise ValueError("geodesic must be positive")
-    return path_length_m / geodesic_m
 
 
 @dataclass(frozen=True)
@@ -86,13 +68,6 @@ def path_composition(graph: SnapshotGraph, path_nodes) -> PathComposition:
         radio_hops=hops["radio"],
         fiber_hops=hops["fiber"],
     )
-
-
-@dataclass(frozen=True)
-class LinkUtilization:
-    """Aggregate utilization per link family after an allocation."""
-
-    by_kind: dict[LinkKind, dict]
 
 
 def rtt_jumps_ms(series) -> np.ndarray:
@@ -160,34 +135,3 @@ def corridor_summary(
         )
     rows.sort(key=lambda row: -row["median_min_rtt_gap_ms"])
     return rows
-
-
-def link_utilization(
-    result: ThroughputResult, saturation_threshold: float = 0.999
-) -> LinkUtilization:
-    """Per-link-family utilization statistics of a throughput outcome.
-
-    This is the diagnostic behind the Fig. 4/5 interpretation: under BP
-    the radio links saturate while hybrid shifts transit load onto ISLs.
-    """
-    graph = result.routing.graph
-    capacities = graph.edge_capacities(result.capacities)
-    loads = result.allocation.link_loads[: graph.num_edges]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        utilization = np.where(capacities > 0, loads / capacities, 0.0)
-
-    by_kind: dict[LinkKind, dict] = {}
-    for kind, code in ((LinkKind.GT_SAT, 0), (LinkKind.ISL, 1), (LinkKind.FIBER, 2)):
-        members = graph.edge_kind == code
-        if not members.any():
-            continue
-        values = utilization[members]
-        by_kind[kind] = {
-            "links": int(members.sum()),
-            "mean_utilization": float(values.mean()),
-            "p95_utilization": float(np.percentile(values, 95)),
-            "max_utilization": float(values.max()),
-            "saturated_links": int(np.sum(values >= saturation_threshold)),
-            "total_load_gbps": float(loads[members].sum() / 1e9),
-        }
-    return LinkUtilization(by_kind=by_kind)

@@ -34,8 +34,9 @@ that is invariant across the calls real workloads make:
   (:class:`~repro.network.graph.SnapshotGraph`). Its physical edge
   table (int64 ``(m, 2)`` ``edges``, ``edge_dist_m``, ``edge_kind``:
   radio rows, then ISL, then fiber) is a view derived from the parts
-  on first read, which ``matrix()``, routing and strict guards do, and
-  bumps ``engine.edge_tables``. An RTT sweep never reads it. Faults
+  on first read, which ``matrix()`` and routing do, and bumps
+  ``engine.edge_tables``. An RTT sweep never reads it, and the strict
+  graph guard checks the parts themselves. Faults
   are *never* cached: a frame holds only fault-free geometry, so an
   ambient :class:`~repro.faults.FaultSpec` can neither leak into nor
   out of the cache.
@@ -131,7 +132,8 @@ class StaticContext:
     topology in flat satellite indices (lengths are per-frame).
     ``radio_range_m`` is each satellite's longest GT-satellite link, its
     shell's ``slant_range_m(altitude, min_elevation)``: the bound the
-    strict graph guard holds radio rows to.
+    strict graph guard (:func:`repro.integrity.guards.check_graph`)
+    holds radio rows to.
     """
 
     constellation: Constellation

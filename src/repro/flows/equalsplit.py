@@ -22,15 +22,12 @@ __all__ = ["equal_split_allocation"]
 def equal_split_allocation(
     flow_edges: list[np.ndarray],
     capacities: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> MaxMinResult:
     """Equal-share rates for flows pinned to fixed paths.
 
     Returns the same result type as
     :func:`repro.flows.maxmin.max_min_fair_allocation` so callers can
-    swap allocators freely. ``weights`` divides each link's capacity in
-    proportion to flow weights instead of equally (mirroring the
-    weighted max-min extension).
+    swap allocators freely.
     """
     capacities = np.asarray(capacities, dtype=float)
     n_edges = len(capacities)
@@ -39,32 +36,24 @@ def equal_split_allocation(
         return MaxMinResult(
             rates=np.empty(0), link_loads=np.zeros(n_edges), bottleneck_rounds=0
         )
-    if weights is None:
-        weights = np.ones(n_flows)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n_flows,):
-            raise ValueError("weights must have one entry per flow")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-    weight_sums = np.zeros(n_edges)
+    flow_counts = np.zeros(n_edges)
     for i, edges in enumerate(flow_edges):
         edges = np.asarray(edges, dtype=np.int64)
         if len(edges) == 0:
             raise ValueError(f"flow {i} traverses no links")
         if edges.min() < 0 or edges.max() >= n_edges:
             raise ValueError("flow references an edge id outside the capacity table")
-        np.add.at(weight_sums, edges, weights[i])
+        np.add.at(flow_counts, edges, 1.0)
 
     with np.errstate(divide="ignore"):
-        per_weight_share = np.where(
-            weight_sums > 0, capacities / np.maximum(weight_sums, 1e-300), np.inf
+        share = np.where(
+            flow_counts > 0, capacities / np.maximum(flow_counts, 1e-300), np.inf
         )
 
     rates = np.empty(n_flows)
     loads = np.zeros(n_edges)
     for i, edges in enumerate(flow_edges):
         edges = np.asarray(edges, dtype=np.int64)
-        rates[i] = float(per_weight_share[edges].min()) * weights[i]
+        rates[i] = float(share[edges].min())
         np.add.at(loads, edges, rates[i])
     return MaxMinResult(rates=rates, link_loads=loads, bottleneck_rounds=1)

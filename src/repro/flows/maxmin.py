@@ -53,21 +53,12 @@ class MaxMinResult:
 def max_min_fair_allocation(
     flow_edges: list[np.ndarray],
     capacities: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> MaxMinResult:
     """Max-min fair rates for flows pinned to fixed paths.
 
     ``flow_edges[i]`` lists the edge ids flow ``i`` traverses (a flow may
     not be empty — a flow with no links has no bottleneck and no
     meaningful rate). ``capacities`` gives per-edge capacity in bits/s.
-
-    ``weights`` (optional, positive) makes the allocation *weighted*
-    max-min fair: unfrozen flows grow at rates proportional to their
-    weights, so a weight-2 flow receives twice the rate of a weight-1
-    flow sharing its bottleneck. Weighted fairness is how a demand
-    matrix (e.g. the gravity traffic model's population products) maps
-    onto the progressive-filling allocator; equal weights reduce exactly
-    to the unweighted algorithm.
     """
     n_flows = len(flow_edges)
     capacities = np.asarray(capacities, dtype=float)
@@ -76,14 +67,6 @@ def max_min_fair_allocation(
         return MaxMinResult(
             rates=np.empty(0), link_loads=np.zeros(n_edges), bottleneck_rounds=0
         )
-    if weights is None:
-        weights = np.ones(n_flows)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n_flows,):
-            raise ValueError("weights must have one entry per flow")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
     flow_lens = np.array([len(edges) for edges in flow_edges], dtype=np.int64)
     if np.any(flow_lens == 0):
         bad = int(np.flatnonzero(flow_lens == 0)[0])
@@ -103,11 +86,8 @@ def max_min_fair_allocation(
     active = np.ones(n_flows, dtype=bool)
     rates = np.zeros(n_flows)
     remaining = capacities.astype(float).copy()
-    # Per-link sum of active flows' weights ("counts" in the unweighted
-    # algorithm); rates grow by weight_i * increment per round.
-    incidence_weights = weights[flow_ids]
-    counts = np.zeros(n_edges)
-    np.add.at(counts, edge_ids, incidence_weights)
+    # Active flows per link; every active rate grows by the increment.
+    counts = np.bincount(edge_ids, minlength=n_edges).astype(float)
 
     rounds = 0
     saturation_slack = _EPS * capacities
@@ -125,7 +105,7 @@ def max_min_fair_allocation(
             break
         increment = max(increment, 0.0)
 
-        rates[active] += weights[active] * increment
+        rates[active] += increment
         np.multiply(counts, increment, out=scratch)
         np.subtract(remaining, scratch, out=remaining)
         rounds += 1
@@ -136,8 +116,8 @@ def max_min_fair_allocation(
             # always progresses even under pathological rounding.
             saturated = used & (headroom <= increment * (1.0 + 1e-9))
         # Freeze, vectorized: gather the (still-active) flows crossing
-        # any saturated link, then retire their weight from every link
-        # they traverse with one weighted bincount.
+        # any saturated link, then retire them from every link they
+        # traverse with one bincount.
         candidates = sorted_flows[saturated[sorted_edges]]
         frozen = np.unique(candidates[active[candidates]])
         if frozen.size:
@@ -147,11 +127,7 @@ def max_min_fair_allocation(
                 np.cumsum(lens) - lens, lens
             )
             positions = np.repeat(flow_ptr[frozen], lens) + offsets
-            counts -= np.bincount(
-                edge_ids[positions],
-                weights=np.repeat(weights[frozen], lens),
-                minlength=n_edges,
-            )
+            counts -= np.bincount(edge_ids[positions], minlength=n_edges)
 
     loads = capacities - remaining
     incr("maxmin.bottleneck_rounds", rounds)

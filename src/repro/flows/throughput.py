@@ -108,23 +108,23 @@ def _with_satellite_cap(
     edge_caps: np.ndarray,
     cap_bps: float,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Append per-satellite virtual links to flows and capacities."""
+    """Append per-satellite virtual links to flows and capacities.
+
+    Radio hops are the edge ids below the GT-satellite row count (the
+    edge table lists those rows first, by satellite), and a row's
+    satellite is the CSR block holding it; each sub-flow gains its
+    radio hops' satellite links in hop order.
+    """
     virtual_base = graph.num_edges
     capacities = np.concatenate([edge_caps, np.full(graph.num_sats, cap_bps)])
+    start, gts, _ = graph.sat_rows
     flow_lists: list[np.ndarray] = []
-    for subflow in routing.subflows:
-        extras = []
-        for u, v in subflow.path.edge_pairs():
-            u_sat = graph.is_sat_node(u)
-            v_sat = graph.is_sat_node(v)
-            if u_sat != v_sat:  # A radio hop touches exactly one satellite.
-                extras.append(virtual_base + (u if u_sat else v))
-        if extras:
-            flow_lists.append(
-                np.concatenate([subflow.edge_ids, np.asarray(extras, dtype=np.int64)])
-            )
-        else:
-            flow_lists.append(subflow.edge_ids)
+    for ids in routing.flow_edge_lists():
+        radio = ids[ids < len(gts)]
+        if len(radio):
+            sats = np.searchsorted(start, radio, "right") - 1
+            ids = np.concatenate([ids, virtual_base + sats])
+        flow_lists.append(ids)
     return flow_lists, capacities
 
 
@@ -155,7 +155,6 @@ def evaluate_throughput(
     allocator: Callable[[list[np.ndarray], np.ndarray], MaxMinResult] | None = None,
     satellite_radio_cap_bps: float | None = None,
     edge_capacity_factors: np.ndarray | None = None,
-    pair_weights: np.ndarray | None = None,
 ) -> ThroughputResult:
     """Route ``pairs`` over ``k`` disjoint paths and allocate max-min rates.
 
@@ -169,10 +168,6 @@ def evaluate_throughput(
     weather/MODCOD coupling produces these — see
     :func:`repro.atmosphere.weather_capacity.edge_weather_capacity_factors`);
     a factor of 0 marks the link down, and flows pinned to it get zero.
-    ``pair_weights`` (one positive entry per pair) switches to weighted
-    max-min fairness: each pair's sub-flows grow proportionally to its
-    weight — how a demand matrix (e.g. gravity-model population
-    products) maps onto the allocator.
     """
     capacities = capacities or LinkCapacities()
     allocator = allocator or max_min_fair_allocation
@@ -206,14 +201,5 @@ def evaluate_throughput(
         )
     else:
         flow_lists = routing.flow_edge_lists()
-    if pair_weights is not None:
-        pair_weights = np.asarray(pair_weights, dtype=float)
-        if len(pair_weights) != len(pairs):
-            raise ValueError("pair_weights must have one entry per pair")
-        subflow_weights = np.array(
-            [pair_weights[sf.pair_index] for sf in routing.subflows]
-        )
-        allocation = allocator(flow_lists, edge_caps, weights=subflow_weights)
-    else:
-        allocation = allocator(flow_lists, edge_caps)
+    allocation = allocator(flow_lists, edge_caps)
     return ThroughputResult(routing=routing, allocation=allocation, capacities=capacities)

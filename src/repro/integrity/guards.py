@@ -9,11 +9,14 @@ the pipeline's products the moment they are computed:
   between the two cities — a provable floor for *any* relayed path;
 * hybrid RTTs never exceed BP's for the same cell, and hybrid reaches
   every cell BP reaches: its graph holds BP's edges plus ISLs;
-* snapshot graphs carry in-range node ids, finite positive edge
-  lengths, and no self-loops or duplicate undirected edges; an
-  engine-built graph also obeys its physics (:func:`check_graph_physics`:
-  lengths match positions, kinds match endpoints, BP has no ISL, no
-  radio link beyond its shell's slant range);
+* snapshot graphs are checked on their two parts, the satellite CSR
+  ``sat_rows`` and the ISL/fiber block, never on the derived edge
+  table: monotone offsets, in-range GTs ascending within each
+  satellite, finite positive lengths, and a block with no self-loop
+  or repeated row; a graph with a frame also obeys its physics
+  (lengths match positions, block kinds match endpoints, BP has no
+  ISL, no radio link beyond its shell's slant range, ISLs clear the
+  atmosphere);
 * routed sub-flows run between their pair's cities over exactly the
   edges they name, carry the left-fold length of those edges, and the
   sub-flows of one pair share no edge;
@@ -46,7 +49,6 @@ __all__ = [
     "check_allocation",
     "check_cross_mode_rtt",
     "check_graph",
-    "check_graph_physics",
     "check_routing",
     "check_rtt_series",
     "rtt_lower_bound_ms",
@@ -172,53 +174,129 @@ def check_cross_mode_rtt(
 
 
 def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
-    """Validate a snapshot graph's structural invariants.
+    """Validate a snapshot graph's two parts, and its physics if it has a frame.
 
-    An engine-built graph (one with a frame) is then held to its
-    physics by :func:`check_graph_physics`.
+    Structure, on every graph:
+
+    * ``sat_rows`` offsets start at 0, never decrease and end at the
+      row count; every ``gt`` is a station index in ``[0, num_gts)``;
+    * every length in both parts is finite and positive;
+    * within each satellite's rows the GTs strictly ascend (the frame's
+      row-order contract, which filters and faults keep), so a repeated
+      radio row sits beside its twin;
+    * the ISL/fiber block has no self-loop, no repeated undirected row
+      and no row that repeats a radio row.
+
+    Physics, on a graph with a frame (engine-built or faulted):
+
+    * block rows are ISLs between two satellites or fiber between two
+      cities, and a BP graph has no ISL (a radio row is a (satellite,
+      GT) row by construction);
+    * radio and ISL lengths equal the distance between their endpoints'
+      ECEF positions (relative 1e-12), and a fiber row is at least that
+      chord;
+    * no radio row is longer than its satellite's
+      ``frame.radio_range_m``, its shell's slant range at the minimum
+      elevation;
+    * every ISL's straight segment passes at least 80 km above the
+      spherical Earth.
+
+    Messages name rows by their index in the derived edge table:
+    radio row ``i`` is edge ``i`` and block row ``j`` edge
+    ``len(gt) + j``.
     """
-    edges = np.asarray(graph.edges)
-    dists = np.asarray(graph.edge_dist_m, dtype=float)
-    if len(edges) != len(dists) or len(edges) != len(graph.edge_kind):
+    from repro.network.graph import (
+        _KIND_FIBER,
+        _KIND_ISL,
+        ConnectivityMode,
+        isl_grazing_altitude_m,
+    )
+
+    num_sats, num_gts, num_nodes = graph.num_sats, graph.num_gts, graph.num_nodes
+    start, gts, radio_m = (np.asarray(part) for part in graph.sat_rows)
+    block, block_m, kinds = (np.asarray(part) for part in graph.isl_fiber_rows)
+    radio = len(gts)
+    if (
+        len(start) != num_sats + 1
+        or len(radio_m) != radio
+        or block.shape != (len(block_m), 2)
+        or len(kinds) != len(block_m)
+    ):
         raise InvariantViolation(
-            f"{source}: edge arrays disagree: {len(edges)} edges, "
-            f"{len(dists)} distances, {len(graph.edge_kind)} kinds"
+            f"{source}: graph parts disagree: {len(start)} offsets for "
+            f"{num_sats} satellites, {radio} GTs, {len(radio_m)} radio lengths, "
+            f"{block.shape} block rows, {len(block_m)} lengths, {len(kinds)} kinds"
         )
-    if len(edges):
-        if edges.min() < 0 or edges.max() >= graph.num_nodes:
-            bad = int(np.argmax((edges < 0) | (edges >= graph.num_nodes)) // 2)
+    counts = np.diff(start)
+    if start[0] != 0 or start[-1] != radio or (counts < 0).any():
+        raise InvariantViolation(
+            f"{source}: satellite row offsets do not rise from 0 to {radio}"
+        )
+    if radio and (gts.min() < 0 or gts.max() >= num_gts):
+        bad = int(np.argmax((gts < 0) | (gts >= num_gts)))
+        raise InvariantViolation(
+            f"{source}: edge {bad} references GT {int(gts[bad])} outside "
+            f"[0, {num_gts})"
+        )
+    if len(block) and (block.min() < 0 or block.max() >= num_nodes):
+        bad = int(np.argmax(((block < 0) | (block >= num_nodes)).any(axis=1)))
+        raise InvariantViolation(
+            f"{source}: edge {radio + bad} references node outside "
+            f"[0, {num_nodes})"
+        )
+    for offset, lengths in ((0, radio_m), (radio, block_m)):
+        if len(lengths) and not (lengths.min() > 0 and lengths.max() < np.inf):
+            bad = int(np.argmax(~(np.isfinite(lengths) & (lengths > 0))))
             raise InvariantViolation(
-                f"{source}: edge {bad} references node outside "
-                f"[0, {graph.num_nodes})"
+                f"{source}: edge {offset + bad} has non-finite or non-positive "
+                f"length {float(lengths[bad])!r} m"
             )
-        finite_pos = np.isfinite(dists) & (dists > 0)
-        if not finite_pos.all():
-            bad = int(np.argmax(~finite_pos))
+    # A duplicate would be summed into one CSR entry by matrix(), and
+    # routing restores deleted entries assuming unique edges.
+    if radio > 1:
+        unordered = np.diff(gts) <= 0
+        cuts = start[1:-1]
+        unordered[cuts[(cuts > 0) & (cuts < radio)] - 1] = False
+        if unordered.any():
+            bad = int(np.argmax(unordered))
+            sat = int(np.searchsorted(start, bad, "right")) - 1
+            gt, after = int(gts[bad]), int(gts[bad + 1])
+            if gt == after:
+                raise InvariantViolation(
+                    f"{source}: edges {bad} and {bad + 1} both join nodes "
+                    f"{sat} and {num_sats + gt}"
+                )
             raise InvariantViolation(
-                f"{source}: edge {bad} has non-finite or non-positive "
-                f"length {dists[bad]!r} m"
+                f"{source}: edges {bad} and {bad + 1} of satellite {sat} hold "
+                f"GTs {gt} then {after}, out of ascending order"
             )
-        # A duplicate would be summed into one CSR entry by matrix(),
-        # and routing restores deleted entries assuming unique edges.
-        lo = np.minimum(edges[:, 0], edges[:, 1]).astype(np.int64)
-        hi = np.maximum(edges[:, 0], edges[:, 1]).astype(np.int64)
-        if (lo == hi).any():
-            bad = int(np.argmax(lo == hi))
+    lo, hi = block.min(axis=1), block.max(axis=1)
+    if (lo == hi).any():
+        bad = int(np.argmax(lo == hi))
+        raise InvariantViolation(
+            f"{source}: edge {radio + bad} is a self-loop at node {lo[bad]}"
+        )
+    keys = lo.astype(np.int64) * num_nodes + hi
+    order = np.argsort(keys, kind="stable")
+    repeated = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    if repeated.size:
+        first, second = order[repeated[0]], order[repeated[0] + 1]
+        raise InvariantViolation(
+            f"{source}: edges {radio + first} and {radio + second} both join "
+            f"nodes {lo[first]} and {hi[first]}"
+        )
+    for row in np.flatnonzero((lo < num_sats) & (hi >= num_sats)):
+        sat, gt = int(lo[row]), int(hi[row]) - num_sats
+        first, end = start[sat], start[sat + 1]
+        twin = first + int(np.searchsorted(gts[first:end], gt))
+        if twin < end and gts[twin] == gt:
             raise InvariantViolation(
-                f"{source}: edge {bad} is a self-loop at node {lo[bad]}"
-            )
-        keys = lo * graph.num_nodes + hi
-        order = np.argsort(keys, kind="stable")
-        repeated = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-        if repeated.size:
-            first, second = order[repeated[0]], order[repeated[0] + 1]
-            raise InvariantViolation(
-                f"{source}: edges {first} and {second} both join nodes "
-                f"{lo[first]} and {hi[first]}"
+                f"{source}: edges {twin} and {radio + row} both join nodes "
+                f"{sat} and {num_sats + gt}"
             )
     for name, ecef, count in (
-        ("sat_ecef", graph.sat_ecef, graph.num_sats),
-        ("gt_ecef", graph.gt_ecef, graph.num_gts),
+        ("sat_ecef", graph.sat_ecef, num_sats),
+        ("gt_ecef", graph.gt_ecef, num_gts),
     ):
         arr = np.asarray(ecef, dtype=float)
         if len(arr) != count:
@@ -230,104 +308,74 @@ def check_graph(graph: "SnapshotGraph", source: str = "graph") -> None:
             raise InvariantViolation(
                 f"{source}: non-finite position in {name} row {bad}"
             )
-    if graph.frame is not None:
-        check_graph_physics(graph, graph.frame.radio_range_m, source)
+    if graph.frame is None:
+        return
 
-
-def check_graph_physics(
-    graph: "SnapshotGraph", radio_range_m: np.ndarray, source: str = "graph"
-) -> None:
-    """Validate a snapshot graph against the physics it models, in O(E).
-
-    * each ``edge_kind`` matches its endpoints: a GT-satellite row is
-      stored ``(satellite, GT)``, an ISL joins two satellites, and a
-      fiber row two cities;
-    * a BP graph has no ISL row;
-    * GT-satellite and ISL lengths equal the distance between their
-      endpoints' ECEF positions (relative 1e-12), and a fiber row is
-      at least that chord;
-    * no GT-satellite row is longer than ``radio_range_m`` of its
-      satellite, its shell's slant range at the minimum elevation;
-    * every ISL's straight segment passes at least 80 km above the
-      spherical Earth, computed from its endpoints' ECEF positions.
-
-    Expects ``check_graph``'s structural checks to have passed.
-    """
-    from repro.network.graph import (
-        _KIND_FIBER,
-        _KIND_GT_SAT,
-        _KIND_ISL,
-        ConnectivityMode,
-        isl_grazing_altitude_m,
-    )
-
-    edges = np.asarray(graph.edges)
-    kinds = np.asarray(graph.edge_kind)
-    dists = np.asarray(graph.edge_dist_m, dtype=float)
-    u, v = edges[:, 0], edges[:, 1]
-    num_sats = graph.num_sats
-    cities_end = num_sats + graph.stations.city_count
-    sat_u, sat_v = u < num_sats, v < num_sats
-    matches = np.select(
-        [kinds == _KIND_GT_SAT, kinds == _KIND_ISL, kinds == _KIND_FIBER],
-        [
-            sat_u & ~sat_v,
-            sat_u & sat_v,
-            ~sat_u & ~sat_v & (u < cities_end) & (v < cities_end),
-        ],
-        default=False,
+    isl, fiber = kinds == _KIND_ISL, kinds == _KIND_FIBER
+    matches = (isl & (hi < num_sats)) | (
+        fiber & (lo >= num_sats) & (hi < num_sats + graph.stations.city_count)
     )
     if not matches.all():
         bad = int(np.argmin(matches))
         raise InvariantViolation(
-            f"{source}: edge {bad} of kind {int(kinds[bad])} joins nodes "
-            f"{int(u[bad])} and {int(v[bad])}, which that kind cannot join"
+            f"{source}: edge {radio + bad} of kind {int(kinds[bad])} joins nodes "
+            f"{int(block[bad, 0])} and {int(block[bad, 1])}, which that kind "
+            "cannot join"
         )
-    if graph.mode is ConnectivityMode.BP_ONLY and (kinds == _KIND_ISL).any():
-        bad = int(np.argmax(kinds == _KIND_ISL))
+    if graph.mode is ConnectivityMode.BP_ONLY and isl.any():
+        bad = radio + int(np.argmax(isl))
         raise InvariantViolation(f"{source}: BP graph holds ISL edge {bad}")
 
-    # The chord one ECEF axis at a time: the same sum as np.linalg.norm
-    # over gathered rows, without (E, 3) temporaries.
-    axes = np.concatenate([graph.sat_ecef, graph.gt_ecef]).T.copy()
-    chord = np.zeros(len(edges))
-    for axis in axes:
-        delta = axis.take(u)
-        delta -= axis.take(v)
+    # Radio chords one ECEF axis at a time, the satellite axis repeated
+    # over its rows: the same sum as np.linalg.norm over gathered rows,
+    # without (E, 3) temporaries.
+    chord = np.zeros(radio)
+    for sat_axis, gt_axis in zip(graph.sat_ecef.T, graph.gt_ecef.T):
+        delta = np.repeat(sat_axis, counts)
+        delta -= gt_axis.take(gts)
         delta *= delta
         chord += delta
     np.sqrt(chord, out=chord)
-    fiber = kinds == _KIND_FIBER
+    wrong = np.abs(radio_m - chord) > _EDGE_LENGTH_RTOL * chord
+    if wrong.any():
+        bad = int(np.argmax(wrong))
+        raise InvariantViolation(
+            f"{source}: edge {bad} has length {float(radio_m[bad])!r} m, not equal "
+            f"to the {float(chord[bad])!r} m between its endpoints"
+        )
+    positions = np.concatenate([graph.sat_ecef, graph.gt_ecef])
+    chord = np.linalg.norm(positions[block[:, 0]] - positions[block[:, 1]], axis=1)
     wrong = np.where(
         fiber,
-        dists < chord * (1.0 - _EDGE_LENGTH_RTOL),
-        np.abs(dists - chord) > _EDGE_LENGTH_RTOL * chord,
+        block_m < chord * (1.0 - _EDGE_LENGTH_RTOL),
+        np.abs(block_m - chord) > _EDGE_LENGTH_RTOL * chord,
     )
     if wrong.any():
         bad = int(np.argmax(wrong))
         want = "at least" if fiber[bad] else "equal to"
         raise InvariantViolation(
-            f"{source}: edge {bad} has length {dists[bad]!r} m, not {want} "
-            f"the {chord[bad]!r} m between its endpoints"
+            f"{source}: edge {radio + bad} has length {float(block_m[bad])!r} m, "
+            f"not {want} the {float(chord[bad])!r} m between its endpoints"
         )
-    radio = np.flatnonzero(kinds == _KIND_GT_SAT)
-    limit = np.asarray(radio_range_m, dtype=float)[u[radio]]
-    beyond = dists[radio] > limit * (1.0 + _SLANT_RTOL)
+    limit = np.repeat(np.asarray(graph.frame.radio_range_m, dtype=float), counts)
+    beyond = radio_m > limit * (1.0 + _SLANT_RTOL)
     if beyond.any():
-        first = int(np.argmax(beyond))
-        bad = int(radio[first])
+        bad = int(np.argmax(beyond))
+        sat = int(np.searchsorted(start, bad, "right")) - 1
         raise InvariantViolation(
-            f"{source}: GT-satellite edge {bad} is {dists[bad] / 1e3:.3f} km "
-            f"long, beyond satellite {int(u[bad])}'s slant range "
-            f"{limit[first] / 1e3:.3f} km"
+            f"{source}: GT-satellite edge {bad} is {radio_m[bad] / 1e3:.3f} km "
+            f"long, beyond satellite {sat}'s slant range "
+            f"{limit[bad] / 1e3:.3f} km"
         )
-    isl = np.flatnonzero(kinds == _KIND_ISL)
-    altitude = isl_grazing_altitude_m(graph.sat_ecef[u[isl]], graph.sat_ecef[v[isl]])
+    links = block[isl]
+    altitude = isl_grazing_altitude_m(
+        graph.sat_ecef[links[:, 0]], graph.sat_ecef[links[:, 1]]
+    )
     grazing = altitude < _ISL_MIN_ALTITUDE_M
     if grazing.any():
         first = int(np.argmax(grazing))
         raise InvariantViolation(
-            f"{source}: ISL edge {int(isl[first])} passes "
+            f"{source}: ISL edge {radio + int(np.flatnonzero(isl)[first])} passes "
             f"{altitude[first] / 1e3:.1f} km above the Earth, below the "
             f"{_ISL_MIN_ALTITUDE_M / 1e3:.0f} km atmosphere floor"
         )

@@ -117,10 +117,10 @@ class SnapshotGraph:
     keep it), else ``None``. The physical edge table ``edges``,
     ``edge_dist_m`` and ``edge_kind`` (the GT-satellite rows stored
     ``(satellite, GT node)`` in CSR order, then the ISL/fiber block) is
-    a view derived from the parts on first read and kept; ``matrix()``,
-    routing and the strict guards read it. An RTT sweep reads only
-    :meth:`contracted_matrix`, which works from the parts and never
-    builds the table. The caches and the contraction memo handle are
+    a view derived from the parts on first read and kept; ``matrix()``
+    and routing read it. An RTT sweep reads only
+    :meth:`contracted_matrix`, and the strict graph guard only the
+    parts, so neither builds the table. The caches and the contraction memo handle are
     not constructor fields, so ``dataclasses.replace`` on the parts
     gives a graph that derives everything afresh.
     """

@@ -96,7 +96,10 @@ def mean_motion_rad_s(altitude_m: float) -> float:
 
 @dataclass(frozen=True)
 class CircularOrbit:
-    """A single circular orbit; convenience wrapper over the array API."""
+    """A single circular orbit's elements, period and radius.
+
+    Positions come from :func:`propagate_circular`, the array API.
+    """
 
     altitude_m: float
     inclination_deg: float
@@ -110,16 +113,6 @@ class CircularOrbit:
     @property
     def radius_m(self) -> float:
         return EARTH_RADIUS + self.altitude_m
-
-    def position_eci(self, time_s: float) -> np.ndarray:
-        """ECI position at ``time_s`` seconds past epoch, shape ``(3,)``."""
-        return propagate_circular(
-            np.array([self.altitude_m]),
-            np.array([self.inclination_deg]),
-            np.array([self.raan_deg]),
-            np.array([self.phase_deg]),
-            time_s,
-        )[0]
 
 
 def propagate_circular(

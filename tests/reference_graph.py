@@ -147,8 +147,8 @@ def graph_from_rows(
     """A frameless graph from ``(u, v)`` node-id rows and their lengths.
 
     A row joining a satellite and a GT goes into the CSR by satellite,
-    stored ``(satellite, GT)``, with rows kept in input order within a
-    satellite. Every other row goes into the ISL/fiber block in input
+    stored ``(satellite, GT)`` and ordered by (satellite, GT), the row
+    order engine graphs keep and the strict guard checks. Every other row goes into the ISL/fiber block in input
     order: an ISL when both ends are satellites, fiber otherwise.
     Positions default to all-ones rows (hand-built graphs have no
     geometry).
@@ -158,7 +158,7 @@ def graph_from_rows(
     is_sat = edges < num_sats
     radio = is_sat[:, 0] != is_sat[:, 1]
     rows = np.sort(edges[radio], axis=1)  # satellite ids come first
-    order = np.argsort(rows[:, 0], kind="stable")
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
     rows = rows[order]
     other = ~radio
     kinds = np.where(is_sat[other].all(axis=1), _KIND_ISL, _KIND_FIBER)

@@ -1,29 +1,13 @@
-"""Tests for post-hoc analysis utilities (stretch, composition, utilization)."""
+"""Tests for post-hoc analysis utilities (composition, RTT jumps, corridors)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    link_utilization,
-    path_composition,
-    path_stretch,
-)
+from repro.analysis import path_composition
 from repro.core.pipeline import pair_paths_on_graph
-from repro.flows.throughput import evaluate_throughput
-from repro.network.links import LinkKind
 
 
 class TestPathStretch:
-    def test_identity(self):
-        assert path_stretch(100.0, 100.0) == 1.0
-
-    def test_detour(self):
-        assert path_stretch(150.0, 100.0) == pytest.approx(1.5)
-
-    def test_rejects_zero_geodesic(self):
-        with pytest.raises(ValueError):
-            path_stretch(10.0, 0.0)
-
     def test_real_hybrid_paths_modest_stretch(self, tiny_hybrid_graph, tiny_scenario):
         paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
         matrix = tiny_hybrid_graph.matrix()
@@ -35,8 +19,9 @@ class TestPathStretch:
             dist = csgraph.dijkstra(
                 matrix, directed=True, indices=nodes[0]
             )[nodes[-1]]
-            stretch = path_stretch(float(dist), pair.distance_m)
-            assert 1.0 <= stretch < 2.0
+            # Path length over the great-circle distance: up and down
+            # hops keep it above 1, ISLs keep long hybrid paths below 2.
+            assert 1.0 <= float(dist) / pair.distance_m < 2.0
 
 
 class TestPathComposition:
@@ -72,35 +57,6 @@ class TestPathComposition:
         assert comp.intermediate_gts == (
             comp.city_gts + comp.relay_gts + comp.aircraft_gts - 2
         )
-
-
-class TestLinkUtilization:
-    @pytest.fixture(scope="class")
-    def result(self, tiny_hybrid_graph, tiny_scenario):
-        return evaluate_throughput(tiny_hybrid_graph, tiny_scenario.pairs, k=2)
-
-    def test_families_present(self, result):
-        util = link_utilization(result)
-        assert LinkKind.GT_SAT in util.by_kind
-        assert LinkKind.ISL in util.by_kind
-
-    def test_utilization_bounds(self, result):
-        util = link_utilization(result)
-        for stats in util.by_kind.values():
-            assert 0.0 <= stats["mean_utilization"] <= 1.0 + 1e-9
-            assert stats["max_utilization"] <= 1.0 + 1e-9
-
-    def test_total_load_consistent(self, result):
-        util = link_utilization(result)
-        total_gbps = sum(s["total_load_gbps"] for s in util.by_kind.values())
-        assert total_gbps == pytest.approx(
-            result.allocation.link_loads.sum() / 1e9, rel=1e-9
-        )
-
-    def test_saturated_links_exist(self, result):
-        # Max-min saturates at least one link per flow group.
-        util = link_utilization(result)
-        assert any(s["saturated_links"] > 0 for s in util.by_kind.values())
 
 
 class TestRttJumps:

@@ -251,6 +251,34 @@ class TestSatelliteCap:
                 satellite_radio_cap_bps=0.0,
             )
 
+    @pytest.mark.parametrize("mode", ["bp", "hybrid"])
+    def test_virtual_links_match_per_hop_reference(
+        self, tiny_bp_graph, tiny_hybrid_graph, tiny_scenario, mode
+    ):
+        from repro.flows.routing import route_traffic
+        from repro.flows.throughput import _with_satellite_cap
+
+        graph = tiny_bp_graph if mode == "bp" else tiny_hybrid_graph
+        routing = route_traffic(graph, tiny_scenario.pairs, k=4)
+        caps = graph.edge_capacities(LinkCapacities())
+        flows, capacities = _with_satellite_cap(graph, routing, caps, 20e9)
+        # Per hop: a radio hop touches exactly one satellite, whose
+        # virtual link follows the sub-flow's edges in hop order.
+        want = []
+        for subflow in routing.subflows:
+            extras = [
+                graph.num_edges + (u if graph.is_sat_node(u) else v)
+                for u, v in subflow.path.edge_pairs()
+                if graph.is_sat_node(u) != graph.is_sat_node(v)
+            ]
+            want.append(np.concatenate([subflow.edge_ids, np.asarray(extras, int)]))
+        assert len(flows) == len(want) > 0
+        for got, expected in zip(flows, want):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            capacities, np.concatenate([caps, np.full(graph.num_sats, 20e9)])
+        )
+
 
 class TestBeamLimit:
     def test_limit_enforced(self, tiny_scenario):

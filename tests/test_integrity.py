@@ -273,6 +273,31 @@ class TestGraphGuards:
         with pytest.raises(InvariantViolation, match=f"edges 2 and {copy} both"):
             check_graph(bad)
 
+    def test_radio_rows_out_of_order_rejected(self, tiny_bp_graph):
+        # Two rows of one satellite swap places: each is still a true
+        # row, but the GTs no longer ascend within the satellite.
+        sats, _, _ = _flat_sat_rows(tiny_bp_graph)
+        row = int(np.argmax(sats[1:] == sats[:-1]))
+        rows = np.arange(tiny_bp_graph.num_edges)
+        rows[[row, row + 1]] = rows[[row + 1, row]]
+        bad = _sat_rows_at(tiny_bp_graph, rows)
+        with pytest.raises(
+            InvariantViolation, match=f"edges {row} and {row + 1} .*out of ascending"
+        ):
+            check_graph(bad)
+
+    def test_strict_rtt_sweep_builds_no_edge_table(self, tiny_scenario):
+        from repro.core.pipeline import compute_rtt_series_multi
+        from repro.obs import observe
+
+        assert current().strict
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        with observe() as registry:
+            compute_rtt_series_multi(tiny_scenario, modes)
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.assemblies"] > 0
+        assert counters.get("engine.edge_tables", 0) == 0
+
 
 class TestGraphPhysicsGuards:
     """check_graph holds engine-built graphs to their physics."""
@@ -374,16 +399,18 @@ class TestGraphPhysicsGuards:
 
     def test_slant_range_bound(self, tiny_bp_graph):
         from repro.constants import slant_range_m
-        from repro.integrity.guards import check_graph_physics
 
-        bound = tiny_bp_graph.frame.radio_range_m
+        frame = tiny_bp_graph.frame
+        bound = frame.radio_range_m
         assert np.all(bound == slant_range_m(550_000.0, 25.0))
-        radio = tiny_bp_graph.edge_kind == 0
-        longest = tiny_bp_graph.edge_dist_m[radio].max()
+        longest = tiny_bp_graph.sat_rows[2].max()
         assert longest <= bound[0]
-        check_graph_physics(tiny_bp_graph, bound)
+        static = dataclasses.replace(
+            frame._static, radio_range_m=np.full_like(bound, 0.999 * longest)
+        )
+        short = dataclasses.replace(frame, _static=static)
         with pytest.raises(InvariantViolation, match="beyond satellite"):
-            check_graph_physics(tiny_bp_graph, np.full_like(bound, 0.999 * longest))
+            check_graph(dataclasses.replace(tiny_bp_graph, frame=short))
 
     def test_hand_built_graph_skips_physics(self):
         from tests.test_contraction import hand_built_graph

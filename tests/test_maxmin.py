@@ -154,76 +154,3 @@ class TestInvariants:
         after = allocate(flows, capacities)
         assert np.all(after.link_loads <= capacities * (1 + 1e-9))
 
-
-class TestWeightedMaxMin:
-    def test_equal_weights_match_unweighted(self, rng):
-        n_edges = 20
-        capacities = rng.uniform(1.0, 100.0, n_edges)
-        flows = [
-            rng.choice(n_edges, size=rng.integers(1, 5), replace=False).astype(np.int64)
-            for _ in range(30)
-        ]
-        plain = allocate(flows, capacities)
-        weighted = max_min_fair_allocation(
-            [np.asarray(f, dtype=np.int64) for f in flows],
-            np.asarray(capacities),
-            weights=np.full(30, 3.0),
-        )
-        # Same relative shares regardless of the common weight value.
-        np.testing.assert_allclose(weighted.rates, plain.rates, rtol=1e-9)
-
-    def test_weight_ratio_respected_on_shared_bottleneck(self):
-        result = max_min_fair_allocation(
-            [np.array([0]), np.array([0])],
-            np.array([30.0]),
-            weights=np.array([1.0, 2.0]),
-        )
-        np.testing.assert_allclose(result.rates, [10.0, 20.0])
-
-    def test_weighted_still_feasible(self, rng):
-        n_edges = 15
-        capacities = rng.uniform(1.0, 50.0, n_edges)
-        flows = [
-            rng.choice(n_edges, size=rng.integers(1, 4), replace=False).astype(np.int64)
-            for _ in range(25)
-        ]
-        weights = rng.uniform(0.1, 10.0, 25)
-        result = max_min_fair_allocation(flows, capacities, weights=weights)
-        loads = np.zeros(n_edges)
-        for flow, rate in zip(flows, result.rates):
-            loads[np.asarray(flow)] += rate
-        assert np.all(loads <= capacities * (1 + 1e-6))
-
-    def test_weighted_pareto(self, rng):
-        n_edges = 12
-        capacities = rng.uniform(1.0, 50.0, n_edges)
-        flows = [
-            rng.choice(n_edges, size=rng.integers(1, 4), replace=False).astype(np.int64)
-            for _ in range(15)
-        ]
-        weights = rng.uniform(0.5, 5.0, 15)
-        result = max_min_fair_allocation(flows, capacities, weights=weights)
-        residual = capacities - result.link_loads
-        for flow in flows:
-            assert residual[np.asarray(flow)].min() <= 1e-6 * capacities.max()
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            max_min_fair_allocation(
-                [np.array([0])], np.array([1.0]), weights=np.array([1.0, 2.0])
-            )
-        with pytest.raises(ValueError):
-            max_min_fair_allocation(
-                [np.array([0])], np.array([1.0]), weights=np.array([0.0])
-            )
-
-    def test_weighted_bottleneck_chain(self):
-        """Weighted version of the classic line network."""
-        result = max_min_fair_allocation(
-            [np.array([0, 1]), np.array([0]), np.array([1])],
-            np.array([12.0, 20.0]),
-            weights=np.array([1.0, 2.0, 1.0]),
-        )
-        # Link 0: A and B share 12 at 1:2 -> A=4, B=8 (both freeze).
-        # Link 1: C alone soaks the remainder: 20 - 4 = 16.
-        np.testing.assert_allclose(result.rates, [4.0, 8.0, 16.0])

@@ -15,7 +15,7 @@ from repro.orbits.coordinates import (
     eci_to_ecef,
     geodetic_to_ecef,
 )
-from repro.orbits.kepler import CircularOrbit
+from repro.orbits.kepler import propagate_circular
 
 
 lat_strategy = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)
@@ -110,8 +110,10 @@ class TestOrbitProperties:
         st.floats(min_value=0.0, max_value=86400.0),
     )
     def test_radius_invariant(self, alt, inc, raan, phase, t):
-        orbit = CircularOrbit(alt, inc, raan, phase)
-        assert np.linalg.norm(orbit.position_eci(t)) == pytest.approx(
+        position = propagate_circular(
+            np.array([alt]), np.array([inc]), np.array([raan]), np.array([phase]), t
+        )[0]
+        assert np.linalg.norm(position) == pytest.approx(
             EARTH_RADIUS + alt, rel=1e-12
         )
 

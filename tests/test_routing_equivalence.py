@@ -260,20 +260,17 @@ class TestRoutingCounterContract:
 # ---------------------------------------------------------------------------
 
 
-def _reference_max_min(flow_edges, capacities, weights=None):
+def _reference_max_min(flow_edges, capacities):
     """Progressive filling with per-flow loops — the textbook version.
 
     Same algorithm and same saturation criteria as the vectorized
-    implementation, but every aggregate (per-link active weight, freeze
+    implementation, but every aggregate (per-link active count, freeze
     bookkeeping) is computed with plain Python loops so a bug in the
     bincount machinery cannot hide in a shared code path.
     """
     eps = 1e-12
     n_flows = len(flow_edges)
     capacities = np.asarray(capacities, dtype=float)
-    if weights is None:
-        weights = np.ones(n_flows)
-    weights = np.asarray(weights, dtype=float)
     rates = np.zeros(n_flows)
     remaining = capacities.copy()
     active = [True] * n_flows
@@ -283,7 +280,7 @@ def _reference_max_min(flow_edges, capacities, weights=None):
         for i, edges in enumerate(flow_edges):
             if active[i]:
                 for edge in edges:
-                    counts[edge] += weights[i]
+                    counts[edge] += 1.0
         used = counts > eps
         if not used.any():
             break
@@ -295,7 +292,7 @@ def _reference_max_min(flow_edges, capacities, weights=None):
             break
         for i in range(n_flows):
             if active[i]:
-                rates[i] += weights[i] * increment
+                rates[i] += increment
         remaining -= counts * increment
         rounds += 1
         saturated = used & (remaining <= eps * capacities)
@@ -309,9 +306,9 @@ def _reference_max_min(flow_edges, capacities, weights=None):
 
 @st.composite
 def _flow_problems(draw):
-    """Random (flow_edges, capacities, weights) with integer-ish numbers.
+    """Random (flow_edges, capacities) with integer capacities.
 
-    Integer capacities and weights keep both implementations' floating
+    Integer capacities keep both implementations' floating
     error far below the comparison tolerance; the vectorized freeze
     subtracts grouped (bincount) where the reference subtracts per flow,
     so bit-identity is not guaranteed — allclose at 1e-9 is.
@@ -339,24 +336,14 @@ def _flow_problems(draw):
         ),
         dtype=float,
     )
-    weights = np.asarray(
-        draw(
-            st.lists(
-                st.integers(min_value=1, max_value=4),
-                min_size=n_flows,
-                max_size=n_flows,
-            )
-        ),
-        dtype=float,
-    )
-    return flow_edges, capacities, weights
+    return flow_edges, capacities
 
 
 class TestMaxMinMatchesLoopReference:
     @given(problem=_flow_problems())
     @settings(max_examples=120, deadline=None)
     def test_unweighted(self, problem):
-        flow_edges, capacities, _ = problem
+        flow_edges, capacities = problem
         result = max_min_fair_allocation(flow_edges, capacities)
         ref_rates, ref_loads, ref_rounds = _reference_max_min(
             flow_edges, capacities
@@ -368,25 +355,11 @@ class TestMaxMinMatchesLoopReference:
         assert result.bottleneck_rounds == ref_rounds
 
     @given(problem=_flow_problems())
-    @settings(max_examples=120, deadline=None)
-    def test_weighted(self, problem):
-        flow_edges, capacities, weights = problem
-        result = max_min_fair_allocation(flow_edges, capacities, weights)
-        ref_rates, ref_loads, ref_rounds = _reference_max_min(
-            flow_edges, capacities, weights
-        )
-        np.testing.assert_allclose(result.rates, ref_rates, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(
-            result.link_loads, ref_loads, rtol=0, atol=1e-9
-        )
-        assert result.bottleneck_rounds == ref_rounds
-
-    @given(problem=_flow_problems())
     @settings(max_examples=60, deadline=None)
     def test_feasible_and_pareto(self, problem):
         """Every allocation is feasible and leaves no flow raisable."""
-        flow_edges, capacities, weights = problem
-        result = max_min_fair_allocation(flow_edges, capacities, weights)
+        flow_edges, capacities = problem
+        result = max_min_fair_allocation(flow_edges, capacities)
         loads = np.zeros(len(capacities))
         for rate, edges in zip(result.rates, flow_edges):
             loads[edges] += rate

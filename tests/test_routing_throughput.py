@@ -115,51 +115,6 @@ class TestEvaluateThroughput:
             previous = result.aggregate_bps
 
 
-class TestDemandWeightedThroughput:
-    def test_weighted_rates_favor_heavy_pairs(self, tiny_hybrid_graph, tiny_scenario):
-        pairs = tiny_scenario.pairs[:8]
-        weights = np.ones(len(pairs))
-        weights[0] = 10.0
-        plain = evaluate_throughput(tiny_hybrid_graph, pairs, k=1)
-        weighted = evaluate_throughput(
-            tiny_hybrid_graph, pairs, k=1, pair_weights=weights
-        )
-        plain_rate = _pair_rates_bps(plain, len(pairs))[0]
-        weighted_rate = _pair_rates_bps(weighted, len(pairs))[0]
-        assert weighted_rate >= plain_rate
-
-    def test_uniform_weights_match_plain(self, tiny_hybrid_graph, tiny_scenario):
-        pairs = tiny_scenario.pairs[:10]
-        plain = evaluate_throughput(tiny_hybrid_graph, pairs, k=2)
-        weighted = evaluate_throughput(
-            tiny_hybrid_graph, pairs, k=2, pair_weights=np.full(len(pairs), 2.5)
-        )
-        np.testing.assert_allclose(
-            weighted.allocation.rates, plain.allocation.rates, rtol=1e-9
-        )
-
-    def test_weight_length_validated(self, tiny_hybrid_graph, tiny_scenario):
-        with pytest.raises(ValueError):
-            evaluate_throughput(
-                tiny_hybrid_graph,
-                tiny_scenario.pairs[:5],
-                k=1,
-                pair_weights=np.ones(3),
-            )
-
-    def test_weighted_feasible(self, tiny_hybrid_graph, tiny_scenario):
-        from repro.network.links import LinkCapacities
-
-        pairs = tiny_scenario.pairs
-        rng = np.random.default_rng(4)
-        result = evaluate_throughput(
-            tiny_hybrid_graph, pairs, k=2,
-            pair_weights=rng.uniform(0.5, 5.0, len(pairs)),
-        )
-        caps = tiny_hybrid_graph.edge_capacities(LinkCapacities())
-        assert np.all(result.allocation.link_loads <= caps * (1 + 1e-9))
-
-
 class TestThroughputSeries:
     def test_series_shape_and_positivity(self, tiny_scenario):
         from repro.flows.throughput import throughput_series_gbps

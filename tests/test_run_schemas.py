@@ -202,7 +202,7 @@ class TestProfiledHeadlineRun:
         assert metrics["fig4"]["counters"]["engine.edge_tables"] > 0
 
     def test_non_strict_rtt_sweep_builds_no_edge_table(self, tmp_path):
-        """RTT sweeps contract straight from the frame; only guards need tables."""
+        """RTT sweeps contract straight from the frame; only routing needs tables."""
         from repro.context import run_context
 
         with run_context(strict=False):

@@ -1,45 +1,35 @@
 #!/usr/bin/env python3
 """Run every paper experiment and write the rendered outputs.
 
-This is the one-command reproduction driver: it executes each registered
-experiment (Fig. 2-11 plus the disconnected-satellite statistic) at the
-environment-selected scale and stores the rendered tables under
-``results/`` next to this script.
+This is the one-command reproduction driver: it hands the registered
+experiments (Fig. 2-11, the disconnected-satellite statistic and the
+extensions) to the batch runner at the environment-selected scale, which
+writes each experiment's rendered table (``<id>.txt``) and result JSON
+(``<id>.json``) under ``results/`` next to this script. A failing
+experiment is recorded in the summary and the rest still run.
 
 Run:  python examples/reproduce_paper.py [experiment-id ...]
       REPRO_FULL_SCALE=1 python examples/reproduce_paper.py   # paper scale
+Then: python -m repro.cli report examples/results --out REPORT.md
 """
 
 import sys
-import time
 from pathlib import Path
 
-from repro.experiments import all_experiments
+from repro.core.runner import UnknownExperimentError, run_experiments
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def main(argv: list[str]) -> int:
-    experiments = all_experiments()
-    selected = argv[1:] or sorted(experiments)
-    unknown = [e for e in selected if e not in experiments]
-    if unknown:
-        print(f"unknown experiment ids: {', '.join(unknown)}")
-        print(f"known: {', '.join(sorted(experiments))}")
+    try:
+        summary = run_experiments(argv[1:] or ["all"], out_dir=RESULTS_DIR)
+    except UnknownExperimentError as exc:
+        print(exc)
         return 2
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    for experiment_id in selected:
-        started = time.time()
-        print(f"[{experiment_id}] running...", flush=True)
-        result = experiments[experiment_id]()
-        elapsed = time.time() - started
-        text = result.render()
-        (RESULTS_DIR / f"{experiment_id}.txt").write_text(text + "\n")
-        print(text)
-        print(f"[{experiment_id}] done in {elapsed:.1f}s\n", flush=True)
+    print(summary.format_summary())
     print(f"outputs written to {RESULTS_DIR}/")
-    return 0
+    return summary.exit_code
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ Commands
     Audit an artifact/checkpoint tree: shard digests against manifests,
     kind-tagged JSON against schemas, archived RTT series against their
     invariants. Exits non-zero (and names each offender) on violations.
+``report <dir>``
+    Render the result JSONs a ``run --out <dir>`` wrote into one Markdown
+    file (``--out``, default ``REPORT.md``). It runs no experiment.
 ``info``
     Print the constellation presets and scale definitions.
 ``scenario``
@@ -150,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print only violations (suppress the per-file tally)",
     )
 
-    report = sub.add_parser("report", help="run experiments and write a Markdown report")
-    report.add_argument("ids", nargs="*", help="experiment ids (default: all)")
+    report = sub.add_parser(
+        "report", help="render a run's result JSONs into one Markdown report"
+    )
     report.add_argument(
-        "--scale", choices=sorted(_SCALES), default=None,
-        help="scale override (default: experiment-specific)",
+        "directory", type=Path, help="a directory written by 'repro run --out'"
     )
     report.add_argument(
         "--out", type=Path, default=Path("REPORT.md"), help="output file"
@@ -262,16 +265,14 @@ def _cmd_verify(directory: Path, quiet: bool) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_report(ids, scale_name: str | None, out: Path) -> int:
+def _cmd_report(directory: Path, out: Path) -> int:
     from repro.reporting.report import generate_report
 
-    scale = _SCALES[scale_name]() if scale_name else None
-    path = generate_report(
-        out,
-        experiment_ids=ids,
-        scale=scale,
-        progress=lambda eid, secs: print(f"[{eid}] done in {secs:.1f}s", flush=True),
-    )
+    try:
+        path = generate_report(directory, out)
+    except ValueError as exc:
+        print(f"cannot render {directory}: {exc}", file=sys.stderr)
+        return 1
     print(f"report written to {path}")
     return 0
 
@@ -308,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return _cmd_verify(args.directory, args.quiet)
     if args.command == "report":
-        return _cmd_report(args.ids or None, args.scale, args.out)
+        return _cmd_report(args.directory, args.out)
     if args.command == "scenario":
         return _cmd_scenario(args.constellation, args.scale)
     raise AssertionError(f"unhandled command {args.command!r}")

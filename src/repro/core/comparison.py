@@ -40,6 +40,20 @@ class LatencyComparison:
         gaps = gaps[np.isfinite(gaps)]
         return float(np.max(gaps)) if len(gaps) else float("nan")
 
+    def variation_at_ms(self, percentile: float) -> tuple[float, float]:
+        """BP and hybrid RTT variation (ms) at a pair percentile (100: max).
+
+        Pairs never reachable are left out; both read NaN when either
+        mode has no reachable pair.
+        """
+        bp, hy = (
+            stats.variation_ms[np.isfinite(stats.variation_ms)]
+            for stats in (self.bp_stats, self.hybrid_stats)
+        )
+        if len(bp) == 0 or len(hy) == 0:
+            return float("nan"), float("nan")
+        return float(np.percentile(bp, percentile)), float(np.percentile(hy, percentile))
+
     def variation_increase_pct(self, percentile: float) -> float:
         """How much more RTT varies without ISLs, at a pair percentile.
 
@@ -48,14 +62,9 @@ class LatencyComparison:
         variation distribution over the hybrid one at the given
         percentile.
         """
-        bp = self.bp_stats.variation_ms
-        hy = self.hybrid_stats.variation_ms
-        bp = bp[np.isfinite(bp)]
-        hy = hy[np.isfinite(hy)]
-        if len(bp) == 0 or len(hy) == 0:
+        bp_q, hy_q = self.variation_at_ms(percentile)
+        if np.isnan(bp_q):
             return float("nan")
-        bp_q = float(np.percentile(bp, percentile))
-        hy_q = float(np.percentile(hy, percentile))
         if hy_q <= 0:
             return float("inf") if bp_q > 0 else 0.0
         return 100.0 * (bp_q - hy_q) / hy_q

@@ -543,26 +543,3 @@ class SnapshotEngine:
                 max_gts_per_satellite=max_gts_per_satellite,
                 faults=faults,
             )
-
-    def graphs_at(
-        self,
-        time_s: float,
-        modes,
-        *,
-        gso_policy: GsoProtectionPolicy | None = None,
-        fiber_max_km: float | None = None,
-        max_gts_per_satellite: int | None = None,
-        faults: FaultSpec | None = None,
-    ) -> dict[ConnectivityMode, SnapshotGraph]:
-        """All requested modes of one instant, from one shared frame."""
-        return {
-            mode: self.graph_at(
-                time_s,
-                mode,
-                gso_policy=gso_policy,
-                fiber_max_km=fiber_max_km,
-                max_gts_per_satellite=max_gts_per_satellite,
-                faults=faults,
-            )
-            for mode in modes
-        }

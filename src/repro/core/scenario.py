@@ -301,24 +301,6 @@ class Scenario:
             faults=self._fault_spec(),
         )
 
-    def graphs_at(
-        self, time_s: float, modes
-    ) -> "dict[ConnectivityMode, SnapshotGraph]":
-        """Snapshot graphs for several modes of one instant.
-
-        All modes assemble from one shared geometry frame, so comparing
-        BP against hybrid at the same time pays for propagation and
-        visibility queries once.
-        """
-        return self.engine.graphs_at(
-            time_s,
-            modes,
-            gso_policy=self.gso_policy,
-            fiber_max_km=self.fiber_max_km,
-            max_gts_per_satellite=self.max_gts_per_satellite,
-            faults=self._fault_spec(),
-        )
-
     def __getstate__(self):
         """Pickle support: drop the engine (KD-trees, cached frames).
 

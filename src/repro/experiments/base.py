@@ -2,7 +2,8 @@
 
 Every paper figure/table has a module here exposing a ``run()`` function
 returning an :class:`ExperimentResult`. The registry lets the benchmark
-harness and the ``examples/reproduce_paper.py`` driver enumerate them.
+harness and the batch runner (:mod:`repro.core.runner`, behind
+``repro run`` and ``examples/reproduce_paper.py``) enumerate them.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
         # The t = 0 graphs for throughput come first: the sweep's first
         # instant is t = 0, so it reads the frame they built, and the
         # engine then holds one frame at a time.
-        graphs = scenario.graphs_at(0.0, modes)
+        graphs = {mode: scenario.graph_at(0.0, mode) for mode in modes}
         all_series = compute_rtt_series_multi(scenario, modes)
         for mode in modes:
             series = all_series[mode]

@@ -64,7 +64,7 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
     previous = dict.fromkeys(modes)
     stats = {mode: [] for mode in modes}
     for time_s in scenario.times_s:
-        graphs = scenario.graphs_at(float(time_s), modes)
+        graphs = {mode: scenario.graph_at(float(time_s), mode) for mode in modes}
         for mode in modes:
             paths = pair_paths_on_graph(graphs[mode], scenario.pairs)
             if previous[mode] is not None:

@@ -47,9 +47,10 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
 
     rows = []
     data = {}
-    graphs = scenario.graphs_at(
-        0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    )
+    graphs = {
+        mode: scenario.graph_at(0.0, mode)
+        for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+    }
     for mode, graph in graphs.items():
         routed = evaluate_throughput(graph, scenario.pairs, k=k).aggregate_gbps
         lax = lax_max_flow_bps(graph, scenario.pairs) / 1e9

@@ -46,9 +46,10 @@ def run(scale: ScenarioScale | None = None, k: int = 4, exceedance_pct: float = 
 
     rows = []
     data = {}
-    graphs = scenario.graphs_at(
-        0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    )
+    graphs = {
+        mode: scenario.graph_at(0.0, mode)
+        for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+    }
     for mode, graph in graphs.items():
         routing = route_traffic(graph, scenario.pairs, k=k)
         clear = evaluate_throughput(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import SPEED_OF_LIGHT
 from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.routing import route_traffic
@@ -37,7 +38,7 @@ def _median_rtt_ms(routing) -> float:
     lengths = [s.path.length_m for s in routing.subflows]
     if not lengths:
         return float("nan")
-    return float(np.median(lengths)) * 2e3 / 299_792_458.0
+    return float(np.median(lengths)) * 2e3 / SPEED_OF_LIGHT
 
 
 @register("ext-terouting")

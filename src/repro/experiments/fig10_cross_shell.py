@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.constants import SPEED_OF_LIGHT
 from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, default_scale, register
@@ -71,8 +72,8 @@ def run(scale: ScenarioScale | None = None) -> ExperimentResult:
         g_dual, p_dual = pair_path_at(
             dual, pair_dual, float(time_s), ConnectivityMode.HYBRID
         )
-        s_rtt = 2e3 * p_single.length_m / 299_792_458.0 if p_single else np.inf
-        d_rtt = 2e3 * p_dual.length_m / 299_792_458.0 if p_dual else np.inf
+        s_rtt = 2e3 * p_single.length_m / SPEED_OF_LIGHT if p_single else np.inf
+        d_rtt = 2e3 * p_dual.length_m / SPEED_OF_LIGHT if p_dual else np.inf
         single_rtts.append(s_rtt)
         dual_rtts.append(d_rtt)
         shells = (

@@ -43,6 +43,8 @@ def run(scale: ScenarioScale | None = None, constellation: str = "starlink") -> 
             "Hybrid": comparison.hybrid_stats.variation_ms,
         },
     )
+    bp_max, hybrid_max = comparison.variation_at_ms(100)
+    bp_p95, hybrid_p95 = comparison.variation_at_ms(95)
     headline = {
         "max min-RTT gap BP-hybrid (ms) [paper: 57]": round(
             comparison.max_min_rtt_gap_ms(), 2
@@ -53,6 +55,10 @@ def run(scale: ScenarioScale | None = None, constellation: str = "starlink") -> 
         "p95 variation increase (%) [paper: +422]": round(
             comparison.variation_increase_pct(95), 1
         ),
+        "BP variation max (ms) [paper: ~100]": round(bp_max, 2),
+        "hybrid variation max (ms) [paper: <20]": round(hybrid_max, 2),
+        "BP variation p95 (ms)": round(bp_p95, 2),
+        "hybrid variation p95 (ms)": round(hybrid_p95, 2),
         "BP reachable fraction": round(comparison.bp_series.reachable_fraction(), 4),
         "hybrid reachable fraction": round(
             comparison.hybrid_series.reachable_fraction(), 4

@@ -143,14 +143,90 @@ class TestFaultTolerantRun:
 
 
 class TestReportCommand:
-    def test_report_writes_markdown(self, capsys, tmp_path):
+    """``repro report DIR`` renders what ``repro run --out DIR`` wrote."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        # fig8 and fig9 are cheap; --profile adds a metrics.json that the
+        # report must skip.
+        out = tmp_path_factory.mktemp("run")
+        argv = ["run", "fig9", "fig8", "--scale", "small", "--out", str(out), "--profile"]
+        assert main(argv) == 0
+        assert (out / "metrics.json").exists()
+        return out
+
+    def test_report_writes_markdown(self, capsys, run_dir, tmp_path):
         out = tmp_path / "report.md"
-        assert main(["report", "fig9", "--out", str(out)]) == 0
+        assert main(["report", str(run_dir), "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("# Reproduction report")
         assert "## fig9" in text
         assert "GSO" in text
+        # Sections keep SECTION_ORDER and name their source file.
+        assert text.index("## fig8") < text.index("## fig9")
+        assert "from `fig8.json`" in text and "from `fig9.json`" in text
 
-    def test_report_unknown_id(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(["report", "fig99", "--out", str(tmp_path / "r.md")])
+    def test_report_unknown_id(self, capsys, tmp_path):
+        # The argument is a directory; "fig99" holds no result to render.
+        assert main(["report", "fig99", "--out", str(tmp_path / "r.md")]) == 1
+        assert "fig99" in capsys.readouterr().err
+        assert not (tmp_path / "r.md").exists()
+
+    def test_report_runs_no_experiment(self, capsys, run_dir, tmp_path, monkeypatch):
+        from repro.experiments.base import _REGISTRY
+
+        def bomb(scale=None):
+            raise RuntimeError("report must not run experiments")
+
+        for eid in list(_REGISTRY):
+            monkeypatch.setitem(_REGISTRY, eid, bomb)
+        out = tmp_path / "report.md"
+        assert main(["report", str(run_dir), "--out", str(out)]) == 0
+        assert "## fig9" in out.read_text()
+
+    def test_every_table_appears_verbatim(self, run_dir, tmp_path):
+        import json
+
+        out = tmp_path / "report.md"
+        assert main(["report", str(run_dir), "--out", str(out)]) == 0
+        text = out.read_text()
+        tables = [
+            table
+            for name in ("fig8.json", "fig9.json")
+            for table in json.loads((run_dir / name).read_text())["tables"]
+        ]
+        assert tables
+        for table in tables:
+            assert table in text
+
+    def test_profile_metrics_skipped(self, run_dir, tmp_path):
+        out = tmp_path / "report.md"
+        assert main(["report", str(run_dir), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "metrics.json" not in text
+        assert [line for line in text.splitlines() if line.startswith("## ")] == [
+            "## Contents",
+            "## fig8",
+            "## fig9",
+        ]
+
+    def test_directory_without_results_fails(self, capsys, run_dir, tmp_path):
+        import shutil
+
+        shutil.copy(run_dir / "metrics.json", tmp_path / "metrics.json")
+        out = tmp_path / "report.md"
+        assert main(["report", str(tmp_path), "--out", str(out)]) == 1
+        assert "no experiment result" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["not json {", '{"kind": "result"}'])
+    def test_malformed_result_names_file(self, capsys, run_dir, tmp_path, damage):
+        import shutil
+
+        for name in ("fig9.json", "metrics.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        (tmp_path / "fig8.json").write_text(damage)
+        out = tmp_path / "report.md"
+        assert main(["report", str(tmp_path), "--out", str(out)]) == 1
+        assert "fig8.json" in capsys.readouterr().err
+        assert not out.exists()

@@ -282,7 +282,10 @@ class TestPlainReference:
     def test_bounce_edges_and_contracted_csr(self, name):
         scenario = REFERENCE_SCENARIOS[name]()
         for time_s in scenario.times_s:
-            graphs = scenario.graphs_at(float(time_s), list(ConnectivityMode))
+            graphs = {
+                mode: scenario.graph_at(float(time_s), mode)
+                for mode in ConnectivityMode
+            }
             args = transit_rows(graphs[ConnectivityMode.BP_ONLY])
             got = bounce_edges(*transit_csr(*args))
             assert len(got[0]) > 0

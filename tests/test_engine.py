@@ -235,9 +235,10 @@ class TestNumericalEquivalence:
             assert_graphs_identical(got, want)
 
     def test_graphs_at_share_one_frame(self, base_scenario):
-        graphs = base_scenario.graphs_at(
-            0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-        )
+        graphs = {
+            mode: base_scenario.graph_at(0.0, mode)
+            for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
+        }
         bp = graphs[ConnectivityMode.BP_ONLY]
         hybrid = graphs[ConnectivityMode.HYBRID]
         # Same frame, not merely equal geometry: the arrays are shared.
@@ -389,9 +390,8 @@ class TestTwoModeSweepSharesWork:
     def test_engine_stats_mirror_counters(self):
         scenario = fresh_scenario()
         with observe() as registry:
-            scenario.graphs_at(
-                0.0, (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-            )
+            for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
+                scenario.graph_at(0.0, mode)
         counters = registry.snapshot()["counters"]
         assert counters["engine.static_misses"] == 1
         assert counters["engine.frame_misses"] == 1

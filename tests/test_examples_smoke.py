@@ -43,3 +43,26 @@ class TestExampleScripts:
         assert result.returncode == 0, result.stderr[-2000:]
         assert "Terminal at Tokyo" in result.stdout
         assert "Handover behaviour" in result.stdout
+
+    def test_reproduce_paper_goes_through_the_runner(self, tmp_path, monkeypatch, capsys):
+        import importlib.util
+
+        from repro.experiments.base import _REGISTRY
+
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_paper", EXAMPLES_DIR / "reproduce_paper.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+
+        def bomb(scale=None):
+            raise RuntimeError("synthetic experiment failure")
+
+        monkeypatch.setitem(_REGISTRY, "zz_bomb", bomb)
+        assert module.main(["reproduce_paper.py", "fig99"]) == 2
+        # The failure is recorded and fig9 still runs and writes its JSON.
+        assert module.main(["reproduce_paper.py", "zz_bomb", "fig9"]) == 1
+        assert (tmp_path / "fig9.json").exists()
+        assert (tmp_path / "fig9.txt").exists()
+        assert "zz_bomb: RuntimeError" in capsys.readouterr().out

@@ -77,11 +77,11 @@ class TestRenderReport:
                 tables=["TABLE2"],
             ),
         }
-        text = render_report(results, {"fig2": 1.25})
+        text = render_report(results, {"fig2": "fig2.json"})
         # fig2 before fig3 per SECTION_ORDER.
         assert text.index("## fig2") < text.index("## fig3")
         assert "TABLE2" in text and "TABLE3" in text
-        assert "(1.2s)" in text
+        assert "from `fig2.json`" in text
         assert "h: **3**" in text
 
     def test_unknown_ids_appended(self):

@@ -23,9 +23,10 @@ Commands
     a checkpoint directory written by a different configuration and
     restarts it instead of failing.
 ``verify <dir>``
-    Audit an artifact/checkpoint tree: shard digests against manifests,
-    kind-tagged JSON against schemas, archived RTT series against their
-    invariants. Exits non-zero (and names each offender) on violations.
+    Audit an artifact/checkpoint tree: checkpoint shards against their
+    manifests' digests and the checks resume applies, result and metrics
+    JSON against their schemas. Exits non-zero (and names each offender)
+    on violations.
 ``report <dir>``
     Render the result JSONs a ``run --out <dir>`` wrote into one Markdown
     file (``--out``, default ``REPORT.md``). It runs no experiment.
@@ -142,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser(
-        "verify", help="audit an artifact/checkpoint tree for corruption"
+        "verify",
+        help="audit checkpoint shards and result/metrics JSON for corruption",
     )
     verify.add_argument(
         "directory", type=Path, help="artifact or checkpoint tree to audit"

@@ -24,16 +24,18 @@ place that defines a valid shard: :func:`audit_checkpoint_dir` runs the
 same checks read-only for ``repro verify``.
 
 Every sweep runs through :func:`repro.core.parallel.map_snapshot_rows`,
-which accepts checkpoints per mode, verifies each once, and evaluates
-only the snapshots they lack. The *checkpoint root*
+which checkpoints only under the run context's *checkpoint root*
 (:func:`checkpoint_root`, the ``checkpoint_root`` and ``fresh`` fields of
-the run context in :mod:`repro.context`) lets an orchestrator — ``repro run
---resume DIR`` — turn checkpointing on for every sweep executed inside
-it without threading a parameter through each experiment: checkpoint
-directories are derived from a scenario fingerprint, so distinct
-configurations never collide under one root. ``repro run --resume DIR
---fresh`` quarantines a mismatched checkpoint directory and restarts it
-instead of raising.
+the run context in :mod:`repro.context`): an orchestrator — ``repro run
+--resume DIR`` — turns checkpointing on for every sweep executed inside
+it without threading a parameter through each experiment. Checkpoint
+directories are derived from a scenario fingerprint
+(:func:`checkpoint_for`), so distinct configurations never collide under
+one root; the map verifies each once and evaluates only the snapshots it
+lacks. The checkpoint is also the archive: rerunning a sweep under the
+same root loads every shard and evaluates nothing. ``repro run --resume
+DIR --fresh`` quarantines a mismatched checkpoint directory and restarts
+it instead of raising.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from __future__ import annotations
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,15 +60,13 @@ from repro.integrity.quarantine import note, quarantine_file
 from repro.network.graph import ConnectivityMode
 from repro.obs import span
 
-if TYPE_CHECKING:  # circular at runtime: pipeline imports this module lazily
-    from repro.core.pipeline import RttSeries
+if TYPE_CHECKING:  # circular at runtime: scenario imports the core package
     from repro.core.scenario import Scenario
 
 __all__ = [
     "CheckpointMismatchError",
     "MANIFEST_VERSION",
     "RttCheckpoint",
-    "active_checkpoint_for",
     "atomic_write_bytes",
     "audit_checkpoint_dir",
     "checkpoint_for",
@@ -105,13 +105,37 @@ def _fsync_directory(directory: Path) -> None:
         os.close(dir_fd)
 
 
+#: Per-process sequence numbers for temp-file names (see :func:`_create_temp`).
+_TEMP_SEQUENCE = itertools.count()
+
+
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """Create a fresh temp file beside ``path``; return ``(fd, temp path)``.
+
+    Mode 0o666 lets the process umask decide the final permissions,
+    exactly as for any file ``open`` creates (``tempfile.mkstemp`` would
+    force 0o600, leaving every committed artifact owner-only). The name
+    is unique per process and write; ``O_EXCL`` refuses one a crashed
+    process with a recycled pid left behind, and the next name is tried.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    while True:
+        sequence = next(_TEMP_SEQUENCE)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{sequence}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the destination directory so the final rename
     never crosses filesystems; readers see either the old content or the
     new, never a truncated mix. After the rename the parent directory is
-    fsync'd, so a crash cannot roll back a committed write.
+    fsync'd, so a crash cannot roll back a committed write. The file's
+    permissions follow the process umask, like any newly created file.
 
     This is also the chaos-injection point: an armed
     :class:`repro.faults.IoFaultSpec` makes a matching write fail the way
@@ -136,9 +160,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
         return path
     if fault == "bit_flip":
         data = corrupt_bytes(fault, data)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    fd, tmp_name = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -168,10 +190,10 @@ def scenario_fingerprint(
     different directories under one root.
 
     ``label`` distinguishes different *sweeps* over the same scenario —
-    the RTT series (the historical default, empty label) versus e.g. a
-    ``tput-k4`` throughput series, whose rows mean something entirely
-    different. A non-empty label folds into the hash, so two sweeps can
-    never resume from each other's shards.
+    the RTT series (empty label) versus e.g. fig4's ``fig4-k1_4``
+    throughput matrix, whose rows mean something entirely different. A
+    non-empty label folds into the hash, so two sweeps can never resume
+    from each other's shards.
     """
     spec = current().faults if scenario.faults is None else None
     key = f"{scenario!r}|{mode.value}|{'' if spec is None else spec.describe()}"
@@ -457,21 +479,6 @@ class RttCheckpoint:
         """True once every snapshot has a verified checkpointed shard."""
         return len(self.completed_indices()) == self.num_snapshots
 
-    def assemble(self) -> "RttSeries":
-        """Build the full :class:`RttSeries` from shards (must be complete)."""
-        from repro.core.pipeline import RttSeries
-
-        missing = sorted(set(range(self.num_snapshots)) - self.completed_indices())
-        if missing:
-            raise CheckpointMismatchError(
-                f"checkpoint {self.directory} is incomplete: "
-                f"missing snapshots {missing}"
-            )
-        rtt = np.stack(
-            [self.load_snapshot(i) for i in range(self.num_snapshots)], axis=1
-        )
-        return RttSeries(mode=self.mode, times_s=self.times_s, rtt_ms=rtt)
-
 
 def audit_checkpoint_dir(directory: str | Path) -> list[tuple[Path, str, str]]:
     """``(path, code, detail)`` for every problem in one checkpoint directory.
@@ -525,15 +532,16 @@ def audit_checkpoint_dir(directory: str | Path) -> list[tuple[Path, str, str]]:
 
 # --- Ambient checkpoint root -------------------------------------------------
 #
-# ``repro run --resume DIR`` wants every RTT sweep in the batch to
+# ``repro run --resume DIR`` wants every sweep in the batch to
 # checkpoint under DIR without rewriting each experiment to accept a
 # checkpoint argument. A run-context root plus per-scenario
-# fingerprinted subdirectories gives exactly that.
+# fingerprinted subdirectories gives exactly that; it is the only way
+# a sweep checkpoints.
 
 
 @contextmanager
 def checkpoint_root(root: str | Path | None, fresh: bool = False):
-    """Context manager: all RTT sweeps inside checkpoint under ``root``.
+    """Context manager: every snapshot sweep inside checkpoints under ``root``.
 
     ``fresh`` makes sweeps inside quarantine-and-restart mismatched
     checkpoint directories instead of raising (``repro run --fresh``).
@@ -553,54 +561,27 @@ def checkpoint_for(
     mode: ConnectivityMode,
     fresh: bool = False,
     *,
-    label: str = "",
-    times_s: np.ndarray | None = None,
-    row_len: int | None = None,
+    label: str,
+    times_s: np.ndarray,
+    row_len: int,
 ) -> RttCheckpoint:
-    """The checkpoint for one (scenario, mode) sweep under ``root``.
+    """The checkpoint for one (scenario, mode, label) sweep under ``root``.
 
-    The defaults describe the RTT sweep (one row entry per scenario
-    pair, the scenario's own snapshot grid, empty label) — exactly the
-    historical behaviour, so existing RTT checkpoints keep resuming.
-    Generic snapshot sweeps (see
-    :func:`repro.core.parallel.map_snapshot_rows`) pass their own
-    ``label`` / ``times_s`` / ``row_len``: the label lands both in the
-    directory name (human-readable, sanitized) and in the fingerprint
-    (collision-proof even for hostile labels), and ``row_len`` replaces
-    the pair count as the manifest's row-shape pin.
+    The label lands both in the directory name (human-readable,
+    sanitized) and in the fingerprint (collision-proof even for hostile
+    labels); ``times_s`` and ``row_len`` pin the manifest's snapshot
+    grid and row shape. The RTT sweep's empty label keeps the historical
+    ``<mode>-<fingerprint>`` name, so existing RTT checkpoints keep
+    resuming.
     """
     fingerprint = scenario_fingerprint(scenario, mode, label=label)
     name = f"{mode.value}-{fingerprint}"
     if label:
         name = f"{_LABEL_SANITIZER.sub('_', label)}-{name}"
-    times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
     return RttCheckpoint.open(
         Path(root) / name,
         mode=mode,
-        times_s=times,
-        num_pairs=len(scenario.pairs) if row_len is None else int(row_len),
-        fresh=fresh,
-    )
-
-
-def active_checkpoint_for(
-    scenario: "Scenario",
-    mode: ConnectivityMode,
-    *,
-    label: str = "",
-    times_s: np.ndarray | None = None,
-    row_len: int | None = None,
-) -> RttCheckpoint | None:
-    """Checkpoint under the run context's root, or ``None`` when none is set."""
-    context = current()
-    if context.checkpoint_root is None:
-        return None
-    return checkpoint_for(
-        context.checkpoint_root,
-        scenario,
-        mode,
-        fresh=context.fresh,
-        label=label,
         times_s=times_s,
-        row_len=row_len,
+        num_pairs=row_len,
+        fresh=fresh,
     )

@@ -7,8 +7,7 @@ perfectly across cores. :func:`map_snapshot_rows` maps an arbitrary
 per-snapshot evaluator over a scenario's snapshot grid, in-process
 (``processes=1``, the default) or across a worker pool, with identical
 output either way. The RTT sweep
-(:func:`repro.core.pipeline.compute_rtt_series_multi`), the throughput
-series (:func:`repro.flows.throughput.throughput_series_gbps`), and the
+(:func:`repro.core.pipeline.compute_rtt_series_multi`) and the
 fig4/fig5/disconnected experiments are all thin evaluators on top of it.
 
 An evaluator is a picklable callable ``evaluator(scenario, time_s,
@@ -31,9 +30,10 @@ resilience layer governed by :class:`FaultPolicy`:
   :class:`SweepError` carrying structured :class:`SnapshotFailure`
   records.
 
-Combined with :mod:`repro.core.checkpoint`, every completed snapshot is
-persisted as it lands, so even a hard kill (power loss, SIGKILL) loses
-at most the in-flight snapshots and a later run resumes from disk.
+Under the run context's checkpoint root (:mod:`repro.core.checkpoint`),
+every completed snapshot is persisted as it lands, so even a hard kill
+(power loss, SIGKILL) loses at most the in-flight snapshots and a later
+run resumes from disk.
 Sweeps with different meanings (RTT vs throughput rows) are kept apart
 by the checkpoint ``label`` (see :func:`repro.core.checkpoint.checkpoint_for`).
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.context import RunContext, current, install
-from repro.core.checkpoint import RttCheckpoint, active_checkpoint_for
+from repro.core.checkpoint import checkpoint_for
 from repro.core.scenario import Scenario
 from repro.integrity.quarantine import note
 from repro.network.graph import ConnectivityMode
@@ -196,7 +196,6 @@ def map_snapshot_rows(
     times_s: np.ndarray | None = None,
     label: str = "",
     processes: int = 1,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
     policy: FaultPolicy | None = None,
     progress: Callable[[int, int], None] | None = None,
     fault_hook: Callable[[int, float], None] | None = None,
@@ -208,12 +207,14 @@ def map_snapshot_rows(
     widths (e.g. fig5's one BP number vs one hybrid number per ISL
     ratio). ``times_s`` defaults to the scenario's snapshot grid.
 
-    ``label`` names the sweep for checkpointing — sweeps with different
-    labels never share shards. ``checkpoints`` maps modes to
-    checkpoints; modes without an entry fall back to the ambient
-    checkpoint root (see :mod:`repro.core.checkpoint`). Resume verifies
-    each mode's shards once, loads them, and evaluates only the missing
-    cells; every new row is stored the moment it lands.
+    Under the run context's checkpoint root (see
+    :func:`repro.core.checkpoint.checkpoint_root`) each mode checkpoints
+    in the directory :func:`repro.core.checkpoint.checkpoint_for` derives
+    from the scenario, mode and ``label`` — sweeps with different labels
+    never share shards. Resume verifies each mode's shards once, loads
+    them, and evaluates only the missing cells; every new row is stored
+    the moment it lands. A rerun under the same root loads every shard
+    and evaluates nothing. Without a root nothing is persisted.
 
     ``processes=1`` evaluates in-process, time-outer and mode-inner, so
     a BP + hybrid sweep pays for propagation and visibility queries once
@@ -241,13 +242,22 @@ def map_snapshot_rows(
     # Resume: one verification pass per mode, then only those shards load.
     rows = {mode: np.full((widths[mode], total), np.inf) for mode in modes}
     missing: dict[int, list[ConnectivityMode]] = {i: [] for i in range(total)}
-    resolved = dict(checkpoints or {})
+    context = current()
+    checkpoints = {}
     for mode in modes:
-        if resolved.get(mode) is None:
-            resolved[mode] = active_checkpoint_for(
-                scenario, mode, label=label, times_s=times, row_len=widths[mode]
+        checkpoint = checkpoints[mode] = (
+            None
+            if context.checkpoint_root is None
+            else checkpoint_for(
+                context.checkpoint_root,
+                scenario,
+                mode,
+                context.fresh,
+                label=label,
+                times_s=times,
+                row_len=widths[mode],
             )
-        checkpoint = resolved[mode]
+        )
         completed = checkpoint.completed_indices() if checkpoint is not None else ()
         for i in range(total):
             if i in completed:
@@ -266,7 +276,7 @@ def map_snapshot_rows(
         for mode, row in mode_rows.items():
             row = _coerce_row(row, widths[mode], mode, float(times[index]))
             rows[mode][:, index] = row
-            checkpoint = resolved[mode]
+            checkpoint = checkpoints[mode]
             if checkpoint is not None:
                 obs.incr("checkpoint.misses")
                 try:

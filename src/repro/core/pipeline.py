@@ -15,7 +15,6 @@ from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.context import current
-from repro.core.checkpoint import RttCheckpoint
 from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.core.scenario import Scenario
 from repro.flows.traffic import CityPair, pair_index
@@ -112,7 +111,6 @@ def compute_rtt_series_multi(
     modes,
     *,
     processes: int = 1,
-    checkpoints: "dict[ConnectivityMode, RttCheckpoint] | None" = None,
     policy: FaultPolicy | None = None,
     progress=None,
     fault_hook=None,
@@ -126,12 +124,13 @@ def compute_rtt_series_multi(
     snapshot) or across ``processes`` workers. Pass
     :func:`repro.core.parallel.default_worker_count` for every core.
 
-    ``checkpoints`` maps modes to :class:`repro.core.checkpoint.RttCheckpoint`
-    instances; modes without an entry fall back to the ambient
-    checkpoint root when one is active, so an interrupted sweep resumes
-    from disk. ``policy``, ``progress`` and ``fault_hook`` are
-    documented on the map. Results are bit-identical for any
-    ``processes``. Under strict mode every series is checked, and a
+    Under the run context's checkpoint root
+    (:func:`repro.core.checkpoint.checkpoint_root`, ``repro run
+    --resume``) every row is persisted as it lands: an interrupted sweep
+    resumes from disk, and a rerun under the same root reloads the
+    archived series without evaluating a snapshot. ``policy``,
+    ``progress`` and ``fault_hook`` are documented on the map. Results
+    are bit-identical for any ``processes``. Under strict mode every series is checked, and a
     sweep over both BP and hybrid also checks hybrid <= BP per cell.
     """
     modes = list(modes)
@@ -141,7 +140,6 @@ def compute_rtt_series_multi(
         _rtt_snapshot_row,
         row_len=len(scenario.pairs),
         processes=processes,
-        checkpoints=checkpoints,
         policy=policy,
         progress=progress,
         fault_hook=fault_hook,

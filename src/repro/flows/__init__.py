@@ -5,11 +5,7 @@ from repro.flows.maxflow import lax_max_flow_bps
 from repro.flows.maxmin import MaxMinResult, max_min_fair_allocation
 from repro.flows.routing import RoutedTraffic, SubFlow, route_traffic
 from repro.flows.terouting import route_load_aware
-from repro.flows.throughput import (
-    ThroughputResult,
-    evaluate_throughput,
-    throughput_series_gbps,
-)
+from repro.flows.throughput import ThroughputResult, evaluate_throughput
 from repro.flows.traffic import (
     TRAFFIC_SEED,
     CityPair,
@@ -32,5 +28,4 @@ __all__ = [
     "route_load_aware",
     "ThroughputResult",
     "evaluate_throughput",
-    "throughput_series_gbps",
 ]

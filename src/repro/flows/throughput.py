@@ -15,8 +15,6 @@ supports two documented variations:
 
 from __future__ import annotations
 
-import functools
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,74 +30,7 @@ from repro.network.links import LinkCapacities
 __all__ = [
     "ThroughputResult",
     "evaluate_throughput",
-    "throughput_series_gbps",
-    "throughput_series_label",
 ]
-
-
-def _throughput_snapshot_row(scenario, time_s, mode, k, capacities) -> np.ndarray:
-    """Snapshot-map evaluator: one aggregate throughput number, Gbps."""
-    graph = scenario.graph_at(float(time_s), mode)
-    outcome = evaluate_throughput(graph, scenario.pairs, k=k, capacities=capacities)
-    return np.asarray([outcome.aggregate_gbps])
-
-
-def throughput_series_label(k: int, capacities: LinkCapacities | None) -> str:
-    """Checkpoint label of a throughput series sweep.
-
-    Encodes everything the evaluator depends on beyond the scenario
-    itself (path count and any non-default capacity model), so two
-    sweeps can only share shards when their rows really are
-    interchangeable.
-    """
-    label = f"tput-k{int(k)}"
-    if capacities is not None and capacities != LinkCapacities():
-        digest = hashlib.sha1(repr(capacities).encode()).hexdigest()[:8]
-        label += f"-c{digest}"
-    return label
-
-
-def throughput_series_gbps(
-    scenario,
-    mode,
-    k: int = 1,
-    capacities=None,
-    *,
-    processes: int = 1,
-    policy=None,
-    progress=None,
-    fault_hook=None,
-) -> np.ndarray:
-    """Aggregate throughput at every scenario snapshot, Gbps.
-
-    The paper's Fig. 4/5 quote single aggregate numbers; this helper
-    measures how stable that aggregate actually is as the constellation
-    rotates and aircraft move (BP's number wobbles with the relay field;
-    hybrid's barely moves). One full routing per snapshot — budget
-    accordingly at large scales.
-
-    Runs through the snapshot map
-    (:func:`repro.core.parallel.map_snapshot_rows`): in-process by
-    default, fanned out across ``processes`` workers on request, and
-    resumable under an ambient checkpoint root either way (``policy`` /
-    ``progress`` / ``fault_hook`` as documented there).
-    """
-    from repro.core.parallel import map_snapshot_rows
-
-    rows = map_snapshot_rows(
-        scenario,
-        [mode],
-        functools.partial(
-            _throughput_snapshot_row, k=int(k), capacities=capacities
-        ),
-        row_len=1,
-        label=throughput_series_label(k, capacities),
-        processes=processes,
-        policy=policy,
-        progress=progress,
-        fault_hook=fault_hook,
-    )
-    return rows[mode][0]
 
 
 def _with_satellite_cap(

@@ -2,7 +2,7 @@
 
 Resume-time verification only inspects the checkpoint directory a sweep
 is about to reuse. This module audits an *entire* artifact tree after
-the fact — before archived series feed a plot, or in CI after a smoke
+the fact — before archived results feed a plot, or in CI after a smoke
 sweep — and reports every violation it can find without recomputing
 anything. It holds no rules of its own; each artifact family is judged
 by the code that owns it:
@@ -11,12 +11,13 @@ by the code that owns it:
   :func:`repro.core.checkpoint.audit_checkpoint_dir`, the same shard
   checks resume applies, read-only — a shard ``repro verify`` flags is
   exactly one resume would quarantine and recompute;
-* **kind-tagged JSON artifacts** (results and metrics):
-  validated against their schemas from :mod:`repro.obs.schema`;
-* **``.npz`` RTT series**: loaded by
-  :func:`repro.persistence.load_rtt_series` (structure) and checked by
-  :func:`repro.integrity.guards.check_rtt_series` (no NaN, no negative
-  RTT).
+* **JSON artifacts** (results and metrics): validated against their
+  ``kind``'s schema from :mod:`repro.obs.schema` — the one rule set
+  :func:`repro.persistence.load_experiment_result` applies too, so
+  ``repro verify`` and ``repro report`` reject the same files. An
+  untagged payload, or one that is not a JSON object, is judged as a
+  result (:func:`repro.obs.schema.artifact_kind`); an unknown ``kind``
+  is not the audit's to judge.
 
 Quarantine subdirectories are skipped — their contents are *known* bad;
 re-flagging them would turn every healed sweep into a failing audit.
@@ -31,14 +32,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.integrity.guards import InvariantViolation, check_rtt_series
 from repro.integrity.quarantine import QUARANTINE_DIRNAME
 from repro.obs.schema import (
     METRICS_SCHEMA,
     RESULT_SCHEMA,
     SchemaError,
+    artifact_kind,
     validate,
 )
 
@@ -56,8 +55,6 @@ _KIND_SCHEMAS = {
     "result": RESULT_SCHEMA,
     "metrics": METRICS_SCHEMA,
 }
-
-_SERIES_KEYS = {"mode", "times_s", "rtt_ms"}
 
 
 @dataclass(frozen=True)
@@ -115,41 +112,16 @@ def _verify_json(path: Path) -> list[Violation]:
     """Audit one standalone JSON artifact by its ``kind`` tag."""
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return [Violation(path, "json-unreadable", str(exc))]
-    if not isinstance(payload, dict):
-        return []  # not a kind-tagged artifact (e.g. a list) — out of scope
-    kind = payload.get("kind")
+    kind = artifact_kind(payload)
     schema = _KIND_SCHEMAS.get(kind)
     if schema is None:
-        return []  # unknown/absent kind: not ours to judge
+        return []  # unknown kind: not ours to judge
     try:
         validate(payload, schema)
     except SchemaError as exc:
         return [Violation(path, f"bad-{kind}", str(exc))]
-    return []
-
-
-def _verify_series(path: Path) -> list[Violation]:
-    """Audit one ``.npz`` RTT-series artifact."""
-    from repro.persistence import load_rtt_series
-
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if not _SERIES_KEYS <= set(data.files):
-                return []  # some other .npz — out of scope
-    except Exception as exc:  # not an npz archive, or a damaged directory
-        return [Violation(path, "series-unreadable", str(exc))]
-    try:
-        series = load_rtt_series(path)
-    except ValueError as exc:
-        return [Violation(path, "series-malformed", str(exc))]
-    except Exception as exc:  # a damaged member: zipfile, zlib, OS errors
-        return [Violation(path, "series-unreadable", str(exc))]
-    try:
-        check_rtt_series(series, source=path.name)
-    except InvariantViolation as exc:
-        return [Violation(path, "invalid-rtt", str(exc))]
     return []
 
 
@@ -184,7 +156,4 @@ def verify_tree(root: str | Path) -> VerifyReport:
         if path.suffix == ".json":
             bump("json artifacts")
             violations.extend(_verify_json(path))
-        elif path.suffix == ".npz":
-            bump("npz series")
-            violations.extend(_verify_series(path))
     return VerifyReport(root=root, violations=violations, checked=checked)

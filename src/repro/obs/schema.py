@@ -21,6 +21,7 @@ __all__ = [
     "METRICS_SCHEMA",
     "RESULT_SCHEMA",
     "SchemaError",
+    "artifact_kind",
     "validate",
 ]
 
@@ -88,6 +89,17 @@ RESULT_SCHEMA = {
     },
 }
 
+
+def artifact_kind(payload) -> str:
+    """The ``kind`` a parsed JSON artifact is judged as.
+
+    An untagged payload predates the tag and counts as a result, as does
+    anything that is not a JSON object: :data:`RESULT_SCHEMA` then
+    rejects it.
+    """
+    return payload.get("kind", "result") if isinstance(payload, dict) else "result"
+
+
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -120,9 +132,13 @@ def validate(payload, schema: dict, path: str = "$") -> None:
         if payload < schema["minimum"]:
             raise SchemaError(f"{path}: {payload!r} below minimum {schema['minimum']}")
     if isinstance(payload, dict):
-        for key in schema.get("required", ()):
-            if key not in payload:
-                raise SchemaError(f"{path}: missing required key {key!r}")
+        missing = [key for key in schema.get("required", ()) if key not in payload]
+        if missing:
+            also = ", ".join(repr(key) for key in missing[1:])
+            raise SchemaError(
+                f"{path}: missing required key {missing[0]!r}"
+                + (f" (also {also})" if also else "")
+            )
         properties = schema.get("properties", {})
         for key, value in payload.items():
             if key in properties:

@@ -1,88 +1,30 @@
-"""Persistence: save and reload simulation outputs.
+"""Persistence: save and reload experiment results.
 
-Full-scale runs take hours; this module lets the expensive artifacts —
-RTT series and experiment results — survive the process. RTT series go
-to ``.npz`` (compact, lossless); experiment results to JSON with numpy
-arrays converted to lists (human-inspectable, diff-able).
+An experiment result goes to JSON with numpy arrays converted to lists
+(human-inspectable, diff-able); :func:`save_experiment_result` is its one
+writer, :func:`load_experiment_result` its one reader, and
+:data:`repro.obs.schema.RESULT_SCHEMA` its one validator, shared with
+``repro verify``. A sweep's rows persist only as checkpoint shards under
+the run context's checkpoint root (:mod:`repro.core.checkpoint`):
+rerunning the sweep under the same root is how an archived series is
+reloaded.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.checkpoint import atomic_write_bytes
-from repro.core.pipeline import RttSeries
 from repro.experiments.base import ExperimentResult
-from repro.network.graph import ConnectivityMode
+from repro.obs.schema import RESULT_SCHEMA, artifact_kind, validate
 
 __all__ = [
-    "save_rtt_series",
-    "load_rtt_series",
     "save_experiment_result",
     "load_experiment_result",
 ]
-
-
-def save_rtt_series(series: RttSeries, path: str | Path) -> Path:
-    """Write an RTT series to ``path`` (``.npz`` appended if missing).
-
-    The write is atomic (temp file in the target directory, then
-    ``os.replace``): a crash mid-write never leaves a truncated ``.npz``.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        mode=np.array(series.mode.value),
-        times_s=series.times_s,
-        rtt_ms=series.rtt_ms,
-    )
-    return atomic_write_bytes(path, buffer.getvalue())
-
-
-def load_rtt_series(path: str | Path) -> RttSeries:
-    """Inverse of :func:`save_rtt_series`.
-
-    The payload is validated structurally before anything downstream
-    touches it: required arrays present, ``rtt_ms`` 2-D with one column
-    per snapshot time, a known connectivity mode. A truncated or
-    foreign ``.npz`` raises a ``ValueError`` naming the file, not an
-    opaque ``KeyError`` inside a plotting script.
-    """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        missing = [key for key in ("mode", "times_s", "rtt_ms") if key not in data]
-        if missing:
-            raise ValueError(
-                f"malformed RTT series {path}: missing array(s) "
-                f"{', '.join(missing)}"
-            )
-        mode_value = str(data["mode"])
-        times_s = np.asarray(data["times_s"], dtype=float)
-        rtt_ms = np.asarray(data["rtt_ms"], dtype=float)
-    try:
-        mode = ConnectivityMode(mode_value)
-    except ValueError as exc:
-        raise ValueError(
-            f"malformed RTT series {path}: unknown mode {mode_value!r}"
-        ) from exc
-    if rtt_ms.ndim != 2:
-        raise ValueError(
-            f"malformed RTT series {path}: rtt_ms must be 2-D "
-            f"(pairs x snapshots), got shape {rtt_ms.shape}"
-        )
-    if rtt_ms.shape[1] != len(times_s):
-        raise ValueError(
-            f"malformed RTT series {path}: {rtt_ms.shape[1]} snapshot "
-            f"columns but {len(times_s)} snapshot times"
-        )
-    return RttSeries(mode=mode, times_s=times_s, rtt_ms=rtt_ms)
 
 
 def _jsonable(value):
@@ -133,37 +75,27 @@ def save_experiment_result(result: ExperimentResult, path: str | Path) -> Path:
     return atomic_write_bytes(path, json.dumps(payload, indent=1).encode())
 
 
-_RESULT_KEYS = ("experiment_id", "title", "scale_name", "tables", "headline", "data")
-
-
 def load_experiment_result(path: str | Path) -> ExperimentResult:
     """Load a previously saved experiment result.
 
     Arrays come back as plain lists (JSON has no ndarray); callers that
-    need arrays should wrap with ``np.asarray``. Malformed or legacy
-    payloads raise a ``ValueError`` naming the missing key(s); a payload
-    of a different kind — e.g. the ``metrics.json`` that ``repro run
-    --out DIR --profile`` writes beside the results — is rejected by its
-    ``kind`` tag rather than loaded as garbage.
+    need arrays should wrap with ``np.asarray``. A payload of a different
+    kind — e.g. the ``metrics.json`` that ``repro run --out DIR
+    --profile`` writes beside the results — is rejected by its ``kind``
+    tag (see :func:`~repro.obs.schema.artifact_kind`); anything else is
+    judged by :data:`~repro.obs.schema.RESULT_SCHEMA`, exactly as
+    ``repro verify`` judges it. Every failure, unparsable JSON included,
+    is a ``ValueError`` naming the file.
     """
     path = Path(path)
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"malformed experiment result {path}: expected a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    kind = payload.get("kind", "result")  # pre-observability files: no tag
-    if kind != "result":
-        raise ValueError(
-            f"{path} holds a {kind!r} payload, not an experiment result"
-        )
-    missing = [key for key in _RESULT_KEYS if key not in payload]
-    if missing:
-        raise ValueError(
-            f"malformed experiment result {path}: missing key(s) "
-            f"{', '.join(missing)}"
-        )
+    try:
+        payload = json.loads(path.read_text())
+        kind = artifact_kind(payload)
+        if kind != "result":
+            raise ValueError(f"holds a {kind!r} payload, not an experiment result")
+        validate(payload, RESULT_SCHEMA)
+    except ValueError as exc:  # JSON, encoding and schema errors alike
+        raise ValueError(f"malformed experiment result {path}: {exc}") from exc
     return ExperimentResult(
         experiment_id=payload["experiment_id"],
         title=payload["title"],

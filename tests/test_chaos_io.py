@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.context import run_context
-from repro.core.checkpoint import RttCheckpoint
+from repro.core.checkpoint import RttCheckpoint, checkpoint_for, checkpoint_root
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.faults import (
     IO_FAULT_KINDS,
@@ -33,10 +33,22 @@ def clean_series(tiny_scenario):
     return compute_rtt_series_multi(tiny_scenario, [MODE])[MODE]
 
 
-def _open_checkpoint(tiny_scenario, directory) -> RttCheckpoint:
-    return RttCheckpoint.open(
-        directory, MODE, tiny_scenario.times_s, len(tiny_scenario.pairs)
+def _open_checkpoint(tiny_scenario, root) -> RttCheckpoint:
+    """The checkpoint the sweep of ``tiny_scenario`` uses under ``root``."""
+    return checkpoint_for(
+        root,
+        tiny_scenario,
+        MODE,
+        label="",
+        times_s=tiny_scenario.times_s,
+        row_len=len(tiny_scenario.pairs),
     )
+
+
+def _sweep(tiny_scenario, root, **kwargs):
+    """One checkpointed sweep under ``root``; returns the series."""
+    with checkpoint_root(root):
+        return compute_rtt_series_multi(tiny_scenario, [MODE], **kwargs)[MODE]
 
 
 class TestIoFaultSpec:
@@ -69,12 +81,16 @@ class TestIoFaultSpec:
         assert sum(a != b for a, b in zip(data, flipped)) == 1
 
 
-def _sweep_through_fault(tiny_scenario, directory, spec):
-    """Run a checkpointed sweep with ``spec`` armed; return the series."""
-    ck = _open_checkpoint(tiny_scenario, directory)
+def _sweep_through_fault(tiny_scenario, root, spec):
+    """Run a checkpointed sweep with ``spec`` armed; return the series.
+
+    The checkpoint is opened first, so its manifest exists before the
+    fault is armed and the fault hits the sweep's own writes.
+    """
+    ck = _open_checkpoint(tiny_scenario, root)
     with run_context(io_fault=spec):
-        series = compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
-        return series[MODE], ck
+        series = _sweep(tiny_scenario, root)
+    return series, ck
 
 
 @pytest.mark.parametrize("kind", IO_FAULT_KINDS)
@@ -96,12 +112,9 @@ def test_sweep_survives_and_heals_byte_identically(
 
     # Resume on healthy storage: verification quarantines the damage and
     # the recompute converges byte-identically.
-    ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-    healed = compute_rtt_series_multi(
-        tiny_scenario, [MODE], checkpoints={MODE: ck}
-    )[MODE]
+    healed = _sweep(tiny_scenario, tmp_path / "ck")
     assert healed.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
-    assert ck.is_complete()
+    assert _open_checkpoint(tiny_scenario, tmp_path / "ck").is_complete()
 
 
 def test_torn_write_is_quarantined_with_reason(
@@ -114,7 +127,7 @@ def test_torn_write_is_quarantined_with_reason(
     completed = ck.completed_indices()
     assert completed == {1, 2}  # the torn first shard is gone
     assert integrity_counters().get("quarantined", 0) == before + 1
-    (record,) = quarantine_reasons(tmp_path / "ck")
+    (record,) = quarantine_reasons(ck.directory)
     assert record["file"] == "snap_00000.npz"
     assert "digest mismatch" in record["reason"]
 
@@ -126,7 +139,7 @@ def test_stale_manifest_leaves_unrecorded_shard(
     _sweep_through_fault(tiny_scenario, tmp_path / "ck", spec)
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     assert ck.completed_indices() == {1, 2}
-    (record,) = quarantine_reasons(tmp_path / "ck")
+    (record,) = quarantine_reasons(ck.directory)
     assert "no digest in the manifest" in record["reason"]
 
 
@@ -138,28 +151,24 @@ def test_disk_full_degrades_gracefully(tiny_scenario, tmp_path, clean_series):
     assert integrity_counters().get("store_errors", 0) == before + 2
     # The two dropped shards simply are not there; nothing corrupt.
     assert ck.completed_indices() == {2}
-    assert quarantine_reasons(tmp_path / "ck") == []
+    assert quarantine_reasons(ck.directory) == []
 
 
 def test_disk_full_in_parallel_sweep_degrades_gracefully(
     tiny_scenario, tmp_path, clean_series
 ):
-
-    ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
     with run_context(io_fault=spec):
-        series = compute_rtt_series_multi(
-            tiny_scenario, [MODE], processes=2, checkpoints={MODE: ck}
-        )[MODE]
+        series = _sweep(tiny_scenario, tmp_path / "ck", processes=2)
     assert series.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
+    ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     assert len(ck.completed_indices()) == 2  # one store dropped, rest landed
 
 
 class TestVerifyCli:
     def _checkpointed_tree(self, tiny_scenario, tmp_path):
-        ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck})
-        return ck
+        _sweep(tiny_scenario, tmp_path / "ck")
+        return _open_checkpoint(tiny_scenario, tmp_path / "ck")
 
     def test_clean_tree_passes(self, tiny_scenario, tmp_path, capsys):
         from repro.cli import main
@@ -195,6 +204,5 @@ class TestVerifyCli:
 
         # Heal: resume quarantines + recomputes; the audit then passes
         # (quarantine contents are deliberately out of scope).
-        ck2 = _open_checkpoint(tiny_scenario, tmp_path / "ck")
-        compute_rtt_series_multi(tiny_scenario, [MODE], checkpoints={MODE: ck2})
+        _sweep(tiny_scenario, tmp_path / "ck")
         assert main(["verify", str(tmp_path)]) == 0

@@ -62,20 +62,6 @@ class TestRttCheckpoint:
         names = sorted(p.name for p in (tmp_path / "ck").iterdir())
         assert names == ["manifest.json", "snap_00000.npz"]
 
-    def test_assemble_complete(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
-        for i in range(3):
-            ck.store_snapshot(i, np.array([float(i), float(10 * i)]))
-        series = ck.assemble()
-        assert series.mode is ConnectivityMode.HYBRID
-        np.testing.assert_array_equal(series.rtt_ms[:, 2], [2.0, 20.0])
-
-    def test_assemble_incomplete_raises(self, tmp_path, times):
-        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.HYBRID, times, 2)
-        ck.store_snapshot(0, np.array([1.0, 2.0]))
-        with pytest.raises(CheckpointMismatchError, match="missing snapshots"):
-            ck.assemble()
-
     def test_wrong_shape_rejected(self, tmp_path, times):
         ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(ValueError, match="shape"):
@@ -164,6 +150,18 @@ def _crash_after_first_snapshot(index: int, time_s: float) -> None:
         raise RuntimeError("injected mid-run crash")
 
 
+def _rtt_checkpoint(root, scenario, mode) -> RttCheckpoint:
+    """The checkpoint an RTT sweep of ``scenario`` uses under ``root``."""
+    return checkpoint_for(
+        root,
+        scenario,
+        mode,
+        label="",
+        times_s=scenario.times_s,
+        row_len=len(scenario.pairs),
+    )
+
+
 class TestResume:
     """The acceptance story: kill a sweep mid-run, resume from shards."""
 
@@ -172,24 +170,21 @@ class TestResume:
     ):
         mode = ConnectivityMode.BP_ONLY
         baseline = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
-        ck = RttCheckpoint.open(
-            tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
-        )
 
         # "Kill" the sweep: workers crash on every snapshot but the first,
         # retries exhausted, no serial rescue — exactly a mid-run abort.
-        with pytest.raises(SweepError) as excinfo:
+        with checkpoint_root(tmp_path), pytest.raises(SweepError) as excinfo:
             compute_rtt_series_multi(
                 tiny_scenario,
                 [mode],
                 processes=2,
-                checkpoints={mode: ck},
                 fault_hook=_crash_after_first_snapshot,
                 policy=FaultPolicy(
                     max_attempts=1, backoff_base_s=0.0, serial_fallback=False
                 ),
             )
         assert {f.index for f in excinfo.value.failures} == {1, 2}
+        ck = _rtt_checkpoint(tmp_path, tiny_scenario, mode)
         assert ck.completed_indices() == {0}
 
         # Resume: count actual snapshot computations; the checkpointed
@@ -202,9 +197,8 @@ class TestResume:
             return real(graph, pairs)
 
         monkeypatch.setattr(pipeline, "pair_rtts_on_graph", counting)
-        resumed = compute_rtt_series_multi(
-            tiny_scenario, [mode], checkpoints={mode: ck}
-        )[mode]
+        with checkpoint_root(tmp_path):
+            resumed = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
 
         expected_times = [float(t) for t in tiny_scenario.times_s[1:]]
         assert computed_times == expected_times  # snapshot 0 never recomputed
@@ -216,25 +210,20 @@ class TestResume:
         self, tiny_scenario, tmp_path
     ):
         mode = ConnectivityMode.BP_ONLY
-        ck = RttCheckpoint.open(
-            tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
-        )
-        first = compute_rtt_series_multi(
-            tiny_scenario, [mode], checkpoints={mode: ck}
-        )[mode]
-        assert ck.is_complete()
 
         def explode(index, time_s):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a checkpointed snapshot")
 
-        resumed = compute_rtt_series_multi(
-            tiny_scenario,
-            [mode],
-            processes=2,
-            checkpoints={mode: ck},
-            fault_hook=explode,
-            policy=FaultPolicy(max_attempts=1, serial_fallback=False),
-        )[mode]
+        with checkpoint_root(tmp_path):
+            first = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
+            assert _rtt_checkpoint(tmp_path, tiny_scenario, mode).is_complete()
+            resumed = compute_rtt_series_multi(
+                tiny_scenario,
+                [mode],
+                processes=2,
+                fault_hook=explode,
+                policy=FaultPolicy(max_attempts=1, serial_fallback=False),
+            )[mode]
         np.testing.assert_array_equal(resumed.rtt_ms, first.rtt_ms)
 
     def test_serial_sweep_checkpoints_under_ambient_root(
@@ -243,24 +232,24 @@ class TestResume:
         mode = ConnectivityMode.BP_ONLY
         with checkpoint_root(tmp_path):
             series = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
-            ck = checkpoint_for(tmp_path, tiny_scenario, mode)
-            assert ck.is_complete()
-            np.testing.assert_array_equal(ck.assemble().rtt_ms, series.rtt_ms)
+        ck = _rtt_checkpoint(tmp_path, tiny_scenario, mode)
+        assert ck.is_complete()
+        for index in range(ck.num_snapshots):
+            np.testing.assert_array_equal(
+                ck.load_snapshot(index), series.rtt_ms[:, index]
+            )
 
     def test_progress_reports_resumed_rows(self, tiny_scenario, tmp_path):
         mode = ConnectivityMode.BP_ONLY
-        ck = RttCheckpoint.open(
-            tmp_path / "ck", mode, tiny_scenario.times_s, len(tiny_scenario.pairs)
-        )
-        compute_rtt_series_multi(tiny_scenario, [mode], checkpoints={mode: ck})
         ticks = []
-        compute_rtt_series_multi(
-            tiny_scenario,
-            [mode],
-            processes=2,
-            checkpoints={mode: ck},
-            progress=lambda done, total: ticks.append((done, total)),
-        )
+        with checkpoint_root(tmp_path):
+            compute_rtt_series_multi(tiny_scenario, [mode])
+            compute_rtt_series_multi(
+                tiny_scenario,
+                [mode],
+                processes=2,
+                progress=lambda done, total: ticks.append((done, total)),
+            )
         assert ticks == [(3, 3)]
 
 
@@ -277,6 +266,11 @@ def _filled_checkpoint(directory, times, num_pairs=3):
 def _row(index: int, num_pairs: int) -> np.ndarray:
     """Deterministic stand-in for one snapshot's computed RTT row."""
     return np.arange(num_pairs, dtype=float) + 100.0 * index + 1.0
+
+
+def _stacked_rows(ck: RttCheckpoint) -> np.ndarray:
+    """Every shard's row, as the columns of one array."""
+    return np.stack([ck.load_snapshot(i) for i in range(ck.num_snapshots)], axis=1)
 
 
 def _rerecord_digest(ck: RttCheckpoint, index: int) -> None:
@@ -416,7 +410,7 @@ class TestReconvergence:
         directory = tmp_path_factory.mktemp("ck") / "ck"
         times = np.array([0.0, 900.0, 1800.0])
         ck = _filled_checkpoint(directory, times)
-        clean = ck.assemble()
+        clean = _stacked_rows(ck)
 
         manifest_path = directory / "manifest.json"
         for index, op in enumerate(ops):
@@ -439,6 +433,5 @@ class TestReconvergence:
         assert surviving == {i for i, op in enumerate(ops) if op == "none"}
         for index in set(range(3)) - surviving:
             ck.store_snapshot(index, _row(index, 3))
-        healed = ck.assemble()
-        assert healed.rtt_ms.tobytes() == clean.rtt_ms.tobytes()
+        assert _stacked_rows(ck).tobytes() == clean.tobytes()
         assert ck.completed_indices() == {0, 1, 2}

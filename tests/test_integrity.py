@@ -576,48 +576,35 @@ class TestVerifyTree:
         (tmp_path / "other.json").write_text(json.dumps({"kind": "mystery"}))
         assert verify_tree(tmp_path).ok
 
+    # A swept series persists as checkpoint shards; these audit it there.
     def test_saved_series_roundtrip_passes(self, tmp_path):
-        from repro.persistence import save_rtt_series
-
-        save_rtt_series(_series([[1.0, np.inf]]), tmp_path / "s.npz")
+        _checkpoint(tmp_path)
         report = verify_tree(tmp_path)
-        assert report.ok and report.checked.get("npz series") == 1
+        assert report.ok and report.checked == {"checkpoints": 1}
 
     def test_nan_series_flagged(self, tmp_path):
-        from repro.persistence import save_rtt_series
-
-        save_rtt_series(_series([[np.nan, 1.0]]), tmp_path / "s.npz")
+        ck = _checkpoint(tmp_path)
+        ck.store_snapshot(1, np.array([np.nan, 1.0, 2.0]))
         report = verify_tree(tmp_path)
         assert [v.code for v in report.violations] == ["invalid-rtt"]
-
-    def test_negative_series_flagged(self, tmp_path):
-        from repro.persistence import save_rtt_series
-
-        save_rtt_series(_series([[-1.0, 1.0]]), tmp_path / "s.npz")
-        report = verify_tree(tmp_path)
-        assert [v.code for v in report.violations] == ["invalid-rtt"]
-
-    def test_unknown_mode_series_flagged(self, tmp_path):
-        np.savez(
-            tmp_path / "s.npz",
-            mode=np.array("warp"),
-            times_s=np.zeros(2),
-            rtt_ms=np.ones((1, 2)),
-        )
-        report = verify_tree(tmp_path)
-        assert [v.code for v in report.violations] == ["series-malformed"]
-        assert "unknown mode 'warp'" in report.violations[0].detail
 
     def test_damaged_series_reported_not_raised(self, tmp_path):
-        from repro.persistence import save_rtt_series
-
-        path = tmp_path / "s.npz"
-        save_rtt_series(_series(np.ones((50, 3))), path)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01  # in rtt_ms's member header: BadZipFile on read
-        path.write_bytes(bytes(raw))
+        # Damage behind a matching digest: only reading the archive finds it.
+        ck = _checkpoint(tmp_path)
+        _flip_bit(ck.shard_path(1))
+        _set_digest(ck, "snap_00001.npz", digest_file(ck.shard_path(1)))
         report = verify_tree(tmp_path)
-        assert [v.code for v in report.violations] == ["series-unreadable"]
+        assert [v.code for v in report.violations] == ["shard-malformed"]
+
+    def test_unknown_mode_series_flagged(self, tmp_path):
+        ck = _checkpoint(tmp_path)
+        manifest_path = ck.directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["mode"] = "warp"
+        manifest_path.write_text(json.dumps(manifest))
+        report = verify_tree(tmp_path)
+        assert [v.code for v in report.violations] == ["manifest-malformed"]
+        assert "'warp'" in report.violations[0].detail
 
     def test_quarantine_contents_not_reflagged(self, tmp_path):
         qdir = tmp_path / "quarantine"
@@ -774,24 +761,22 @@ class TestCheckpointAudit:
 
 
 class TestPersistenceValidation:
-    def test_foreign_npz_rejected(self, tmp_path):
-        from repro.persistence import load_rtt_series
+    """Resume rejects a shard it cannot read as its sweep's row."""
 
-        np.savez(tmp_path / "x.npz", other=np.zeros(3))
-        with pytest.raises(ValueError, match="missing array"):
-            load_rtt_series(tmp_path / "x.npz")
+    def test_foreign_npz_rejected(self, tmp_path):
+        ck = _checkpoint(tmp_path)
+        np.savez(ck.shard_path(1), other=np.zeros(3))
+        _set_digest(ck, "snap_00001.npz", digest_file(ck.shard_path(1)))
+        assert ck.completed_indices() == {0, 2}
+        (record,) = quarantine_reasons(ck.directory)
+        assert "rtt_ms" in record["reason"]
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        from repro.persistence import load_rtt_series
-
-        np.savez(
-            tmp_path / "x.npz",
-            mode=np.array("bp"),
-            times_s=np.zeros(3),
-            rtt_ms=np.zeros((2, 2)),
-        )
-        with pytest.raises(ValueError, match="snapshot"):
-            load_rtt_series(tmp_path / "x.npz")
+        ck = _checkpoint(tmp_path)
+        _commit(ck, 1, np.ones(2))
+        assert ck.completed_indices() == {0, 2}
+        (record,) = quarantine_reasons(ck.directory)
+        assert "shape" in record["reason"]
 
 
 class TestPresetValidation:

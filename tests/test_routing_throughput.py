@@ -1,8 +1,12 @@
 """Unit and integration tests for routing + throughput evaluation."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core.parallel import map_snapshot_rows
+from repro.experiments.fig4_throughput import _matrix_snapshot_row
 from repro.flows.routing import route_traffic
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
@@ -115,17 +119,24 @@ class TestEvaluateThroughput:
             previous = result.aggregate_bps
 
 
+def _throughput_series(scenario, modes) -> dict:
+    """k = 1 aggregate throughput at every snapshot, Gbps, per mode.
+
+    fig4's evaluator mapped over the scenario's snapshot grid.
+    """
+    evaluator = functools.partial(_matrix_snapshot_row, ks=(1,), capacities=None)
+    rows = map_snapshot_rows(scenario, modes, evaluator, row_len=1)
+    return {mode: rows[mode][0] for mode in modes}
+
+
 class TestThroughputSeries:
     def test_series_shape_and_positivity(self, tiny_scenario):
-        from repro.flows.throughput import throughput_series_gbps
-
-        series = throughput_series_gbps(tiny_scenario, ConnectivityMode.HYBRID, k=1)
+        hybrid = ConnectivityMode.HYBRID
+        series = _throughput_series(tiny_scenario, [hybrid])[hybrid]
         assert series.shape == (len(tiny_scenario.times_s),)
         assert np.all(series > 0)
 
     def test_hybrid_dominates_bp_at_every_snapshot(self, tiny_scenario):
-        from repro.flows.throughput import throughput_series_gbps
-
-        bp = throughput_series_gbps(tiny_scenario, ConnectivityMode.BP_ONLY, k=1)
-        hybrid = throughput_series_gbps(tiny_scenario, ConnectivityMode.HYBRID, k=1)
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        bp, hybrid = _throughput_series(tiny_scenario, modes).values()
         assert np.all(hybrid >= bp)

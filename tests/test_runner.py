@@ -275,6 +275,13 @@ class TestIntegrityIntegration:
             fresh=True, echo=_silent,
         )
         assert not summary.failures
-        ck = checkpoint_for(tmp_path, tiny_scenario, mode)
+        ck = checkpoint_for(
+            tmp_path,
+            tiny_scenario,
+            mode,
+            label="",
+            times_s=tiny_scenario.times_s,
+            row_len=len(tiny_scenario.pairs),
+        )
         assert ck.is_complete()
         assert (tmp_path / "quarantine").is_dir()

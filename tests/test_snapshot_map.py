@@ -1,12 +1,12 @@
 """Tests for the snapshot map.
 
 :func:`repro.core.parallel.map_snapshot_rows` is the single sweep
-engine behind the RTT series, the throughput series, and the
-fig4/fig5/disconnected experiments. This module locks the engine's own
-contract — every ``processes`` value produces bit-identical rows, the
-same checkpoint counters and ``snapshot`` spans, and progress by one
-rule; resume verifies each shard once; labelled checkpoints isolate and
-resume sweeps; faults are survived — plus the straggler property the
+engine behind the RTT series and the fig4/fig5/disconnected
+experiments. This module locks the engine's own contract — every
+``processes`` value produces bit-identical rows, the same checkpoint
+counters and ``snapshot`` spans, and progress by one rule; resume
+verifies each shard once; labelled checkpoints isolate and resume
+sweeps; faults are survived — plus the straggler property the
 ``concurrent.futures.wait`` rewrite bought: one timeout window covers
 *all* in-flight hung workers instead of stacking a window per future.
 
@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import active_checkpoint_for, checkpoint_root
+from repro.core.checkpoint import checkpoint_for, checkpoint_root
 from repro.core.parallel import FaultPolicy, map_snapshot_rows
 from repro.experiments.disconnected import _component_row
 from repro.experiments.fig4_throughput import _matrix_snapshot_row
 from repro.experiments.fig5_isl_capacity import RATIOS, _capacity_sweep_row
-from repro.flows.throughput import throughput_series_gbps
 from repro.network.graph import ConnectivityMode
 from repro.obs import observe
 
@@ -233,8 +232,8 @@ def _contract_run(scenario, root, processes, resumed):
     """One sweep over seeded shards: rows, counters, spans, progress."""
     with checkpoint_root(root):
         for mode in MODES:
-            checkpoint = active_checkpoint_for(
-                scenario, mode, label="contract", times_s=TIMES, row_len=3
+            checkpoint = checkpoint_for(
+                root, scenario, mode, label="contract", times_s=TIMES, row_len=3
             )
             for i in resumed[mode]:
                 checkpoint.store_snapshot(i, _poly_row(None, float(TIMES[i]), mode))
@@ -288,8 +287,8 @@ class TestCheckpointResume:
     def test_partial_resume_verifies_each_shard_once(self, tiny_scenario, tmp_path):
         times = TIMES[:4]
         with checkpoint_root(tmp_path):
-            checkpoint = active_checkpoint_for(
-                tiny_scenario, BP, times_s=times, row_len=3
+            checkpoint = checkpoint_for(
+                tmp_path, tiny_scenario, BP, label="", times_s=times, row_len=3
             )
             for i in (0, 2):
                 checkpoint.store_snapshot(i, _poly_row(None, float(times[i]), BP))
@@ -438,24 +437,30 @@ class TestExperimentEvaluators:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
 
+#: fig4's evaluator at k = 1: one aggregate throughput number per snapshot.
+_TPUT_K1 = functools.partial(_matrix_snapshot_row, ks=(1,), capacities=None)
+
+
+def _throughput_series(scenario, **kwargs) -> np.ndarray:
+    """Hybrid k = 1 throughput at every snapshot of ``scenario``, Gbps."""
+    rows = map_snapshot_rows(
+        scenario, [HYBRID], _TPUT_K1, row_len=1, label="fig4-k1", **kwargs
+    )
+    return rows[HYBRID][0]
+
+
 class TestThroughputSeries:
     def test_parallel_matches_serial(self, tiny_scenario):
-        serial = throughput_series_gbps(tiny_scenario, HYBRID, k=1, processes=1)
-        parallel = throughput_series_gbps(
-            tiny_scenario, HYBRID, k=1, processes=2
-        )
+        serial = _throughput_series(tiny_scenario, processes=1)
+        parallel = _throughput_series(tiny_scenario, processes=2)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_crashing_workers_do_not_skew_numbers(
         self, tiny_scenario, flag_dir
     ):
-        baseline = throughput_series_gbps(
-            tiny_scenario, HYBRID, k=1, processes=1
-        )
-        survived = throughput_series_gbps(
+        baseline = _throughput_series(tiny_scenario, processes=1)
+        survived = _throughput_series(
             tiny_scenario,
-            HYBRID,
-            k=1,
             processes=2,
             fault_hook=_crash_once_per_snapshot,
             policy=FaultPolicy(max_attempts=3, backoff_base_s=0.01),
@@ -463,20 +468,16 @@ class TestThroughputSeries:
         np.testing.assert_array_equal(survived, baseline)
 
     def test_resume_is_bit_identical(self, tiny_scenario, tmp_path):
-        fresh = throughput_series_gbps(tiny_scenario, HYBRID, k=1, processes=1)
+        fresh = _throughput_series(tiny_scenario)
         with checkpoint_root(tmp_path):
-            first = throughput_series_gbps(
-                tiny_scenario, HYBRID, k=1, processes=1
-            )
+            first = _throughput_series(tiny_scenario)
             with observe() as registry:
-                resumed = throughput_series_gbps(
-                    tiny_scenario, HYBRID, k=1, processes=1
-                )
+                resumed = _throughput_series(tiny_scenario)
         counters = registry.snapshot()["counters"]
         assert counters["checkpoint.hits"] == len(tiny_scenario.times_s)
         np.testing.assert_array_equal(first, fresh)
         np.testing.assert_array_equal(resumed, fresh)
         # The sweep landed under its throughput label, not the RTT one.
         assert any(
-            p.name.startswith("tput-k1-") for p in tmp_path.iterdir()
+            p.name.startswith("fig4-k1-") for p in tmp_path.iterdir()
         )

@@ -16,7 +16,6 @@ from repro.core.engine import (
 )
 from repro.core.metrics import (
     PairRttStats,
-    cdf_points,
     distribution_summary,
     rtt_stats,
 )
@@ -40,12 +39,11 @@ from repro.core.pipeline import (
     pair_path_at,
     pair_paths_on_graph,
 )
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
+from repro.core.scenario import Scenario, ScenarioScale
 
 __all__ = [
     "Scenario",
     "ScenarioScale",
-    "full_scale_requested",
     "RttSeries",
     "compute_rtt_series_multi",
     "default_worker_count",
@@ -72,7 +70,6 @@ __all__ = [
     "PairRttStats",
     "rtt_stats",
     "distribution_summary",
-    "cdf_points",
     "LatencyComparison",
     "compare_latency",
 ]

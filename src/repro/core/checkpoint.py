@@ -440,12 +440,18 @@ class RttCheckpoint:
         The shard is committed first, then its content digest is recorded
         in the manifest; a crash between the two leaves an *unrecorded*
         shard, which resume quarantines and recomputes — never trusts.
+        A row that :meth:`_shard_problem` would reject (NaN entries)
+        raises ``ValueError`` before anything is written.
         """
         rtts_ms = np.asarray(rtts_ms, dtype=float)
         if rtts_ms.shape != (self.num_pairs,):
             raise ValueError(
                 f"snapshot row has shape {rtts_ms.shape}, "
                 f"expected ({self.num_pairs},)"
+            )
+        if np.isnan(rtts_ms).any():
+            raise ValueError(
+                f"snapshot {index} row holds NaN (no value must be inf)"
             )
         with span("checkpoint_io.store"):
             buffer = io.BytesIO()

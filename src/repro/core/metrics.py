@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.pipeline import RttSeries
 
-__all__ = ["PairRttStats", "rtt_stats", "distribution_summary", "cdf_points"]
+__all__ = ["PairRttStats", "rtt_stats", "distribution_summary"]
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,3 @@ def distribution_summary(values: np.ndarray, percentiles=(5, 25, 50, 75, 90, 95,
         summary[f"p{p}"] = float(np.percentile(clean, p))
     return summary
 
-
-def cdf_points(values: np.ndarray, num_points: int = 101):
-    """``(x, F(x))`` arrays for plotting/printing a CDF, NaNs dropped."""
-    clean = np.asarray(values, dtype=float)
-    clean = np.sort(clean[np.isfinite(clean)])
-    if len(clean) == 0:
-        return np.empty(0), np.empty(0)
-    fractions = np.linspace(0.0, 1.0, num_points)
-    xs = np.quantile(clean, fractions)
-    return xs, fractions

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -183,20 +184,21 @@ def run_experiments(
 ) -> RunSummary:
     """Run a batch of experiments, surviving individual failures.
 
-    ``ids`` are registry ids, or the single element ``"all"``. Results
-    are echoed as they complete; with ``out_dir`` each experiment also
-    writes its rendered table (``<id>.txt``) and machine-readable JSON
-    (``<id>.json``). ``keep_going`` (default) isolates failures;
-    ``False`` stops the batch at the first one. ``resume_dir`` and
-    ``fault_spec`` set the run context's checkpoint root and fault spec
-    for the whole batch. ``profile`` collects per-experiment spans/counters
-    (see module docstring), echoes the profile tables, and — with
-    ``out_dir`` — writes ``metrics.json``. ``strict`` turns on result
+    ``ids`` are registry ids, or the single element ``"all"``. Results are
+    echoed as they complete; with ``out_dir`` each experiment also writes
+    its rendered table (``<id>.txt``) and machine-readable JSON
+    (``<id>.json``). ``scale`` is handed to every experiment as its one
+    argument; ``None`` runs each at its own default scale. ``keep_going``
+    (default) isolates failures; ``False`` stops the batch at the first one.
+    ``resume_dir`` and ``fault_spec`` set the run context's checkpoint root
+    and fault spec for the whole batch. ``profile`` collects per-experiment
+    spans/counters (see module docstring), echoes the profile tables, and —
+    with ``out_dir`` — writes ``metrics.json``. ``strict`` turns on result
     invariant guards (:mod:`repro.integrity.guards`) for the batch;
-    ``fresh`` makes mismatched checkpoint directories get quarantined
-    and restarted instead of failing the experiment. Raises
-    :class:`UnknownExperimentError` before running anything when an id
-    is unknown.
+    ``fresh`` makes mismatched checkpoint directories get quarantined and
+    restarted instead of failing the experiment. Raises
+    :class:`UnknownExperimentError` before running anything when an id is
+    unknown.
     """
     from repro import obs
     from repro.context import run_context
@@ -246,11 +248,8 @@ def run_experiments(
 
             try:
                 func = experiments[eid]
-                if registry is not None:
-                    with obs.observe(registry):
-                        result = func(scale=scale) if scale is not None else func()
-                else:
-                    result = func(scale=scale) if scale is not None else func()
+                with obs.observe(registry) if registry is not None else nullcontext():
+                    result = func() if scale is None else func(scale)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:

@@ -6,13 +6,12 @@ snapshots) is expensive — minutes to hours of compute — so scenarios come
 in *scales*. ``ScenarioScale.full()`` is the paper; ``small()`` and
 ``medium()`` keep every mechanism (aircraft, relays, ISLs, multipath) at
 a size where tests and default benchmark runs finish in seconds to
-minutes. The environment variable ``REPRO_FULL_SCALE=1`` switches the
-benchmark harness to the paper scale.
+minutes. Each experiment takes its scale as its one argument;
+``repro run --scale full`` hands it the paper's.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -39,12 +38,7 @@ from repro.network.snapshots import snapshot_times
 from repro.orbits.constellation import Constellation
 from repro.orbits.presets import preset
 
-__all__ = ["ScenarioScale", "Scenario", "full_scale_requested"]
-
-
-def full_scale_requested() -> bool:
-    """Whether the harness should run at the paper's full scale."""
-    return os.environ.get("REPRO_FULL_SCALE", "0") not in ("", "0", "false", "no")
+__all__ = ["ScenarioScale", "Scenario"]
 
 
 @dataclass(frozen=True)
@@ -118,11 +112,6 @@ class ScenarioScale:
             num_snapshots=1,
         )
 
-    @classmethod
-    def from_environment(cls) -> "ScenarioScale":
-        """``full()`` when REPRO_FULL_SCALE is set, else ``small()``."""
-        return cls.full() if full_scale_requested() else cls.small()
-
 
 #: Scenario fields that act in the engine's assembly layer only.
 #: ``with_assembly`` accepts exactly these; everything else changes the
@@ -137,7 +126,7 @@ class Scenario:
     """A fully specified simulation setup.
 
     Build with :meth:`paper_default`; tweak with ``dataclasses.replace``
-    or the ``with_*`` helpers. Heavyweight derived objects (ground
+    or :meth:`with_assembly`. Heavyweight derived objects (ground
     segment, traffic matrix) are cached properties.
     """
 
@@ -177,16 +166,6 @@ class Scenario:
         if isinstance(constellation, str):
             constellation = preset(constellation)
         return cls(constellation=constellation, scale=scale or ScenarioScale.small())
-
-    def with_faults(self, faults: FaultSpec | None) -> "Scenario":
-        """This scenario degraded by a fault-injection spec.
-
-        Faults are an assembly-layer knob, so the variant shares this
-        scenario's engine and hence its held geometry frame. The engine
-        holds one instant, so a sweep over several fault specs loops
-        instants outermost (see :meth:`with_assembly`).
-        """
-        return self.with_assembly(faults=faults)
 
     def with_assembly(self, **overrides) -> "Scenario":
         """A variant differing only in assembly-layer knobs.

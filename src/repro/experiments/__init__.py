@@ -27,7 +27,6 @@ from repro.experiments import (  # noqa: F401  (imports register experiments)
 from repro.experiments.base import (
     ExperimentResult,
     all_experiments,
-    default_scale,
     get_experiment,
 )
 
@@ -35,5 +34,4 @@ __all__ = [
     "ExperimentResult",
     "all_experiments",
     "get_experiment",
-    "default_scale",
 ]

@@ -1,9 +1,10 @@
-"""Experiment infrastructure: results, registry, and scale control.
+"""Experiment infrastructure: results and the registry.
 
-Every paper figure/table has a module here exposing a ``run()`` function
-returning an :class:`ExperimentResult`. The registry lets the benchmark
-harness and the batch runner (:mod:`repro.core.runner`, behind
-``repro run`` and ``examples/reproduce_paper.py``) enumerate them.
+Every paper figure/table has a module here exposing ``run(scale)``, whose
+one argument defaults to the experiment's own scale, returning an
+:class:`ExperimentResult`. The registry lets the benchmark harness and
+the batch runner (:mod:`repro.core.runner`, behind ``repro run``)
+enumerate them; ``repro run --scale`` is the one way to pick the scale.
 """
 
 from __future__ import annotations
@@ -18,8 +19,18 @@ __all__ = [
     "register",
     "get_experiment",
     "all_experiments",
-    "default_scale",
 ]
+
+#: Default scale of the throughput extensions (ext-fiber, ext-maxflow,
+#: ext-modcod, ext-terouting): one snapshot with enough pairs for links
+#: to contend.
+EXTENSION_SCALE = ScenarioScale(
+    name="extension-bench",
+    num_cities=200,
+    num_pairs=800,
+    relay_spacing_deg=2.0,
+    num_snapshots=1,
+)
 
 
 @dataclass
@@ -83,7 +94,3 @@ def all_experiments() -> dict[str, Callable[..., ExperimentResult]]:
     """Copy of the registry (import side effects fill it; see __init__)."""
     return dict(_REGISTRY)
 
-
-def default_scale() -> ScenarioScale:
-    """Scale the harness runs at (env-controlled, paper scale on demand)."""
-    return ScenarioScale.from_environment()

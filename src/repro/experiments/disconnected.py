@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.parallel import map_snapshot_rows
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
@@ -35,10 +35,9 @@ def _component_row(scenario, time_s, mode) -> np.ndarray:
 
 
 @register("disconnected")
-def run(scale: ScenarioScale | None = None, constellation: str = "starlink") -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
-    scenario = Scenario.paper_default(constellation, scale)
+    scenario = Scenario.paper_default("starlink", scale)
 
     # Through the generic snapshot map: both modes of each snapshot
     # share one geometry frame via the engine, and the per-snapshot rows

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.pipeline import compute_rtt_series_multi
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
+from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
@@ -36,6 +36,15 @@ __all__ = ["run", "partial_starlink"]
 #: Deployment stages: plane counts out of 72 (24 planes ~ 528 satellites,
 #: the paper's "nearly 500 deployed" moment).
 STAGES = (24, 48, 72)
+
+DEPLOYMENT_SCALE = ScenarioScale(
+    name="deployment-bench",
+    num_cities=150,
+    num_pairs=300,
+    relay_spacing_deg=2.0,
+    num_snapshots=4,
+    snapshot_interval_s=1800.0,
+)
 
 
 def partial_starlink(num_planes: int) -> Constellation:
@@ -61,21 +70,8 @@ def partial_starlink(num_planes: int) -> Constellation:
 
 
 @register("ext-deployment")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = DEPLOYMENT_SCALE) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale(
-            name="deployment-bench",
-            num_cities=150,
-            num_pairs=300,
-            relay_spacing_deg=2.0,
-            num_snapshots=4,
-            snapshot_interval_s=1800.0,
-        )
-    )
-
     rows = []
     data = {}
     for num_planes in STAGES:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.pipeline import pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.ground.cities import city_by_name
 from repro.network.dynamics import (
     churn_between,
@@ -32,9 +32,8 @@ __all__ = ["run"]
 
 
 @register("ext-dynamics")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
 
     # Part 1: pass durations at a mid-latitude GT (London).
     shell = starlink_shell()

@@ -19,19 +19,24 @@ import numpy as np
 
 from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.faults import FaultSpec
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
 __all__ = ["outage_reachability", "run"]
 
+#: Satellite-outage fractions swept, from intact to 90 % lost.
+FRACTIONS = (0.0, 0.5, 0.8, 0.9)
+#: Seed of the outage draw.
+SEED = 7
+
 
 def outage_reachability(
     scenario: Scenario,
     fractions,
     modes,
-    seed: int = 7,
+    seed: int = SEED,
     times_s: list[float] | None = None,
 ) -> dict:
     """Reachability and latency of a scenario under satellite outages.
@@ -44,7 +49,7 @@ def outage_reachability(
     one frame the engine holds.
     """
     variants = {
-        fraction: scenario.with_faults(FaultSpec(sat=fraction, seed=seed))
+        fraction: scenario.with_assembly(faults=FaultSpec(sat=fraction, seed=seed))
         for fraction in fractions
     }
     if times_s is None:
@@ -64,24 +69,18 @@ def outage_reachability(
 
 
 @register("faults")
-def run(
-    scale: ScenarioScale | None = None,
-    constellation: str = "starlink",
-    fractions: tuple[float, ...] = (0.0, 0.5, 0.8, 0.9),
-    seed: int = 7,
-) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
-    scenario = Scenario.paper_default(constellation, scale)
+    scenario = Scenario.paper_default("starlink", scale)
     # A handful of snapshots suffices for the degradation curve; the
     # outage draw is persistent across snapshots anyway.
     times = [float(t) for t in scenario.times_s[:: max(1, len(scenario.times_s) // 4)]]
     modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
-    outcomes = outage_reachability(scenario, fractions, modes, seed=seed, times_s=times)
+    outcomes = outage_reachability(scenario, FRACTIONS, modes, seed=SEED, times_s=times)
 
     rows = []
     bp_reachable, hybrid_reachable = [], []
-    for fraction in fractions:
+    for fraction in FRACTIONS:
         bp = outcomes[(fraction, ConnectivityMode.BP_ONLY)]
         hybrid = outcomes[(fraction, ConnectivityMode.HYBRID)]
         bp_reachable.append(bp["reachable"])
@@ -110,10 +109,10 @@ def run(
         title="Graceful degradation under satellite outages",
     )
     headline = {
-        f"BP reachability drop at {100 * fractions[-1]:.0f}% outage (pp)": round(
+        f"BP reachability drop at {100 * FRACTIONS[-1]:.0f}% outage (pp)": round(
             100 * bp_drop, 1
         ),
-        f"hybrid reachability drop at {100 * fractions[-1]:.0f}% outage (pp)": round(
+        f"hybrid reachability drop at {100 * FRACTIONS[-1]:.0f}% outage (pp)": round(
             100 * hybrid_drop, 1
         ),
         "BP degrades faster than hybrid": bool(bp_drop >= hybrid_drop),
@@ -124,10 +123,10 @@ def run(
         scale_name=scale.name,
         tables=[table, format_summary("Outage-resilience headline", headline)],
         data={
-            "fractions": np.asarray(fractions),
+            "fractions": np.asarray(FRACTIONS),
             "bp_reachable": np.asarray(bp_reachable),
             "hybrid_reachable": np.asarray(hybrid_reachable),
-            "seed": seed,
+            "seed": SEED,
         },
         headline=headline,
     )

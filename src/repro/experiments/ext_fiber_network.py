@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pipeline import pair_rtts_on_graph
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
-from repro.experiments.base import ExperimentResult, register
+from repro.core.scenario import Scenario, ScenarioScale
+from repro.experiments.base import EXTENSION_SCALE, ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
@@ -31,21 +31,13 @@ __all__ = ["run", "FIBER_RADII_KM"]
 
 FIBER_RADII_KM = (200.0, 500.0)
 
+#: Edge-disjoint paths per pair (the paper's k = 4 model).
+K = 4
+
 
 @register("ext-fiber")
-def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
+def run(scale: ScenarioScale = EXTENSION_SCALE) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale(
-            name="fiber-bench",
-            num_cities=200,
-            num_pairs=800,
-            relay_spacing_deg=2.0,
-            num_snapshots=1,
-        )
-    )
     base = Scenario.paper_default("starlink", scale)
 
     rows = []
@@ -53,7 +45,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     latency_data = {}
     for mode in (ConnectivityMode.HYBRID, ConnectivityMode.BP_ONLY):
         graph = base.graph_at(0.0, mode)
-        baseline = evaluate_throughput(graph, base.pairs, k=k).aggregate_gbps
+        baseline = evaluate_throughput(graph, base.pairs, k=K).aggregate_gbps
         base_rtts = pair_rtts_on_graph(graph, base.pairs)
         data[(mode.value, None)] = baseline
         rows.append([mode.value, "none", f"{baseline:.0f}", "1.00x", "0.00"])
@@ -62,7 +54,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
             scenario = base.with_assembly(fiber_max_km=radius)
             fiber_graph = scenario.graph_at(0.0, mode)
             augmented = evaluate_throughput(
-                fiber_graph, scenario.pairs, k=k
+                fiber_graph, scenario.pairs, k=K
             ).aggregate_gbps
             fiber_rtts = pair_rtts_on_graph(fiber_graph, scenario.pairs)
             both = np.isfinite(base_rtts) & np.isfinite(fiber_rtts)
@@ -86,7 +78,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     table = format_table(
         ["mode", "fiber radius", "throughput (Gbps)", "vs no fiber", "median RTT gain (ms)"],
         rows,
-        title=f"Fiber augmentation: throughput and latency (k={k})",
+        title=f"Fiber augmentation: throughput and latency (k={K})",
     )
     headline = {
         "hybrid throughput ratio at 500 km fiber (SP routing, ~1.0 expected)": round(

@@ -17,7 +17,7 @@ import numpy as np
 from repro.constants import STARLINK_GSO_SEPARATION_DEG
 from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.ground.cities import City
 from repro.network.graph import ConnectivityMode, GsoProtectionPolicy
 from repro.reporting.tables import format_summary, format_table
@@ -36,9 +36,8 @@ def cross_equatorial_pairs(scenario: Scenario):
 
 
 @register("ext-gso")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     base = Scenario.paper_default("starlink", scale)
     pairs = cross_equatorial_pairs(base)
     if not pairs:

@@ -19,8 +19,8 @@ hybrid-vs-BP ratio — the distortion that motivated the paper's model.
 
 from __future__ import annotations
 
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
-from repro.experiments.base import ExperimentResult, register
+from repro.core.scenario import Scenario, ScenarioScale
+from repro.experiments.base import EXTENSION_SCALE, ExperimentResult, register
 from repro.flows.maxflow import lax_max_flow_bps
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
@@ -28,21 +28,13 @@ from repro.reporting.tables import format_summary, format_table
 
 __all__ = ["run"]
 
+#: Edge-disjoint paths per pair (the paper's k = 4 model).
+K = 4
+
 
 @register("ext-maxflow")
-def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
+def run(scale: ScenarioScale = EXTENSION_SCALE) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale(
-            name="maxflow-bench",
-            num_cities=200,
-            num_pairs=800,
-            relay_spacing_deg=2.0,
-            num_snapshots=1,
-        )
-    )
     scenario = Scenario.paper_default("starlink", scale)
 
     rows = []
@@ -52,7 +44,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
         for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
     }
     for mode, graph in graphs.items():
-        routed = evaluate_throughput(graph, scenario.pairs, k=k).aggregate_gbps
+        routed = evaluate_throughput(graph, scenario.pairs, k=K).aggregate_gbps
         lax = lax_max_flow_bps(graph, scenario.pairs) / 1e9
         data[mode.value] = {"routed_gbps": routed, "lax_gbps": lax}
         rows.append(
@@ -62,7 +54,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     lax_ratio = data["hybrid"]["lax_gbps"] / data["bp"]["lax_gbps"]
     routed_ratio = data["hybrid"]["routed_gbps"] / data["bp"]["routed_gbps"]
     table = format_table(
-        ["mode", f"routed max-min k={k} (Gbps)", "lax max-flow (Gbps)", "inflation"],
+        ["mode", f"routed max-min k={K} (Gbps)", "lax max-flow (Gbps)", "inflation"],
         rows,
         title="Lax any-sink max-flow vs demand-respecting throughput",
     )

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.atmosphere.weather_capacity import edge_weather_capacity_factors
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
-from repro.experiments.base import ExperimentResult, register
+from repro.core.scenario import Scenario, ScenarioScale
+from repro.experiments.base import EXTENSION_SCALE, ExperimentResult, register
 from repro.flows.routing import route_traffic
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
@@ -27,21 +27,15 @@ from repro.reporting.tables import format_summary, format_table
 
 __all__ = ["run"]
 
+#: Edge-disjoint paths per pair (the paper's k = 4 model).
+K = 4
+#: Weather exceedance percentage the links are derated at.
+EXCEEDANCE_PCT = 0.5
+
 
 @register("ext-modcod")
-def run(scale: ScenarioScale | None = None, k: int = 4, exceedance_pct: float = 0.5) -> ExperimentResult:
+def run(scale: ScenarioScale = EXTENSION_SCALE) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale(
-            name="modcod-bench",
-            num_cities=200,
-            num_pairs=800,
-            relay_spacing_deg=2.0,
-            num_snapshots=1,
-        )
-    )
     scenario = Scenario.paper_default("starlink", scale)
 
     rows = []
@@ -51,15 +45,15 @@ def run(scale: ScenarioScale | None = None, k: int = 4, exceedance_pct: float = 
         for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
     }
     for mode, graph in graphs.items():
-        routing = route_traffic(graph, scenario.pairs, k=k)
+        routing = route_traffic(graph, scenario.pairs, k=K)
         clear = evaluate_throughput(
-            graph, scenario.pairs, k=k, routing=routing
+            graph, scenario.pairs, k=K, routing=routing
         ).aggregate_gbps
-        factors = edge_weather_capacity_factors(graph, exceedance_pct)
+        factors = edge_weather_capacity_factors(graph, EXCEEDANCE_PCT)
         weather = evaluate_throughput(
             graph,
             scenario.pairs,
-            k=k,
+            k=K,
             routing=routing,
             edge_capacity_factors=factors,
         ).aggregate_gbps
@@ -82,9 +76,9 @@ def run(scale: ScenarioScale | None = None, k: int = 4, exceedance_pct: float = 
         )
 
     table = format_table(
-        ["mode", "clear sky (Gbps)", f"weather p{exceedance_pct}% (Gbps)", "retained", "mean radio factor"],
+        ["mode", "clear sky (Gbps)", f"weather p{EXCEEDANCE_PCT}% (Gbps)", "retained", "mean radio factor"],
         rows,
-        title=f"MODCOD weather derating at {exceedance_pct}% exceedance (k={k})",
+        title=f"MODCOD weather derating at {EXCEEDANCE_PCT}% exceedance (k={K})",
     )
     headline = {
         "BP throughput retained under weather": round(data["bp"]["retained"], 3),

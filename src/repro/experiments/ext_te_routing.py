@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
-from repro.experiments.base import ExperimentResult, register
+from repro.core.scenario import Scenario, ScenarioScale
+from repro.experiments.base import EXTENSION_SCALE, ExperimentResult, register
 from repro.flows.routing import route_traffic
 from repro.flows.terouting import route_load_aware
 from repro.flows.throughput import evaluate_throughput
@@ -42,19 +42,8 @@ def _median_rtt_ms(routing) -> float:
 
 
 @register("ext-terouting")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = EXTENSION_SCALE) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale(
-            name="te-bench",
-            num_cities=200,
-            num_pairs=800,
-            relay_spacing_deg=2.0,
-            num_snapshots=1,
-        )
-    )
     scenario = Scenario.paper_default("starlink", scale)
     graph = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
@@ -48,9 +48,8 @@ def shells_used(constellation, path_nodes, num_sats: int) -> set[int]:
 
 
 @register("fig10")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     single = replace(
         Scenario.paper_default("starlink", scale),
         extra_city_names=(CITY_A, CITY_B),

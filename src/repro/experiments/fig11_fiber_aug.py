@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.scenario import ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.ground.cities import city_by_name
 from repro.network.snapshots import snapshot_times
 from repro.orbits.coordinates import geodetic_to_ecef
@@ -38,9 +38,8 @@ def _visible_sats(constellation, lat, lon, time_s, min_elevation_deg):
 
 
 @register("fig11")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     constellation = starlink()
     min_elev = constellation.shells[0].min_elevation_deg
     metro = city_by_name(METRO)

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from repro.core.comparison import compare_latency
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.reporting.tables import format_cdf_table, format_summary
 
 __all__ = ["run"]
 
 
 @register("fig2")
-def run(scale: ScenarioScale | None = None, constellation: str = "starlink") -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
-    scenario = Scenario.paper_default(constellation, scale)
+    scenario = Scenario.paper_default("starlink", scale)
     comparison = compare_latency(scenario)
 
     min_rtt_table = format_cdf_table(

@@ -20,7 +20,7 @@ from repro.constants import SPEED_OF_LIGHT
 from repro.network.graph import ConnectivityMode
 from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.ground.stations import StationKind
 from repro.orbits.coordinates import ecef_to_geodetic
 from repro.reporting.tables import format_summary, format_table
@@ -58,9 +58,8 @@ def path_profile(graph, path) -> dict:
 
 
 @register("fig3")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     scenario = replace(
         Scenario.paper_default("starlink", scale),
         extra_city_names=(CITY_A, CITY_B),

@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 
 from repro.core.parallel import map_snapshot_rows
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
+from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.routing import route_traffic_multi_k
 from repro.flows.throughput import evaluate_throughput
@@ -91,13 +91,8 @@ def throughput_matrix(
 
 
 @register("fig4")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.throughput_bench()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale.throughput_bench()
-    )
     rows = []
     data = {}
     headline = {}

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from repro.core.parallel import map_snapshot_rows
-from repro.core.scenario import Scenario, ScenarioScale, full_scale_requested
+from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
@@ -26,6 +26,8 @@ from repro.reporting.tables import format_summary, format_table
 __all__ = ["run", "RATIOS"]
 
 RATIOS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+#: Edge-disjoint paths per pair (the paper's Fig. 5 setting).
+K = 4
 
 
 def _capacity_sweep_row(scenario, time_s, mode, k, ratios) -> np.ndarray:
@@ -58,13 +60,8 @@ def _capacity_sweep_row(scenario, time_s, mode, k, ratios) -> np.ndarray:
 
 
 @register("fig5")
-def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.throughput_bench()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or (
-        ScenarioScale.full()
-        if full_scale_requested()
-        else ScenarioScale.throughput_bench()
-    )
     scenario = Scenario.paper_default("starlink", scale)
 
     # Through the generic snapshot map: both modes share one geometry
@@ -75,13 +72,13 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     mapped = map_snapshot_rows(
         scenario,
         modes,
-        functools.partial(_capacity_sweep_row, k=int(k), ratios=RATIOS),
+        functools.partial(_capacity_sweep_row, k=K, ratios=RATIOS),
         row_len={
             ConnectivityMode.BP_ONLY: 1,
             ConnectivityMode.HYBRID: len(RATIOS),
         },
         times_s=np.asarray([0.0]),
-        label=f"fig5-k{int(k)}",
+        label=f"fig5-k{K}",
     )
     bp_gbps = float(mapped[ConnectivityMode.BP_ONLY][0, 0])
 
@@ -104,7 +101,7 @@ def run(scale: ScenarioScale | None = None, k: int = 4) -> ExperimentResult:
     table = format_table(
         ["ISL capacity", "ISL Gbps", "throughput (Gbps)", "vs BP"],
         rows,
-        title=f"Fig 5: Starlink throughput vs ISL capacity (k={k})",
+        title=f"Fig 5: Starlink throughput vs ISL capacity (k={K})",
     )
     headline = {
         "hybrid/BP at 0.5x ISL capacity [paper: 2.2x]": round(sweep[0.5] / bp_gbps, 2),

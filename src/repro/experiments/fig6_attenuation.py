@@ -26,7 +26,7 @@ import numpy as np
 from repro.atmosphere.attenuation import paths_worst_link_attenuation_db
 from repro.core.pipeline import pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_cdf_table, format_summary
 
@@ -54,9 +54,8 @@ def pair_attenuations(
 
 
 @register("fig6")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     scenario = Scenario.paper_default("starlink", scale)
     bp_db, isl_db = pair_attenuations(scenario)
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 from repro.atmosphere.attenuation import path_link_attenuations_db
 from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
@@ -28,6 +28,8 @@ CITY_A = "Delhi"
 CITY_B = "Sydney"
 #: Fig. 8 quotes attenuations "at least 1 % of the time".
 EXCEEDANCE_PCT = 1.0
+#: The snapshot instant the example path is drawn at.
+TIME_S = 0.0
 
 
 def _hop_rows(links, label):
@@ -45,24 +47,23 @@ def _hop_rows(links, label):
 
 
 @register("fig8")
-def run(scale: ScenarioScale | None = None, time_s: float = 0.0) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     scenario = replace(
         Scenario.paper_default("starlink", scale),
         extra_city_names=(CITY_A, CITY_B),
     )
     pair = scenario.city_pair(CITY_A, CITY_B)
 
-    bp_graph, bp_path = pair_path_at(scenario, pair, time_s, ConnectivityMode.BP_ONLY)
+    bp_graph, bp_path = pair_path_at(scenario, pair, TIME_S, ConnectivityMode.BP_ONLY)
     isl_scenario = replace(scenario, use_relays=False, use_aircraft=False)
     isl_pair = isl_scenario.city_pair(CITY_A, CITY_B)
     isl_graph, isl_path = pair_path_at(
-        isl_scenario, isl_pair, time_s, ConnectivityMode.ISL_ONLY
+        isl_scenario, isl_pair, TIME_S, ConnectivityMode.ISL_ONLY
     )
     if bp_path is None or isl_path is None:
         raise RuntimeError(
-            f"{CITY_A}-{CITY_B} unreachable at t={time_s}; "
+            f"{CITY_A}-{CITY_B} unreachable at t={TIME_S}; "
             "scale too small for the case study"
         )
 

@@ -21,7 +21,7 @@ from repro.constants import (
     STARLINK_GSO_SEPARATION_DEG,
 )
 from repro.core.scenario import ScenarioScale
-from repro.experiments.base import ExperimentResult, default_scale, register
+from repro.experiments.base import ExperimentResult, register
 from repro.orbits.visibility import reachable_sky_fraction
 from repro.reporting.tables import format_summary, format_table
 
@@ -31,9 +31,8 @@ LATITUDES = (0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
 
 @register("fig9")
-def run(scale: ScenarioScale | None = None) -> ExperimentResult:
+def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     """Run this experiment; see the module docstring for the design."""
-    scale = scale or default_scale()
     rows = []
     starlink_fraction = {}
     for lat in LATITUDES:

@@ -16,10 +16,10 @@ satellite and relay outages are persistent across snapshots (fixed
 populations, identical draws), aircraft outages re-sample per snapshot
 only because the airborne population itself changes.
 
-Faults attach to a scenario (``Scenario.with_faults``) or ambiently to
-a whole batch via ``run_context(faults=spec)`` (:mod:`repro.context`) —
-this is how ``repro run --inject-fault sat:0.05`` reaches every
-experiment in a sweep.
+Faults attach to a scenario (``Scenario.with_assembly(faults=spec)``) or
+ambiently to a whole batch via ``run_context(faults=spec)``
+(:mod:`repro.context`) — this is how ``repro run --inject-fault
+sat:0.05`` reaches every experiment in a sweep.
 
 The second half of the module injects *storage* faults instead of
 network ones: an :class:`IoFaultSpec` armed via

@@ -20,7 +20,7 @@ from repro.network.linkbudget import (
     free_space_path_loss_db,
 )
 from repro.network.modcod import spectral_efficiency, weather_capacity_factor
-from repro.network.links import LinkCapacities, LinkKind, propagation_delay_s, rtt_ms
+from repro.network.links import LinkCapacities, propagation_delay_s, rtt_ms
 from repro.network.paths import (
     Path,
     extract_path,
@@ -55,7 +55,6 @@ __all__ = [
     "SnapshotGraph",
     "isl_grazing_altitude_m",
     "LinkCapacities",
-    "LinkKind",
     "propagation_delay_s",
     "rtt_ms",
     "Path",

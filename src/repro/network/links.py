@@ -1,4 +1,4 @@
-"""Link models: propagation latency, capacities, and link typing.
+"""Link models: propagation latency and capacities.
 
 Both radio GT-satellite links and laser ISLs propagate at the speed of
 light in vacuum (radio through the atmosphere is within a fraction of a
@@ -9,21 +9,12 @@ come from geometry, not medium.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from repro.constants import GT_SAT_CAPACITY_BPS, ISL_CAPACITY_BPS, SPEED_OF_LIGHT
 
-__all__ = ["LinkKind", "LinkCapacities", "propagation_delay_s", "rtt_ms"]
-
-
-class LinkKind(Enum):
-    """Physical link families in the simulated network."""
-
-    GT_SAT = "gt-sat"
-    ISL = "isl"
-    FIBER = "fiber"
+__all__ = ["LinkCapacities", "propagation_delay_s", "rtt_ms"]
 
 
 #: Default capacity of a terrestrial fiber hop between nearby cities,

@@ -2,7 +2,8 @@
 
 An experiment result goes to JSON with numpy arrays converted to lists
 (human-inspectable, diff-able); :func:`save_experiment_result` is its one
-writer, :func:`load_experiment_result` its one reader, and
+writer, :func:`load_experiment_result` its one reader (its second half,
+:func:`result_from_payload`, serves callers that parsed the file), and
 :data:`repro.obs.schema.RESULT_SCHEMA` its one validator, shared with
 ``repro verify``. A sweep's rows persist only as checkpoint shards under
 the run context's checkpoint root (:mod:`repro.core.checkpoint`):
@@ -24,6 +25,7 @@ from repro.obs.schema import RESULT_SCHEMA, artifact_kind, validate
 __all__ = [
     "save_experiment_result",
     "load_experiment_result",
+    "result_from_payload",
 ]
 
 
@@ -90,12 +92,20 @@ def load_experiment_result(path: str | Path) -> ExperimentResult:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
+    except ValueError as exc:  # JSON and encoding errors alike
+        raise ValueError(f"malformed experiment result {path}: {exc}") from exc
+    return result_from_payload(payload, path)
+
+
+def result_from_payload(payload, source: str | Path) -> ExperimentResult:
+    """:func:`load_experiment_result` for an already parsed ``source``."""
+    try:
         kind = artifact_kind(payload)
         if kind != "result":
             raise ValueError(f"holds a {kind!r} payload, not an experiment result")
         validate(payload, RESULT_SCHEMA)
-    except ValueError as exc:  # JSON, encoding and schema errors alike
-        raise ValueError(f"malformed experiment result {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed experiment result {source}: {exc}") from exc
     return ExperimentResult(
         experiment_id=payload["experiment_id"],
         title=payload["title"],

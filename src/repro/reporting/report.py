@@ -90,24 +90,24 @@ def render_report(
 def generate_report(results_dir: str | Path, path: str | Path) -> Path:
     """Render the results in ``results_dir`` into the Markdown file ``path``.
 
-    Every top-level ``*.json`` of ``results_dir`` is read with
-    :func:`repro.persistence.load_experiment_result`; payloads of another
-    ``kind`` (the ``metrics.json`` of ``--profile``) are skipped. Raises
-    ``ValueError`` naming the file for a malformed result or a repeated
-    experiment id, and when the directory holds no result at all.
+    Every top-level ``*.json`` of ``results_dir`` is parsed once and
+    judged by :func:`repro.persistence.result_from_payload`; payloads of
+    another ``kind`` (the ``metrics.json`` of ``--profile``) are skipped.
+    Raises ``ValueError`` naming the file for a malformed result or a
+    repeated experiment id, and when the directory holds no result at all.
     """
-    from repro.persistence import load_experiment_result
+    from repro.persistence import result_from_payload
 
     results: dict[str, ExperimentResult] = {}
     sources: dict[str, str] = {}
     for source in sorted(Path(results_dir).glob("*.json")):
         try:
             payload = json.loads(source.read_text())
-        except ValueError:
-            payload = None  # not JSON: load_experiment_result names the file
+        except ValueError as exc:  # JSON and encoding errors alike
+            raise ValueError(f"malformed experiment result {source}: {exc}") from exc
         if artifact_kind(payload) != "result":
             continue
-        result = load_experiment_result(source)
+        result = result_from_payload(payload, source)
         eid = result.experiment_id
         if eid in results:
             raise ValueError(f"{source} repeats experiment {eid!r} of {sources[eid]}")

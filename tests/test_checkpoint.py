@@ -67,6 +67,16 @@ class TestRttCheckpoint:
         with pytest.raises(ValueError, match="shape"):
             ck.store_snapshot(0, np.array([1.0, 2.0]))
 
+    def test_nan_row_rejected_before_writing(self, tmp_path, times):
+        # A NaN shard would fail verification and be recomputed on every
+        # resume, so the store refuses it and writes neither shard nor digest.
+        ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 3)
+        with pytest.raises(ValueError, match="NaN"):
+            ck.store_snapshot(1, np.array([np.nan, 1.0, 2.0]))
+        assert not ck.shard_path(1).exists()
+        manifest = json.loads((ck.directory / "manifest.json").read_text())
+        assert not manifest.get("digests")
+
     def test_reopen_validates_num_pairs(self, tmp_path, times):
         RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)
         with pytest.raises(CheckpointMismatchError, match="num_pairs"):
@@ -105,7 +115,7 @@ class TestFingerprint:
     def test_faults_change_fingerprint(self, tiny_scenario):
         from repro.faults import FaultSpec
 
-        degraded = tiny_scenario.with_faults(FaultSpec(sat=0.1))
+        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.1))
         assert scenario_fingerprint(
             tiny_scenario, ConnectivityMode.BP_ONLY
         ) != scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
@@ -122,7 +132,7 @@ class TestFingerprint:
         ambient spec must not move its checkpoint directory."""
         from repro.faults import FaultSpec
 
-        degraded = tiny_scenario.with_faults(FaultSpec(sat=0.1, seed=1))
+        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.1, seed=1))
         alone = scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
         with run_context(faults=FaultSpec(relay=0.3, seed=9)):
             assert scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY) == alone

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from repro.core.comparison import compare_latency
-from repro.core.metrics import cdf_points, distribution_summary, rtt_stats
+from repro.core.metrics import distribution_summary, rtt_stats
 from repro.core.pipeline import compute_rtt_series_multi, pair_path_at, pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.network.graph import ConnectivityMode
@@ -28,14 +28,6 @@ class TestScenarioScale:
             ScenarioScale("x", 10, 0, 1.0, 10)
         with pytest.raises(ValueError):
             ScenarioScale("x", 10, 10, 1.0, 0)
-
-    def test_environment_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        assert ScenarioScale.from_environment().name == "full"
-        monkeypatch.setenv("REPRO_FULL_SCALE", "0")
-        assert ScenarioScale.from_environment().name == "small"
-        monkeypatch.delenv("REPRO_FULL_SCALE")
-        assert ScenarioScale.from_environment().name == "small"
 
 
 class TestScenario:
@@ -175,14 +167,6 @@ class TestMetrics:
 
     def test_distribution_summary_empty(self):
         assert distribution_summary(np.array([]))["count"] == 0
-
-    def test_cdf_points(self):
-        xs, fs = cdf_points(np.arange(11, dtype=float), 11)
-        assert fs[0] == 0.0
-        assert fs[-1] == 1.0
-        assert xs[0] == 0.0
-        assert xs[-1] == 10.0
-        assert np.all(np.diff(xs) >= 0)
 
 
 class TestComparison:

@@ -9,6 +9,8 @@ cannot accumulate silently.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +82,22 @@ class TestExperimentDocumentation:
 
         for eid, func in all_experiments().items():
             assert func.__module__.startswith("repro.experiments."), eid
+
+
+class TestNoAmbientSwitches:
+    def test_only_the_cache_dir_comes_from_the_environment(self):
+        """Run-wide settings travel as arguments and in the run context;
+        the one environment read is the land-mask cache's location."""
+        root = Path(repro.__file__).parent
+        reads = {}
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text()
+            if re.search(r"\b(environ|getenv)\b", source):
+                names = re.findall(
+                    r"(?:environ\.get|getenv)\(\s*[\"'](\w+)|environ\[\s*[\"'](\w+)",
+                    source,
+                )
+                reads[path.relative_to(root).as_posix()] = sorted(
+                    a or b for a, b in names
+                )
+        assert reads == {"geo/landmask.py": ["REPRO_CACHE_DIR"]}

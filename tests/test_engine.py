@@ -447,7 +447,7 @@ class TestFaultIsolation:
         assert_csr_identical(faulted.contracted_matrix(), want.contracted_matrix())
 
     def test_explicit_faults_beat_ambient_spec(self):
-        scenario = fresh_scenario().with_faults(FaultSpec(sat=0.1, seed=7))
+        scenario = fresh_scenario().with_assembly(faults=FaultSpec(sat=0.1, seed=7))
         with run_context(faults=self.SPEC):
             got = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         assert_graphs_identical(got, legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID))
@@ -546,9 +546,9 @@ class TestWithAssembly:
         # The variant's build hit the shared frame cache.
         assert registry.snapshot()["counters"]["engine.frame_hits"] == 1
 
-    def test_with_faults_shares_engine(self):
+    def test_fault_variant_shares_engine(self):
         scenario = fresh_scenario()
-        variant = scenario.with_faults(FaultSpec(sat=0.2, seed=1))
+        variant = scenario.with_assembly(faults=FaultSpec(sat=0.2, seed=1))
         assert variant.engine is scenario.engine
 
     def test_unknown_field_rejected(self, base_scenario):
@@ -619,12 +619,13 @@ class TestOneFrame:
         assert_graphs_identical(held, legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID))
         assert_csr_identical(held.contracted_matrix(), rebuilt.contracted_matrix())
 
-    def test_fault_sweep_builds_one_frame_per_instant(self):
-        from repro.experiments import get_experiment
+    def test_fault_sweep_builds_one_frame_per_instant(self, monkeypatch):
+        from repro.experiments import ext_fault_tolerance, get_experiment
         from tests.conftest import TINY_SCALE
 
+        monkeypatch.setattr(ext_fault_tolerance, "FRACTIONS", (0.0, 0.5, 0.9))
         with observe() as registry:
-            get_experiment("faults")(scale=TINY_SCALE, fractions=(0.0, 0.5, 0.9))
+            get_experiment("faults")(TINY_SCALE)
         counters = registry.snapshot()["counters"]
         assert counters["engine.frame_misses"] == TINY_SCALE.num_snapshots
 

@@ -5,6 +5,8 @@ paper's *qualitative* shape (who wins, direction of effects), not the
 absolute numbers — those are the benchmarks' job at larger scales.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,11 @@ class TestRegistry:
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError, match="fig2"):
             get_experiment("fig99")
+
+    def test_scale_is_the_only_argument(self):
+        # The runner hands each experiment its scale and nothing else.
+        for experiment_id, run in all_experiments().items():
+            assert list(inspect.signature(run).parameters) == ["scale"], experiment_id
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):

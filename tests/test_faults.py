@@ -112,8 +112,8 @@ class TestApplyFaults:
 
 
 class TestScenarioIntegration:
-    def test_with_faults_degrades_graph(self, tiny_scenario):
-        degraded = tiny_scenario.with_faults(FaultSpec(sat=0.5, seed=5))
+    def test_fault_variant_degrades_graph(self, tiny_scenario):
+        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.5, seed=5))
         plain = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         faulty = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
         assert faulty.num_edges < plain.num_edges
@@ -129,7 +129,7 @@ class TestScenarioIntegration:
         assert after.num_edges == plain.num_edges
 
     def test_explicit_faults_win_over_ambient(self, tiny_scenario):
-        degraded = tiny_scenario.with_faults(FaultSpec(sat=0.5, seed=5))
+        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.5, seed=5))
         expected = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
         with run_context(faults=FaultSpec(sat=0.9, seed=99)):
             inside = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
@@ -159,11 +159,12 @@ class TestDegradation:
         assert reachable[(0.9, bp)] < reachable[(0.9, hybrid)]
         assert bp_drop > hybrid_drop
 
-    def test_experiment_runs_and_reports(self, tiny_scenario):
-        from repro.experiments import get_experiment
+    def test_experiment_runs_and_reports(self, tiny_scenario, monkeypatch):
+        from repro.experiments import ext_fault_tolerance, get_experiment
         from tests.conftest import TINY_SCALE
 
-        result = get_experiment("faults")(scale=TINY_SCALE, fractions=(0.0, 0.9))
+        monkeypatch.setattr(ext_fault_tolerance, "FRACTIONS", (0.0, 0.9))
+        result = get_experiment("faults")(TINY_SCALE)
         assert result.experiment_id == "faults"
         assert result.headline["BP degrades faster than hybrid"] is True
         np.testing.assert_array_equal(result.data["fractions"], [0.0, 0.9])

@@ -322,7 +322,7 @@ class TestGraphPhysicsGuards:
             check_graph(graph)
 
     def test_faulted_length_off_its_endpoints_rejected(self, tiny_scenario):
-        graph = tiny_scenario.with_faults(self.FAULTS).graph_at(
+        graph = tiny_scenario.with_assembly(faults=self.FAULTS).graph_at(
             0.0, ConnectivityMode.HYBRID
         )
         sats, gts, dists = _flat_sat_rows(graph)
@@ -584,7 +584,7 @@ class TestVerifyTree:
 
     def test_nan_series_flagged(self, tmp_path):
         ck = _checkpoint(tmp_path)
-        ck.store_snapshot(1, np.array([np.nan, 1.0, 2.0]))
+        _commit(ck, 1, np.array([np.nan, 1.0, 2.0]))
         report = verify_tree(tmp_path)
         assert [v.code for v in report.violations] == ["invalid-rtt"]
 

@@ -1,4 +1,4 @@
-"""Unit tests for the link models (latency, capacities, kinds)."""
+"""Unit tests for the link models (latency, capacities)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.constants import SPEED_OF_LIGHT
 from repro.network.links import (
     FIBER_CAPACITY_BPS,
     LinkCapacities,
-    LinkKind,
     propagation_delay_s,
     rtt_ms,
 )
@@ -64,7 +63,3 @@ class TestLinkCapacities:
         with pytest.raises(AttributeError):
             caps.isl_bps = 1.0
 
-
-class TestLinkKind:
-    def test_three_families(self):
-        assert {k.value for k in LinkKind} == {"gt-sat", "isl", "fiber"}

@@ -94,3 +94,33 @@ class TestRenderReport:
             )
         }
         assert "## custom" in render_report(results)
+
+
+class TestGenerateReport:
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        import json
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.experiments.base import ExperimentResult
+        from repro.persistence import save_experiment_result
+        from repro.reporting.report import generate_report
+
+        for eid in ("fig2", "fig9"):
+            result = ExperimentResult(
+                experiment_id=eid, title=eid, scale_name="s", tables=["T"]
+            )
+            save_experiment_result(result, tmp_path / f"{eid}.json")
+        (tmp_path / "metrics.json").write_text(json.dumps({"kind": "metrics"}))
+        reads = Counter()
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads[self.name] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        report = generate_report(tmp_path, tmp_path / "REPORT.md")
+        monkeypatch.undo()
+        assert reads == {"fig2.json": 1, "fig9.json": 1, "metrics.json": 1}
+        assert "## fig2" in report.read_text() and "## fig9" in report.read_text()

@@ -141,6 +141,17 @@ class TestOutputs:
         assert loaded.experiment_id == "good"
         assert loaded.data["values"] == [1.0, 2.0]
 
+    def test_failure_recorded_and_the_rest_written(self, tmp_path):
+        summary = run_experiments(
+            ["a_boom", "b_good"],
+            experiments={"a_boom": _boom, "b_good": _good},
+            out_dir=tmp_path,
+            echo=_silent,
+        )
+        assert summary.exit_code == 1
+        assert [f.experiment_id for f in summary.failures] == ["a_boom"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b_good.json", "b_good.txt"]
+
     def test_failed_experiment_writes_nothing(self, tmp_path):
         run_experiments(
             ["a_boom"], experiments={"a_boom": _boom}, out_dir=tmp_path, echo=_silent

@@ -21,7 +21,9 @@ Commands
     results. ``--strict`` turns on result invariant guards
     (``repro.integrity``); ``--fresh`` (with ``--resume``) quarantines
     a checkpoint directory written by a different configuration and
-    restarts it instead of failing.
+    restarts it instead of failing. ``--jobs N`` spreads each
+    multi-snapshot sweep over N worker processes (default 1: in-process);
+    results are byte-identical for any N.
 ``verify <dir>``
     Audit an artifact/checkpoint tree: checkpoint shards against their
     manifests' digests and the checks resume applies, result and metrics
@@ -57,6 +59,13 @@ _SCALES = {
     "full": ScenarioScale.full,
     "throughput-bench": ScenarioScale.throughput_bench,
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,6 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enable result invariant guards: RTTs checked against the "
             "speed-of-light floor, allocations against capacities"
+        ),
+    )
+    run.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help=(
+            "worker processes per snapshot sweep (default 1: in-process); "
+            "results are identical for any N"
         ),
     )
     run.add_argument(
@@ -238,6 +257,7 @@ def _cmd_run(args) -> int:
             profile=args.profile,
             strict=args.strict,
             fresh=args.fresh,
+            jobs=args.jobs,
         )
     except UnknownExperimentError as exc:
         print(f"unknown experiments: {', '.join(exc.unknown)}", file=sys.stderr)

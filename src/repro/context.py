@@ -2,9 +2,9 @@
 
 Experiments build their scenarios and sweeps internally, so ``repro run``
 cannot hand each one its run-wide settings (``--profile``, ``--strict``,
-``--inject-fault``, ``--resume DIR``, ``--fresh``). Instead the runner
-installs one :class:`RunContext` for the batch and the layers that care
-read it with :func:`current`:
+``--inject-fault``, ``--resume DIR``, ``--fresh``, ``--jobs N``).
+Instead the runner installs one :class:`RunContext` for the batch and
+the layers that care read it with :func:`current`:
 
 * ``registry`` — the :class:`repro.obs.MetricsRegistry` collecting spans
   and counters, or ``None`` when collection is off (see
@@ -17,7 +17,10 @@ read it with :func:`current`:
   (:func:`repro.faults.consume_io_fault`);
 * ``checkpoint_root`` and ``fresh`` — where RTT sweeps checkpoint, and
   whether a mismatched checkpoint directory is restarted instead of
-  raising (:func:`repro.core.checkpoint.checkpoint_root`).
+  raising (:func:`repro.core.checkpoint.checkpoint_root`);
+* ``jobs`` — how many worker processes a snapshot sweep
+  (:func:`repro.core.parallel.map_snapshot_rows`) may use; 1 evaluates
+  in-process (``repro run --jobs N``).
 
 :func:`run_context` changes fields for the duration of a block and
 restores the previous context on exit. The pool initializer in
@@ -71,6 +74,7 @@ class RunContext:
     io_fault: ArmedIoFault | None = None
     checkpoint_root: Path | None = None
     fresh: bool = False
+    jobs: int = 1
 
 
 _CURRENT = RunContext()

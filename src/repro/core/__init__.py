@@ -19,13 +19,7 @@ from repro.core.metrics import (
     distribution_summary,
     rtt_stats,
 )
-from repro.core.parallel import (
-    FaultPolicy,
-    SnapshotFailure,
-    SweepError,
-    default_worker_count,
-    map_snapshot_rows,
-)
+from repro.core.parallel import SnapshotFailure, SweepError, map_snapshot_rows
 from repro.core.runner import (
     ExperimentFailure,
     ExperimentOutcome,
@@ -46,7 +40,6 @@ __all__ = [
     "ScenarioScale",
     "RttSeries",
     "compute_rtt_series_multi",
-    "default_worker_count",
     "map_snapshot_rows",
     "SnapshotEngine",
     "StaticContext",
@@ -57,7 +50,6 @@ __all__ = [
     "checkpoint_for",
     "checkpoint_root",
     "scenario_fingerprint",
-    "FaultPolicy",
     "SnapshotFailure",
     "SweepError",
     "ExperimentFailure",

@@ -481,10 +481,6 @@ class RttCheckpoint:
             )
         return row
 
-    def is_complete(self) -> bool:
-        """True once every snapshot has a verified checkpointed shard."""
-        return len(self.completed_indices()) == self.num_snapshots
-
 
 def audit_checkpoint_dir(directory: str | Path) -> list[tuple[Path, str, str]]:
     """``(path, code, detail)`` for every problem in one checkpoint directory.

@@ -5,8 +5,9 @@ runs its own batched Dijkstra — so the paper-scale configuration (96
 snapshots x 2 modes over a ~65k-node graph) parallelizes almost
 perfectly across cores. :func:`map_snapshot_rows` maps an arbitrary
 per-snapshot evaluator over a scenario's snapshot grid, in-process
-(``processes=1``, the default) or across a worker pool, with identical
-output either way. The RTT sweep
+(the run context's ``jobs`` = 1, the default) or across a pool of
+``jobs`` workers (``repro run --jobs N``), with identical output either
+way. The RTT sweep
 (:func:`repro.core.pipeline.compute_rtt_series_multi`) and the
 fig4/fig5/disconnected experiments are all thin evaluators on top of it.
 
@@ -16,7 +17,8 @@ snapshot's missing modes are evaluated together, in-process or in one
 worker task, so they share one geometry frame (time-outer, mode-inner).
 
 Long sweeps must survive partial failure, so the pool is wrapped in a
-resilience layer governed by :class:`FaultPolicy`:
+resilience layer governed by three module constants
+(:data:`MAX_ATTEMPTS`, :data:`BACKOFF_BASE_S`, :data:`SNAPSHOT_TIMEOUT_S`):
 
 * a per-snapshot timeout bounds hung workers — implemented with
   :func:`concurrent.futures.wait`, so one timeout window covers *all*
@@ -28,7 +30,8 @@ resilience layer governed by :class:`FaultPolicy`:
 * snapshots that keep failing fall back to serial in-process
   re-execution; only if that also fails does the sweep raise a
   :class:`SweepError` carrying structured :class:`SnapshotFailure`
-  records.
+  records, whose error names both the last pool failure and the
+  fallback's.
 
 Under the run context's checkpoint root (:mod:`repro.core.checkpoint`),
 every completed snapshot is persisted as it lands, so even a hard kill
@@ -49,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import multiprocessing
-import os
 import time
 from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -66,19 +68,13 @@ from repro.core.scenario import Scenario
 from repro.integrity.quarantine import note
 from repro.network.graph import ConnectivityMode
 
-__all__ = [
-    "FaultPolicy",
-    "SnapshotFailure",
-    "SweepError",
-    "default_worker_count",
-    "map_snapshot_rows",
-]
+__all__ = ["SnapshotFailure", "SweepError", "map_snapshot_rows"]
 
 #: Evaluator contract: one float row for one (snapshot, mode) cell.
 SnapshotEvaluator = Callable[[Scenario, float, ConnectivityMode], np.ndarray]
 
 # Worker-process state, set by the pool initializer: (scenario,
-# evaluator, snapshot times, fault hook, collect metrics). The scenario
+# evaluator, snapshot times, collect metrics). The scenario
 # is unpickled without its engine (see ``Scenario.__getstate__``), so
 # each worker lazily builds one process-local engine and every snapshot
 # it evaluates — and every mode of each snapshot — shares that engine's
@@ -86,32 +82,14 @@ SnapshotEvaluator = Callable[[Scenario, float, ConnectivityMode], np.ndarray]
 _WORKER: tuple | None = None
 
 
-@dataclass(frozen=True)
-class FaultPolicy:
-    """How hard the parallel sweep fights for each snapshot.
-
-    ``max_attempts`` counts pool rounds (1 = no retries); the wait
-    before round *n* is ``backoff_base_s * 2**(n - 1)``.
-    ``snapshot_timeout_s`` bounds how long the sweep waits without *any*
-    snapshot completing (``None`` = forever); when a window passes with
-    no progress, every still-outstanding snapshot is marked failed and
-    the pool is considered suspect, so the next round gets a fresh one.
-    ``serial_fallback`` re-runs still-failing snapshots in-process as
-    the last resort.
-    """
-
-    max_attempts: int = 3
-    snapshot_timeout_s: float | None = None
-    backoff_base_s: float = 0.5
-    serial_fallback: bool = True
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.snapshot_timeout_s is not None and self.snapshot_timeout_s <= 0:
-            raise ValueError("snapshot_timeout_s must be positive (or None)")
+#: Pool rounds per snapshot (1 = no retries).
+MAX_ATTEMPTS = 3
+#: The wait before pool round *n* is ``BACKOFF_BASE_S * 2**(n - 1)``.
+BACKOFF_BASE_S = 0.5
+#: How long the sweep waits without *any* snapshot completing (``None``
+#: = forever). When a window passes with no progress, every outstanding
+#: snapshot is marked failed and the next round gets a fresh pool.
+SNAPSHOT_TIMEOUT_S: float | None = None
 
 
 @dataclass(frozen=True)
@@ -143,11 +121,6 @@ class SweepError(RuntimeError):
         super().__init__(
             f"{len(self.failures)} snapshot(s) failed irrecoverably: {detail}"
         )
-
-
-def default_worker_count() -> int:
-    """A sensible worker count: physical-ish cores, at least 1."""
-    return max((os.cpu_count() or 2) - 1, 1)
 
 
 def _row_widths(modes, row_len) -> "dict[ConnectivityMode, int]":
@@ -195,10 +168,7 @@ def map_snapshot_rows(
     row_len,
     times_s: np.ndarray | None = None,
     label: str = "",
-    processes: int = 1,
-    policy: FaultPolicy | None = None,
     progress: Callable[[int, int], None] | None = None,
-    fault_hook: Callable[[int, float], None] | None = None,
 ) -> "dict[ConnectivityMode, np.ndarray]":
     """Evaluate every (snapshot, mode) cell; rows as columns.
 
@@ -216,23 +186,21 @@ def map_snapshot_rows(
     the moment it lands. A rerun under the same root loads every shard
     and evaluates nothing. Without a root nothing is persisted.
 
-    ``processes=1`` evaluates in-process, time-outer and mode-inner, so
-    a BP + hybrid sweep pays for propagation and visibility queries once
-    per snapshot; evaluator exceptions propagate unchanged. With more
-    processes and more than one pending snapshot, each worker task
-    evaluates one snapshot's missing modes; ``evaluator`` must then be
-    picklable (a module-level function, or a ``functools.partial`` of
-    one), and failures are retried and finally raised as a
-    :class:`SweepError` under ``policy`` (see :class:`FaultPolicy`).
-    Rows are bit-identical either way.
+    With the run context's ``jobs`` = 1 the map evaluates in-process,
+    time-outer and mode-inner, so a BP + hybrid sweep pays for
+    propagation and visibility queries once per snapshot; evaluator
+    exceptions propagate unchanged. With more jobs and more than one
+    pending snapshot, each worker task evaluates one snapshot's missing
+    modes; ``evaluator`` must then be picklable (a module-level
+    function, or a ``functools.partial`` of one), and failures are
+    retried, re-run in-process, and finally raised as a
+    :class:`SweepError` (see the module docstring). Rows are
+    bit-identical either way.
 
     ``progress(done, total)`` is called once for the resumed snapshots
     (when there are any), then once per completed snapshot; ``done``
     never decreases and ends at ``total``. A snapshot completes when all
-    its modes are in. ``fault_hook`` is a test seam: a picklable
-    callable run inside each worker, once per task, before the real
-    computation (raise/hang/exit to simulate crashes); in-process
-    evaluation never invokes it.
+    its modes are in.
     """
     modes = list(modes)
     times = scenario.times_s if times_s is None else np.asarray(times_s, dtype=float)
@@ -290,17 +258,8 @@ def map_snapshot_rows(
         if progress is not None:
             progress(done, total)
 
-    if processes > 1 and len(pending) > 1:
-        _map_on_pool(
-            scenario,
-            evaluator,
-            times,
-            pending,
-            record,
-            processes=processes,
-            policy=policy or FaultPolicy(),
-            fault_hook=fault_hook,
-        )
+    if context.jobs > 1 and len(pending) > 1:
+        _map_on_pool(scenario, evaluator, times, pending, record)
     else:
         for index, cell_modes in pending.items():
             record(index, _eval_cells(scenario, evaluator, float(times[index]), cell_modes))
@@ -311,7 +270,6 @@ def _init_worker(
     scenario: Scenario,
     evaluator: SnapshotEvaluator,
     times: np.ndarray,
-    fault_hook: Callable[[int, float], None] | None,
     context: RunContext,
     collect_metrics: bool,
 ) -> None:
@@ -319,27 +277,24 @@ def _init_worker(
     # Installed explicitly: a spawn-started worker inherits no globals,
     # and a fork-started one must not keep the parent's registry.
     install(context)
-    _WORKER = (scenario, evaluator, times, fault_hook, collect_metrics)
+    _WORKER = (scenario, evaluator, times, collect_metrics)
 
 
 def _eval_snapshot(
     index: int, modes
 ) -> "tuple[dict[ConnectivityMode, np.ndarray], dict | None]":
-    """Worker task: one snapshot's rows (fault hook first, for tests).
+    """Worker task: one snapshot's rows.
 
     Returns ``(rows_by_mode, metrics_payload)``: when the parent is
     profiling, each task collects its own span/counter aggregate and
-    ships it back alongside the result — the same future the fault
-    policy already watches — so worker instrumentation survives retries,
+    ships it back alongside the result — the same future the retry
+    loop already watches — so worker instrumentation survives retries,
     pool recreation, and the serial fallback without a side channel.
     """
     assert _WORKER is not None
-    scenario, evaluator, times, fault_hook, collect_metrics = _WORKER
-    time_s = float(times[index])
+    scenario, evaluator, times, collect_metrics = _WORKER
     with obs.observe() if collect_metrics else contextlib.nullcontext() as registry:
-        if fault_hook is not None:
-            fault_hook(index, time_s)
-        rows = _eval_cells(scenario, evaluator, time_s, modes)
+        rows = _eval_cells(scenario, evaluator, float(times[index]), modes)
     return rows, None if registry is None else registry.snapshot()
 
 
@@ -356,10 +311,6 @@ def _map_on_pool(
     times: np.ndarray,
     pending: "dict[int, list[ConnectivityMode]]",
     record: Callable,
-    *,
-    processes: int,
-    policy: FaultPolicy,
-    fault_hook: Callable[[int, float], None] | None,
 ) -> None:
     """Evaluate ``pending`` snapshots on a worker pool, feeding ``record``."""
     # Materialize lazy state before forking so workers don't redo it.
@@ -375,12 +326,10 @@ def _map_on_pool(
 
     def make_executor() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=min(processes, len(pending)),
+            max_workers=min(parent.jobs, len(pending)),
             mp_context=mp_context,
             initializer=_init_worker,
-            initargs=(
-                scenario, evaluator, times, fault_hook, worker_context, collect_metrics
-            ),
+            initargs=(scenario, evaluator, times, worker_context, collect_metrics),
         )
 
     attempts = dict.fromkeys(pending, 0)
@@ -388,13 +337,12 @@ def _map_on_pool(
     remaining = list(pending)
     executor = make_executor()
     try:
-        for round_number in range(policy.max_attempts):
+        for round_number in range(MAX_ATTEMPTS):
             if not remaining:
                 break
             if round_number:
                 obs.incr("parallel.worker_retries", len(remaining))
-                if policy.backoff_base_s:
-                    time.sleep(policy.backoff_base_s * 2 ** (round_number - 1))
+                time.sleep(BACKOFF_BASE_S * 2 ** (round_number - 1))
             future_index = {
                 executor.submit(_eval_snapshot, index, pending[index]): index
                 for index in remaining
@@ -411,7 +359,7 @@ def _map_on_pool(
                 # not N sequential windows.
                 finished, outstanding = wait(
                     outstanding,
-                    timeout=policy.snapshot_timeout_s,
+                    timeout=SNAPSHOT_TIMEOUT_S,
                     return_when=FIRST_COMPLETED,
                 )
                 if not finished:
@@ -422,7 +370,7 @@ def _map_on_pool(
                         failed.append(index)
                         obs.incr("parallel.timeouts")
                         errors[index] = (
-                            f"timed out after {policy.snapshot_timeout_s:g}s "
+                            f"timed out after {SNAPSHOT_TIMEOUT_S:g}s "
                             "without sweep progress"
                         )
                     pool_suspect = True
@@ -452,33 +400,35 @@ def _map_on_pool(
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 
-    if remaining and policy.serial_fallback:
-        still_failing: list[int] = []
-        for index in remaining:
-            attempts[index] += 1
-            obs.incr("parallel.serial_fallbacks")
-            try:
-                # Runs in-process: spans land on the parent registry and
-                # the modes share the parent engine's geometry frame.
-                mode_rows = _eval_cells(
-                    scenario, evaluator, float(times[index]), pending[index]
-                )
-            except Exception as exc:
-                errors[index] = f"serial fallback: {exc.__class__.__name__}: {exc}"
-                still_failing.append(index)
-            else:
-                record(index, mode_rows)
-        remaining = still_failing
+    # Last resort: what the pool could not finish runs in-process, where
+    # spans land on the parent registry and the modes share the parent
+    # engine's geometry frame.
+    still_failing: list[int] = []
+    for index in remaining:
+        attempts[index] += 1
+        obs.incr("parallel.serial_fallbacks")
+        try:
+            mode_rows = _eval_cells(
+                scenario, evaluator, float(times[index]), pending[index]
+            )
+        except Exception as exc:
+            errors[index] = (
+                f"pool: {errors[index]}; "
+                f"serial fallback: {exc.__class__.__name__}: {exc}"
+            )
+            still_failing.append(index)
+        else:
+            record(index, mode_rows)
 
-    if remaining:
+    if still_failing:
         raise SweepError(
             [
                 SnapshotFailure(
                     index=index,
                     time_s=float(times[index]),
                     attempts=attempts[index],
-                    error=errors.get(index, "unknown error"),
+                    error=errors[index],
                 )
-                for index in sorted(remaining)
+                for index in sorted(still_failing)
             ]
         )

@@ -15,7 +15,7 @@ from scipy.sparse import csgraph
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.context import current
-from repro.core.parallel import FaultPolicy, map_snapshot_rows
+from repro.core.parallel import map_snapshot_rows
 from repro.core.scenario import Scenario
 from repro.flows.traffic import CityPair, pair_index
 from repro.integrity.guards import (
@@ -110,10 +110,7 @@ def compute_rtt_series_multi(
     scenario: Scenario,
     modes,
     *,
-    processes: int = 1,
-    policy: FaultPolicy | None = None,
     progress=None,
-    fault_hook=None,
 ) -> "dict[ConnectivityMode, RttSeries]":
     """RTTs of every scenario pair across every snapshot, for several modes.
 
@@ -121,17 +118,17 @@ def compute_rtt_series_multi(
     snapshot grid by :func:`repro.core.parallel.map_snapshot_rows`,
     in-process by default (time-outer, mode-inner, so a BP + hybrid
     comparison pays for propagation and visibility queries once per
-    snapshot) or across ``processes`` workers. Pass
-    :func:`repro.core.parallel.default_worker_count` for every core.
+    snapshot) or across the run context's ``jobs`` workers (``repro run
+    --jobs N``).
 
     Under the run context's checkpoint root
     (:func:`repro.core.checkpoint.checkpoint_root`, ``repro run
     --resume``) every row is persisted as it lands: an interrupted sweep
     resumes from disk, and a rerun under the same root reloads the
-    archived series without evaluating a snapshot. ``policy``,
-    ``progress`` and ``fault_hook`` are documented on the map. Results
-    are bit-identical for any ``processes``. Under strict mode every series is checked, and a
-    sweep over both BP and hybrid also checks hybrid <= BP per cell.
+    archived series without evaluating a snapshot. ``progress`` is
+    documented on the map. Results are bit-identical for any ``jobs``.
+    Under strict mode every series is checked, and a sweep over both BP
+    and hybrid also checks hybrid <= BP per cell.
     """
     modes = list(modes)
     rows = map_snapshot_rows(
@@ -139,10 +136,7 @@ def compute_rtt_series_multi(
         modes,
         _rtt_snapshot_row,
         row_len=len(scenario.pairs),
-        processes=processes,
-        policy=policy,
         progress=progress,
-        fault_hook=fault_hook,
     )
     series = {
         mode: RttSeries(mode=mode, times_s=scenario.times_s, rtt_ms=rows[mode])

@@ -17,7 +17,9 @@ One run context (:mod:`repro.context`) wraps the whole batch:
 * ``fault_spec`` sets its fault spec (:mod:`repro.faults`), so every
   scenario in the batch degrades under the same seeded component
   outages — turning any experiment into an outage-robustness probe;
-* ``strict`` turns on its result invariant guards.
+* ``strict`` turns on its result invariant guards;
+* ``jobs`` sets how many worker processes each multi-snapshot sweep
+  uses (:mod:`repro.core.parallel`); results do not depend on it.
 
 ``profile=True`` additionally runs every experiment under an
 observability registry (:mod:`repro.obs`): per-experiment wall/CPU time
@@ -180,6 +182,7 @@ def run_experiments(
     profile: bool = False,
     strict: bool = False,
     fresh: bool = False,
+    jobs: int = 1,
     echo: Callable[[str], None] = print,
 ) -> RunSummary:
     """Run a batch of experiments, surviving individual failures.
@@ -196,7 +199,8 @@ def run_experiments(
     with ``out_dir`` — writes ``metrics.json``. ``strict`` turns on result
     invariant guards (:mod:`repro.integrity.guards`) for the batch;
     ``fresh`` makes mismatched checkpoint directories get quarantined and
-    restarted instead of failing the experiment. Raises
+    restarted instead of failing the experiment. ``jobs`` > 1 sets the
+    run context's worker count for the batch. Raises
     :class:`UnknownExperimentError` before running anything when an id is
     unknown.
     """
@@ -232,6 +236,8 @@ def run_experiments(
         changes["faults"] = fault_spec
     if strict:
         changes["strict"] = True
+    if jobs != 1:
+        changes["jobs"] = jobs
     with run_context(**changes):
         for eid in selected:
             started = time.perf_counter()

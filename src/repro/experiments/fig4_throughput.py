@@ -13,7 +13,6 @@ and at least 3.1x at k = 4, on both constellations; the multipath gain
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
 
@@ -23,13 +22,12 @@ from repro.experiments.base import ExperimentResult, register
 from repro.flows.routing import route_traffic_multi_k
 from repro.flows.throughput import evaluate_throughput
 from repro.network.graph import ConnectivityMode
-from repro.network.links import LinkCapacities
 from repro.reporting.tables import format_summary, format_table
 
 __all__ = ["run", "throughput_matrix"]
 
 
-def _matrix_snapshot_row(scenario, time_s, mode, ks, capacities) -> np.ndarray:
+def _matrix_snapshot_row(scenario, time_s, mode, ks) -> np.ndarray:
     """Snapshot-map evaluator: aggregate Gbps for each ``k``, one mode.
 
     All ``ks`` of one mode are routed together with
@@ -46,7 +44,6 @@ def _matrix_snapshot_row(scenario, time_s, mode, ks, capacities) -> np.ndarray:
                 graph,
                 scenario.pairs,
                 k=k,
-                capacities=capacities,
                 routing=routed[int(k)],
             ).aggregate_gbps
             for k in ks
@@ -57,31 +54,30 @@ def _matrix_snapshot_row(scenario, time_s, mode, ks, capacities) -> np.ndarray:
 def throughput_matrix(
     scenario: Scenario,
     ks=(1, 4),
-    capacities: LinkCapacities | None = None,
     time_s: float = 0.0,
     processes: int = 1,
 ) -> dict:
     """Aggregate throughput for every (mode, k) combination, Gbps.
 
-    Runs through the generic snapshot map (serial by default, parallel
-    and checkpoint/resume-capable like every other sweep), with one row
-    per mode holding the aggregate for each ``k``. Both modes of the
-    snapshot share one cached geometry frame via the engine.
+    Runs through the generic snapshot map (checkpoint/resume-capable like
+    every other sweep), with one row per mode holding the aggregate for
+    each ``k`` under the paper's per-link capacities. Both modes of the
+    snapshot share one geometry frame via the engine.
+
+    ``processes`` is inert: a one-instant sweep never has two pending
+    snapshots, so the map never starts its worker pool whatever the run
+    context's ``jobs``. The parameter stays only for callers that pass
+    it.
     """
-    capacities = capacities or LinkCapacities()
     ks = tuple(int(k) for k in ks)
-    label = f"fig4-k{'_'.join(str(k) for k in ks)}"
-    if capacities != LinkCapacities():
-        label += "-c" + hashlib.sha1(repr(capacities).encode()).hexdigest()[:8]
     modes = (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID)
     rows = map_snapshot_rows(
         scenario,
         modes,
-        functools.partial(_matrix_snapshot_row, ks=ks, capacities=capacities),
+        functools.partial(_matrix_snapshot_row, ks=ks),
         row_len=len(ks),
         times_s=np.asarray([float(time_s)]),
-        label=label,
-        processes=processes,
+        label=f"fig4-k{'_'.join(str(k) for k in ks)}",
     )
     return {
         (mode.value, k): float(rows[mode][j, 0])

@@ -5,17 +5,15 @@ from repro.geo.geodesy import (
     destination_point,
     great_circle_points,
     haversine_m,
-    initial_bearing_deg,
     midpoint,
     normalize_lon_deg,
 )
 from repro.geo.grid import global_grid, grid_points_near, land_grid_points_near
-from repro.geo.landmask import is_land, land_fraction
+from repro.geo.landmask import is_land
 
 __all__ = [
     "haversine_m",
     "central_angle_rad",
-    "initial_bearing_deg",
     "destination_point",
     "great_circle_points",
     "midpoint",
@@ -24,5 +22,4 @@ __all__ = [
     "grid_points_near",
     "land_grid_points_near",
     "is_land",
-    "land_fraction",
 ]

@@ -15,7 +15,6 @@ from repro.constants import EARTH_RADIUS
 __all__ = [
     "haversine_m",
     "central_angle_rad",
-    "initial_bearing_deg",
     "destination_point",
     "great_circle_points",
     "midpoint",
@@ -46,16 +45,6 @@ def central_angle_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
 def haversine_m(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
     """Great-circle distance between two points in metres."""
     return EARTH_RADIUS * central_angle_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg)
-
-
-def initial_bearing_deg(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
-    """Initial great-circle bearing from point 1 to point 2, degrees in [0, 360)."""
-    lat1, lon1, lat2, lon2 = _to_rad(lat1_deg, lon1_deg, lat2_deg, lon2_deg)
-    dlon = lon2 - lon1
-    x = np.sin(dlon) * np.cos(lat2)
-    y = np.cos(lat1) * np.sin(lat2) - np.sin(lat1) * np.cos(lat2) * np.cos(dlon)
-    bearing = np.degrees(np.arctan2(x, y))
-    return np.mod(bearing, 360.0)
 
 
 def destination_point(lat_deg, lon_deg, bearing_deg, distance_m):

@@ -24,7 +24,6 @@ from scipy import ndimage
 
 __all__ = [
     "is_land",
-    "land_fraction",
     "LAND_POLYGONS",
     "rasterize",
     "RASTER_RESOLUTION_DEG",
@@ -357,12 +356,3 @@ def is_land(lat_deg, lon_deg) -> np.ndarray:
     i = np.clip(((lats + 90.0) / 180.0 * n_lat).astype(int), 0, n_lat - 1)
     j = np.clip(((lons + 180.0) / 360.0 * n_lon).astype(int), 0, n_lon - 1)
     return raster[i, j]
-
-
-def land_fraction() -> float:
-    """Area-weighted land fraction of the raster (sanity metric, ~0.3)."""
-    raster = _raster()
-    n_lat = raster.shape[0]
-    lat_centres = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
-    weights = np.cos(np.radians(lat_centres))[:, None]
-    return float(np.sum(raster * weights) / (np.sum(weights) * raster.shape[1]))

@@ -57,19 +57,6 @@ class Flight:
     departure_s: float
     duration_s: float
 
-    def progress_at(self, time_s: float) -> float | None:
-        """Fractional progress along the route at ``time_s``, or ``None``.
-
-        The schedule repeats every day, so we check the departure in the
-        current day and the previous day (for legs crossing midnight).
-        """
-        t = time_s % SOLAR_DAY
-        for shift in (0.0, -SOLAR_DAY):
-            elapsed = t - (self.departure_s + shift)
-            if 0.0 <= elapsed <= self.duration_s:
-                return elapsed / self.duration_s
-        return None
-
 
 class FlightSchedule:
     """A full day's flights with vectorized position queries.

@@ -29,7 +29,6 @@ from repro.integrity.quarantine import (
     integrity_counters,
     note,
     quarantine_file,
-    quarantine_reasons,
 )
 from repro.integrity.validators import (
     Column,
@@ -67,7 +66,6 @@ __all__ = [
     "integrity_counters",
     "note",
     "quarantine_file",
-    "quarantine_reasons",
     "rtt_lower_bound_ms",
     "validate_latlon_arrays",
     "verify_checkpoint_dir",

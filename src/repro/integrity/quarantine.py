@@ -27,7 +27,6 @@ __all__ = [
     "integrity_counters",
     "note",
     "quarantine_file",
-    "quarantine_reasons",
 ]
 
 #: Subdirectory (inside a checkpoint/artifact directory) holding
@@ -82,17 +81,3 @@ def quarantine_file(path: str | Path, reason: str, **details) -> Path | None:
         pass
     note("quarantined")
     return target
-
-
-def quarantine_reasons(directory: str | Path) -> list[dict]:
-    """All reason records under ``directory``'s quarantine, oldest first."""
-    qdir = Path(directory) / QUARANTINE_DIRNAME
-    if not qdir.is_dir():
-        return []
-    records = []
-    for sidecar in sorted(qdir.glob("*.reason.json")):
-        try:
-            records.append(json.loads(sidecar.read_text()))
-        except (OSError, json.JSONDecodeError):
-            records.append({"file": sidecar.name, "reason": "unreadable sidecar"})
-    return records

@@ -7,14 +7,12 @@ from repro.orbits.coverage import (
     visible_satellite_counts,
 )
 from repro.orbits.coordinates import (
-    ecef_to_eci,
     ecef_to_geodetic,
     eci_to_ecef,
     geodetic_to_ecef,
 )
 from repro.orbits.kepler import (
     J2,
-    CircularOrbit,
     j2_arglat_rate_correction_rad_s,
     mean_motion_rad_s,
     nodal_precession_rate_rad_s,
@@ -33,7 +31,6 @@ from repro.orbits.presets import (
 from repro.orbits.visibility import (
     coverage_central_angle_rad,
     elevation_deg,
-    is_visible,
     reachable_sky_fraction,
 )
 
@@ -41,14 +38,12 @@ __all__ = [
     "Constellation",
     "Shell",
     "walker_delta_elements",
-    "CircularOrbit",
     "propagate_circular",
     "mean_motion_rad_s",
     "J2",
     "nodal_precession_rate_rad_s",
     "j2_arglat_rate_correction_rad_s",
     "eci_to_ecef",
-    "ecef_to_eci",
     "geodetic_to_ecef",
     "ecef_to_geodetic",
     "starlink",
@@ -63,7 +58,6 @@ __all__ = [
     "latitude_coverage_profile",
     "max_served_latitude_deg",
     "elevation_deg",
-    "is_visible",
     "coverage_central_angle_rad",
     "reachable_sky_fraction",
 ]

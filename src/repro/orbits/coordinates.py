@@ -25,7 +25,6 @@ from repro.constants import EARTH_RADIUS, EARTH_ROTATION_RATE
 __all__ = [
     "earth_rotation_angle_rad",
     "eci_to_ecef",
-    "ecef_to_eci",
     "geodetic_to_ecef",
     "ecef_to_geodetic",
     "rotation_z",
@@ -53,13 +52,6 @@ def eci_to_ecef(positions_eci: np.ndarray, time_s: float) -> np.ndarray:
     theta = earth_rotation_angle_rad(time_s)
     rot = rotation_z(-theta)
     return np.asarray(positions_eci, dtype=float) @ rot.T
-
-
-def ecef_to_eci(positions_ecef: np.ndarray, time_s: float) -> np.ndarray:
-    """Inverse of :func:`eci_to_ecef`."""
-    theta = earth_rotation_angle_rad(time_s)
-    rot = rotation_z(theta)
-    return np.asarray(positions_ecef, dtype=float) @ rot.T
 
 
 def geodetic_to_ecef(lat_deg, lon_deg, altitude_m=0.0) -> np.ndarray:

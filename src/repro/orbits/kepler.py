@@ -31,14 +31,11 @@ perigee):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.constants import EARTH_MU, EARTH_RADIUS, orbital_period
+from repro.constants import EARTH_MU, EARTH_RADIUS
 
 __all__ = [
-    "CircularOrbit",
     "propagate_circular",
     "mean_motion_rad_s",
     "J2",
@@ -92,27 +89,6 @@ def mean_motion_rad_s(altitude_m: float) -> float:
     """Angular rate of a circular orbit at ``altitude_m``, rad/s."""
     semi_major_axis = EARTH_RADIUS + altitude_m
     return np.sqrt(EARTH_MU / semi_major_axis**3)
-
-
-@dataclass(frozen=True)
-class CircularOrbit:
-    """A single circular orbit's elements, period and radius.
-
-    Positions come from :func:`propagate_circular`, the array API.
-    """
-
-    altitude_m: float
-    inclination_deg: float
-    raan_deg: float
-    phase_deg: float
-
-    @property
-    def period_s(self) -> float:
-        return orbital_period(self.altitude_m)
-
-    @property
-    def radius_m(self) -> float:
-        return EARTH_RADIUS + self.altitude_m
 
 
 def propagate_circular(

@@ -15,7 +15,6 @@ from repro.orbits.coordinates import geodetic_to_ecef
 __all__ = [
     "elevation_deg",
     "coverage_central_angle_rad",
-    "is_visible",
     "enu_basis",
     "direction_to_enu",
     "gso_arc_directions_enu",
@@ -54,11 +53,6 @@ def coverage_central_angle_rad(altitude_m: float, min_elevation_deg: float) -> f
     elev = np.radians(min_elevation_deg)
     ratio = EARTH_RADIUS / (EARTH_RADIUS + altitude_m)
     return float(np.arccos(ratio * np.cos(elev)) - elev)
-
-
-def is_visible(gt_ecef: np.ndarray, sat_ecef: np.ndarray, min_elevation_deg) -> np.ndarray:
-    """Boolean visibility mask: elevation >= minimum elevation."""
-    return elevation_deg(gt_ecef, sat_ecef) >= np.asarray(min_elevation_deg, dtype=float)
 
 
 # --- Local ENU frames and GSO arc avoidance (Section 7, Fig. 9) --------------

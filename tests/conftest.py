@@ -7,6 +7,9 @@ the land-mask raster and ground-segment construction.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,14 @@ def _strict_integrity():
 
     with run_context(strict=True):
         yield
+
+
+def quarantine_reasons(directory) -> list[dict]:
+    """The reason sidecars under ``directory``'s quarantine, oldest first."""
+    from repro.integrity.quarantine import QUARANTINE_DIRNAME
+
+    sidecars = sorted((Path(directory) / QUARANTINE_DIRNAME).glob("*.reason.json"))
+    return [json.loads(sidecar.read_text()) for sidecar in sidecars]
 
 
 TINY_SCALE = ScenarioScale(

@@ -21,8 +21,9 @@ from repro.faults import (
     consume_io_fault,
     corrupt_bytes,
 )
-from repro.integrity.quarantine import integrity_counters, quarantine_reasons
+from repro.integrity.quarantine import integrity_counters
 from repro.network.graph import ConnectivityMode
+from tests.conftest import quarantine_reasons
 
 MODE = ConnectivityMode.BP_ONLY
 
@@ -45,10 +46,10 @@ def _open_checkpoint(tiny_scenario, root) -> RttCheckpoint:
     )
 
 
-def _sweep(tiny_scenario, root, **kwargs):
+def _sweep(tiny_scenario, root, jobs=1):
     """One checkpointed sweep under ``root``; returns the series."""
-    with checkpoint_root(root):
-        return compute_rtt_series_multi(tiny_scenario, [MODE], **kwargs)[MODE]
+    with checkpoint_root(root), run_context(jobs=jobs):
+        return compute_rtt_series_multi(tiny_scenario, [MODE])[MODE]
 
 
 class TestIoFaultSpec:
@@ -114,7 +115,8 @@ def test_sweep_survives_and_heals_byte_identically(
     # the recompute converges byte-identically.
     healed = _sweep(tiny_scenario, tmp_path / "ck")
     assert healed.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
-    assert _open_checkpoint(tiny_scenario, tmp_path / "ck").is_complete()
+    ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
+    assert ck.completed_indices() == set(range(ck.num_snapshots))
 
 
 def test_torn_write_is_quarantined_with_reason(
@@ -159,7 +161,7 @@ def test_disk_full_in_parallel_sweep_degrades_gracefully(
 ):
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
     with run_context(io_fault=spec):
-        series = _sweep(tiny_scenario, tmp_path / "ck", processes=2)
+        series = _sweep(tiny_scenario, tmp_path / "ck", jobs=2)
     assert series.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     assert len(ck.completed_indices()) == 2  # one store dropped, rest landed

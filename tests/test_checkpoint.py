@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline
+from repro.core import parallel
 from repro.context import current, run_context
 from repro.core.checkpoint import (
     CheckpointMismatchError,
@@ -18,8 +19,8 @@ from repro.core.checkpoint import (
     checkpoint_root,
     scenario_fingerprint,
 )
-from repro.core.parallel import FaultPolicy, SweepError
-from repro.core.pipeline import compute_rtt_series_multi
+from repro.core.parallel import SweepError, map_snapshot_rows
+from repro.core.pipeline import _rtt_snapshot_row, compute_rtt_series_multi
 from repro.network.graph import ConnectivityMode
 
 
@@ -54,7 +55,7 @@ class TestRttCheckpoint:
         ck.store_snapshot(1, row)
         np.testing.assert_array_equal(ck.load_snapshot(1), row)
         assert ck.completed_indices() == {1}
-        assert not ck.is_complete()
+        assert len(ck.completed_indices()) < ck.num_snapshots
 
     def test_shards_written_atomically(self, tmp_path, times):
         ck = RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 2)
@@ -154,10 +155,23 @@ class TestCheckpointRoot:
             assert current().checkpoint_root == tmp_path / "outer"
 
 
-def _crash_after_first_snapshot(index: int, time_s: float) -> None:
-    """Worker fault hook: every snapshot but the first dies."""
-    if index >= 1:
+def _crash_after_first_snapshot(scenario, time_s, mode):
+    """The RTT row, but every snapshot after the first dies in any process."""
+    if time_s != scenario.times_s[0]:
         raise RuntimeError("injected mid-run crash")
+    return _rtt_snapshot_row(scenario, time_s, mode)
+
+
+def _rtt_rows(scenario, mode, evaluator):
+    """An RTT sweep's rows with ``evaluator`` on two workers (same checkpoint)."""
+    with run_context(jobs=2):
+        return map_snapshot_rows(
+            scenario, [mode], evaluator, row_len=len(scenario.pairs)
+        )[mode]
+
+
+def _is_complete(ck) -> bool:
+    return ck.completed_indices() == set(range(ck.num_snapshots))
 
 
 def _rtt_checkpoint(root, scenario, mode) -> RttCheckpoint:
@@ -181,18 +195,12 @@ class TestResume:
         mode = ConnectivityMode.BP_ONLY
         baseline = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
 
-        # "Kill" the sweep: workers crash on every snapshot but the first,
-        # retries exhausted, no serial rescue — exactly a mid-run abort.
+        # "Kill" the sweep: every snapshot but the first crashes, in the
+        # workers and in the serial rescue — exactly a mid-run abort.
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.0)
         with checkpoint_root(tmp_path), pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_multi(
-                tiny_scenario,
-                [mode],
-                processes=2,
-                fault_hook=_crash_after_first_snapshot,
-                policy=FaultPolicy(
-                    max_attempts=1, backoff_base_s=0.0, serial_fallback=False
-                ),
-            )
+            _rtt_rows(tiny_scenario, mode, _crash_after_first_snapshot)
         assert {f.index for f in excinfo.value.failures} == {1, 2}
         ck = _rtt_checkpoint(tmp_path, tiny_scenario, mode)
         assert ck.completed_indices() == {0}
@@ -214,27 +222,21 @@ class TestResume:
         assert computed_times == expected_times  # snapshot 0 never recomputed
         np.testing.assert_array_equal(resumed.rtt_ms, baseline.rtt_ms)
         np.testing.assert_array_equal(resumed.times_s, baseline.times_s)
-        assert ck.is_complete()
+        assert _is_complete(ck)
 
     def test_fully_checkpointed_parallel_run_computes_nothing(
         self, tiny_scenario, tmp_path
     ):
         mode = ConnectivityMode.BP_ONLY
 
-        def explode(index, time_s):  # pragma: no cover - must never run
+        def explode(scenario, time_s, mode):  # pragma: no cover - must never run
             raise AssertionError("resumed run recomputed a checkpointed snapshot")
 
         with checkpoint_root(tmp_path):
             first = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
-            assert _rtt_checkpoint(tmp_path, tiny_scenario, mode).is_complete()
-            resumed = compute_rtt_series_multi(
-                tiny_scenario,
-                [mode],
-                processes=2,
-                fault_hook=explode,
-                policy=FaultPolicy(max_attempts=1, serial_fallback=False),
-            )[mode]
-        np.testing.assert_array_equal(resumed.rtt_ms, first.rtt_ms)
+            assert _is_complete(_rtt_checkpoint(tmp_path, tiny_scenario, mode))
+            resumed = _rtt_rows(tiny_scenario, mode, explode)
+        np.testing.assert_array_equal(resumed, first.rtt_ms)
 
     def test_serial_sweep_checkpoints_under_ambient_root(
         self, tiny_scenario, tmp_path
@@ -243,7 +245,7 @@ class TestResume:
         with checkpoint_root(tmp_path):
             series = compute_rtt_series_multi(tiny_scenario, [mode])[mode]
         ck = _rtt_checkpoint(tmp_path, tiny_scenario, mode)
-        assert ck.is_complete()
+        assert _is_complete(ck)
         for index in range(ck.num_snapshots):
             np.testing.assert_array_equal(
                 ck.load_snapshot(index), series.rtt_ms[:, index]
@@ -254,12 +256,12 @@ class TestResume:
         ticks = []
         with checkpoint_root(tmp_path):
             compute_rtt_series_multi(tiny_scenario, [mode])
-            compute_rtt_series_multi(
-                tiny_scenario,
-                [mode],
-                processes=2,
-                progress=lambda done, total: ticks.append((done, total)),
-            )
+            with run_context(jobs=2):
+                compute_rtt_series_multi(
+                    tiny_scenario,
+                    [mode],
+                    progress=lambda done, total: ticks.append((done, total)),
+                )
         assert ticks == [(3, 3)]
 
 
@@ -379,7 +381,7 @@ class TestCorruptShards:
         missing = set(range(3)) - ck.completed_indices()
         for i in missing:
             ck.store_snapshot(i, _row(i, 3))
-        assert ck.is_complete()
+        assert _is_complete(ck)
 
     def test_fresh_quarantines_mismatched_checkpoint(self, tmp_path, times):
         RttCheckpoint.open(tmp_path / "ck", ConnectivityMode.BP_ONLY, times, 4)

@@ -60,6 +60,17 @@ class TestParser:
         plain = build_parser().parse_args(["run", "fig2"])
         assert not plain.strict and not plain.fresh
 
+    def test_run_parses_jobs(self):
+        assert build_parser().parse_args(["run", "fig2", "--jobs", "2"]).jobs == 2
+        assert build_parser().parse_args(["run", "fig2"]).jobs == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_jobs_below_one_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig9", "--jobs", value])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_verify_parses_directory(self):
         args = build_parser().parse_args(["verify", "artifacts"])
         assert args.command == "verify"

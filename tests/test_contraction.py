@@ -39,7 +39,8 @@ from scipy.sparse import csgraph
 from repro.constants import SPEED_OF_LIGHT
 from repro.context import run_context
 from repro.core import scenario as scenario_module
-from repro.core.parallel import FaultPolicy, SweepError
+from repro.core import parallel
+from repro.core.parallel import SweepError
 from repro.core.pipeline import compute_rtt_series_multi, pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.faults import FaultSpec
@@ -634,12 +635,11 @@ class TestStrictGuardInBothSweeps:
         with pytest.raises(InvariantViolation, match="non-finite position"):
             compute_rtt_series_multi(tiny_scenario, [self.MODE])
 
-    def test_parallel_sweep_raises(self, tiny_scenario, bad_graphs):
-        policy = FaultPolicy(max_attempts=1, backoff_base_s=0.0)
-        with pytest.raises(SweepError) as excinfo:
-            compute_rtt_series_multi(
-                tiny_scenario, [self.MODE], processes=2, policy=policy
-            )
+    def test_parallel_sweep_raises(self, tiny_scenario, bad_graphs, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.0)
+        with pytest.raises(SweepError) as excinfo, run_context(jobs=2):
+            compute_rtt_series_multi(tiny_scenario, [self.MODE])
         errors = [failure.error for failure in excinfo.value.failures]
         assert len(errors) == len(tiny_scenario.times_s)
         assert all("InvariantViolation" in error for error in errors)
@@ -647,7 +647,6 @@ class TestStrictGuardInBothSweeps:
     def test_guard_off_lets_both_through(self, tiny_scenario, bad_graphs):
         with run_context(strict=False):
             serial = compute_rtt_series_multi(tiny_scenario, [self.MODE])[self.MODE]
-            parallel = compute_rtt_series_multi(
-                tiny_scenario, [self.MODE], processes=2
-            )[self.MODE]
-        np.testing.assert_array_equal(serial.rtt_ms, parallel.rtt_ms)
+            with run_context(jobs=2):
+                pooled = compute_rtt_series_multi(tiny_scenario, [self.MODE])[self.MODE]
+        np.testing.assert_array_equal(serial.rtt_ms, pooled.rtt_ms)

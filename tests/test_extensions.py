@@ -112,7 +112,7 @@ class TestGsoPolicy:
 
     def test_surviving_edges_respect_separation(self, tiny_scenario):
         from repro.orbits.visibility import min_gso_separation_deg, elevation_deg
-        from repro.geo.geodesy import initial_bearing_deg
+        from tests.reference_geometry import initial_bearing_deg
         from repro.orbits.coordinates import ecef_to_geodetic
 
         policy = GsoProtectionPolicy(22.0, lat_bin_deg=0.25)

@@ -26,12 +26,12 @@ from repro.integrity import (
     digest_bytes,
     digest_file,
     quarantine_file,
-    quarantine_reasons,
     rtt_lower_bound_ms,
     validate_latlon_arrays,
     verify_tree,
 )
 from repro.network.graph import ConnectivityMode
+from tests.conftest import quarantine_reasons
 
 
 class TestDigest:

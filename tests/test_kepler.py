@@ -4,38 +4,40 @@ import numpy as np
 import pytest
 
 from repro.constants import EARTH_RADIUS, orbital_period
-from repro.orbits.kepler import CircularOrbit, mean_motion_rad_s, propagate_circular
+from repro.orbits.kepler import mean_motion_rad_s, propagate_circular
+
+ALTITUDE_M = 550e3
+PERIOD_S = orbital_period(ALTITUDE_M)
+RADIUS_M = EARTH_RADIUS + ALTITUDE_M
 
 
-def position_eci(orbit, time_s):
-    """ECI position of one orbit at ``time_s`` via the array API, ``(3,)``."""
-    elements = (
-        orbit.altitude_m, orbit.inclination_deg, orbit.raan_deg, orbit.phase_deg
-    )
+def position_eci(elements, time_s):
+    """ECI position of one orbit at ``time_s`` via the array API, ``(3,)``.
+
+    ``elements`` is ``(altitude_m, inclination_deg, raan_deg, phase_deg)``.
+    """
     return propagate_circular(*(np.array([e]) for e in elements), time_s)[0]
 
 
 @pytest.fixture()
 def orbit():
-    return CircularOrbit(
-        altitude_m=550e3, inclination_deg=53.0, raan_deg=30.0, phase_deg=10.0
-    )
+    return (ALTITUDE_M, 53.0, 30.0, 10.0)
 
 
 class TestCircularOrbit:
     def test_radius_constant_over_time(self, orbit):
         for t in (0.0, 100.0, 3333.3, 86400.0):
             position = position_eci(orbit, t)
-            assert np.linalg.norm(position) == pytest.approx(orbit.radius_m, rel=1e-12)
+            assert np.linalg.norm(position) == pytest.approx(RADIUS_M, rel=1e-12)
 
     def test_period_closes_the_orbit(self, orbit):
         start = position_eci(orbit, 0.0)
-        after_period = position_eci(orbit, orbit.period_s)
+        after_period = position_eci(orbit, PERIOD_S)
         np.testing.assert_allclose(start, after_period, atol=1.0)  # metres
 
     def test_half_period_is_opposite(self, orbit):
         start = position_eci(orbit, 0.0)
-        half = position_eci(orbit, orbit.period_s / 2.0)
+        half = position_eci(orbit, PERIOD_S / 2.0)
         np.testing.assert_allclose(start, -half, atol=1.0)
 
     def test_orbital_velocity_near_7_6_kms(self, orbit):
@@ -45,22 +47,22 @@ class TestCircularOrbit:
 
     def test_inclination_bounds_z(self, orbit):
         # |z| <= r * sin(inclination) throughout the orbit.
-        times = np.linspace(0.0, orbit.period_s, 200)
+        times = np.linspace(0.0, PERIOD_S, 200)
         z_max = max(abs(position_eci(orbit, t)[2]) for t in times)
-        bound = orbit.radius_m * np.sin(np.radians(orbit.inclination_deg))
+        bound = RADIUS_M * np.sin(np.radians(orbit[1]))
         assert z_max <= bound * (1.0 + 1e-9)
         assert z_max == pytest.approx(bound, rel=1e-3)
 
     def test_equatorial_orbit_stays_in_plane(self):
-        orbit = CircularOrbit(550e3, 0.0, 0.0, 0.0)
-        for t in np.linspace(0, orbit.period_s, 17):
+        orbit = (ALTITUDE_M, 0.0, 0.0, 0.0)
+        for t in np.linspace(0, PERIOD_S, 17):
             assert abs(position_eci(orbit, t)[2]) < 1e-6
 
     def test_polar_orbit_passes_over_poles(self):
-        orbit = CircularOrbit(550e3, 90.0, 0.0, 0.0)
-        quarter = orbit.period_s / 4.0
+        orbit = (ALTITUDE_M, 90.0, 0.0, 0.0)
+        quarter = PERIOD_S / 4.0
         position = position_eci(orbit, quarter)
-        assert abs(position[2]) == pytest.approx(orbit.radius_m, rel=1e-9)
+        assert abs(position[2]) == pytest.approx(RADIUS_M, rel=1e-9)
 
 
 class TestMeanMotion:

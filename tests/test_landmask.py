@@ -77,8 +77,13 @@ class TestIsLandApi:
 class TestLandFraction:
     def test_land_fraction_is_earthlike(self):
         # Earth is ~29 % land; our generous coastal dilation pushes a bit
-        # above that but must stay well below half.
-        fraction = landmask.land_fraction()
+        # above that but must stay well below half. Cells are weighted
+        # by the cosine of their centre latitude (their area).
+        raster = landmask._raster()
+        n_lat = raster.shape[0]
+        lat_centres = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
+        weights = np.broadcast_to(np.cos(np.radians(lat_centres))[:, None], raster.shape)
+        fraction = float(np.average(raster, weights=weights))
         assert 0.25 < fraction < 0.45
 
 

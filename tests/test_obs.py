@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.context import current
+from repro.context import current, run_context
 from repro.network.graph import ConnectivityMode
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
@@ -276,9 +276,9 @@ class TestCrossProcessAggregation:
     def test_parallel_sweep_ships_worker_spans_back(self, tiny_scenario):
         from repro.core.pipeline import compute_rtt_series_multi
 
-        with observe() as registry:
+        with observe() as registry, run_context(jobs=2):
             result = compute_rtt_series_multi(
-                tiny_scenario, [ConnectivityMode.BP_ONLY], processes=2
+                tiny_scenario, [ConnectivityMode.BP_ONLY]
             )[ConnectivityMode.BP_ONLY]
         assert result.rtt_ms.shape == (
             len(tiny_scenario.pairs),
@@ -301,9 +301,10 @@ class TestCrossProcessAggregation:
         from repro.core.pipeline import compute_rtt_series_multi
 
         assert active_registry() is None
-        result = compute_rtt_series_multi(
-            tiny_scenario, [ConnectivityMode.BP_ONLY], processes=2
-        )[ConnectivityMode.BP_ONLY]
+        with run_context(jobs=2):
+            result = compute_rtt_series_multi(
+                tiny_scenario, [ConnectivityMode.BP_ONLY]
+            )[ConnectivityMode.BP_ONLY]
         assert result.rtt_ms.shape[0] == len(tiny_scenario.pairs)
         assert active_registry() is None
 

@@ -12,40 +12,43 @@ import pytest
 
 from repro.context import current, run_context
 from repro.core import parallel
-from repro.core.parallel import (
-    FaultPolicy,
-    SnapshotFailure,
-    SweepError,
-    default_worker_count,
-)
+from repro.core.parallel import SnapshotFailure, SweepError
 from repro.core.pipeline import _rtt_snapshot_row, compute_rtt_series_multi
+from repro.core.runner import run_experiments
 from repro.faults import FaultSpec
 from repro.network.graph import ConnectivityMode
 from repro.obs import observe
+from tests.conftest import TINY_SCALE
 
 BP = ConnectivityMode.BP_ONLY
 HYBRID = ConnectivityMode.HYBRID
 
 
-def _rtt(scenario, mode, **kwargs):
-    return compute_rtt_series_multi(scenario, [mode], **kwargs)[mode]
+def _rtt(scenario, mode, jobs=1):
+    with run_context(jobs=jobs):
+        return compute_rtt_series_multi(scenario, [mode])[mode]
+
+
+def _bp_rows(scenario, evaluator):
+    """One BP sweep of ``evaluator`` on two workers; rows as columns."""
+    with run_context(jobs=2):
+        return parallel.map_snapshot_rows(
+            scenario, [BP], evaluator, row_len=len(scenario.pairs)
+        )[BP]
 
 
 class TestParallelRunner:
     def test_matches_serial_exactly(self, tiny_scenario):
         serial = _rtt(tiny_scenario, HYBRID)
-        parallel = _rtt(tiny_scenario, HYBRID, processes=2)
+        parallel = _rtt(tiny_scenario, HYBRID, jobs=2)
         np.testing.assert_array_equal(parallel.rtt_ms, serial.rtt_ms)
         np.testing.assert_array_equal(parallel.times_s, serial.times_s)
         assert parallel.mode is serial.mode
 
     def test_bp_mode(self, tiny_scenario):
         serial = _rtt(tiny_scenario, BP)
-        parallel = _rtt(tiny_scenario, BP, processes=2)
+        parallel = _rtt(tiny_scenario, BP, jobs=2)
         np.testing.assert_array_equal(parallel.rtt_ms, serial.rtt_ms)
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
 
 
 class TestParallelMultiMode:
@@ -55,7 +58,8 @@ class TestParallelMultiMode:
 
     def test_matches_serial_multi_exactly(self, tiny_scenario):
         serial = compute_rtt_series_multi(tiny_scenario, self.MODES)
-        parallel = compute_rtt_series_multi(tiny_scenario, self.MODES, processes=2)
+        with run_context(jobs=2):
+            parallel = compute_rtt_series_multi(tiny_scenario, self.MODES)
         assert set(parallel) == set(self.MODES)
         for mode in self.MODES:
             np.testing.assert_array_equal(
@@ -67,40 +71,53 @@ class TestParallelMultiMode:
             assert parallel[mode].mode is mode
 
 
-# Worker fault hooks: module-level so fork-started workers resolve them.
+# Failing evaluators: the real RTT row, broken only inside pool workers
+# (so the in-process serial fallback succeeds) or everywhere. Module-level
+# so fork- and spawn-started workers resolve them; keyed by snapshot time.
 _FLAG_DIR_ENV = "REPRO_TEST_FAULT_FLAG_DIR"
 
 
-def _always_crash(index: int, time_s: float) -> None:
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+def _first_time_here(time_s: float) -> bool:
+    """True on the first call for ``time_s`` across all processes."""
+    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{time_s:g}"
+    if flag.exists():
+        return False
+    flag.touch()
+    return True
+
+
+def _crash_in_workers(scenario, time_s, mode):
+    if _in_worker():
+        raise RuntimeError("injected worker crash")
+    return _rtt_snapshot_row(scenario, time_s, mode)
+
+
+def _crash_everywhere(scenario, time_s, mode):
     raise RuntimeError("injected worker crash")
 
 
-def _crash_once_per_snapshot(index: int, time_s: float) -> None:
-    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{index}"
-    if not flag.exists():
-        flag.touch()
+def _crash_once_per_snapshot(scenario, time_s, mode):
+    if _in_worker() and _first_time_here(time_s):
         raise RuntimeError("transient worker crash")
+    return _rtt_snapshot_row(scenario, time_s, mode)
 
 
-def _kill_worker_once_per_snapshot(index: int, time_s: float) -> None:
-    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{index}"
-    if not flag.exists():
-        flag.touch()
+def _kill_worker_once_per_snapshot(scenario, time_s, mode):
+    if _in_worker() and _first_time_here(time_s):
         os._exit(17)  # simulate an OOM kill: no exception, no cleanup
+    return _rtt_snapshot_row(scenario, time_s, mode)
 
 
-def _hang_first_snapshot_once(index: int, time_s: float) -> None:
+def _hang_first_snapshot_once(scenario, time_s, mode):
     import time as time_module
 
-    if index != 0:
-        return
-    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{index}"
-    if not flag.exists():
-        flag.touch()
+    if _in_worker() and time_s == scenario.times_s[0] and _first_time_here(time_s):
         time_module.sleep(4.0)
-
-
-_FAST_RETRIES = FaultPolicy(max_attempts=3, backoff_base_s=0.01)
+    return _rtt_snapshot_row(scenario, time_s, mode)
 
 
 class TestFaultTolerance:
@@ -113,71 +130,46 @@ class TestFaultTolerance:
         monkeypatch.setenv(_FLAG_DIR_ENV, str(tmp_path))
         return tmp_path
 
+    @pytest.fixture(autouse=True)
+    def fast_retries(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.01)
+
     def test_crashing_workers_rescued_by_serial_fallback(
-        self, tiny_scenario, baseline
+        self, tiny_scenario, baseline, monkeypatch
     ):
-        result = _rtt(
-            tiny_scenario,
-            BP,
-            processes=2,
-            fault_hook=_always_crash,
-            policy=FaultPolicy(max_attempts=2, backoff_base_s=0.0),
-        )
-        np.testing.assert_array_equal(result.rtt_ms, baseline.rtt_ms)
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
+        rows = _bp_rows(tiny_scenario, _crash_in_workers)
+        np.testing.assert_array_equal(rows, baseline.rtt_ms)
 
     def test_transient_crash_recovered_by_retry(
         self, tiny_scenario, baseline, flag_dir
     ):
-        result = _rtt(
-            tiny_scenario,
-            BP,
-            processes=2,
-            fault_hook=_crash_once_per_snapshot,
-            policy=FaultPolicy(
-                max_attempts=3, backoff_base_s=0.01, serial_fallback=False
-            ),
-        )
-        np.testing.assert_array_equal(result.rtt_ms, baseline.rtt_ms)
+        with observe() as registry:
+            rows = _bp_rows(tiny_scenario, _crash_once_per_snapshot)
+        np.testing.assert_array_equal(rows, baseline.rtt_ms)
         # Every snapshot failed exactly once before its retry succeeded.
         assert len(list(flag_dir.iterdir())) == len(tiny_scenario.times_s)
+        assert "parallel.serial_fallbacks" not in registry.snapshot()["counters"]
 
     def test_dead_worker_pool_recreated(self, tiny_scenario, baseline, flag_dir):
-        result = _rtt(
-            tiny_scenario,
-            BP,
-            processes=2,
-            fault_hook=_kill_worker_once_per_snapshot,
-            policy=_FAST_RETRIES,
-        )
-        np.testing.assert_array_equal(result.rtt_ms, baseline.rtt_ms)
+        rows = _bp_rows(tiny_scenario, _kill_worker_once_per_snapshot)
+        np.testing.assert_array_equal(rows, baseline.rtt_ms)
 
     def test_hung_worker_times_out_and_recovers(
-        self, tiny_scenario, baseline, flag_dir
+        self, tiny_scenario, baseline, flag_dir, monkeypatch
     ):
-        result = _rtt(
-            tiny_scenario,
-            BP,
-            processes=2,
-            fault_hook=_hang_first_snapshot_once,
-            policy=FaultPolicy(
-                max_attempts=2, snapshot_timeout_s=1.0, backoff_base_s=0.01
-            ),
-        )
-        np.testing.assert_array_equal(result.rtt_ms, baseline.rtt_ms)
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(parallel, "SNAPSHOT_TIMEOUT_S", 1.0)
+        rows = _bp_rows(tiny_scenario, _hang_first_snapshot_once)
+        np.testing.assert_array_equal(rows, baseline.rtt_ms)
 
     def test_irrecoverable_snapshots_raise_structured_sweep_error(
-        self, tiny_scenario
+        self, tiny_scenario, monkeypatch
     ):
+        # One pool round, then the serial fallback: two attempts each.
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
         with pytest.raises(SweepError) as excinfo:
-            _rtt(
-                tiny_scenario,
-                BP,
-                processes=2,
-                fault_hook=_always_crash,
-                policy=FaultPolicy(
-                    max_attempts=2, backoff_base_s=0.0, serial_fallback=False
-                ),
-            )
+            _bp_rows(tiny_scenario, _crash_everywhere)
         failures = excinfo.value.failures
         assert [f.index for f in failures] == list(
             range(len(tiny_scenario.times_s))
@@ -187,14 +179,6 @@ class TestFaultTolerance:
             assert failure.attempts == 2
             assert "injected worker crash" in failure.error
         assert "failed irrecoverably" in str(excinfo.value)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            FaultPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            FaultPolicy(backoff_base_s=-1.0)
-        with pytest.raises(ValueError):
-            FaultPolicy(snapshot_timeout_s=0.0)
 
 
 def _rtt_row_on_poisoned_graph(scenario, time_s, mode) -> np.ndarray:
@@ -233,7 +217,16 @@ class TestStartMethodParity:
     """
 
     SPEC = FaultSpec(sat=0.5, seed=7)
-    NO_RETRY = FaultPolicy(max_attempts=1, backoff_base_s=0.0, serial_fallback=False)
+
+    @pytest.fixture(autouse=True)
+    def no_retry(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.0)
+
+    @staticmethod
+    def assert_rows_from_workers(registry):
+        """No snapshot was recomputed in-process after its pool round."""
+        assert "parallel.serial_fallbacks" not in registry.snapshot()["counters"]
 
     @pytest.fixture()
     def start_method(self, request, monkeypatch):
@@ -250,9 +243,9 @@ class TestStartMethodParity:
         modes = [BP, HYBRID]
         with run_context(faults=self.SPEC):
             serial = compute_rtt_series_multi(tiny_scenario, modes)
-            pooled = compute_rtt_series_multi(
-                tiny_scenario, modes, processes=2, policy=self.NO_RETRY
-            )
+            with observe() as registry, run_context(jobs=2):
+                pooled = compute_rtt_series_multi(tiny_scenario, modes)
+        self.assert_rows_from_workers(registry)
         clean = compute_rtt_series_multi(tiny_scenario, modes)
         for mode in modes:
             np.testing.assert_array_equal(pooled[mode].rtt_ms, serial[mode].rtt_ms)
@@ -261,19 +254,19 @@ class TestStartMethodParity:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
     def test_workers_see_parent_context(self, tiny_scenario, start_method, tmp_path):
-        with observe(), run_context(
+        with observe() as registry, run_context(
             faults=self.SPEC, checkpoint_root=tmp_path / "ck"
         ):
             parent = _context_view(tiny_scenario, 0.0, BP)
-            rows = parallel.map_snapshot_rows(
-                tiny_scenario,
-                [BP],
-                _context_view,
-                row_len=4,
-                label="context-view",
-                processes=2,
-                policy=self.NO_RETRY,
-            )[BP]
+            with run_context(jobs=2):
+                rows = parallel.map_snapshot_rows(
+                    tiny_scenario,
+                    [BP],
+                    _context_view,
+                    row_len=4,
+                    label="context-view",
+                )[BP]
+        self.assert_rows_from_workers(registry)
         # Strict and collecting differ from a bare worker's defaults.
         assert parent[0] == 1.0 and parent[3] == 1.0
         assert rows.shape == (4, len(tiny_scenario.times_s))
@@ -283,20 +276,46 @@ class TestStartMethodParity:
     @pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
     def test_strict_guard_raises_in_spawned_worker(self, tiny_scenario, start_method):
         def sweep():
-            return parallel.map_snapshot_rows(
-                tiny_scenario,
-                [BP],
-                _rtt_row_on_poisoned_graph,
-                row_len=len(tiny_scenario.pairs),
-                processes=2,
-                policy=self.NO_RETRY,
-            )
+            return _bp_rows(tiny_scenario, _rtt_row_on_poisoned_graph)
 
         with pytest.raises(SweepError) as excinfo:
             sweep()
         errors = [failure.error for failure in excinfo.value.failures]
         assert len(errors) == len(tiny_scenario.times_s)
-        assert all("InvariantViolation" in error for error in errors)
+        # The spawned worker raised, not only the in-process fallback.
+        for error in errors:
+            pool_error, fallback_error = error.split("; serial fallback: ")
+            assert pool_error.startswith("pool: InvariantViolation")
+            assert fallback_error.startswith("InvariantViolation")
         with run_context(strict=False):
             rows = sweep()
-        assert rows[BP].shape == (len(tiny_scenario.pairs), len(tiny_scenario.times_s))
+        assert rows.shape == (len(tiny_scenario.pairs), len(tiny_scenario.times_s))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+    def test_run_writes_identical_json_at_any_jobs(
+        self, start_method, tmp_path, monkeypatch
+    ):
+        pooled = []
+        map_on_pool = parallel._map_on_pool
+        monkeypatch.setattr(
+            parallel,
+            "_map_on_pool",
+            lambda *args: pooled.append(len(args[3])) or map_on_pool(*args),
+        )
+        for jobs in (1, 2):
+            with observe() as registry:
+                run_experiments(
+                    ["fig2"],
+                    scale=TINY_SCALE,
+                    out_dir=tmp_path / f"jobs{jobs}",
+                    jobs=jobs,
+                    echo=lambda line: None,
+                )
+            self.assert_rows_from_workers(registry)
+        # Only the jobs=2 run went through the pool, one sweep of every
+        # snapshot, and its workers computed every row.
+        assert pooled == [TINY_SCALE.num_snapshots]
+        written = [
+            (tmp_path / f"jobs{jobs}" / "fig2.json").read_bytes() for jobs in (1, 2)
+        ]
+        assert written[0] == written[1]

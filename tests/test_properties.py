@@ -9,13 +9,9 @@ from repro.flows.maxmin import max_min_fair_allocation
 from repro.geo import geodesy
 from repro.geo.landmask import is_land
 from repro.network.paths import k_edge_disjoint_paths, shortest_path
-from repro.orbits.coordinates import (
-    ecef_to_eci,
-    ecef_to_geodetic,
-    eci_to_ecef,
-    geodetic_to_ecef,
-)
+from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
 from repro.orbits.kepler import propagate_circular
+from tests.reference_geometry import ecef_to_eci
 
 
 lat_strategy = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)

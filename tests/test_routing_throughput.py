@@ -124,7 +124,7 @@ def _throughput_series(scenario, modes) -> dict:
 
     fig4's evaluator mapped over the scenario's snapshot grid.
     """
-    evaluator = functools.partial(_matrix_snapshot_row, ks=(1,), capacities=None)
+    evaluator = functools.partial(_matrix_snapshot_row, ks=(1,))
     rows = map_snapshot_rows(scenario, modes, evaluator, row_len=1)
     return {mode: rows[mode][0] for mode in modes}
 

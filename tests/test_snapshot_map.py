@@ -3,7 +3,7 @@
 :func:`repro.core.parallel.map_snapshot_rows` is the single sweep
 engine behind the RTT series and the fig4/fig5/disconnected
 experiments. This module locks the engine's own contract — every
-``processes`` value produces bit-identical rows, the same checkpoint
+``jobs`` value produces bit-identical rows, the same checkpoint
 counters and ``snapshot`` spans, and progress by one rule; resume
 verifies each shard once; labelled checkpoints isolate and resume
 sweeps; faults are survived — plus the straggler property the
@@ -19,6 +19,7 @@ before it reaches the golden tests.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -26,8 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.context import run_context
+from repro.core import parallel
 from repro.core.checkpoint import checkpoint_for, checkpoint_root
-from repro.core.parallel import FaultPolicy, map_snapshot_rows
+from repro.core.parallel import map_snapshot_rows
 from repro.experiments.disconnected import _component_row
 from repro.experiments.fig4_throughput import _matrix_snapshot_row
 from repro.experiments.fig5_isl_capacity import RATIOS, _capacity_sweep_row
@@ -40,8 +43,8 @@ MODES = (BP, HYBRID)
 
 TIMES = np.asarray([0.0, 60.0, 120.0, 180.0, 240.0])
 
-# Evaluators and fault hooks live at module level so fork-started
-# workers can unpickle them.
+# Evaluators and their failing wrappers live at module level so
+# spawn-started workers can unpickle them.
 
 
 def _poly_row(scenario, time_s, mode) -> np.ndarray:
@@ -72,26 +75,46 @@ def _explode(scenario, time_s, mode) -> np.ndarray:
 _FLAG_DIR_ENV = "REPRO_TEST_SNAPMAP_FLAG_DIR"
 
 
-def _crash_once_per_snapshot(index: int, time_s: float) -> None:
-    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{index}"
-    if not flag.exists():
-        flag.touch()
+def _first_time_in_a_worker(time_s: float) -> bool:
+    """True on a pool worker's first call for ``time_s`` across all processes."""
+    if multiprocessing.parent_process() is None:
+        return False
+    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{time_s:g}"
+    if flag.exists():
+        return False
+    flag.touch()
+    return True
+
+
+def _crash_once_per_snapshot(evaluator, scenario, time_s, mode) -> np.ndarray:
+    """``evaluator``, but a worker's first attempt at each snapshot raises."""
+    if _first_time_in_a_worker(time_s):
         raise RuntimeError("transient worker crash")
+    return evaluator(scenario, time_s, mode)
 
 
-def _hang_first_snapshot_once(index: int, time_s: float) -> None:
-    if index != 0:
-        return
-    flag = Path(os.environ[_FLAG_DIR_ENV]) / f"snapshot_{index}"
-    if not flag.exists():
-        flag.touch()
+def _hang_first_snapshot_once(evaluator, scenario, time_s, mode) -> np.ndarray:
+    """``evaluator``, but a worker's first attempt at t = 0 hangs for 4 s."""
+    if time_s == 0.0 and _first_time_in_a_worker(time_s):
         time.sleep(4.0)
+    return evaluator(scenario, time_s, mode)
 
 
 @pytest.fixture()
 def flag_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(_FLAG_DIR_ENV, str(tmp_path))
     return tmp_path
+
+
+@pytest.fixture()
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.01)
+
+
+def _pooled(*args, **kwargs):
+    """:func:`map_snapshot_rows` on two workers."""
+    with run_context(jobs=2):
+        return map_snapshot_rows(*args, **kwargs)
 
 
 def _expected_poly(times):
@@ -150,38 +173,28 @@ class TestParallelMatchesSerial:
         serial = map_snapshot_rows(
             tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
         )
-        parallel = map_snapshot_rows(
-            tiny_scenario,
-            MODES,
-            _poly_row,
-            row_len=3,
-            times_s=TIMES,
-            processes=2,
-        )
+        parallel = _pooled(tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES)
         for mode in MODES:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
-    def test_fault_hook_crashes_recovered(self, tiny_scenario, flag_dir):
-        rows = map_snapshot_rows(
-            tiny_scenario,
-            MODES,
-            _poly_row,
-            row_len=3,
-            times_s=TIMES,
-            processes=2,
-            fault_hook=_crash_once_per_snapshot,
-            policy=FaultPolicy(
-                max_attempts=3, backoff_base_s=0.01, serial_fallback=False
-            ),
-        )
+    def test_worker_crashes_recovered(self, tiny_scenario, flag_dir, fast_retries):
+        with observe() as registry:
+            rows = _pooled(
+                tiny_scenario,
+                MODES,
+                functools.partial(_crash_once_per_snapshot, _poly_row),
+                row_len=3,
+                times_s=TIMES,
+            )
         expected = _expected_poly(TIMES)
         for mode in MODES:
             np.testing.assert_array_equal(rows[mode], expected[mode])
-        # Every snapshot crashed exactly once before its retry.
+        # Every snapshot crashed exactly once before its pool retry.
         assert len(list(flag_dir.iterdir())) == len(TIMES)
+        assert "parallel.serial_fallbacks" not in registry.snapshot()["counters"]
 
     def test_straggler_costs_one_window_not_one_per_future(
-        self, tiny_scenario, flag_dir
+        self, tiny_scenario, flag_dir, fast_retries, monkeypatch
     ):
         """The stall-based timeout: hung workers share a single window.
 
@@ -189,25 +202,20 @@ class TestParallelMatchesSerial:
         five finish in milliseconds. With the single ``wait`` window the
         sweep notices the stall after ~1 s, fails the straggler, and the
         retry (flag set, no hang) completes immediately — well under the
-        4 s the hook sleeps. An implementation that waited on the hung
-        future directly (or stacked one window per outstanding future)
-        cannot finish before the sleep does.
+        4 s the evaluator sleeps. An implementation that waited on the
+        hung future directly (or stacked one window per outstanding
+        future) cannot finish before the sleep does.
         """
+        monkeypatch.setattr(parallel, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(parallel, "SNAPSHOT_TIMEOUT_S", 1.0)
         start = time.monotonic()
         with observe() as registry:
-            rows = map_snapshot_rows(
+            rows = _pooled(
                 tiny_scenario,
                 MODES,
-                _poly_row,
+                functools.partial(_hang_first_snapshot_once, _poly_row),
                 row_len=3,
                 times_s=np.asarray([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
-                processes=2,
-                fault_hook=_hang_first_snapshot_once,
-                policy=FaultPolicy(
-                    max_attempts=2,
-                    snapshot_timeout_s=1.0,
-                    backoff_base_s=0.01,
-                ),
             )
         elapsed = time.monotonic() - start
         counters = registry.snapshot()["counters"]
@@ -228,7 +236,7 @@ RESUMED = {
 }
 
 
-def _contract_run(scenario, root, processes, resumed):
+def _contract_run(scenario, root, jobs, resumed):
     """One sweep over seeded shards: rows, counters, spans, progress."""
     with checkpoint_root(root):
         for mode in MODES:
@@ -238,7 +246,7 @@ def _contract_run(scenario, root, processes, resumed):
             for i in resumed[mode]:
                 checkpoint.store_snapshot(i, _poly_row(None, float(TIMES[i]), mode))
         calls = []
-        with observe() as registry:
+        with observe() as registry, run_context(jobs=jobs):
             rows = map_snapshot_rows(
                 scenario,
                 MODES,
@@ -246,7 +254,6 @@ def _contract_run(scenario, root, processes, resumed):
                 row_len=3,
                 times_s=TIMES,
                 label="contract",
-                processes=processes,
                 progress=lambda done, total: calls.append((done, total)),
             )
     payload = registry.snapshot()
@@ -255,7 +262,7 @@ def _contract_run(scenario, root, processes, resumed):
 
 
 class TestOneMapContract:
-    """``processes`` in {1, 2} x {fresh, partial, full resume}: one behaviour.
+    """``jobs`` in {1, 2} x {fresh, partial, full resume}: one behaviour.
 
     Progress rule: one call for the resumed snapshots (if any), then one
     call per completed snapshot, ending at ``(total, total)``.
@@ -271,9 +278,9 @@ class TestOneMapContract:
         progress = [(done, total)] if done else []
         progress += [(n, total) for n in range(done + 1, total + 1)]
         expected = _expected_poly(TIMES)
-        for processes in (1, 2):
+        for jobs in (1, 2):
             rows, counters, spans, calls = _contract_run(
-                tiny_scenario, tmp_path / f"p{processes}", processes, resumed
+                tiny_scenario, tmp_path / f"p{jobs}", jobs, resumed
             )
             for mode in MODES:
                 np.testing.assert_array_equal(rows[mode], expected[mode])
@@ -300,7 +307,6 @@ class TestCheckpointResume:
                     _poly_row,
                     row_len=3,
                     times_s=times,
-                    processes=1,
                     progress=lambda done, total: calls.append((done, total)),
                 )
         counters = registry.snapshot()["counters"]
@@ -335,13 +341,8 @@ class TestCheckpointResume:
             first = map_snapshot_rows(
                 tiny_scenario, MODES, _poly_row, row_len=3, times_s=TIMES
             )
-            resumed = map_snapshot_rows(
-                tiny_scenario,
-                MODES,
-                _explode,
-                row_len=3,
-                times_s=TIMES,
-                processes=2,
+            resumed = _pooled(
+                tiny_scenario, MODES, _explode, row_len=3, times_s=TIMES
             )
         for mode in MODES:
             np.testing.assert_array_equal(resumed[mode], first[mode])
@@ -397,24 +398,18 @@ class TestExperimentEvaluators:
         serial = map_snapshot_rows(
             tiny_scenario, MODES, _component_row, row_len=2
         )
-        parallel = map_snapshot_rows(
-            tiny_scenario, MODES, _component_row, row_len=2, processes=2
-        )
+        parallel = _pooled(tiny_scenario, MODES, _component_row, row_len=2)
         for mode in MODES:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
         # BP strands satellites; hybrid (with ISLs) essentially none.
         assert serial[BP][0].max() >= serial[HYBRID][0].max()
 
     def test_fig4_matrix_rows_identical(self, tiny_scenario):
-        evaluator = functools.partial(
-            _matrix_snapshot_row, ks=(1, 4), capacities=None
-        )
+        evaluator = functools.partial(_matrix_snapshot_row, ks=(1, 4))
         serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=2
         )
-        parallel = map_snapshot_rows(
-            tiny_scenario, MODES, evaluator, row_len=2, processes=2
-        )
+        parallel = _pooled(tiny_scenario, MODES, evaluator, row_len=2)
         for mode in MODES:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
@@ -425,45 +420,40 @@ class TestExperimentEvaluators:
         serial = map_snapshot_rows(
             tiny_scenario, MODES, evaluator, row_len=widths, times_s=times
         )
-        parallel = map_snapshot_rows(
-            tiny_scenario,
-            MODES,
-            evaluator,
-            row_len=widths,
-            times_s=times,
-            processes=2,
+        parallel = _pooled(
+            tiny_scenario, MODES, evaluator, row_len=widths, times_s=times
         )
         for mode in MODES:
             np.testing.assert_array_equal(parallel[mode], serial[mode])
 
 
 #: fig4's evaluator at k = 1: one aggregate throughput number per snapshot.
-_TPUT_K1 = functools.partial(_matrix_snapshot_row, ks=(1,), capacities=None)
+_TPUT_K1 = functools.partial(_matrix_snapshot_row, ks=(1,))
 
 
-def _throughput_series(scenario, **kwargs) -> np.ndarray:
+def _throughput_series(scenario, jobs=1, evaluator=_TPUT_K1) -> np.ndarray:
     """Hybrid k = 1 throughput at every snapshot of ``scenario``, Gbps."""
-    rows = map_snapshot_rows(
-        scenario, [HYBRID], _TPUT_K1, row_len=1, label="fig4-k1", **kwargs
-    )
+    with run_context(jobs=jobs):
+        rows = map_snapshot_rows(
+            scenario, [HYBRID], evaluator, row_len=1, label="fig4-k1"
+        )
     return rows[HYBRID][0]
 
 
 class TestThroughputSeries:
     def test_parallel_matches_serial(self, tiny_scenario):
-        serial = _throughput_series(tiny_scenario, processes=1)
-        parallel = _throughput_series(tiny_scenario, processes=2)
+        serial = _throughput_series(tiny_scenario, jobs=1)
+        parallel = _throughput_series(tiny_scenario, jobs=2)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_crashing_workers_do_not_skew_numbers(
-        self, tiny_scenario, flag_dir
+        self, tiny_scenario, flag_dir, fast_retries
     ):
-        baseline = _throughput_series(tiny_scenario, processes=1)
+        baseline = _throughput_series(tiny_scenario, jobs=1)
         survived = _throughput_series(
             tiny_scenario,
-            processes=2,
-            fault_hook=_crash_once_per_snapshot,
-            policy=FaultPolicy(max_attempts=3, backoff_base_s=0.01),
+            jobs=2,
+            evaluator=functools.partial(_crash_once_per_snapshot, _TPUT_K1),
         )
         np.testing.assert_array_equal(survived, baseline)
 

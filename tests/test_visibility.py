@@ -41,8 +41,8 @@ class TestElevation:
         gt = geodetic_to_ecef(0.0, 0.0, 0.0)
         overhead = geodetic_to_ecef(0.0, 1.0, 550e3)
         far = geodetic_to_ecef(0.0, 30.0, 550e3)
-        assert bool(visibility.is_visible(gt, overhead, 25.0))
-        assert not bool(visibility.is_visible(gt, far, 25.0))
+        assert float(visibility.elevation_deg(gt, overhead)) >= 25.0
+        assert float(visibility.elevation_deg(gt, far)) < 25.0
 
 
 class TestCoverageAngle:

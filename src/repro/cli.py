@@ -92,17 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale override (default: experiment-specific)",
     )
     run.add_argument("--out", type=Path, default=None, help="directory for outputs")
-    stop_policy = run.add_mutually_exclusive_group()
-    stop_policy.add_argument(
-        "--keep-going",
-        action="store_true",
-        default=True,
-        help="run remaining experiments after a failure (default)",
-    )
-    stop_policy.add_argument(
+    run.add_argument(
         "--fail-fast",
         action="store_true",
-        help="abort the batch at the first failing experiment",
+        help="abort the batch at the first failing experiment "
+        "(default: run the rest, then exit 1)",
     )
     run.add_argument(
         "--resume",

@@ -11,10 +11,9 @@ the layers that care read it with :func:`current`:
   :func:`repro.obs.observe`);
 * ``strict`` — whether result invariant guards run
   (:mod:`repro.integrity.guards`);
-* ``faults`` — the ambient :class:`repro.faults.FaultSpec`, applied to
-  every scenario that carries no ``faults`` of its own;
-* ``io_fault`` — the armed storage fault and its counts
-  (:func:`repro.faults.consume_io_fault`);
+* ``faults`` — the :class:`repro.faults.FaultSpec` applied to every
+  graph ``Scenario.graph_at`` builds, the only way a fault reaches a
+  graph;
 * ``checkpoint_root`` and ``fresh`` — where RTT sweeps checkpoint, and
   whether a mismatched checkpoint directory is restarted instead of
   raising (:func:`repro.core.checkpoint.checkpoint_root`);
@@ -44,24 +43,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
-    from repro.faults import FaultSpec, IoFaultSpec
+    from repro.faults import FaultSpec
     from repro.obs.spans import MetricsRegistry
 
-__all__ = ["ArmedIoFault", "RunContext", "current", "install", "run_context"]
-
-
-@dataclass
-class ArmedIoFault:
-    """An armed :class:`repro.faults.IoFaultSpec` and its counts so far.
-
-    Mutable on purpose: the write layer counts matching writes and fired
-    shots here. Arming a spec through :func:`run_context` starts a fresh
-    instance, so each armed spec counts matching writes from zero.
-    """
-
-    spec: "IoFaultSpec"
-    matches_seen: int = 0
-    shots_fired: int = 0
+__all__ = ["RunContext", "current", "install", "run_context"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +56,6 @@ class RunContext:
     registry: "MetricsRegistry | None" = None
     strict: bool = False
     faults: "FaultSpec | None" = None
-    io_fault: ArmedIoFault | None = None
     checkpoint_root: Path | None = None
     fresh: bool = False
     jobs: int = 1
@@ -101,12 +85,8 @@ def install(context: RunContext) -> RunContext:
 def run_context(**changes) -> Iterator[RunContext]:
     """Change fields of the current context inside the block.
 
-    ``io_fault`` takes an :class:`repro.faults.IoFaultSpec` (or ``None``)
-    and arms it with zero counts. The previous context, counts included,
-    is restored on exit, also when the block raises.
+    The previous context is restored on exit, also when the block raises.
     """
-    if changes.get("io_fault") is not None:
-        changes["io_fault"] = ArmedIoFault(changes["io_fault"])
     previous = install(dataclasses.replace(_CURRENT, **changes))
     try:
         yield _CURRENT

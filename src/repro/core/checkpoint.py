@@ -40,7 +40,6 @@ it instead of raising.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import io
 import itertools
@@ -136,30 +135,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     new, never a truncated mix. After the rename the parent directory is
     fsync'd, so a crash cannot roll back a committed write. The file's
     permissions follow the process umask, like any newly created file.
-
-    This is also the chaos-injection point: an armed
-    :class:`repro.faults.IoFaultSpec` makes a matching write fail the way
-    real storage fails (torn write, bit flip, ENOSPC, dropped update).
     """
-    from repro.faults import consume_io_fault, corrupt_bytes
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fault = consume_io_fault(path)
-    if fault == "disk_full":
-        raise OSError(
-            errno.ENOSPC, f"injected disk-full fault writing {path.name}"
-        )
-    if fault == "stale_manifest":
-        return path  # the update never reaches the disk
-    if fault == "torn_write":
-        # A crash on a non-atomic path: truncated bytes land at the
-        # *final* destination, exactly what resume must detect.
-        with open(path, "wb") as handle:
-            handle.write(corrupt_bytes(fault, data))
-        return path
-    if fault == "bit_flip":
-        data = corrupt_bytes(fault, data)
     fd, tmp_name = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -183,9 +161,8 @@ def scenario_fingerprint(
     """Stable short hash identifying (scenario configuration, mode, label).
 
     Built from the scenario's frozen-dataclass repr (constellation,
-    scale, traffic seed, ablation knobs, its own ``faults``...) plus the
-    connectivity mode and, for a scenario without ``faults`` of its own,
-    the run context's fault spec — the spec that scenario actually runs
+    scale, traffic seed, ablation knobs...) plus the connectivity mode
+    and the run context's fault spec — the spec its graphs are built
     under — so checkpoints from different configurations land in
     different directories under one root.
 
@@ -195,7 +172,7 @@ def scenario_fingerprint(
     non-empty label folds into the hash, so two sweeps can never resume
     from each other's shards.
     """
-    spec = current().faults if scenario.faults is None else None
+    spec = current().faults
     key = f"{scenario!r}|{mode.value}|{'' if spec is None else spec.describe()}"
     if label:
         key += f"|{label}"

@@ -37,9 +37,9 @@ that is invariant across the calls real workloads make:
   on first read, which ``matrix()`` and routing do, and bumps
   ``engine.edge_tables``. An RTT sweep never reads it, and the strict
   graph guard checks the parts themselves. Faults
-  are *never* cached: a frame holds only fault-free geometry, so an
-  ambient :class:`~repro.faults.FaultSpec` can neither leak into nor
-  out of the cache.
+  are *never* cached: a frame holds only fault-free geometry, so the
+  run context's :class:`~repro.faults.FaultSpec` can neither leak into
+  nor out of the cache.
 * **transit contraction** (:meth:`SnapshotGraph.contracted_matrix`) —
   what RTT sweeps run Dijkstra on: satellites + cities, with every
   relay and aircraft (pure transit nodes, satellite neighbours only)

@@ -15,7 +15,7 @@ One run context (:mod:`repro.context`) wraps the whole batch:
   checkpoints per-snapshot results and resumes from whatever a previous
   interrupted run left on disk;
 * ``fault_spec`` sets its fault spec (:mod:`repro.faults`), so every
-  scenario in the batch degrades under the same seeded component
+  graph built in the batch degrades under the same seeded component
   outages — turning any experiment into an outage-robustness probe;
 * ``strict`` turns on its result invariant guards;
 * ``jobs`` sets how many worker processes each multi-snapshot sweep
@@ -99,6 +99,8 @@ _BASELINE_COUNTERS = (
     "checkpoint.misses",
     "parallel.worker_retries",
     "parallel.pool_recreations",
+    "parallel.serial_fallbacks",
+    "parallel.timeouts",
     "engine.static_hits",
     "engine.static_misses",
     "engine.frame_hits",

@@ -8,6 +8,10 @@ in *scales*. ``ScenarioScale.full()`` is the paper; ``small()`` and
 a size where tests and default benchmark runs finish in seconds to
 minutes. Each experiment takes its scale as its one argument;
 ``repro run --scale full`` hands it the paper's.
+
+A fault spec is not part of a scenario: every graph a scenario builds
+takes the run context's ``faults`` (``with run_context(faults=spec):``,
+see :mod:`repro.faults`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from repro.constants import (
 )
 from repro.context import current
 from repro.core.engine import SnapshotEngine
-from repro.faults import FaultSpec
 from repro.flows.traffic import CityPair, sample_city_pairs
 from repro.ground.stations import GroundSegment
 from repro.network.graph import (
@@ -116,9 +119,7 @@ class ScenarioScale:
 #: Scenario fields that act in the engine's assembly layer only.
 #: ``with_assembly`` accepts exactly these; everything else changes the
 #: static or per-time layers and needs a fresh engine.
-_ASSEMBLY_FIELDS = frozenset(
-    {"gso_policy", "fiber_max_km", "max_gts_per_satellite", "faults"}
-)
+_ASSEMBLY_FIELDS = frozenset({"gso_policy", "fiber_max_km", "max_gts_per_satellite"})
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,6 @@ class Scenario:
     #: Optional beam-count limit: each satellite serves at most this many
     #: GTs (closest first). ``None`` (paper default) leaves it unbounded.
     max_gts_per_satellite: int | None = None
-    #: Optional fault injection: seeded removal of satellites/GTs/aircraft
-    #: from every snapshot graph (see :mod:`repro.faults`). ``None`` also
-    #: falls back to the ambient spec set by ``repro run --inject-fault``.
-    faults: "FaultSpec | None" = None
 
     @classmethod
     def paper_default(
@@ -170,13 +167,14 @@ class Scenario:
     def with_assembly(self, **overrides) -> "Scenario":
         """A variant differing only in assembly-layer knobs.
 
-        Accepts ``gso_policy``, ``fiber_max_km``, ``max_gts_per_satellite``
-        and ``faults`` — the knobs applied *after* the cached static and
-        per-time layers. The variant therefore shares this scenario's
-        ground segment, traffic pairs, and :class:`SnapshotEngine`, so a
-        policy sweep (e.g. GSO separation angles, fiber radii) that
-        assembles every variant of one instant before moving to the next
-        builds each geometry frame once instead of once per variant.
+        Accepts ``gso_policy``, ``fiber_max_km`` and
+        ``max_gts_per_satellite`` — the knobs applied *after* the cached
+        static and per-time layers. The variant therefore shares this
+        scenario's ground segment, traffic pairs, and
+        :class:`SnapshotEngine`, so a policy sweep (e.g. GSO separation
+        angles, fiber radii) that assembles every variant of one instant
+        before moving to the next builds each geometry frame once instead
+        of once per variant.
         """
         unknown = set(overrides) - _ASSEMBLY_FIELDS
         if unknown:
@@ -258,26 +256,22 @@ class Scenario:
         """
         return SnapshotEngine(self.constellation, self.ground)
 
-    def _fault_spec(self) -> "FaultSpec | None":
-        """The fault spec in effect: this scenario's, else the run context's.
-
-        Resolved at graph-build time and handed to the engine's assembly
-        layer explicitly, so the ambient spec can never be baked into a
-        cached geometry frame.
-        """
-        return self.faults if self.faults is not None else current().faults
-
     def graph_at(
         self, time_s: float, mode: ConnectivityMode
     ) -> SnapshotGraph:
-        """Build the network graph for one snapshot of this scenario."""
+        """Build the network graph for one snapshot of this scenario.
+
+        The run context's fault spec (:mod:`repro.faults`) is read here
+        and handed to the engine's assembly layer, so it can never be
+        baked into a cached geometry frame.
+        """
         return self.engine.graph_at(
             time_s,
             mode,
             gso_policy=self.gso_policy,
             fiber_max_km=self.fiber_max_km,
             max_gts_per_satellite=self.max_gts_per_satellite,
-            faults=self._fault_spec(),
+            faults=current().faults,
         )
 
     def __getstate__(self):

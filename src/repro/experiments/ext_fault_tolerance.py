@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.context import run_context
 from repro.core.pipeline import pair_rtts_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
@@ -44,20 +45,18 @@ def outage_reachability(
     Maps each ``(fraction, mode)`` to ``reachable`` (fraction of (pair,
     snapshot) cells with a finite RTT) and ``median_rtt_ms`` (over the
     reachable cells; ``nan`` when nothing is reachable). Deterministic
-    under a fixed seed. Instants are the outer loop: every fault variant
-    shares the scenario's engine, so each instant's graphs all read the
-    one frame the engine holds.
+    under a fixed seed. Each fraction's graphs are built under
+    ``run_context(faults=...)``, which overrides any spec the caller's
+    context holds. Instants are the outer loop, so each instant's graphs
+    all read the one frame the scenario's engine holds.
     """
-    variants = {
-        fraction: scenario.with_assembly(faults=FaultSpec(sat=fraction, seed=seed))
-        for fraction in fractions
-    }
     if times_s is None:
         times_s = [float(t) for t in scenario.times_s]
     rtts = {(fraction, mode): [] for fraction in fractions for mode in modes}
     for time_s in times_s:
         for (fraction, mode), rows in rtts.items():
-            graph = variants[fraction].graph_at(float(time_s), mode)
+            with run_context(faults=FaultSpec(sat=fraction, seed=seed)):
+                graph = scenario.graph_at(float(time_s), mode)
             rows.append(pair_rtts_on_graph(graph, scenario.pairs))
     result = {}
     for key, rows in rtts.items():

@@ -1,5 +1,4 @@
-"""Deterministic fault injection: seeded removal of network components,
-plus an injectable I/O fault layer for chaos-testing persistence.
+"""Deterministic fault injection: seeded removal of network components.
 
 The paper's Section 5 counts satellites that are *naturally* useless
 (disconnected over oceans); this module asks the complementary
@@ -16,39 +15,25 @@ satellite and relay outages are persistent across snapshots (fixed
 populations, identical draws), aircraft outages re-sample per snapshot
 only because the airborne population itself changes.
 
-Faults attach to a scenario (``Scenario.with_assembly(faults=spec)``) or
-ambiently to a whole batch via ``run_context(faults=spec)``
-(:mod:`repro.context`) — this is how ``repro run --inject-fault
-sat:0.05`` reaches every experiment in a sweep.
-
-The second half of the module injects *storage* faults instead of
-network ones: an :class:`IoFaultSpec` armed via
-``run_context(io_fault=spec)`` makes the next matching write through
-:func:`repro.core.checkpoint.atomic_write_bytes` fail the way real disks
-fail — a torn (truncated, non-atomic) write, a flipped bit, a disk-full
-``OSError``, or a silently dropped manifest update. The chaos test suite
-(``tests/test_chaos_io.py``) uses it to prove a sweep survives each and
-reconverges to byte-identical results.
+The run context is the one way a spec reaches a graph:
+``Scenario.graph_at`` applies ``current().faults``
+(:mod:`repro.context`), so ``with run_context(faults=spec):`` faults
+every graph built inside the block. This is how ``repro run
+--inject-fault sat:0.05`` reaches every experiment in a sweep, and how
+the ``faults`` experiment sweeps its outage fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fnmatch import fnmatch
-from pathlib import Path
 
 import numpy as np
 
-from repro.context import current
 from repro.network.graph import SnapshotGraph
 
 __all__ = [
     "FaultSpec",
-    "IO_FAULT_KINDS",
-    "IoFaultSpec",
     "apply_faults",
-    "consume_io_fault",
-    "corrupt_bytes",
     "failed_node_mask",
     "parse_fault_spec",
 ]
@@ -175,83 +160,3 @@ def apply_faults(graph: SnapshotGraph, spec: FaultSpec | None) -> SnapshotGraph:
         sat_rows=(start, gts[keep], dists[keep]),
         isl_fiber_rows=(edges[other], other_dists[other], kinds[other]),
     )
-
-
-# --- Injectable I/O faults ---------------------------------------------------
-#
-# The checkpoint layer's crash-safety claims are only claims until a
-# test makes the disk misbehave. The write path consults the run
-# context's ``io_fault`` (armed with ``run_context(io_fault=spec)``): when
-# a spec is armed, the Nth write whose filename matches the pattern fails
-# in the requested way, once (or ``shots`` times), after which the run
-# proceeds normally — exactly the shape of a transient storage fault.
-
-#: Supported I/O fault kinds. ``torn_write`` leaves a truncated file at
-#: the destination (a crash on a non-atomic filesystem); ``bit_flip``
-#: corrupts one bit of the payload; ``disk_full`` raises ``OSError``
-#: (ENOSPC); ``stale_manifest`` silently drops the write, leaving
-#: whatever was on disk before (a manifest update that never landed).
-IO_FAULT_KINDS = ("torn_write", "bit_flip", "disk_full", "stale_manifest")
-
-
-@dataclass(frozen=True)
-class IoFaultSpec:
-    """One storage-fault injection: what fails, on which writes.
-
-    ``pattern`` is an ``fnmatch`` glob against the destination *file
-    name* (``snap_*`` targets shards, ``manifest.json`` the manifest).
-    The fault arms on the ``after``-th matching write (0 = first) and
-    fires ``shots`` times; later matching writes succeed.
-    """
-
-    kind: str
-    pattern: str = "*"
-    after: int = 0
-    shots: int = 1
-
-    def __post_init__(self):
-        if self.kind not in IO_FAULT_KINDS:
-            raise ValueError(
-                f"unknown I/O fault kind {self.kind!r}; "
-                f"valid: {', '.join(IO_FAULT_KINDS)}"
-            )
-        if self.after < 0:
-            raise ValueError("after must be non-negative")
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-
-
-def consume_io_fault(path) -> str | None:
-    """The fault kind to apply to a write of ``path``, or ``None``.
-
-    Called by the write layer for every artifact write. Counts matching
-    writes and fires on the configured one; firing consumes a shot, so
-    a retried or resumed write goes through clean — the self-healing
-    path gets a healthy disk.
-    """
-    armed = current().io_fault
-    if armed is None or not fnmatch(Path(path).name, armed.spec.pattern):
-        return None
-    index = armed.matches_seen
-    armed.matches_seen += 1
-    if index < armed.spec.after or armed.shots_fired >= armed.spec.shots:
-        return None
-    armed.shots_fired += 1
-    return armed.spec.kind
-
-
-def corrupt_bytes(kind: str, data: bytes) -> bytes:
-    """The payload a faulty write leaves behind for ``kind``.
-
-    ``torn_write`` truncates to the first half (never empty, so the
-    result looks like a real partial flush); ``bit_flip`` flips one bit
-    in the middle byte. Other kinds do not transform payloads.
-    """
-    if kind == "torn_write":
-        return data[: max(1, len(data) // 2)]
-    if kind == "bit_flip":
-        if not data:
-            return data
-        middle = len(data) // 2
-        return data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1 :]
-    raise ValueError(f"fault kind {kind!r} does not corrupt payloads")

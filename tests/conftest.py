@@ -57,6 +57,16 @@ def quarantine_reasons(directory) -> list[dict]:
     return [json.loads(sidecar.read_text()) for sidecar in sidecars]
 
 
+def split_faults(config: dict):
+    """``(with_assembly kwargs, fault spec)`` of a graph-variant config.
+
+    A config's ``faults`` entry is not an assembly field: it is run as
+    the run context's spec, ``with run_context(faults=spec):``.
+    """
+    assembly = {key: value for key, value in config.items() if key != "faults"}
+    return assembly, config.get("faults")
+
+
 TINY_SCALE = ScenarioScale(
     name="tiny",
     num_cities=40,

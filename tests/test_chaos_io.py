@@ -1,29 +1,109 @@
 """Chaos tests: the sweep survives injected storage faults and self-heals.
 
-Each test arms one :class:`repro.faults.IoFaultSpec` (torn write, bit
-flip, disk full, stale manifest), runs a checkpointed sweep through the
-fault, then resumes with healthy storage and asserts the healed series
-is byte-identical to a clean run — the acceptance criterion for the
-self-healing resume path. ``repro verify`` is exercised against the same
-trees: it must flag a deliberately corrupted shard by name and exit
-non-zero.
+Each test arms one :class:`IoFaultSpec` (torn write, bit flip, disk
+full, stale manifest) with :func:`io_fault`, runs a checkpointed sweep
+through the fault, then resumes with healthy storage and asserts the
+healed series is byte-identical to a clean run — what the
+self-healing resume path promises. ``repro verify`` is
+exercised against the same trees: it must flag a deliberately corrupted
+shard by name and exit non-zero.
+
+The production write path has no fault hook. :func:`io_fault` swaps
+``repro.core.checkpoint.atomic_write_bytes`` — the module global that
+shard stores and manifest updates call — for :meth:`IoFaultSpec.write`
+inside its block. Shards are stored by the sweep's parent process, so
+the swap covers ``jobs=2`` sweeps too.
 """
+
+import errno
+from contextlib import contextmanager
+from dataclasses import dataclass
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.core.checkpoint as checkpoint_module
 from repro.context import run_context
 from repro.core.checkpoint import RttCheckpoint, checkpoint_for, checkpoint_root
 from repro.core.pipeline import compute_rtt_series_multi
-from repro.faults import (
-    IO_FAULT_KINDS,
-    IoFaultSpec,
-    consume_io_fault,
-    corrupt_bytes,
-)
 from repro.integrity.quarantine import integrity_counters
 from repro.network.graph import ConnectivityMode
 from tests.conftest import quarantine_reasons
+
+#: ``torn_write`` leaves truncated bytes at the destination (a crash on a
+#: non-atomic filesystem); ``bit_flip`` writes the payload with one bit
+#: flipped; ``disk_full`` raises ``OSError`` (ENOSPC); ``stale_manifest``
+#: silently drops the write (an update that never landed).
+IO_FAULT_KINDS = ("torn_write", "bit_flip", "disk_full", "stale_manifest")
+
+_REAL_WRITE = checkpoint_module.atomic_write_bytes
+
+
+def corrupt_bytes(kind: str, data: bytes) -> bytes:
+    """The payload a ``torn_write`` (first half) or ``bit_flip`` leaves."""
+    if kind == "torn_write":
+        return data[: max(1, len(data) // 2)]
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1 :]
+
+
+@dataclass
+class IoFaultSpec:
+    """One storage fault: what fails, on which writes, and its counts.
+
+    ``pattern`` is an ``fnmatch`` glob against the destination file name
+    (``snap_*`` targets shards, ``manifest.json`` the manifest). The
+    fault fires on the ``after``-th matching write (0 = first) and the
+    ``shots - 1`` matching writes after it; every other write is real.
+    """
+
+    kind: str
+    pattern: str = "*"
+    after: int = 0
+    shots: int = 1
+    matches_seen: int = 0
+    shots_fired: int = 0
+
+    def __post_init__(self):
+        if self.kind not in IO_FAULT_KINDS:
+            raise ValueError(f"unknown I/O fault kind {self.kind!r}")
+
+    def consume(self, path) -> str | None:
+        """The fault kind for this write of ``path``, or ``None``."""
+        if not fnmatch(Path(path).name, self.pattern):
+            return None
+        index = self.matches_seen
+        self.matches_seen += 1
+        if index < self.after or self.shots_fired >= self.shots:
+            return None
+        self.shots_fired += 1
+        return self.kind
+
+    def write(self, path, data: bytes) -> Path:
+        """``atomic_write_bytes``, failing the way this spec says."""
+        path = Path(path)
+        kind = self.consume(path)
+        if kind == "disk_full":
+            raise OSError(errno.ENOSPC, f"injected disk-full fault writing {path.name}")
+        if kind == "stale_manifest":
+            return path
+        if kind == "torn_write":
+            path.write_bytes(corrupt_bytes(kind, data))
+            return path
+        if kind == "bit_flip":
+            data = corrupt_bytes(kind, data)
+        return _REAL_WRITE(path, data)
+
+
+@contextmanager
+def io_fault(spec: IoFaultSpec):
+    """Route checkpoint writes through ``spec`` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checkpoint_module, "atomic_write_bytes", spec.write)
+        yield spec
+
 
 MODE = ConnectivityMode.BP_ONLY
 
@@ -58,19 +138,24 @@ class TestIoFaultSpec:
             IoFaultSpec(kind="gamma_ray")
 
     def test_consumed_once(self, tmp_path):
-        with run_context(io_fault=IoFaultSpec(kind="disk_full", pattern="x.bin")):
-            assert consume_io_fault(tmp_path / "x.bin") == "disk_full"
-            assert consume_io_fault(tmp_path / "x.bin") is None
+        spec = IoFaultSpec(kind="disk_full", pattern="x.bin")
+        assert spec.consume(tmp_path / "x.bin") == "disk_full"
+        assert spec.consume(tmp_path / "x.bin") is None
 
     def test_pattern_and_after(self, tmp_path):
         spec = IoFaultSpec(kind="bit_flip", pattern="snap_*.npz", after=1)
-        with run_context(io_fault=spec):
-            assert consume_io_fault(tmp_path / "manifest.json") is None
-            assert consume_io_fault(tmp_path / "snap_00000.npz") is None  # after=1
-            assert consume_io_fault(tmp_path / "snap_00001.npz") == "bit_flip"
+        assert spec.consume(tmp_path / "manifest.json") is None
+        assert spec.consume(tmp_path / "snap_00000.npz") is None  # after=1
+        assert spec.consume(tmp_path / "snap_00001.npz") == "bit_flip"
 
     def test_no_ambient_spec_is_silent(self, tmp_path):
-        assert consume_io_fault(tmp_path / "anything") is None
+        """Outside :func:`io_fault` checkpoint writes are the real ones."""
+        with io_fault(IoFaultSpec(kind="disk_full")):
+            with pytest.raises(OSError):
+                checkpoint_module.atomic_write_bytes(tmp_path / "x.bin", b"x")
+        assert checkpoint_module.atomic_write_bytes is _REAL_WRITE
+        checkpoint_module.atomic_write_bytes(tmp_path / "x.bin", b"abc")
+        assert (tmp_path / "x.bin").read_bytes() == b"abc"
 
     def test_corrupt_bytes_torn(self):
         assert corrupt_bytes("torn_write", b"abcdef") == b"abc"
@@ -89,9 +174,19 @@ def _sweep_through_fault(tiny_scenario, root, spec):
     fault is armed and the fault hits the sweep's own writes.
     """
     ck = _open_checkpoint(tiny_scenario, root)
-    with run_context(io_fault=spec):
+    with io_fault(spec):
         series = _sweep(tiny_scenario, root)
     return series, ck
+
+
+#: What resume says about the shard each fault kind damages (``None``:
+#: the fault leaves nothing to quarantine).
+HEAL_REASONS = {
+    "torn_write": "digest mismatch",
+    "bit_flip": "digest mismatch",
+    "disk_full": None,
+    "stale_manifest": "no digest in the manifest",
+}
 
 
 @pytest.mark.parametrize("kind", IO_FAULT_KINDS)
@@ -117,6 +212,14 @@ def test_sweep_survives_and_heals_byte_identically(
     assert healed.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")
     assert ck.completed_indices() == set(range(ck.num_snapshots))
+    # The damaged shard was caught by the check meant for it: a flipped
+    # bit must fail the digest, not just happen to break the zip.
+    reasons = [record["reason"] for record in quarantine_reasons(ck.directory)]
+    if HEAL_REASONS[kind] is None:
+        assert reasons == []
+    else:
+        (reason,) = reasons
+        assert HEAL_REASONS[kind] in reason
 
 
 def test_torn_write_is_quarantined_with_reason(
@@ -160,7 +263,7 @@ def test_disk_full_in_parallel_sweep_degrades_gracefully(
     tiny_scenario, tmp_path, clean_series
 ):
     spec = IoFaultSpec(kind="disk_full", pattern="snap_*.npz")
-    with run_context(io_fault=spec):
+    with io_fault(spec):
         series = _sweep(tiny_scenario, tmp_path / "ck", jobs=2)
     assert series.rtt_ms.tobytes() == clean_series.rtt_ms.tobytes()
     ck = _open_checkpoint(tiny_scenario, tmp_path / "ck")

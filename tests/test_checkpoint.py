@@ -116,10 +116,13 @@ class TestFingerprint:
     def test_faults_change_fingerprint(self, tiny_scenario):
         from repro.faults import FaultSpec
 
-        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.1))
-        assert scenario_fingerprint(
-            tiny_scenario, ConnectivityMode.BP_ONLY
-        ) != scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
+        fingerprints = set()
+        for seed in (0, 1):
+            with run_context(faults=FaultSpec(sat=0.1, seed=seed)):
+                fingerprints.add(
+                    scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY)
+                )
+        assert len(fingerprints) == 2
 
     def test_ambient_fault_spec_changes_fingerprint(self, tiny_scenario):
         from repro.faults import FaultSpec
@@ -129,14 +132,20 @@ class TestFingerprint:
             assert scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY) != plain
 
     def test_ambient_fault_spec_ignored_under_explicit_faults(self, tiny_scenario):
-        """A scenario with its own faults runs under them alone, so an
-        ambient spec must not move its checkpoint directory."""
+        """A sweep run under its own spec, set inside a batch's spec,
+        runs under its own alone, so the batch's must not move its
+        checkpoint directory."""
         from repro.faults import FaultSpec
 
-        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.1, seed=1))
-        alone = scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY)
+        explicit = FaultSpec(sat=0.1, seed=1)
+        with run_context(faults=explicit):
+            alone = scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY)
         with run_context(faults=FaultSpec(relay=0.3, seed=9)):
-            assert scenario_fingerprint(degraded, ConnectivityMode.BP_ONLY) == alone
+            with run_context(faults=explicit):
+                fingerprint = scenario_fingerprint(
+                    tiny_scenario, ConnectivityMode.BP_ONLY
+                )
+        assert fingerprint == alone
 
 
 class TestCheckpointRoot:

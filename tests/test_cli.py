@@ -43,10 +43,6 @@ class TestParser:
         assert str(args.resume) == "ckpt"
         assert args.inject_fault == ["sat:0.05", "relay:0.1,seed:3"]
 
-    def test_keep_going_and_fail_fast_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig9", "--keep-going", "--fail-fast"])
-
     def test_run_parses_profile_flag(self):
         args = build_parser().parse_args(["run", "fig2", "--profile"])
         assert args.profile

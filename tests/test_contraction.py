@@ -56,6 +56,7 @@ from repro.network.graph import (
     SnapshotGraph,
 )
 from repro.obs import observe
+from tests.conftest import split_faults
 from tests.reference_graph import build_snapshot_graph, graph_from_rows
 
 SCALE = ScenarioScale(
@@ -76,7 +77,8 @@ def scenarios() -> dict[bool, Scenario]:
 
 
 #: Assembly variants: every filter that shapes the graph the contraction
-#: sees, plus all of them at once.
+#: sees, plus all of them at once. A ``faults`` entry is run as the run
+#: context's spec.
 VARIANTS = {
     "plain": {},
     "gso": {"gso_policy": GsoProtectionPolicy(min_separation_deg=20.0)},
@@ -124,8 +126,10 @@ class TestDifferential:
         self, scenarios, aircraft, mode, variant, time_index, endpoints
     ):
         base = scenarios[aircraft]
-        scenario = base.with_assembly(**VARIANTS[variant])
-        graph = scenario.graph_at(float(base.times_s[time_index]), mode)
+        assembly, faults = split_faults(VARIANTS[variant])
+        scenario = base.with_assembly(**assembly)
+        with run_context(faults=faults):
+            graph = scenario.graph_at(float(base.times_s[time_index]), mode)
         pairs = [CityPair(a, b, 0.0) for a, b in endpoints]
 
         got = pair_rtts_on_graph(graph, pairs)

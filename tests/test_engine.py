@@ -27,7 +27,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.constants import EARTH_RADIUS
-from repro.context import run_context
+from repro.context import current, run_context
 from repro.core.engine import SnapshotEngine, StaticContext
 from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
@@ -43,6 +43,7 @@ from repro.network.graph import (
 )
 from repro.obs import MetricsRegistry, observe
 from repro.orbits.coordinates import geodetic_to_ecef
+from tests.conftest import split_faults
 from tests.reference_graph import build_snapshot_graph
 
 #: Small enough for seconds-scale tests, big enough that every filter
@@ -139,7 +140,7 @@ FRAME_SCENARIOS = {
 
 
 def legacy_graph(scenario: Scenario, time_s: float, mode: ConnectivityMode):
-    """The pre-refactor reference: monolithic build, then faults."""
+    """The pre-refactor reference: monolithic build, then the run's faults."""
     graph = build_snapshot_graph(
         scenario.constellation,
         scenario.ground.stations_at(time_s),
@@ -149,7 +150,7 @@ def legacy_graph(scenario: Scenario, time_s: float, mode: ConnectivityMode):
         fiber_max_km=scenario.fiber_max_km,
         max_gts_per_satellite=scenario.max_gts_per_satellite,
     )
-    return apply_faults(graph, scenario.faults)
+    return apply_faults(graph, current().faults)
 
 
 def assert_graphs_identical(got, want):
@@ -174,7 +175,7 @@ def assert_csr_identical(got, want):
 
 #: (config name, assembly overrides, mode) — the acceptance matrix: BP,
 #: hybrid, ISL-only, GSO policy, beam limit, fiber, faults, and all of
-#: them at once.
+#: them at once. A ``faults`` entry is run as the run context's spec.
 EQUIVALENCE_CONFIGS = [
     ("bp", {}, ConnectivityMode.BP_ONLY),
     ("hybrid", {}, ConnectivityMode.HYBRID),
@@ -213,11 +214,13 @@ class TestNumericalEquivalence:
         ids=[c[0] for c in EQUIVALENCE_CONFIGS],
     )
     def test_matches_monolithic_builder(self, base_scenario, overrides, mode):
-        scenario = base_scenario.with_assembly(**overrides)
-        for time_s in scenario.times_s:
-            got = scenario.graph_at(float(time_s), mode)
-            want = legacy_graph(scenario, float(time_s), mode)
-            assert_graphs_identical(got, want)
+        assembly, faults = split_faults(overrides)
+        scenario = base_scenario.with_assembly(**assembly)
+        with run_context(faults=faults):
+            for time_s in scenario.times_s:
+                got = scenario.graph_at(float(time_s), mode)
+                want = legacy_graph(scenario, float(time_s), mode)
+                assert_graphs_identical(got, want)
 
     @pytest.mark.parametrize(
         "name", ["two_shell", "no_aircraft", "empty", "aircraft_only", "cone_edge"]
@@ -447,10 +450,13 @@ class TestFaultIsolation:
         assert_csr_identical(faulted.contracted_matrix(), want.contracted_matrix())
 
     def test_explicit_faults_beat_ambient_spec(self):
-        scenario = fresh_scenario().with_assembly(faults=FaultSpec(sat=0.1, seed=7))
-        with run_context(faults=self.SPEC):
+        """A spec set inside a batch's spec replaces it for that block."""
+        scenario = fresh_scenario()
+        explicit = FaultSpec(sat=0.1, seed=7)
+        with run_context(faults=self.SPEC), run_context(faults=explicit):
             got = scenario.graph_at(0.0, ConnectivityMode.HYBRID)
-        assert_graphs_identical(got, legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID))
+        clean = legacy_graph(scenario, 0.0, ConnectivityMode.HYBRID)
+        assert_graphs_identical(got, apply_faults(clean, explicit))
 
 
 class TestGsoBeamOrdering:
@@ -547,9 +553,17 @@ class TestWithAssembly:
         assert registry.snapshot()["counters"]["engine.frame_hits"] == 1
 
     def test_fault_variant_shares_engine(self):
+        """A faulted graph is assembled from the scenario's own frame."""
         scenario = fresh_scenario()
-        variant = scenario.with_assembly(faults=FaultSpec(sat=0.2, seed=1))
-        assert variant.engine is scenario.engine
+        clean = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        with run_context(faults=FaultSpec(sat=0.2, seed=1)):
+            faulted = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        assert faulted.frame is clean.frame
+        assert faulted.num_edges < clean.num_edges
+
+    def test_faults_are_not_an_assembly_field(self, base_scenario):
+        with pytest.raises(TypeError, match="assembly-layer"):
+            base_scenario.with_assembly(faults=FaultSpec(sat=0.2, seed=1))
 
     def test_unknown_field_rejected(self, base_scenario):
         with pytest.raises(TypeError, match="assembly-layer"):

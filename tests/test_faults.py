@@ -113,9 +113,9 @@ class TestApplyFaults:
 
 class TestScenarioIntegration:
     def test_fault_variant_degrades_graph(self, tiny_scenario):
-        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.5, seed=5))
         plain = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        faulty = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        with run_context(faults=FaultSpec(sat=0.5, seed=5)):
+            faulty = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         assert faulty.num_edges < plain.num_edges
 
     def test_ambient_spec_applies_and_clears(self, tiny_scenario):
@@ -129,10 +129,14 @@ class TestScenarioIntegration:
         assert after.num_edges == plain.num_edges
 
     def test_explicit_faults_win_over_ambient(self, tiny_scenario):
-        degraded = tiny_scenario.with_assembly(faults=FaultSpec(sat=0.5, seed=5))
-        expected = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
+        """A spec set inside a batch's spec (as the ``faults`` experiment
+        sets its own) replaces the batch's for that block."""
+        explicit = FaultSpec(sat=0.5, seed=5)
+        with run_context(faults=explicit):
+            expected = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         with run_context(faults=FaultSpec(sat=0.9, seed=99)):
-            inside = degraded.graph_at(0.0, ConnectivityMode.BP_ONLY)
+            with run_context(faults=explicit):
+                inside = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
         assert inside.num_edges == expected.num_edges
 
 

@@ -31,7 +31,7 @@ from repro.integrity import (
     verify_tree,
 )
 from repro.network.graph import ConnectivityMode
-from tests.conftest import quarantine_reasons
+from tests.conftest import quarantine_reasons, split_faults
 
 
 class TestDigest:
@@ -315,16 +315,17 @@ class TestGraphPhysicsGuards:
         ids=["plain", "fiber", "beam", "faults"],
     )
     def test_real_graphs_pass(self, tiny_scenario, overrides):
-        scenario = tiny_scenario.with_assembly(**overrides)
+        assembly, faults = split_faults(overrides)
+        scenario = tiny_scenario.with_assembly(**assembly)
         for mode in ConnectivityMode:
-            graph = scenario.graph_at(0.0, mode)
+            with run_context(faults=faults):
+                graph = scenario.graph_at(0.0, mode)
             assert graph.frame is not None
             check_graph(graph)
 
     def test_faulted_length_off_its_endpoints_rejected(self, tiny_scenario):
-        graph = tiny_scenario.with_assembly(faults=self.FAULTS).graph_at(
-            0.0, ConnectivityMode.HYBRID
-        )
+        with run_context(faults=self.FAULTS):
+            graph = tiny_scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         sats, gts, dists = _flat_sat_rows(graph)
         dists = dists.copy()
         dists[0] *= 1.0 - 1e-9
@@ -383,6 +384,47 @@ class TestGraphPhysicsGuards:
         last = bad.num_edges - 1
         with pytest.raises(InvariantViolation, match=f"ISL edge {last} passes -"):
             check_graph(bad)
+
+    def test_isl_clearance_matches_hypatia(self, tiny_hybrid_graph):
+        """The 80 km floor, pinned to an outside number.
+
+        Hypatia's ``MAX_ISL_DISTANCE = 5016591`` m is the longest chord
+        between two 550 km satellites that clears 80 km above an Earth
+        of radius 6,378.135 km. With this package's 6,371 km the same
+        chord is 5,013.9 km, so 5,013 km passes and 5,015 km does not.
+        """
+        from repro.constants import EARTH_RADIUS
+
+        graph = tiny_hybrid_graph
+        radius = EARTH_RADIUS + 550e3
+        sats, gts, dists = _flat_sat_rows(graph)
+        others = sats >= 2  # satellites 0 and 1 move, so drop their radio rows
+
+        def with_isl(chord_m):
+            half = np.arcsin(chord_m / (2.0 * radius))
+            sat_ecef = graph.sat_ecef.copy()
+            sat_ecef[0] = radius * np.array([np.cos(half), np.sin(half), 0.0])
+            sat_ecef[1] = radius * np.array([np.cos(half), -np.sin(half), 0.0])
+            moved = _with_sat_rows(
+                dataclasses.replace(graph, sat_ecef=sat_ecef),
+                sats[others],
+                gts[others],
+                dists[others],
+            )
+            length = np.linalg.norm(sat_ecef[0] - sat_ecef[1])
+            assert abs(length - chord_m) < 1e-3
+            return dataclasses.replace(
+                moved,
+                isl_fiber_rows=(
+                    np.array([[0, 1]], dtype=np.int64),
+                    np.array([length]),
+                    np.array([1], dtype=np.int8),
+                ),
+            )
+
+        check_graph(with_isl(5_013e3))
+        with pytest.raises(InvariantViolation, match=r"passes 79\.\d km"):
+            check_graph(with_isl(5_015e3))
 
     def test_fiber_shorter_than_its_chord_rejected(self, tiny_scenario):
         graph = tiny_scenario.with_assembly(fiber_max_km=1500.0).graph_at(

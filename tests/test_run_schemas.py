@@ -81,6 +81,20 @@ class TestArtifactSchemas:
         # Baseline counters are present even at zero.
         assert entry["counters"]["parallel.worker_retries"] == 0
 
+    def test_pool_counters_read_zero_on_a_clean_run(self, run_dir):
+        """All four pool counters are present, so a consumer can tell
+        "no fallback" from "not reported"."""
+        counters = json.loads((run_dir / "metrics.json").read_text())[
+            "experiments"
+        ]["fake"]["counters"]
+        for name in (
+            "parallel.worker_retries",
+            "parallel.pool_recreations",
+            "parallel.serial_fallbacks",
+            "parallel.timeouts",
+        ):
+            assert counters[name] == 0, name
+
     def test_metrics_file_rejected_as_result(self, run_dir):
         with pytest.raises(ValueError, match="'metrics'"):
             load_experiment_result(run_dir / "metrics.json")

@@ -17,7 +17,7 @@ from repro.atmosphere.attenuation import (
     attenuation_to_power_fraction,
     worst_link_attenuation_db,
 )
-from repro.core.pipeline import pair_path_at
+from repro.flows.routing import route_traffic
 from repro.reporting import format_table
 
 ROUTES = [
@@ -44,17 +44,17 @@ def main() -> None:
         Scenario.paper_default("starlink", scale), extra_city_names=tuple(names)
     )
     isl_scenario = replace(scenario, use_relays=False, use_aircraft=False)
+    bp_graph = scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
+    isl_graph = isl_scenario.graph_at(0.0, ConnectivityMode.ISL_ONLY)
+    bp_paths = route_traffic(
+        bp_graph, [scenario.city_pair(a, b) for a, b in ROUTES]
+    ).first_paths()
+    isl_paths = route_traffic(
+        isl_graph, [isl_scenario.city_pair(a, b) for a, b in ROUTES]
+    ).first_paths()
 
     rows = []
-    for city_a, city_b in ROUTES:
-        pair = scenario.city_pair(city_a, city_b)
-        bp_graph, bp_path = pair_path_at(
-            scenario, pair, 0.0, ConnectivityMode.BP_ONLY
-        )
-        isl_pair = isl_scenario.city_pair(city_a, city_b)
-        isl_graph, isl_path = pair_path_at(
-            isl_scenario, isl_pair, 0.0, ConnectivityMode.ISL_ONLY
-        )
+    for (city_a, city_b), bp_path, isl_path in zip(ROUTES, bp_paths, isl_paths):
         row = [f"{city_a}-{city_b}"]
         for pct in EXCEEDANCES:
             bp_db = (

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro import ConnectivityMode, Scenario, ScenarioScale
-from repro.core.pipeline import pair_path_at
+from repro.flows.routing import route_traffic
 from repro.orbits.coverage import (
     latitude_coverage_profile,
     max_served_latitude_deg,
@@ -78,10 +78,10 @@ def main() -> None:
     print()
     rows = []
     for time_s in scenario.times_s:
-        _, p_single = pair_path_at(
-            single_scenario, pair, float(time_s), ConnectivityMode.HYBRID
-        )
-        _, p_dual = pair_path_at(scenario, pair, float(time_s), ConnectivityMode.HYBRID)
+        g_single = single_scenario.graph_at(float(time_s), ConnectivityMode.HYBRID)
+        g_dual = scenario.graph_at(float(time_s), ConnectivityMode.HYBRID)
+        (p_single,) = route_traffic(g_single, [pair]).first_paths()
+        (p_dual,) = route_traffic(g_dual, [pair]).first_paths()
         rows.append(
             [
                 f"{time_s / 60:.0f} min",

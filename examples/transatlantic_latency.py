@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from repro import ConnectivityMode, Scenario, ScenarioScale
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.pipeline import pair_path_at
+from repro.flows.routing import route_traffic
 from repro.ground.stations import StationKind
 from repro.reporting import format_summary, format_table
 
@@ -59,7 +59,8 @@ def main() -> None:
     for time_s in scenario.times_s:
         entry = [f"{time_s / 60:.0f} min"]
         for mode in (ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID):
-            graph, path = pair_path_at(scenario, pair, float(time_s), mode)
+            graph = scenario.graph_at(float(time_s), mode)
+            (path,) = route_traffic(graph, [pair]).first_paths()
             if path is None:
                 entry += ["unreachable", "-"]
                 continue

@@ -27,12 +27,7 @@ from repro.core.runner import (
     UnknownExperimentError,
     run_experiments,
 )
-from repro.core.pipeline import (
-    RttSeries,
-    compute_rtt_series_multi,
-    pair_path_at,
-    pair_paths_on_graph,
-)
+from repro.core.pipeline import RttSeries, compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
 
 __all__ = [
@@ -57,8 +52,6 @@ __all__ = [
     "RunSummary",
     "UnknownExperimentError",
     "run_experiments",
-    "pair_paths_on_graph",
-    "pair_path_at",
     "PairRttStats",
     "rtt_stats",
     "distribution_summary",

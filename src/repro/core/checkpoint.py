@@ -164,7 +164,8 @@ def scenario_fingerprint(
     scale, traffic seed, ablation knobs...) plus the connectivity mode
     and the run context's fault spec — the spec its graphs are built
     under — so checkpoints from different configurations land in
-    different directories under one root.
+    different directories under one root. A spec that removes nothing
+    builds the clean graphs and so keys like no spec at all.
 
     ``label`` distinguishes different *sweeps* over the same scenario —
     the RTT series (empty label) versus e.g. fig4's ``fig4-k1_4``
@@ -173,7 +174,8 @@ def scenario_fingerprint(
     from each other's shards.
     """
     spec = current().faults
-    key = f"{scenario!r}|{mode.value}|{'' if spec is None else spec.describe()}"
+    faults = "" if spec is None or spec.is_noop else spec.describe()
+    key = f"{scenario!r}|{mode.value}|{faults}"
     if label:
         key += f"|{label}"
     return hashlib.sha1(key.encode()).hexdigest()[:16]

@@ -1,9 +1,10 @@
 """The snapshot pipeline: RTT series for a traffic matrix over a day.
 
 For each snapshot, shortest-path RTTs for every city pair are computed
-with source-batched Dijkstra: pairs are grouped by source city, one
-single-source run serves every pair sharing that source. This is the
-workhorse behind the paper's Section 4 (Fig. 2) analysis.
+on the contracted graph with one batched Dijkstra from a vertex cover
+of the pair graph. This is the workhorse behind the paper's Section 4
+(Fig. 2) analysis. Hop-level paths on the physical graph come from
+:func:`repro.flows.routing.route_traffic` instead.
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ from repro.integrity.guards import (
     check_rtt_series,
 )
 from repro.network.graph import ConnectivityMode, SnapshotGraph
-from repro.network.paths import Path, extract_path, shortest_path, shortest_paths_from
 from repro.obs import span
 
 __all__ = [
     "RttSeries",
     "compute_rtt_series_multi",
-    "pair_path_at",
-    "pair_paths_on_graph",
     "pair_rtts_on_graph",
 ]
 
@@ -55,20 +53,6 @@ class RttSeries:
     def reachable_fraction(self) -> float:
         """Fraction of (pair, snapshot) cells with a usable path."""
         return float(np.mean(np.isfinite(self.rtt_ms)))
-
-
-def _pairs_by_source(pairs: list[CityPair]) -> dict[int, list[int]]:
-    """Group pair indices by source city for source-batched Dijkstra.
-
-    One single-source run serves every pair sharing that source; both
-    the RTT sweep and path extraction batch this way. Keys follow first
-    appearance (dict insertion order) — iterate ``sorted(...)`` when a
-    deterministic source order matters.
-    """
-    by_source: dict[int, list[int]] = {}
-    for idx, pair in enumerate(pairs):
-        by_source.setdefault(pair.a, []).append(idx)
-    return by_source
 
 
 def pair_rtts_on_graph(graph: SnapshotGraph, pairs: list[CityPair]) -> np.ndarray:
@@ -151,39 +135,3 @@ def compute_rtt_series_multi(
             check_cross_mode_rtt(bp, hybrid, source="rtt[hybrid vs bp]")
     return series
 
-
-def pair_paths_on_graph(
-    graph: SnapshotGraph, pairs: list[CityPair]
-) -> list[tuple[int, ...] | None]:
-    """Shortest-path node sequences for many pairs on one graph.
-
-    Source-batched: one predecessor-producing Dijkstra per unique source
-    city serves all pairs sharing it. Unreachable pairs yield ``None``.
-    """
-    by_source = _pairs_by_source(pairs)
-    matrix = graph.matrix()
-    paths: list[tuple[int, ...] | None] = [None] * len(pairs)
-    for city, pair_indices in by_source.items():
-        source = graph.gt_node(city)
-        _, pred = shortest_paths_from(matrix, source)
-        with span("path_extraction"):
-            for idx in pair_indices:
-                target = graph.gt_node(pairs[idx].b)
-                paths[idx] = extract_path(pred, source, target)
-    return paths
-
-
-def pair_path_at(
-    scenario: Scenario,
-    pair: CityPair,
-    time_s: float,
-    mode: ConnectivityMode,
-) -> tuple[SnapshotGraph, Path | None]:
-    """The actual shortest path (nodes) for one pair at one snapshot.
-
-    Used by the Fig. 3 / Fig. 7-8 case studies that need hop-level
-    detail, not just the RTT.
-    """
-    graph = scenario.graph_at(time_s, mode)
-    path = shortest_path(graph.matrix(), graph.gt_node(pair.a), graph.gt_node(pair.b))
-    return graph, path

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
+from repro.flows.routing import route_traffic
 from repro.ground.cities import city_by_name
 from repro.network.dynamics import (
     churn_between,
@@ -65,7 +65,8 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     for time_s in scenario.times_s:
         graphs = {mode: scenario.graph_at(float(time_s), mode) for mode in modes}
         for mode in modes:
-            paths = pair_paths_on_graph(graphs[mode], scenario.pairs)
+            routed = route_traffic(graphs[mode], scenario.pairs)
+            paths = [p.nodes if p else None for p in routed.first_paths()]
             if previous[mode] is not None:
                 stats[mode].append(churn_between(previous[mode], paths))
             previous[mode] = paths

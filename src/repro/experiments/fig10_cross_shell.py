@@ -25,9 +25,9 @@ from dataclasses import replace
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
+from repro.flows.routing import route_traffic
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
@@ -65,12 +65,10 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     single_rtts, dual_rtts = [], []
     dual_uses_both = 0
     for time_s in single.times_s:
-        _, p_single = pair_path_at(
-            single, pair_single, float(time_s), ConnectivityMode.HYBRID
-        )
-        g_dual, p_dual = pair_path_at(
-            dual, pair_dual, float(time_s), ConnectivityMode.HYBRID
-        )
+        g_single = single.graph_at(float(time_s), ConnectivityMode.HYBRID)
+        g_dual = dual.graph_at(float(time_s), ConnectivityMode.HYBRID)
+        (p_single,) = route_traffic(g_single, [pair_single]).first_paths()
+        (p_dual,) = route_traffic(g_dual, [pair_dual]).first_paths()
         s_rtt = 2e3 * p_single.length_m / SPEED_OF_LIGHT if p_single else np.inf
         d_rtt = 2e3 * p_dual.length_m / SPEED_OF_LIGHT if p_dual else np.inf
         single_rtts.append(s_rtt)

@@ -17,11 +17,11 @@ from dataclasses import replace
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.network.graph import ConnectivityMode
-from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
+from repro.flows.routing import route_traffic
 from repro.ground.stations import StationKind
+from repro.network.graph import ConnectivityMode
 from repro.orbits.coordinates import ecef_to_geodetic
 from repro.reporting.tables import format_summary, format_table
 
@@ -70,12 +70,10 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     bp_rtts, hybrid_rtts = [], []
     bp_profiles = []
     for time_s in scenario.times_s:
-        graph_bp, path_bp = pair_path_at(
-            scenario, pair, float(time_s), ConnectivityMode.BP_ONLY
-        )
-        graph_hy, path_hy = pair_path_at(
-            scenario, pair, float(time_s), ConnectivityMode.HYBRID
-        )
+        graph_bp = scenario.graph_at(float(time_s), ConnectivityMode.BP_ONLY)
+        graph_hy = scenario.graph_at(float(time_s), ConnectivityMode.HYBRID)
+        (path_bp,) = route_traffic(graph_bp, [pair]).first_paths()
+        (path_hy,) = route_traffic(graph_hy, [pair]).first_paths()
         bp = path_profile(graph_bp, path_bp) if path_bp else None
         hy = path_profile(graph_hy, path_hy) if path_hy else None
         if bp:

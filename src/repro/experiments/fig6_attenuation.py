@@ -24,13 +24,18 @@ from dataclasses import replace
 import numpy as np
 
 from repro.atmosphere.attenuation import paths_worst_link_attenuation_db
-from repro.core.pipeline import pair_paths_on_graph
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
+from repro.flows.routing import route_traffic
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_cdf_table, format_summary
 
 __all__ = ["run", "pair_attenuations"]
+
+
+def _path_nodes(graph, pairs):
+    """Each pair's shortest-path node sequence, ``None`` if unrouted."""
+    return [p.nodes if p else None for p in route_traffic(graph, pairs).first_paths()]
 
 
 def pair_attenuations(
@@ -38,7 +43,7 @@ def pair_attenuations(
 ):
     """``(bp_db, isl_db)`` worst-link attenuation arrays over the pairs."""
     bp_graph = scenario.graph_at(time_s, ConnectivityMode.BP_ONLY)
-    bp_paths = pair_paths_on_graph(bp_graph, scenario.pairs)
+    bp_paths = _path_nodes(bp_graph, scenario.pairs)
     bp_db = paths_worst_link_attenuation_db(
         bp_graph, bp_paths, exceedance_pct, endpoints_only=False
     )
@@ -46,7 +51,7 @@ def pair_attenuations(
     # ISL network: same constellation, only city GTs (no relays/aircraft).
     isl_scenario = replace(scenario, use_relays=False, use_aircraft=False)
     isl_graph = isl_scenario.graph_at(time_s, ConnectivityMode.ISL_ONLY)
-    isl_paths = pair_paths_on_graph(isl_graph, scenario.pairs)
+    isl_paths = _path_nodes(isl_graph, scenario.pairs)
     isl_db = paths_worst_link_attenuation_db(
         isl_graph, isl_paths, exceedance_pct, endpoints_only=True
     )

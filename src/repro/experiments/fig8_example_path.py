@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-
 from repro.atmosphere.attenuation import path_link_attenuations_db
-from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import ExperimentResult, register
+from repro.flows.routing import route_traffic
 from repro.network.graph import ConnectivityMode
 from repro.reporting.tables import format_summary, format_table
 
@@ -55,12 +54,12 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     )
     pair = scenario.city_pair(CITY_A, CITY_B)
 
-    bp_graph, bp_path = pair_path_at(scenario, pair, TIME_S, ConnectivityMode.BP_ONLY)
+    bp_graph = scenario.graph_at(TIME_S, ConnectivityMode.BP_ONLY)
+    (bp_path,) = route_traffic(bp_graph, [pair]).first_paths()
     isl_scenario = replace(scenario, use_relays=False, use_aircraft=False)
     isl_pair = isl_scenario.city_pair(CITY_A, CITY_B)
-    isl_graph, isl_path = pair_path_at(
-        isl_scenario, isl_pair, TIME_S, ConnectivityMode.ISL_ONLY
-    )
+    isl_graph = isl_scenario.graph_at(TIME_S, ConnectivityMode.ISL_ONLY)
+    (isl_path,) = route_traffic(isl_graph, [isl_pair]).first_paths()
     if bp_path is None or isl_path is None:
         raise RuntimeError(
             f"{CITY_A}-{CITY_B} unreachable at t={TIME_S}; "

@@ -3,16 +3,17 @@
 Each city pair becomes up to ``k`` sub-flows, one per edge-disjoint
 shortest path (paper Section 5). Sub-flows are independent entities in
 the max-min allocation — because the paths are edge-disjoint, sub-flows
-of the same pair never compete with each other.
+of the same pair never compete with each other. Round 1 (k = 1) is also
+the one path finder on the physical graph: the case studies read each
+pair's shortest path from :meth:`RoutedTraffic.first_paths`.
 
 Routing is *source-batched*: round 1 of the greedy disjoint scheme runs
 on the pristine matrix for every pair, so one predecessor-producing
-Dijkstra per unique source city serves every pair sharing that source
-(exactly how the RTT pipeline batches). Only rounds 2..k — which search
-a matrix with the pair's earlier paths deleted — fall back to per-pair
-Dijkstra; at k = 1 no per-pair search runs at all. Edge ids and the CSR
-slots to delete come from vectorized lookups cached on the graph
-(:meth:`SnapshotGraph.edge_ids_for_pairs` /
+Dijkstra per unique source city serves every pair sharing that source.
+Only rounds 2..k — which search a matrix with the pair's earlier paths
+deleted — fall back to per-pair Dijkstra; at k = 1 no per-pair search
+runs at all. Edge ids and the CSR slots to delete come from vectorized
+lookups cached on the graph (:meth:`SnapshotGraph.edge_ids_for_pairs` /
 :meth:`SnapshotGraph.edge_csr_positions`) instead of per-hop dict
 probes.
 
@@ -89,6 +90,14 @@ class RoutedTraffic:
     def flow_edge_lists(self) -> list[np.ndarray]:
         """Per-subflow edge-id arrays, the max-min allocator's input."""
         return [sf.edge_ids for sf in self.subflows]
+
+    def first_paths(self) -> "list[Path | None]":
+        """Each pair's first sub-flow path (its shortest path), by pair
+        index; ``None`` for an unrouted pair."""
+        first: "dict[int, Path]" = {}
+        for sf in self.subflows:
+            first.setdefault(sf.pair_index, sf.path)
+        return [first.get(i) for i in range(len(first) + len(self.unrouted_pairs))]
 
 
 def _path_edge_ids(graph: SnapshotGraph, path: Path) -> np.ndarray:

@@ -27,7 +27,6 @@ from repro.network.paths import (
     k_edge_disjoint_paths,
     k_node_disjoint_paths,
     shortest_path,
-    shortest_paths_from,
 )
 from repro.network.snapshots import snapshot_times
 from repro.network.topology import (
@@ -59,7 +58,6 @@ __all__ = [
     "rtt_ms",
     "Path",
     "shortest_path",
-    "shortest_paths_from",
     "extract_path",
     "k_edge_disjoint_paths",
     "snapshot_times",

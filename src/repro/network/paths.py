@@ -7,8 +7,10 @@ graph's CSR matrix; edge-disjoint paths come from the standard iterative
 scheme — find the shortest path, delete its edges, repeat — which is the
 model floodns-based setups use.
 
-Batching note: single-source Dijkstra already yields distances to *all*
-targets, so the latency experiments group city pairs by source.
+These are the per-pair references: a whole traffic matrix is routed by
+:func:`repro.flows.routing.route_traffic`, which batches round 1 by
+source city and is pinned to :func:`k_edge_disjoint_paths` by
+differential tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.obs import span
 __all__ = [
     "Path",
     "shortest_path",
-    "shortest_paths_from",
     "extract_path",
     "k_edge_disjoint_paths",
     "k_node_disjoint_paths",
@@ -45,19 +46,6 @@ class Path:
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Consecutive ``(u, v)`` node pairs along the path."""
         return list(zip(self.nodes[:-1], self.nodes[1:]))
-
-
-def shortest_paths_from(matrix: sparse.csr_matrix, source: int):
-    """Distances and predecessors from one source to every node.
-
-    Returns ``(dist, pred)`` arrays; unreachable nodes have
-    ``dist = inf`` and ``pred = -9999`` (scipy's sentinel).
-    """
-    with span("dijkstra"):
-        dist, pred = csgraph.dijkstra(
-            matrix, directed=True, indices=source, return_predecessors=True
-        )
-    return dist, pred
 
 
 def extract_path(pred: np.ndarray, source: int, target: int) -> tuple[int, ...] | None:
@@ -81,7 +69,10 @@ def shortest_path(
     matrix: sparse.csr_matrix, source: int, target: int
 ) -> Path | None:
     """Single-pair shortest path, or ``None`` when disconnected."""
-    dist, pred = shortest_paths_from(matrix, source)
+    with span("dijkstra"):
+        dist, pred = csgraph.dijkstra(
+            matrix, directed=True, indices=source, return_predecessors=True
+        )
     nodes = extract_path(pred, source, target)
     if nodes is None:
         return None

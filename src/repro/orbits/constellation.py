@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import coverage_radius_m, orbital_period
+from repro.constants import coverage_radius_m
 from repro.orbits.coordinates import eci_to_ecef
 from repro.orbits.kepler import propagate_circular
 
@@ -87,10 +87,6 @@ class Shell:
     @property
     def num_satellites(self) -> int:
         return self.num_planes * self.sats_per_plane
-
-    @property
-    def period_s(self) -> float:
-        return orbital_period(self.altitude_m)
 
     @property
     def coverage_radius_m(self) -> float:

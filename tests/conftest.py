@@ -67,6 +67,13 @@ def split_faults(config: dict):
     return assembly, config.get("faults")
 
 
+def routed_node_paths(graph, pairs) -> list:
+    """Each pair's routed shortest path as a node tuple, ``None`` if unrouted."""
+    from repro.flows.routing import route_traffic
+
+    return [p.nodes if p else None for p in route_traffic(graph, pairs).first_paths()]
+
+
 TINY_SCALE = ScenarioScale(
     name="tiny",
     num_cities=40,

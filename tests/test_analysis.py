@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import path_composition
-from repro.core.pipeline import pair_paths_on_graph
+from tests.conftest import routed_node_paths
 
 
 class TestPathStretch:
     def test_real_hybrid_paths_modest_stretch(self, tiny_hybrid_graph, tiny_scenario):
-        paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
+        paths = routed_node_paths(tiny_hybrid_graph, tiny_scenario.pairs)
         matrix = tiny_hybrid_graph.matrix()
         from scipy.sparse import csgraph
 
@@ -26,7 +26,7 @@ class TestPathStretch:
 
 class TestPathComposition:
     def test_bp_path_has_no_isl_hops(self, tiny_bp_graph, tiny_scenario):
-        paths = pair_paths_on_graph(tiny_bp_graph, tiny_scenario.pairs)
+        paths = routed_node_paths(tiny_bp_graph, tiny_scenario.pairs)
         nodes = next(p for p in paths if p is not None)
         comp = path_composition(tiny_bp_graph, nodes)
         assert comp.isl_hops == 0
@@ -34,7 +34,7 @@ class TestPathComposition:
         assert comp.fiber_hops == 0
 
     def test_hybrid_long_path_uses_isls(self, tiny_hybrid_graph, tiny_scenario):
-        paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
+        paths = routed_node_paths(tiny_hybrid_graph, tiny_scenario.pairs)
         longest_idx = int(
             np.argmax([p.distance_m for p in tiny_scenario.pairs])
         )
@@ -44,13 +44,13 @@ class TestPathComposition:
         assert comp.isl_hops > 0
 
     def test_hop_counts_sum(self, tiny_hybrid_graph, tiny_scenario):
-        paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
+        paths = routed_node_paths(tiny_hybrid_graph, tiny_scenario.pairs)
         nodes = next(p for p in paths if p is not None)
         comp = path_composition(tiny_hybrid_graph, nodes)
         assert comp.isl_hops + comp.radio_hops + comp.fiber_hops == len(nodes) - 1
 
     def test_endpoints_are_cities(self, tiny_bp_graph, tiny_scenario):
-        paths = pair_paths_on_graph(tiny_bp_graph, tiny_scenario.pairs)
+        paths = routed_node_paths(tiny_bp_graph, tiny_scenario.pairs)
         nodes = next(p for p in paths if p is not None)
         comp = path_composition(tiny_bp_graph, nodes)
         assert comp.city_gts >= 2

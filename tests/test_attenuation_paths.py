@@ -8,12 +8,12 @@ from repro.atmosphere.attenuation import (
     paths_worst_link_attenuation_db,
     worst_link_attenuation_db,
 )
-from repro.core.pipeline import pair_paths_on_graph
+from tests.conftest import routed_node_paths
 
 
 @pytest.fixture(scope="module")
 def graph_and_paths(tiny_bp_graph, tiny_scenario):
-    paths = pair_paths_on_graph(tiny_bp_graph, tiny_scenario.pairs)
+    paths = routed_node_paths(tiny_bp_graph, tiny_scenario.pairs)
     routable = [p for p in paths if p is not None]
     assert routable, "tiny scenario should route at least one pair"
     return tiny_bp_graph, paths

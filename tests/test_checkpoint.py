@@ -147,6 +147,29 @@ class TestFingerprint:
                 )
         assert fingerprint == alone
 
+    def test_noop_fault_spec_resumes_clean_shards(self, tiny_scenario, tmp_path):
+        """``--inject-fault sat:0`` builds the clean graphs, so it keys
+        (and resumes) like a clean run."""
+        from repro.faults import FaultSpec
+        from repro.obs import observe
+
+        clean = scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY)
+        for spec in (FaultSpec(), FaultSpec(sat=0.0, seed=7)):
+            with run_context(faults=spec):
+                assert (
+                    scenario_fingerprint(tiny_scenario, ConnectivityMode.BP_ONLY)
+                    == clean
+                )
+        modes = [ConnectivityMode.BP_ONLY, ConnectivityMode.HYBRID]
+        with checkpoint_root(tmp_path):
+            compute_rtt_series_multi(tiny_scenario, modes)
+        with run_context(faults=FaultSpec()), checkpoint_root(tmp_path):
+            with observe() as registry:
+                compute_rtt_series_multi(tiny_scenario, modes)
+        counters = registry.snapshot()["counters"]
+        assert counters["checkpoint.hits"] == len(modes) * len(tiny_scenario.times_s)
+        assert "checkpoint.misses" not in counters
+
 
 class TestCheckpointRoot:
     def test_default_off(self):

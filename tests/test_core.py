@@ -6,8 +6,9 @@ from dataclasses import replace
 
 from repro.core.comparison import compare_latency
 from repro.core.metrics import distribution_summary, rtt_stats
-from repro.core.pipeline import compute_rtt_series_multi, pair_path_at, pair_paths_on_graph
+from repro.core.pipeline import compute_rtt_series_multi
 from repro.core.scenario import Scenario, ScenarioScale
+from repro.flows.routing import route_traffic
 from repro.network.graph import ConnectivityMode
 from tests.conftest import TINY_SCALE
 
@@ -110,18 +111,20 @@ class TestRttPipeline:
         )
         assert calls == [(i + 1, 3) for i in range(3)]
 
-    def test_pair_paths_on_graph_match_series(self, tiny_scenario, tiny_hybrid_graph):
+    def test_routed_paths_match_series(self, tiny_scenario, tiny_hybrid_graph):
         series = compute_rtt_series_multi(
             tiny_scenario, [ConnectivityMode.HYBRID]
         )[ConnectivityMode.HYBRID]
-        paths = pair_paths_on_graph(tiny_hybrid_graph, tiny_scenario.pairs)
+        paths = route_traffic(tiny_hybrid_graph, tiny_scenario.pairs).first_paths()
+        assert len(paths) == len(tiny_scenario.pairs)
         for i, path in enumerate(paths):
             if path is None:
                 assert not np.isfinite(series.rtt_ms[i, 0])
 
-    def test_pair_path_at_endpoints(self, tiny_scenario):
+    def test_first_path_endpoints(self, tiny_scenario):
         pair = tiny_scenario.pairs[0]
-        graph, path = pair_path_at(tiny_scenario, pair, 0.0, ConnectivityMode.HYBRID)
+        graph = tiny_scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        (path,) = route_traffic(graph, [pair]).first_paths()
         assert path is not None
         assert path.nodes[0] == graph.gt_node(pair.a)
         assert path.nodes[-1] == graph.gt_node(pair.b)

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from repro.core.pipeline import pair_path_at
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.ext_deployment import partial_starlink
 from repro.experiments.ext_gso_impact import cross_equatorial_pairs
 from repro.experiments.fig3_path_variation import path_profile
 from repro.experiments.fig4_throughput import throughput_matrix
 from repro.experiments.fig10_cross_shell import shells_used
+from repro.flows.routing import route_traffic
 from repro.network.graph import ConnectivityMode
 from tests.conftest import TINY_SCALE
+
+
+def _path_at(scenario, pair, time_s, mode):
+    """``(graph, path)`` of one pair's routed shortest path at one instant."""
+    graph = scenario.graph_at(time_s, mode)
+    (path,) = route_traffic(graph, [pair]).first_paths()
+    return graph, path
 
 
 class TestThroughputMatrix:
@@ -30,7 +37,7 @@ class TestThroughputMatrix:
 class TestPathProfile:
     def test_profile_fields(self, tiny_scenario):
         pair = tiny_scenario.pairs[0]
-        graph, path = pair_path_at(tiny_scenario, pair, 0.0, ConnectivityMode.BP_ONLY)
+        graph, path = _path_at(tiny_scenario, pair, 0.0, ConnectivityMode.BP_ONLY)
         assert path is not None
         profile = path_profile(graph, path)
         assert profile["total_hops"] == path.hops
@@ -41,10 +48,10 @@ class TestPathProfile:
 
     def test_hybrid_profile_fewer_gt_hops(self, tiny_scenario):
         pair = max(tiny_scenario.pairs, key=lambda p: p.distance_m)
-        bp_graph, bp_path = pair_path_at(
+        bp_graph, bp_path = _path_at(
             tiny_scenario, pair, 0.0, ConnectivityMode.BP_ONLY
         )
-        hy_graph, hy_path = pair_path_at(
+        hy_graph, hy_path = _path_at(
             tiny_scenario, pair, 0.0, ConnectivityMode.HYBRID
         )
         if bp_path is None or hy_path is None:
@@ -60,7 +67,7 @@ class TestPathProfile:
 class TestShellsUsed:
     def test_single_shell_paths_use_shell_zero(self, tiny_scenario):
         pair = tiny_scenario.pairs[0]
-        graph, path = pair_path_at(tiny_scenario, pair, 0.0, ConnectivityMode.HYBRID)
+        graph, path = _path_at(tiny_scenario, pair, 0.0, ConnectivityMode.HYBRID)
         used = shells_used(tiny_scenario.constellation, path.nodes, graph.num_sats)
         assert used == {0}
 

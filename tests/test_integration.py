@@ -18,9 +18,9 @@ from repro import (
     evaluate_throughput,
 )
 from repro.atmosphere.attenuation import paths_worst_link_attenuation_db
-from repro.core.pipeline import pair_paths_on_graph
+from repro.core.pipeline import pair_rtts_on_graph
 from repro.network.snapshots import snapshot_times
-from tests.conftest import TINY_SCALE
+from tests.conftest import TINY_SCALE, routed_node_paths
 
 
 class TestPublicApi:
@@ -77,14 +77,20 @@ class TestCrossChecks:
         """Shared-graph consistency between the two main pipelines."""
         graph = tiny_scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         result = evaluate_throughput(graph, tiny_scenario.pairs, k=1)
-        paths = pair_paths_on_graph(graph, tiny_scenario.pairs)
+        rtts = pair_rtts_on_graph(graph, tiny_scenario.pairs)
+        paths = result.routing.first_paths()
         routed_pairs = {sf.pair_index for sf in result.routing.subflows}
         for i, path in enumerate(paths):
             assert (path is not None) == (i in routed_pairs)
+            assert (path is not None) == bool(np.isfinite(rtts[i]))
+            if path is not None:
+                assert rtts[i] == pytest.approx(
+                    2e3 * path.length_m / 299_792_458.0, rel=1e-9
+                )
 
     def test_attenuation_uses_actual_path_geometry(self, tiny_scenario):
         graph = tiny_scenario.graph_at(0.0, ConnectivityMode.BP_ONLY)
-        paths = pair_paths_on_graph(graph, tiny_scenario.pairs)
+        paths = routed_node_paths(graph, tiny_scenario.pairs)
         attenuations = paths_worst_link_attenuation_db(graph, paths)
         finite = attenuations[np.isfinite(attenuations)]
         assert len(finite) > 0

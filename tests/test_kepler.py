@@ -190,7 +190,7 @@ class TestJ2:
             rtol=1e-9,
         )
         envelope_lo, envelope_hi = np.inf, -np.inf
-        for sample in np.linspace(0.0, tiny_shell.period_s, 33):
+        for sample in np.linspace(0.0, orbital_period(tiny_shell.altitude_m), 33):
             lengths = isl_lengths_m(cross, tiny_shell.positions_eci(float(sample)))
             envelope_lo = min(envelope_lo, lengths.min())
             envelope_hi = max(envelope_hi, lengths.max())

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.network.paths import (
     Path,
     extract_path,
     k_edge_disjoint_paths,
     shortest_path,
-    shortest_paths_from,
 )
 
 
@@ -75,30 +75,34 @@ class TestShortestPath:
         assert path.nodes == (0, 2, 1)
         assert path.length_m == pytest.approx(2.0)
 
-
-class TestShortestPathsFrom:
     def test_distances_to_all(self):
         matrix = grid_graph(3)
-        dist, pred = shortest_paths_from(matrix, 0)
-        assert dist[8] == pytest.approx(4.0)
-        assert dist[0] == 0.0
+        assert shortest_path(matrix, 0, 8).length_m == pytest.approx(4.0)
+        assert shortest_path(matrix, 0, 0).length_m == 0.0
 
+
+def _predecessors(matrix, source):
+    """scipy's predecessor row from ``source``, as routing reads it."""
+    _, pred = csgraph.dijkstra(
+        matrix, directed=True, indices=source, return_predecessors=True
+    )
+    return pred
+
+
+class TestExtractPath:
     def test_extract_path_consistency(self):
         matrix = grid_graph(3)
-        dist, pred = shortest_paths_from(matrix, 0)
-        nodes = extract_path(pred, 0, 8)
+        nodes = extract_path(_predecessors(matrix, 0), 0, 8)
         assert len(nodes) - 1 == 4
         assert nodes[0] == 0 and nodes[-1] == 8
 
     def test_extract_unreachable(self):
         matrix = sparse.csr_matrix((3, 3))
-        _, pred = shortest_paths_from(matrix, 0)
-        assert extract_path(pred, 0, 2) is None
+        assert extract_path(_predecessors(matrix, 0), 0, 2) is None
 
     def test_extract_source(self):
         matrix = grid_graph(3)
-        _, pred = shortest_paths_from(matrix, 0)
-        assert extract_path(pred, 0, 0) == (0,)
+        assert extract_path(_predecessors(matrix, 0), 0, 0) == (0,)
 
 
 class TestKEdgeDisjoint:

@@ -25,6 +25,8 @@ run-out-of-paths cases of that bound against the unbounded reference.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,14 +144,29 @@ def _near_tie_graphs(draw):
     return _hand_graph(num_sats, num_cities, rows), pairs
 
 
+#: Every mode on the full ground segment, plus fig6/fig8's ISL network
+#: (no relays or aircraft: cities are the only GTs).
+_FULL_PAIR_GRAPHS = [
+    pytest.param(mode, False, id=f"ConnectivityMode.{mode.name}")
+    for mode in ConnectivityMode
+] + [
+    pytest.param(
+        ConnectivityMode.ISL_ONLY, True, id="ConnectivityMode.ISL_ONLY-cities-only"
+    )
+]
+
+
 class TestRoutingMatchesPerPairReference:
-    @pytest.mark.parametrize("mode", list(ConnectivityMode))
+    @pytest.mark.parametrize("mode, cities_only", _FULL_PAIR_GRAPHS)
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_full_pair_list(self, tiny_scenario, mode, k):
+    def test_full_pair_list(self, tiny_scenario, mode, cities_only, k):
         # t = 0 is the mirror-symmetric Walker snapshot, where relay
         # detours tie to the last ulp (BP at k = 2 and 4 in particular).
-        graph = tiny_scenario.graph_at(0.0, mode)
-        _assert_matches_reference(graph, tiny_scenario.pairs, k)
+        scenario = tiny_scenario
+        if cities_only:
+            scenario = replace(tiny_scenario, use_relays=False, use_aircraft=False)
+        graph = scenario.graph_at(0.0, mode)
+        _assert_matches_reference(graph, scenario.pairs, k)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_pair_subsets(self, tiny_scenario, seed):

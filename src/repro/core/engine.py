@@ -34,9 +34,9 @@ that is invariant across the calls real workloads make:
   (:class:`~repro.network.graph.SnapshotGraph`). Its physical edge
   table (int64 ``(m, 2)`` ``edges``, ``edge_dist_m``, ``edge_kind``:
   radio rows, then ISL, then fiber) is a view derived from the parts
-  on first read, which ``matrix()`` and routing do, and bumps
-  ``engine.edge_tables``. An RTT sweep never reads it, and the strict
-  graph guard checks the parts themselves. Faults
+  on first read, which bumps ``engine.edge_tables``. Routing and RTT
+  sweeps never read it (``matrix()`` assembles from the parts), and
+  the strict graph guard checks the parts themselves. Faults
   are *never* cached: a frame holds only fault-free geometry, so the
   run context's :class:`~repro.faults.FaultSpec` can neither leak into
   nor out of the cache.

@@ -12,10 +12,11 @@ on the pristine matrix for every pair, so one predecessor-producing
 Dijkstra per unique source city serves every pair sharing that source.
 Only rounds 2..k — which search a matrix with the pair's earlier paths
 deleted — fall back to per-pair Dijkstra; at k = 1 no per-pair search
-runs at all. Edge ids and the CSR slots to delete come from vectorized
-lookups cached on the graph (:meth:`SnapshotGraph.edge_ids_for_pairs` /
-:meth:`SnapshotGraph.edge_csr_positions`) instead of per-hop dict
-probes.
+runs at all. Hops map to edge ids, edge ids to the CSR slots to delete,
+and deleted slots back to their edge's distance through one index built
+with :meth:`SnapshotGraph.matrix`, the edge id of each CSR entry
+(:meth:`SnapshotGraph.edge_ids_for_pairs` /
+:meth:`SnapshotGraph.edge_csr_positions`).
 
 Each per-pair round is *distance-bounded*: round j searches with
 scipy's ``limit=`` set to ``_ROUND_SLACK`` times round j-1's length and
@@ -105,19 +106,6 @@ def _path_edge_ids(graph: SnapshotGraph, path: Path) -> np.ndarray:
     return graph.edge_ids_for_pairs(nodes[:-1], nodes[1:])
 
 
-def _batch_edge_ids(graph: SnapshotGraph, paths: list[Path]) -> list[np.ndarray]:
-    """Edge ids of many paths, resolved in one vectorized lookup."""
-    if not paths:
-        return []
-    nodes = [np.asarray(p.nodes, dtype=np.int64) for p in paths]
-    hops = graph.edge_ids_for_pairs(
-        np.concatenate([n[:-1] for n in nodes]),
-        np.concatenate([n[1:] for n in nodes]),
-    )
-    counts = np.array([len(n) - 1 for n in nodes])
-    return np.split(hops, np.cumsum(counts)[:-1])
-
-
 def _first_round_paths(graph: SnapshotGraph, index) -> "list[Path | None]":
     """Round-1 shortest path for every pair, batched by source city."""
     matrix = graph.matrix()
@@ -186,12 +174,10 @@ def _extra_disjoint_paths(
     rounds that needed that rerun.
     """
     found = [(first, first_ids)]
-    touched: "list[tuple[np.ndarray, np.ndarray]]" = []
+    deleted = [graph.edge_csr_positions(first_ids)]
     searches = retries = 0
     try:
-        positions = graph.edge_csr_positions(first_ids)
-        matrix.data[positions] = np.inf
-        touched.append((positions, first_ids))
+        matrix.data[deleted[0]] = np.inf
         while len(found) < k:
             searches += 1
             dist, pred = _pair_search(
@@ -206,13 +192,12 @@ def _extra_disjoint_paths(
             path = Path(nodes=nodes, length_m=float(dist[target]))
             ids = _path_edge_ids(graph, path)
             found.append((path, ids))
-            positions = graph.edge_csr_positions(ids)
-            matrix.data[positions] = np.inf
-            touched.append((positions, ids))
+            deleted.append(graph.edge_csr_positions(ids))
+            matrix.data[deleted[-1]] = np.inf
     finally:
-        for positions, ids in touched:
-            # Both directed entries of an edge hold its distance.
-            matrix.data[positions] = np.repeat(graph.edge_dist_m[ids], 2)
+        # Each deleted entry gets back the distance of its own edge.
+        positions = np.concatenate(deleted)
+        matrix.data[positions] = graph.edge_dist_m[graph.entry_edge_ids()[positions]]
         if searches:
             incr("routing.pair_dijkstras", searches)
         if retries:
@@ -251,25 +236,22 @@ def route_traffic_multi_k(
 
     with span("first_round"):
         first_paths = _first_round_paths(graph, index)
-        routed_indices = [i for i, p in enumerate(first_paths) if p is not None]
-        first_ids: "list[np.ndarray | None]" = [None] * index.num_pairs
-        for pidx, ids in zip(
-            routed_indices,
-            _batch_edge_ids(graph, [first_paths[i] for i in routed_indices]),
-        ):
-            first_ids[pidx] = ids
+        first_ids = [
+            None if path is None else _path_edge_ids(graph, path)
+            for path in first_paths
+        ]
+        unrouted = [pidx for pidx, path in enumerate(first_paths) if path is None]
+        if unrouted:
+            incr("routing.unrouted_pairs", len(unrouted))
 
     results: "dict[int, RoutedTraffic]" = {}
     for k in ks:
         subflows: list[SubFlow] = []
-        unrouted: list[int] = []
         retries = 0
         with span("disjoint_rounds"):
             for pidx in range(index.num_pairs):
                 first = first_paths[pidx]
                 if first is None:
-                    incr("routing.unrouted_pairs")
-                    unrouted.append(pidx)
                     continue
                 if k == 1:
                     routed = [(first, first_ids[pidx])]
@@ -291,7 +273,7 @@ def route_traffic_multi_k(
         results[k] = RoutedTraffic(
             graph=graph,
             subflows=subflows,
-            unrouted_pairs=unrouted,
+            unrouted_pairs=list(unrouted),
             retries=retries,
         )
         if strict:

@@ -56,12 +56,8 @@ def route_load_aware(
 
     base = graph.matrix().tocsr(copy=True)
     base_dist = base.data.copy()
-
-    # Map each CSR data position to its undirected edge id (for load and
-    # capacity lookups) with the graph's cached canonical-key mapping.
-    # (COO from CSR preserves data ordering, so positions align.)
-    coo = base.tocoo()
-    position_edge = graph.edge_ids_for_pairs(coo.row, coo.col)
+    # The edge id of each CSR entry, for load and capacity lookups.
+    position_edge = graph.entry_edge_ids()
 
     load_units = np.zeros(graph.num_edges)
     reference_cap = capacities.gt_sat_bps

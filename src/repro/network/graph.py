@@ -117,12 +117,14 @@ class SnapshotGraph:
     keep it), else ``None``. The physical edge table ``edges``,
     ``edge_dist_m`` and ``edge_kind`` (the GT-satellite rows stored
     ``(satellite, GT node)`` in CSR order, then the ISL/fiber block) is
-    a view derived from the parts on first read and kept; ``matrix()``
-    and routing read it. An RTT sweep reads only
-    :meth:`contracted_matrix`, and the strict graph guard only the
-    parts, so neither builds the table. The caches and the contraction memo handle are
-    not constructor fields, so ``dataclasses.replace`` on the parts
-    gives a graph that derives everything afresh.
+    a view derived from the parts on first read and kept. Caches, built
+    on first use: :meth:`matrix` with the edge id of each entry (routing's
+    one hop/edge index), :meth:`contracted_matrix` and the
+    :meth:`edge_capacities` tables. Both matrices assemble from the parts,
+    so neither routing nor an RTT sweep builds the table. The caches and
+    the contraction memo handle are not constructor fields, so
+    ``dataclasses.replace`` on the parts gives a graph that derives
+    everything afresh.
     """
 
     time_s: float
@@ -143,10 +145,11 @@ class SnapshotGraph:
     _matrix_cache: sparse.csr_matrix | None = field(
         default=None, init=False, repr=False
     )
-    _edge_key_cache: "tuple[np.ndarray, np.ndarray] | None" = field(
+    #: Set with the matrix: per entry, in ``data`` order, its row-major
+    #: key (ascending) and its edge id; per edge, its two positions.
+    _entry_index: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = field(
         default=None, init=False, repr=False
     )
-    _csr_pos_cache: np.ndarray | None = field(default=None, init=False, repr=False)
     _edge_caps_cache: dict | None = field(default=None, init=False, repr=False)
     _contracted_cache: sparse.csr_matrix | None = field(
         default=None, init=False, repr=False
@@ -218,14 +221,38 @@ class SnapshotGraph:
         return caps
 
     def matrix(self) -> sparse.csr_matrix:
-        """Symmetric CSR distance matrix (metres) over all nodes."""
+        """Symmetric CSR distance matrix (metres) over all nodes.
+
+        Entry id ``e`` is edge ``e`` read ``edges[e, 0] -> edges[e, 1]``
+        and ``e + num_edges`` its reverse; one CSR build over the entry
+        ids, assembled from the parts, sorts them into (row, column)
+        order and so gives the routing lookups. Raises
+        :class:`ValueError` on a repeated edge or a self-loop.
+        """
         if self._matrix_cache is None:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            row = np.concatenate([u, v])
-            col = np.concatenate([v, u])
-            data = np.concatenate([self.edge_dist_m, self.edge_dist_m])
+            start, gts, radio_m = self.sat_rows
+            block, block_m, _ = self.isl_fiber_rows
+            n, m = self.num_nodes, self.num_edges
+            u = np.concatenate([
+                np.repeat(np.arange(self.num_sats, dtype=np.int64), np.diff(start)),
+                block[:, 0],
+            ])
+            v = np.concatenate([gts.astype(np.int64) + self.num_sats, block[:, 1]])
+            ids = sparse.csr_matrix(
+                (np.arange(2 * m), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                shape=(n, n),
+            )
+            if ids.nnz != 2 * m:
+                raise ValueError("a repeated edge or self-loop shares a CSR entry")
+            entry = ids.data
+            edge = np.where(entry < m, entry, entry - m)
+            position = np.empty_like(entry)
+            position[entry] = np.arange(2 * m)
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(ids.indptr))
+            self._entry_index = (rows * n + ids.indices, edge, position.reshape(2, m).T)
+            dist_m = np.concatenate([radio_m, block_m])
             self._matrix_cache = sparse.csr_matrix(
-                (data, (row, col)), shape=(self.num_nodes, self.num_nodes)
+                (dist_m[edge], ids.indices, ids.indptr), shape=(n, n)
             )
         return self._matrix_cache
 
@@ -302,64 +329,42 @@ class SnapshotGraph:
                 np.concatenate([dists[:end], bounce[2]]),
             )
 
-    def _edge_key_index(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Sorted canonical edge keys plus the matching edge-id order.
-
-        Each undirected edge is encoded as ``min * num_nodes + max`` so a
-        whole batch of (u, v) lookups becomes one ``np.searchsorted``.
-        The sort is stable and lookups take the *last* match, so a
-        (degenerate) duplicate edge resolves to the same id a dict built
-        in edge order would give.
-        """
-        if self._edge_key_cache is None:
-            u = self.edges[:, 0].astype(np.int64)
-            v = self.edges[:, 1].astype(np.int64)
-            keys = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
-            order = np.argsort(keys, kind="stable")
-            self._edge_key_cache = (keys[order], order)
-        return self._edge_key_cache
-
     def edge_ids_for_pairs(self, u, v) -> np.ndarray:
-        """Edge ids for arrays of (u, v) node pairs, direction-agnostic.
+        """Edge ids for arrays of (u, v) node pairs, in either direction.
 
-        Vectorized replacement for per-hop dict lookups on the hot
-        routing path. Raises :class:`KeyError` when any pair is not an
-        edge of this snapshot.
+        One binary search over the row-major keys of :meth:`matrix`'s
+        entries, then each entry's edge id. Raises :class:`KeyError`
+        when any pair is not an edge of this snapshot.
         """
-        sorted_keys, order = self._edge_key_index()
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        keys = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
-        pos = np.searchsorted(sorted_keys, keys, side="right") - 1
-        if keys.size and (pos.min() < 0 or np.any(sorted_keys[pos] != keys)):
+        self.matrix()
+        keys, edge, _ = self._entry_index
+        wanted = np.asarray(u, dtype=np.int64) * self.num_nodes + np.asarray(
+            v, dtype=np.int64
+        )
+        pos = np.searchsorted(keys, wanted)
+        if wanted.size and not (
+            keys.size and np.array_equal(keys.take(pos, mode="clip"), wanted)
+        ):
             raise KeyError("node pair is not an edge of this snapshot")
-        return order[pos]
+        return edge[pos]
+
+    def entry_edge_ids(self) -> np.ndarray:
+        """Edge id of each :meth:`matrix` entry, in ``data`` order.
+
+        Treat the returned array as read-only.
+        """
+        self.matrix()
+        return self._entry_index[1]
 
     def edge_csr_positions(self, edge_ids) -> np.ndarray:
         """Positions in ``matrix().data`` of both directed entries per edge.
 
         For edge id ``e`` between nodes (u, v) the result holds the data
         positions of (u, v) and (v, u), interleaved per edge — the exact
-        slots the disjoint-path search zeroes out and restores. CSR
-        entries are sorted by (row, column), so the flat key
-        ``row * num_nodes + column`` is globally sorted and one binary
-        search resolves every edge at once.
+        slots the disjoint-path search deletes and restores.
         """
-        if self._csr_pos_cache is None:
-            matrix = self.matrix()
-            n = self.num_nodes
-            rows = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(matrix.indptr)
-            )
-            linear = rows * n + matrix.indices.astype(np.int64)
-            u = self.edges[:, 0].astype(np.int64)
-            v = self.edges[:, 1].astype(np.int64)
-            self._csr_pos_cache = np.stack(
-                [np.searchsorted(linear, u * n + v),
-                 np.searchsorted(linear, v * n + u)],
-                axis=1,
-            )
-        return self._csr_pos_cache[np.asarray(edge_ids, dtype=np.int64)].reshape(-1)
+        self.matrix()
+        return self._entry_index[2][np.asarray(edge_ids, dtype=np.int64)].reshape(-1)
 
     def satellite_component_stats(self) -> dict:
         """Connectivity stats for Section 5's disconnected-satellite count.

@@ -25,7 +25,11 @@ def plus_grid_edges(shell: Shell) -> np.ndarray:
     Each undirected edge appears once. For a shell with P planes and S
     satellites per plane the count is ``P*S`` intra-plane edges plus
     ``P*S`` cross-plane edges (both rings wrap), except that degenerate
-    rings (P < 3 or S < 3) drop the wraparound duplicates.
+    rings (P < 3 or S < 3) drop the wraparound duplicates. A Walker-star
+    shell (planes spread over less than 360 deg of RAAN) has a seam: its
+    last plane and plane 0 run in opposite directions side by side, so
+    the cross-plane ring does not wrap there (Iridium-style shells carry
+    no cross-seam ISL) and the count drops by ``S``.
     """
     num_planes, per_plane = shell.num_planes, shell.sats_per_plane
     planes = np.repeat(np.arange(num_planes, dtype=np.int64), per_plane)
@@ -51,8 +55,8 @@ def plus_grid_edges(shell: Shell) -> np.ndarray:
     cross_slot = np.floor(slots + phase_shift + 0.5).astype(np.int64) % per_plane
     cross_to = next_plane * per_plane + cross_slot
     cross_ok = np.full(here.shape, num_planes > 1)
-    if num_planes == 2:
-        cross_ok &= planes != 1
+    if num_planes == 2 or shell.raan_spread_deg < 360.0:
+        cross_ok &= planes != num_planes - 1
 
     # Interleave (intra, cross) per satellite — the exact append order
     # of the historical per-satellite loop, which edge ids depend on.

@@ -237,6 +237,31 @@ class TestNumericalEquivalence:
             want = legacy_graph(scenario, float(time_s), mode)
             assert_graphs_identical(got, want)
 
+    @pytest.mark.parametrize(
+        "assembly",
+        [
+            {},
+            {"gso_policy": GsoProtectionPolicy(min_separation_deg=20.0)},
+            {"max_gts_per_satellite": 4},
+        ],
+        ids=["plain", "gso", "beam"],
+    )
+    def test_modes_share_sat_rows(self, base_scenario, assembly):
+        """The frame's contraction memo hands one radio block to the BP,
+        hybrid and ISL_ONLY graphs of an instant, so their GT-satellite
+        rows must be equal."""
+        scenario = base_scenario.with_assembly(**assembly)
+        for time_s in scenario.times_s:
+            bp, *others = (
+                scenario.graph_at(float(time_s), mode) for mode in ConnectivityMode
+            )
+            assert bp._radio_key is not None
+            for graph in others:
+                assert graph._radio_key == bp._radio_key
+                for got, want in zip(graph.sat_rows, bp.sat_rows):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
     def test_graphs_at_share_one_frame(self, base_scenario):
         graphs = {
             mode: base_scenario.graph_at(0.0, mode)

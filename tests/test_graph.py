@@ -1,13 +1,22 @@
 """Unit tests for snapshot graph construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.constants import slant_range_m
+from repro.context import run_context
+from repro.flows.routing import route_traffic_multi_k
+from repro.ground.stations import StationTable
 from repro.network.graph import ConnectivityMode
 from repro.network.links import LinkCapacities
+from repro.obs import observe
 from repro.orbits.visibility import elevation_deg
-from tests.reference_graph import build_snapshot_graph
+from tests.reference_graph import build_snapshot_graph, graph_from_rows
 
 
 class TestModes:
@@ -81,6 +90,101 @@ class TestMatrix:
 
     def test_matrix_cached(self, tiny_hybrid_graph):
         assert tiny_hybrid_graph.matrix() is tiny_hybrid_graph.matrix()
+
+    def test_repeated_edge_rejected(self):
+        stations = StationTable(
+            lats=np.zeros(1), lons=np.zeros(1), altitudes=np.zeros(1),
+            city_count=1, relay_count=0,
+        )
+        graph = graph_from_rows(
+            [[0, 1], [1, 0]], [5.0, 6.0], num_sats=1, stations=stations
+        )
+        with pytest.raises(ValueError, match="repeated edge"):
+            graph.matrix()
+
+    def test_non_strict_routing_builds_no_edge_table(self, tiny_scenario):
+        # A fresh copy holds no table another test may have built.
+        graph = dataclasses.replace(
+            tiny_scenario.graph_at(0.0, ConnectivityMode.HYBRID)
+        )
+        with run_context(strict=False), observe() as registry:
+            routed = route_traffic_multi_k(graph, tiny_scenario.pairs, (1, 4))
+        assert routed[4].subflows
+        assert registry.snapshot()["counters"].get("engine.edge_tables", 0) == 0
+
+
+@st.composite
+def _random_graphs(draw):
+    """Random graphs of satellites, cities and relays: radio, ISL and
+    fiber rows over distinct node pairs, some nodes left isolated."""
+    num_sats = draw(st.integers(min_value=1, max_value=6))
+    cities = draw(st.integers(min_value=1, max_value=4))
+    relays = draw(st.integers(min_value=0, max_value=3))
+    num_nodes = num_sats + cities + relays
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+            max_size=3 * num_nodes,
+            unique_by=lambda p: (min(p), max(p)),
+        )
+    )
+    lengths = draw(
+        st.lists(
+            st.floats(min_value=1.0, max_value=1e7),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    stations = StationTable(
+        lats=np.zeros(cities + relays),
+        lons=np.zeros(cities + relays),
+        altitudes=np.zeros(cities + relays),
+        city_count=cities,
+        relay_count=relays,
+    )
+    return graph_from_rows(pairs, lengths, num_sats=num_sats, stations=stations)
+
+
+class TestEntryIndex:
+    """The physical CSR and the routing lookups derived from it."""
+
+    @given(graph=_random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_plain_build(self, graph):
+        n, m = graph.num_nodes, graph.num_edges
+        u, v = graph.edges[:, 0], graph.edges[:, 1]
+        want = sparse.csr_matrix(
+            (np.concatenate([graph.edge_dist_m] * 2),
+             (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(n, n),
+        )
+        got = graph.matrix()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+
+        by_hop = {}
+        for edge, (a, b) in enumerate(graph.edges.tolist()):
+            by_hop[a, b] = by_hop[b, a] = edge
+        hops = np.array(list(by_hop), dtype=np.int64).reshape(-1, 2)
+        np.testing.assert_array_equal(
+            graph.edge_ids_for_pairs(hops[:, 0], hops[:, 1]),
+            list(by_hop.values()),
+        )
+        missing = next(
+            (a, b) for a in range(n) for b in range(n) if (a, b) not in by_hop
+        )
+        with pytest.raises(KeyError):
+            graph.edge_ids_for_pairs([missing[0]], [missing[1]])
+
+        positions = graph.edge_csr_positions(np.arange(m)).reshape(m, 2)
+        rows = np.repeat(np.arange(n), np.diff(got.indptr))
+        np.testing.assert_array_equal(rows[positions], graph.edges)
+        np.testing.assert_array_equal(got.indices[positions], graph.edges[:, ::-1])
+        np.testing.assert_array_equal(
+            graph.entry_edge_ids()[positions], np.repeat(np.arange(m), 2).reshape(m, 2)
+        )
 
 
 class TestCapacities:

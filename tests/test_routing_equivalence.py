@@ -264,12 +264,25 @@ class TestRoutingCounterContract:
     def test_multi_k_shares_round_one(self, tiny_scenario):
         graph = tiny_scenario.graph_at(0.0, ConnectivityMode.HYBRID)
         pairs = tiny_scenario.pairs
+        # Cut the first pair's source off: every pair that names it is unrouted.
+        kept = (graph.edges != graph.gt_node(pairs[0].a)).all(axis=1)
+        graph = graph_from_rows(
+            graph.edges[kept],
+            graph.edge_dist_m[kept],
+            num_sats=graph.num_sats,
+            stations=graph.stations,
+            mode=graph.mode,
+        )
         unique_sources = len({pair.a for pair in pairs})
         with observe() as registry:
-            route_traffic_multi_k(graph, pairs, (1, 4))
+            routed = route_traffic_multi_k(graph, pairs, (1, 4))
         counters = registry.snapshot()["counters"]
-        # One batched sweep serves both k values.
+        # One batched sweep serves both k values ...
         assert counters["routing.batched_dijkstras"] == unique_sources
+        # ... and decides, once per call, which pairs are unrouted.
+        unrouted = routed[1].unrouted_pairs
+        assert unrouted and routed[4].unrouted_pairs == unrouted
+        assert counters["routing.unrouted_pairs"] == len(unrouted)
 
 
 # ---------------------------------------------------------------------------

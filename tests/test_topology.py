@@ -11,7 +11,7 @@ from repro.network.topology import (
     plus_grid_edges,
 )
 from repro.orbits.constellation import Constellation, Shell
-from repro.orbits.presets import starlink_shell
+from repro.orbits.presets import polar_shell, starlink_shell
 
 
 def degree_counts(edges, num_sats):
@@ -111,6 +111,20 @@ class TestIslLengths:
                 positions[edges[:, 0]], positions[edges[:, 1]]
             ).min()
             assert worst > 80_000.0
+
+    def test_walker_star_shell_has_no_seam_isl(self):
+        """The polar shell spreads its planes over 180 deg of RAAN, so its
+        last plane and plane 0 run opposite ways: no ISL crosses that seam."""
+        shell = polar_shell()
+        edges = plus_grid_edges(shell)
+        planes = np.sort(edges // shell.sats_per_plane, axis=1)
+        assert not ((planes[:, 0] == 0) & (planes[:, 1] == shell.num_planes - 1)).any()
+        assert len(edges) == 2 * shell.num_satellites - shell.sats_per_plane
+        positions = shell.positions_eci(0.0)
+        worst = isl_grazing_altitude_m(
+            positions[edges[:, 0]], positions[edges[:, 1]]
+        ).min()
+        assert worst > 80_000.0
 
     def test_intra_plane_lengths_constant_over_time(self, tiny_shell):
         edges = plus_grid_edges(tiny_shell)

@@ -5,7 +5,7 @@ full configuration (1,000 cities, 0.5-degree relays, 5,000 pairs, 96
 snapshots) is expensive — minutes to hours of compute — so scenarios come
 in *scales*. ``ScenarioScale.full()`` is the paper; ``small()`` and
 ``medium()`` keep every mechanism (aircraft, relays, ISLs, multipath) at
-a size where tests and default benchmark runs finish in seconds to
+a size where tests and default-scale runs finish in seconds to
 minutes. Each experiment takes its scale as its one argument;
 ``repro run --scale full`` hands it the paper's.
 
@@ -88,7 +88,7 @@ class ScenarioScale:
 
     @classmethod
     def small(cls) -> "ScenarioScale":
-        """Seconds-scale runs for tests and default benches."""
+        """Seconds-scale runs for tests and default runs."""
         return cls(
             name="small",
             num_cities=150,
@@ -100,7 +100,7 @@ class ScenarioScale:
 
     @classmethod
     def throughput_bench(cls) -> "ScenarioScale":
-        """Default scale for the throughput benchmarks (Figs. 4 and 5).
+        """Default scale for the throughput experiments (Figs. 4 and 5).
 
         Throughput ratios only take the paper's shape once links actually
         contend, which needs thousands of pairs — more than the generic

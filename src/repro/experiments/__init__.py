@@ -5,6 +5,7 @@ Importing this package populates the registry; use
 """
 
 from repro.experiments import (  # noqa: F401  (imports register experiments)
+    ablations,
     disconnected,
     ext_deployment,
     ext_dynamics,

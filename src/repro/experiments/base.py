@@ -2,9 +2,9 @@
 
 Every paper figure/table has a module here exposing ``run(scale)``, whose
 one argument defaults to the experiment's own scale, returning an
-:class:`ExperimentResult`. The registry lets the benchmark harness and
-the batch runner (:mod:`repro.core.runner`, behind ``repro run``)
-enumerate them; ``repro run --scale`` is the one way to pick the scale.
+:class:`ExperimentResult`. The registry lets the batch runner
+(:mod:`repro.core.runner`, behind ``repro run``) and the tests enumerate
+them; ``repro run --scale`` is the one way to pick the scale.
 """
 
 from __future__ import annotations

@@ -45,10 +45,9 @@ def equal_split_allocation(
             raise ValueError("flow references an edge id outside the capacity table")
         np.add.at(flow_counts, edges, 1.0)
 
-    with np.errstate(divide="ignore"):
-        share = np.where(
-            flow_counts > 0, capacities / np.maximum(flow_counts, 1e-300), np.inf
-        )
+    share = np.full(n_edges, np.inf)
+    used = flow_counts > 0
+    share[used] = capacities[used] / flow_counts[used]
 
     rates = np.empty(n_flows)
     loads = np.zeros(n_edges)

@@ -1,4 +1,4 @@
-"""Plain-text reporting for the benchmark harness."""
+"""Plain-text reporting for experiment results."""
 
 from repro.reporting.ascii_plots import ascii_cdf, ascii_histogram, sparkline
 from repro.reporting.report import generate_report, render_report

@@ -1,6 +1,6 @@
 """Dependency-free terminal plots: CDF curves, histograms, sparklines.
 
-The benchmark harness prints tables; these helpers add visual shape for
+Experiments render tables; these helpers add visual shape for
 humans skimming a terminal — a rough ASCII rendering of the same curves
 the paper's figures plot. Pure text, no matplotlib.
 """

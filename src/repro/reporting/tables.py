@@ -1,6 +1,6 @@
-"""Plain-text tables and CDF printouts for the benchmark harness.
+"""Plain-text tables and CDF printouts for experiment results.
 
-Benchmarks print the same rows/series the paper's figures plot, so a run
+Experiments render the same rows/series the paper's figures plot, so a run
 can be compared against the paper by eye. No plotting dependencies —
 everything renders as aligned ASCII.
 """

@@ -35,13 +35,17 @@ def pytest_addoption(parser):
     )
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture(scope="session", autouse=True)
 def _strict_integrity():
-    """Run every test with result invariant guards on.
+    """Run every test, and every fixture of any scope, with result
+    invariant guards on.
 
-    The guards are cheap and the suite is exactly where a violated
-    invariant should surface first; tests exercising non-strict behaviour
-    can turn them off locally with ``run_context(strict=False)``.
+    Session scope makes this the first fixture set up, so class-, module-
+    and session-scoped fixtures (whole experiment runs among them) compute
+    under the guards too. The guards are cheap and the suite is exactly
+    where a violated invariant should surface first; tests exercising
+    non-strict behaviour can turn them off locally with
+    ``run_context(strict=False)``, which restores strict on exit.
     """
     from repro.context import run_context
 

@@ -1,8 +1,11 @@
 """Tests for the experiment harness: every figure runs and holds its shape.
 
-These run each experiment at a deliberately tiny scale and assert the
-paper's *qualitative* shape (who wins, direction of effects), not the
-absolute numbers — those are the benchmarks' job at larger scales.
+These run each registered experiment once at a deliberately tiny scale
+and assert the paper's *qualitative* shape (who wins, direction of
+effects, rough magnitudes), not the absolute numbers. The numbers come
+from ``repro run <id> --scale … --out DIR``; the bounds that only hold at
+the paper's scale are checked on the committed ``results/<id>-full/``
+artifacts by ``tests/test_full_scale_artifacts.py``.
 """
 
 import inspect
@@ -36,6 +39,8 @@ EXPECTED_IDS = {
     "ext-terouting",
     "ext-deployment",
     "faults",
+    # The design-choice ablations of DESIGN.md §5 (D3-D9).
+    "ablations",
 }
 
 
@@ -96,7 +101,10 @@ def results():
     )
     outcome = {}
     for experiment_id, run in all_experiments().items():
-        if experiment_id in ("fig4", "fig5", "ext-fiber", "ext-maxflow", "ext-modcod", "ext-terouting"):
+        if experiment_id in (
+            "fig4", "fig5", "ext-fiber", "ext-maxflow", "ext-modcod", "ext-terouting",
+            "ablations",
+        ):
             outcome[experiment_id] = run(scale=throughput_scale)
         elif experiment_id == "fig3":
             outcome[experiment_id] = run(scale=fig3_scale)
@@ -120,7 +128,12 @@ class TestExperimentShapes:
         bp = data["bp_min_rtt_ms"]
         hybrid = data["hybrid_min_rtt_ms"]
         finite = np.isfinite(bp) & np.isfinite(hybrid)
+        assert finite.sum() > 0.9 * len(bp)
+        # Fig 2(a): the hybrid network is a superset, so per-pair min RTT
+        # can never be worse...
         assert np.all(bp[finite] >= hybrid[finite] - 1e-6)
+        # ...and some pairs pay a visible BP penalty.
+        assert np.max(bp[finite] - hybrid[finite]) > 5.0
 
     def test_fig2_median_variation_increase_positive(self, results):
         headline = results["fig2"].headline
@@ -128,15 +141,23 @@ class TestExperimentShapes:
 
     def test_fig3_bp_less_stable_than_hybrid(self, results):
         data = results["fig3"].data
+        assert len(data["bp_rtt_ms"]) > 0 and len(data["hybrid_rtt_ms"]) > 0
         bp_range = data["bp_rtt_ms"].max() - data["bp_rtt_ms"].min()
         hybrid_range = data["hybrid_rtt_ms"].max() - data["hybrid_rtt_ms"].min()
         assert bp_range > hybrid_range
+
+    def test_fig3_bp_uses_aircraft(self, results):
+        # The South Atlantic crossing leans on aircraft relays.
+        assert results["fig3"].headline["BP snapshots using aircraft relays"] > 0
 
     def test_fig4_hybrid_wins_everywhere(self, results):
         for constellation in ("starlink", "kuiper"):
             matrix = results["fig4"].data[constellation]
             for k in (1, 4):
                 assert matrix[("hybrid", k)] > matrix[("bp", k)]
+            # The ratio grows with contention; at this tiny scale it is
+            # 1.46-1.69x (2.26x at fig4's own default scale, EXPERIMENTS.md E4).
+            assert matrix[("hybrid", 1)] / matrix[("bp", 1)] > 1.3
 
     def test_fig5_sweep_monotone(self, results):
         sweep = results["fig5"].data["sweep_gbps"]
@@ -144,47 +165,79 @@ class TestExperimentShapes:
         values = [sweep[r] for r in ratios]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(values, values[1:]))
 
+    def test_fig5_saturates_and_beats_bp(self, results):
+        data = results["fig5"].data
+        sweep = data["sweep_gbps"]
+        # Beyond 3x the k-shortest-path routing cannot exploit much more
+        # ISL bandwidth (paper: no improvement beyond 3x).
+        assert sweep[5.0] < 1.35 * sweep[3.0]
+        # Hybrid wins clearly at paper capacity (5x of 20G = 100G ISLs).
+        assert sweep[5.0] > 1.5 * data["bp_gbps"]
+
     def test_disconnected_bp_fraction_in_paper_ballpark(self, results):
         fractions = results["disconnected"].data["bp_fractions"]
         # Paper: 25.1-31.5 % at full scale; at tiny scale the ground
         # segment is sparser so the fraction can only be higher.
-        assert np.all(fractions > 0.10)
-        assert np.all(fractions < 0.90)
+        assert np.all(fractions > 0.15)
+        assert np.all(fractions < 0.60)
 
     def test_disconnected_hybrid_zero(self, results):
         assert np.all(results["disconnected"].data["hybrid_fractions"] == 0.0)
 
     def test_fig6_bp_attenuation_worse(self, results):
         data = results["fig6"].data
-        both = np.isfinite(data["bp_db"]) & np.isfinite(data["isl_db"])
-        assert np.median(data["bp_db"][both]) > np.median(data["isl_db"][both])
+        bp, isl = data["bp_db"], data["isl_db"]
+        both = np.isfinite(bp) & np.isfinite(isl)
+        assert both.sum() > 0.8 * len(bp)
+        # BP's distribution dominates at the quartiles...
+        for pct in (25, 50, 75):
+            assert np.percentile(bp[both], pct) >= np.percentile(isl[both], pct)
+        # ...with a positive median gap, and most pairs prefer ISL.
+        assert np.median(bp[both]) - np.median(isl[both]) > 0.2
+        assert np.mean(bp[both] >= isl[both] - 1e-9) > 0.7
 
     def test_fig8_isl_better_than_bp(self, results):
         data = results["fig8"].data
         assert data["bp_worst_db"] > data["isl_worst_db"]
+        # The BP path zig-zags through intermediate GTs.
         assert data["bp_hops"] > data["isl_hops"]
+        headline = results["fig8"].headline
+        assert headline["BP intermediate GT hops [paper: 2 aircraft + 4 GTs]"] >= 2
+        # Magnitudes in the paper's ballpark (dB, not fractions).
+        assert 0.1 < data["isl_worst_db"] < 10.0
+        assert 0.5 < data["bp_worst_db"] < 20.0
 
     def test_fig9_equator_most_restricted(self, results):
         by_lat = results["fig9"].data["starlink_fraction_by_lat"]
         assert by_lat[0.0] == min(by_lat.values())
+        assert by_lat[0.0] < 0.6
+        assert by_lat[60.0] > 0.85
+        # Monotone recovery with latitude, allowing a tiny numeric wiggle.
+        values = [by_lat[lat] for lat in sorted(by_lat)]
+        assert all(b >= a - 0.02 for a, b in zip(values, values[1:]))
 
     def test_fig10_two_shells_never_worse(self, results):
         data = results["fig10"].data
         finite = np.isfinite(data["single_rtt_ms"]) & np.isfinite(data["dual_rtt_ms"])
+        assert finite.any()
         assert np.all(
             data["dual_rtt_ms"][finite] <= data["single_rtt_ms"][finite] + 1e-6
         )
+        # The mechanism fires: some best paths span both shells.
+        assert results["fig10"].headline["snapshots whose best path spans both shells"] > 0
 
     def test_fig11_union_visibility_at_least_metro(self, results):
         data = results["fig11"].data
         assert np.all(data["union_counts"] >= data["metro_counts"])
-        assert data["union_counts"].mean() > data["metro_counts"].mean()
+        assert data["union_counts"].mean() > 1.05 * data["metro_counts"].mean()
+        # Paris sits near the 53-degree shell's density peak.
+        assert data["metro_counts"].min() >= 5
 
     def test_ext_gso_hurts_bp_more(self, results):
         """Section 7's qualitative claim: the GSO mask hits BP harder."""
         data = results["ext-gso"].data
         assert data["bp"]["median_inflation_ms"] >= data["hybrid"]["median_inflation_ms"]
-        assert data["bp"]["median_inflation_ms"] >= 0.0
+        assert data["bp"]["median_inflation_ms"] > 0.5  # A visible BP penalty.
         assert data["hybrid"]["median_inflation_ms"] >= -1e-6
 
     def test_ext_fiber_latency_never_worse(self, results):
@@ -208,6 +261,7 @@ class TestExperimentShapes:
         data = results["ext-maxflow"].data
         for mode in ("bp", "hybrid"):
             assert data[mode]["lax_gbps"] >= data[mode]["routed_gbps"] * (1 - 1e-9)
+        assert data["bp"]["lax_gbps"] > 1.3 * data["bp"]["routed_gbps"]
         # The paper's critique: the lax model compresses the hybrid/BP gap.
         lax_ratio = data["hybrid"]["lax_gbps"] / data["bp"]["lax_gbps"]
         routed_ratio = data["hybrid"]["routed_gbps"] / data["bp"]["routed_gbps"]
@@ -217,11 +271,12 @@ class TestExperimentShapes:
         """Paper Section 2: a GT keeps a satellite for 'a few minutes'."""
         data = results["ext-dynamics"].data
         analytic_min = data["analytic_max_pass_s"] / 60.0
-        assert 2.0 < analytic_min < 10.0
+        assert 3.0 < analytic_min < 7.0
         durations = data["pass_durations_s"]
         assert len(durations) > 10
         # No observed pass can exceed the analytic bound (plus sampling slack).
         assert durations.max() <= data["analytic_max_pass_s"] + 31.0
+        assert np.median(durations) > 120.0
 
     def test_ext_dynamics_churn_in_range(self, results):
         churn = results["ext-dynamics"].data["churn"]
@@ -236,8 +291,13 @@ class TestExperimentShapes:
         schemes = results["ext-terouting"].data["schemes"]
         sp = schemes["shortest path (k=1)"]
         te = schemes["load-aware (1 path)"]
-        assert te["gbps"] > sp["gbps"]
+        assert te["gbps"] > 1.2 * sp["gbps"]
         assert te["median_rtt_ms"] >= sp["median_rtt_ms"] - 1e-6
+        # With 4 paths each, load-aware matches the paper's k=4 model too.
+        assert (
+            schemes["load-aware (4 paths)"]["gbps"]
+            >= 0.95 * schemes["edge-disjoint (k=4)"]["gbps"]
+        )
 
     def test_ext_deployment_fuller_is_better(self, results):
         """More deployed planes never hurt reachability or latency."""
@@ -257,9 +317,76 @@ class TestExperimentShapes:
                 <= data[stage]["bp"]["median_rtt_ms"] + 1e-6
             )
 
+    def test_ext_deployment_isls_matter_most_when_sparse(self, results):
+        data = results["ext-deployment"].data
+        stages = sorted(data)
+
+        def ratio(stage):
+            return data[stage]["hybrid"]["throughput_gbps"] / data[stage]["bp"]["throughput_gbps"]
+
+        for stage in stages:
+            assert ratio(stage) > 1.2
+        assert ratio(stages[0]) >= 0.95 * ratio(stages[-1])
+
     def test_ext_modcod_weather_reduces_throughput(self, results):
         data = results["ext-modcod"].data
         for mode in ("bp", "hybrid"):
-            assert 0.0 < data[mode]["retained"] <= 1.0 + 1e-9
+            assert 0.3 < data[mode]["retained"] <= 1.0 + 1e-9
         # BP exposes more radio hops: it retains no more than hybrid.
         assert data["bp"]["retained"] <= data["hybrid"]["retained"] + 0.02
+
+
+class TestAblations:
+    """The DESIGN.md §5 ablations on the tiny throughput scale."""
+
+    @pytest.fixture(scope="class")
+    def data(self, results):
+        return results["ablations"].data
+
+    def test_node_disjoint_never_finds_more_paths(self, data):
+        d3 = data["d3"]
+        assert len(d3["edge_paths"]) > 0
+        assert np.all(d3["node_paths"] <= d3["edge_paths"])
+        # Both find multipath in a LEO mesh.
+        assert d3["edge_paths"].mean() > 2.0
+
+    def test_denser_relays_never_hurt_bp(self, data):
+        d4 = data["d4"]
+        spacings = d4["spacing_deg"]
+        assert spacings == sorted(spacings, reverse=True)  # coarsest first
+        for key in ("median_bp_rtt_ms", "bp_stranded_fraction"):
+            values = d4[key]
+            assert all(b <= a + 1e-6 for a, b in zip(values, values[1:])), key
+
+    def test_removing_aircraft_lowers_bp_reachability(self, data):
+        d5 = data["d5"]
+        reachable = dict(zip(d5["aircraft_density"], d5["bp_reachable"]))
+        assert reachable[0.0] < reachable[1.0]
+        assert reachable[0.25] <= reachable[1.0] + 1e-9
+
+    def test_maxmin_at_least_equal_split(self, data):
+        d6 = data["d6"]
+        assert d6["maxmin_gbps"] >= d6["equal_split_gbps"] * (1 - 1e-9)
+
+    def test_satellite_cap_and_beam_limit_never_raise_throughput(self, data):
+        for study in (data["d7"], data["d8"]):
+            for mode in ("bp", "hybrid"):
+                unbounded, tightest = study[f"{mode}_gbps"][0], study[f"{mode}_gbps"][-1]
+                assert tightest <= unbounded * (1 + 1e-9)
+        assert data["d7"]["cap_gbps"][-1] == 20.0
+        assert data["d8"]["beams"][-1] == 8
+
+    def test_satellite_cap_widens_hybrid_advantage(self, data):
+        # BP transit crosses a relay satellite's radio twice; hybrid
+        # transit rides the ISLs.
+        d7 = data["d7"]
+        ratios = [hy / bp for bp, hy in zip(d7["bp_gbps"], d7["hybrid_gbps"])]
+        assert ratios[-1] > ratios[0]
+
+    def test_hybrid_wins_under_both_traffic_laws(self, data):
+        d9 = data["d9"]
+        ratios = {}
+        for weighting, bp, hybrid in zip(d9["weighting"], d9["bp_gbps"], d9["hybrid_gbps"]):
+            assert hybrid > bp, weighting
+            ratios[weighting] = hybrid / bp
+        assert 0.5 < ratios["gravity"] / ratios["uniform"] < 2.0

@@ -15,7 +15,7 @@ from dataclasses import replace
 from repro import ConnectivityMode, Scenario, ScenarioScale
 from repro.atmosphere.attenuation import (
     attenuation_to_power_fraction,
-    worst_link_attenuation_db,
+    paths_worst_link_attenuation_db,
 )
 from repro.flows.routing import route_traffic
 from repro.reporting import format_table
@@ -53,32 +53,28 @@ def main() -> None:
         isl_graph, [isl_scenario.city_pair(a, b) for a, b in ROUTES]
     ).first_paths()
 
+    bp_nodes = [path.nodes if path else None for path in bp_paths]
+    isl_nodes = [path.nodes if path else None for path in isl_paths]
+    # Worst-link dB per route, BP and ISL, at each exceedance level.
+    worst = {
+        pct: (
+            paths_worst_link_attenuation_db(bp_graph, bp_nodes, pct),
+            paths_worst_link_attenuation_db(
+                isl_graph, isl_nodes, pct, endpoints_only=True
+            ),
+        )
+        for pct in EXCEEDANCES
+    }
+
     rows = []
-    for (city_a, city_b), bp_path, isl_path in zip(ROUTES, bp_paths, isl_paths):
+    for i, (city_a, city_b) in enumerate(ROUTES):
         row = [f"{city_a}-{city_b}"]
-        for pct in EXCEEDANCES:
-            bp_db = (
-                worst_link_attenuation_db(bp_graph, bp_path.nodes, pct)
-                if bp_path
-                else float("nan")
+        for bp_db, isl_db in worst.values():
+            row.append(f"{bp_db[i]:.1f} / {isl_db[i]:.1f}")
+        if bp_paths[i] and isl_paths[i]:
+            bp_power, isl_power = (
+                float(attenuation_to_power_fraction(db[i])) for db in worst[1.0]
             )
-            isl_db = (
-                worst_link_attenuation_db(
-                    isl_graph, isl_path.nodes, pct, endpoints_only=True
-                )
-                if isl_path
-                else float("nan")
-            )
-            row.append(f"{bp_db:.1f} / {isl_db:.1f}")
-        if bp_path and isl_path:
-            bp_power = float(attenuation_to_power_fraction(
-                worst_link_attenuation_db(bp_graph, bp_path.nodes, 1.0)
-            ))
-            isl_power = float(attenuation_to_power_fraction(
-                worst_link_attenuation_db(
-                    isl_graph, isl_path.nodes, 1.0, endpoints_only=True
-                )
-            ))
             row.append(f"+{100 * (isl_power - bp_power) / bp_power:.0f}%")
         else:
             row.append("-")

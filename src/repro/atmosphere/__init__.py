@@ -3,9 +3,10 @@
 from repro.atmosphere.attenuation import (
     LinkWeather,
     attenuation_to_power_fraction,
+    edge_weather_capacity_factors,
     path_link_attenuations_db,
+    paths_worst_link_attenuation_db,
     total_attenuation_db,
-    worst_link_attenuation_db,
 )
 from repro.atmosphere.climate import (
     columnar_cloud_liquid_kgm2,
@@ -23,14 +24,14 @@ from repro.atmosphere.itu_rain import (
     specific_attenuation_coefficients,
 )
 from repro.atmosphere.itu_scintillation import scintillation_fade_db
-from repro.atmosphere.weather_capacity import edge_weather_capacity_factors
 
 __all__ = [
     "total_attenuation_db",
     "attenuation_to_power_fraction",
     "LinkWeather",
     "path_link_attenuations_db",
-    "worst_link_attenuation_db",
+    "paths_worst_link_attenuation_db",
+    "edge_weather_capacity_factors",
     "rain_rate_001_mmh",
     "rain_height_km",
     "columnar_cloud_liquid_kgm2",
@@ -44,5 +45,4 @@ __all__ = [
     "cloud_mass_absorption_dbkg",
     "gaseous_attenuation_db",
     "scintillation_fade_db",
-    "edge_weather_capacity_factors",
 ]

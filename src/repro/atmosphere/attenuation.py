@@ -1,13 +1,15 @@
-"""Total slant-path attenuation and path-level weather analysis.
+"""Total slant-path attenuation and radio-hop weather analysis.
 
 Combines the component models per ITU-R P.618 section 2.5:
 
     A_T(p) = A_gas + sqrt((A_rain(p) + A_cloud)^2 + A_scint(p)^2)
 
-and provides the paper's Section 6 path metric: the *worst* link
-attenuation along an end-to-end path (BP paths bounce through many
-GT-satellite radio hops; ISL paths expose only the first and last radio
-hop). Free-space path loss is excluded by design — the paper assumes
+and scores radio hops with it: the paper's Section 6 path metric is the
+*worst* link attenuation along an end-to-end path (BP paths bounce
+through many GT-satellite radio hops; ISL paths expose only the first
+and last radio hop), and the MODCOD extension derates every radio edge
+of a snapshot by its attenuation. Both go through one vectorized hop
+scorer. Free-space path loss is excluded by design — the paper assumes
 link budgets already account for it.
 """
 
@@ -23,6 +25,7 @@ from repro.atmosphere.itu_rain import rain_attenuation_db
 from repro.atmosphere.itu_scintillation import scintillation_fade_db
 from repro.constants import DOWNLINK_FREQ_GHZ, UPLINK_FREQ_GHZ
 from repro.network.graph import SnapshotGraph
+from repro.network.modcod import weather_capacity_factor
 from repro.orbits.coordinates import ecef_to_geodetic
 from repro.orbits.visibility import elevation_deg as compute_elevation_deg
 
@@ -31,8 +34,8 @@ __all__ = [
     "attenuation_to_power_fraction",
     "LinkWeather",
     "path_link_attenuations_db",
-    "worst_link_attenuation_db",
     "paths_worst_link_attenuation_db",
+    "edge_weather_capacity_factors",
 ]
 
 
@@ -81,58 +84,84 @@ class LinkWeather:
     attenuation_db: float
 
 
+def _score_radio_hops(graph: SnapshotGraph, sats, gts, uplink, exceedance_pct):
+    """``(lat, lon, elevation, attenuation_db)`` of radio hops.
+
+    A hop is a satellite index, a GT station index and whether it is
+    the up-link (GT -> satellite, 14.25 GHz for Starlink's Ku band) or
+    the down-link (11.7 GHz); one :func:`total_attenuation_db` call per
+    direction scores them all.
+    """
+    gt_pos = graph.gt_ecef[gts]
+    lats, lons, _ = ecef_to_geodetic(gt_pos)
+    elevations = compute_elevation_deg(gt_pos, graph.sat_ecef[sats])
+    attenuation = np.empty(len(gts))
+    for direction, freq in ((uplink, UPLINK_FREQ_GHZ), (~uplink, DOWNLINK_FREQ_GHZ)):
+        if direction.any():
+            attenuation[direction] = total_attenuation_db(
+                lats[direction],
+                lons[direction],
+                elevations[direction],
+                freq,
+                exceedance_pct,
+            )
+    return lats, lons, elevations, attenuation
+
+
+def _path_radio_hops(graph: SnapshotGraph, paths, endpoints_only: bool):
+    """``(path id, satellite, GT index, up-link?)`` of the paths' radio hops.
+
+    Hops keep path order. ISL and terrestrial fiber hops (Section 8) are
+    weather-immune and dropped. With ``endpoints_only`` (the paper's
+    ISL-path accounting) each path keeps only its first and last radio
+    hop; nothing checks that the path has no GT bounce in between, and
+    that bounce's weather is then ignored (ROADMAP.md item 1).
+    """
+    routed = [i for i, p in enumerate(paths) if p is not None]
+    nodes = [np.asarray(paths[i], dtype=np.int64) for i in routed]
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + nodes)
+    owner = np.repeat(np.asarray(routed, dtype=np.int64), [len(n) for n in nodes])
+    hop = owner[1:] == owner[:-1]  # Consecutive nodes of one path.
+    ids, u, v = owner[1:][hop], flat[:-1][hop], flat[1:][hop]
+    uplink = u >= graph.num_sats  # Leaving a GT: GT -> satellite.
+    radio = uplink != (v >= graph.num_sats)
+    ids, u, v, uplink = ids[radio], u[radio], v[radio], uplink[radio]
+    if endpoints_only:
+        ends = (np.diff(ids, prepend=-1) != 0) | (np.diff(ids, append=-1) != 0)
+        ids, u, v, uplink = ids[ends], u[ends], v[ends], uplink[ends]
+    sats = np.where(uplink, v, u)
+    gts = np.where(uplink, u, v) - graph.num_sats
+    return ids, sats, gts, uplink
+
+
 def path_link_attenuations_db(
     graph: SnapshotGraph,
     path_nodes,
     exceedance_pct: float = 0.5,
-    uplink_freq_ghz: float = UPLINK_FREQ_GHZ,
-    downlink_freq_ghz: float = DOWNLINK_FREQ_GHZ,
     endpoints_only: bool = False,
 ) -> list[LinkWeather]:
-    """Attenuation of every GT-satellite hop along a node path.
+    """Attenuation of every GT-satellite hop along a node path, in order.
 
-    Hops leaving a GT are up-links (14.25 GHz for Starlink's Ku band),
-    hops arriving at a GT are down-links (11.7 GHz). ISL hops are immune
-    to weather and skipped. With ``endpoints_only`` (the paper's ISL-path
-    accounting) only the first and last radio hops are evaluated — used
-    when intermediate GT bounces should be ignored because the path under
-    analysis is the ISL one. The path is not checked for such bounces.
+    Hops leaving a GT are up-links, hops arriving at a GT down-links.
+    With ``endpoints_only`` only the first and last radio hop are kept.
     """
-    results: list[LinkWeather] = []
-    nodes = list(path_nodes)
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        u_is_sat = graph.is_sat_node(u)
-        v_is_sat = graph.is_sat_node(v)
-        if u_is_sat and v_is_sat:
-            continue  # ISL: weather-immune (stays far above the atmosphere).
-        if not u_is_sat and not v_is_sat:
-            continue  # Terrestrial fiber hop (Section 8): weather-immune.
-        gt_node, sat_node = (v, u) if u_is_sat else (u, v)
-        is_uplink = not u_is_sat  # Path direction: GT -> sat is an up-link.
-        gt_index = gt_node - graph.num_sats
-        gt_ecef = graph.gt_ecef[gt_index]
-        sat_ecef = graph.sat_ecef[sat_node]
-        elevation = float(compute_elevation_deg(gt_ecef, sat_ecef))
-        lat, lon, _ = ecef_to_geodetic(gt_ecef)
-        freq = uplink_freq_ghz if is_uplink else downlink_freq_ghz
-        attenuation = float(
-            total_attenuation_db(float(lat), float(lon), elevation, freq, exceedance_pct)
+    _, sats, gts, uplink = _path_radio_hops(graph, [path_nodes], endpoints_only)
+    scores = _score_radio_hops(graph, sats, gts, uplink, exceedance_pct)
+    return [
+        LinkWeather(
+            gt_node=int(gt) + graph.num_sats,
+            sat_node=int(sat),
+            gt_lat_deg=float(lat),
+            gt_lon_deg=float(lon),
+            elevation_deg=float(elevation),
+            freq_ghz=UPLINK_FREQ_GHZ if up else DOWNLINK_FREQ_GHZ,
+            is_uplink=bool(up),
+            attenuation_db=float(attenuation),
         )
-        results.append(
-            LinkWeather(
-                gt_node=gt_node,
-                sat_node=sat_node,
-                gt_lat_deg=float(lat),
-                gt_lon_deg=float(lon),
-                elevation_deg=elevation,
-                freq_ghz=freq,
-                is_uplink=is_uplink,
-                attenuation_db=attenuation,
-            )
+        for sat, gt, up, lat, lon, elevation, attenuation in zip(
+            sats, gts, uplink, *scores
         )
-    if endpoints_only and len(results) > 2:
-        results = [results[0], results[-1]]
-    return results
+    ]
 
 
 def paths_worst_link_attenuation_db(
@@ -140,88 +169,43 @@ def paths_worst_link_attenuation_db(
     paths,
     exceedance_pct: float = 0.5,
     endpoints_only: bool = False,
-    uplink_freq_ghz: float = UPLINK_FREQ_GHZ,
-    downlink_freq_ghz: float = DOWNLINK_FREQ_GHZ,
 ) -> np.ndarray:
-    """Vectorized worst-radio-hop attenuation for many paths at once, dB.
+    """The paper's per-path weather metric: max attenuation over radio hops, dB.
 
-    ``paths`` is a sequence of node sequences (``None`` entries allowed —
-    they yield NaN). All radio hops across all paths are gathered and
-    evaluated in two vectorized calls (one per frequency), then reduced
-    with a per-path max. This is what lets the Fig. 6 experiment handle
-    thousands of pairs.
+    ``paths`` is a sequence of node sequences; ``None`` entries and
+    paths without a radio hop yield NaN. BP paths expose every up/down
+    bounce; ISL paths (``endpoints_only``) only the first and last radio
+    hop. Assumes signal regeneration at each GT (paper Section 6), so
+    attenuations do not compound along the path.
     """
-    lat_list, lon_list, elev_list = [], [], []
-    uplink_flags, path_ids = [], []
-    for path_id, nodes in enumerate(paths):
-        if nodes is None:
-            continue
-        nodes = list(nodes)
-        hops = list(zip(nodes[:-1], nodes[1:]))
-        if endpoints_only and len(hops) > 2:
-            # Keep only the first and last hop: the radio hops of a pure
-            # ISL path. Nothing checks that the path is pure; an ISL_ONLY
-            # path can bounce through a city GT, and that bounce's
-            # weather is then ignored (ROADMAP.md item 1).
-            hops = [hops[0], hops[-1]]
-        for u, v in hops:
-            u_is_sat = graph.is_sat_node(u)
-            v_is_sat = graph.is_sat_node(v)
-            if u_is_sat == v_is_sat:
-                continue  # ISL or terrestrial fiber: weather-immune.
-            gt_node, sat_node = (v, u) if u_is_sat else (u, v)
-            gt_index = gt_node - graph.num_sats
-            gt_ecef = graph.gt_ecef[gt_index]
-            sat_ecef = graph.sat_ecef[sat_node]
-            lat, lon, _ = ecef_to_geodetic(gt_ecef)
-            lat_list.append(float(lat))
-            lon_list.append(float(lon))
-            elev_list.append(float(compute_elevation_deg(gt_ecef, sat_ecef)))
-            uplink_flags.append(not u_is_sat)
-            path_ids.append(path_id)
-
+    ids, sats, gts, uplink = _path_radio_hops(graph, paths, endpoints_only)
     result = np.full(len(paths), np.nan)
-    if not path_ids:
-        return result
-    lats = np.asarray(lat_list)
-    lons = np.asarray(lon_list)
-    elevs = np.asarray(elev_list)
-    uplinks = np.asarray(uplink_flags, dtype=bool)
-    ids = np.asarray(path_ids, dtype=np.int64)
-
-    attenuations = np.empty(len(ids))
-    if uplinks.any():
-        attenuations[uplinks] = total_attenuation_db(
-            lats[uplinks], lons[uplinks], elevs[uplinks], uplink_freq_ghz, exceedance_pct
-        )
-    if (~uplinks).any():
-        attenuations[~uplinks] = total_attenuation_db(
-            lats[~uplinks],
-            lons[~uplinks],
-            elevs[~uplinks],
-            downlink_freq_ghz,
-            exceedance_pct,
-        )
-    np.fmax.at(result, ids, attenuations)
+    attenuation = _score_radio_hops(graph, sats, gts, uplink, exceedance_pct)[3]
+    np.fmax.at(result, ids, attenuation)
     return result
 
 
-def worst_link_attenuation_db(
-    graph: SnapshotGraph,
-    path_nodes,
-    exceedance_pct: float = 0.5,
-    endpoints_only: bool = False,
-) -> float:
-    """The paper's per-path weather metric: max attenuation over radio hops.
+def edge_weather_capacity_factors(
+    graph: SnapshotGraph, exceedance_pct: float = 0.5
+) -> np.ndarray:
+    """MODCOD capacity factor per edge (1.0 for ISL and fiber edges).
 
-    BP paths expose every up/down bounce; ISL paths (``endpoints_only``)
-    expose only the first and last hop, whichever is worse. Assumes
-    signal regeneration at each GT (paper Section 6), so attenuations do
-    not compound multiplicatively along the path.
+    A radio link carries both directions; it is derated by the *worse*
+    of its up- and down-link attenuations (a single struggling direction
+    stalls the bidirectional abstraction our flows use). Radio rows are
+    edge ids ``[0, len(gt))`` of ``graph.sat_rows``, so the edge table is
+    not built. The factors multiply the edge capacities in
+    :func:`repro.flows.throughput.evaluate_throughput`.
     """
-    links = path_link_attenuations_db(
-        graph, path_nodes, exceedance_pct, endpoints_only=endpoints_only
+    start, gts, _ = graph.sat_rows
+    radio = len(gts)
+    sats = np.repeat(np.arange(graph.num_sats), np.diff(start))
+    uplink = np.arange(2 * radio) < radio
+    attenuation = _score_radio_hops(
+        graph, np.tile(sats, 2), np.tile(gts, 2), uplink, exceedance_pct
+    )[3]
+    factors = np.ones(graph.num_edges)
+    factors[:radio] = weather_capacity_factor(
+        np.maximum(attenuation[:radio], attenuation[radio:])
     )
-    if not links:
-        return 0.0
-    return max(link.attenuation_db for link in links)
+    return factors

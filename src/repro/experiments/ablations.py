@@ -5,7 +5,10 @@ the comparison, so the choice is measured rather than asserted. Every
 variant is derived from the given scale:
 
 * D3 — edge-disjoint vs node-disjoint multipath: paths found (k = 4)
-  for the first :data:`D3_PAIRS` pairs on the hybrid graph at t = 0;
+  and the mean second-path length over the first :data:`D3_PAIRS`
+  pairs on the hybrid graph at t = 0. Both models take the same first
+  path, after which node-disjointness searches a subgraph of what
+  edge-disjointness searches, so its second path is never shorter;
 * D4 — relay-grid density: the scale's spacing and grids
   :data:`D4_COARSENING` times coarser, each nested in the scale's grid.
   Reports the median BP RTT over every (pair, snapshot) cell, an
@@ -77,14 +80,30 @@ def _bp_series(scenario: Scenario):
 
 
 def _disjointness(scenario: Scenario, graph) -> dict:
-    """D3: how many edge- and node-disjoint paths each sampled pair has."""
+    """D3: each sampled pair's edge- and node-disjoint paths and their lengths."""
     matrix = graph.matrix()
     edge, node = [], []
     for pair in scenario.pairs[:D3_PAIRS]:
         source, target = graph.gt_node(pair.a), graph.gt_node(pair.b)
-        edge.append(len(k_edge_disjoint_paths(matrix, source, target, K)))
-        node.append(len(k_node_disjoint_paths(matrix, source, target, K)))
-    return {"edge_paths": np.asarray(edge), "node_paths": np.asarray(node)}
+        for lengths, finder in ((edge, k_edge_disjoint_paths), (node, k_node_disjoint_paths)):
+            lengths.append([path.length_m for path in finder(matrix, source, target, K)])
+    return {
+        "edge_paths": np.asarray([len(lengths) for lengths in edge]),
+        "node_paths": np.asarray([len(lengths) for lengths in node]),
+        "edge_length_m": edge,
+        "node_length_m": node,
+    }
+
+
+def _mean_second_path_km(d3: dict) -> dict:
+    """D3: mean second-path length per model over pairs where both found one."""
+    both = [
+        (edge[1], node[1])
+        for edge, node in zip(d3["edge_length_m"], d3["node_length_m"])
+        if len(node) > 1
+    ]
+    edge, node = (np.asarray(column) / 1e3 for column in zip(*both))
+    return {"edge-disjoint": float(edge.mean()), "node-disjoint": float(node.mean())}
 
 
 def _relay_density(scenario: Scenario, paper_series, paper_stranded) -> dict:
@@ -202,11 +221,14 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     d4 = _relay_density(scenario, paper_series, paper_stranded)
     d5 = _aircraft_density(scenario, paper_series)
 
+    second_km = _mean_second_path_km(d3)
     tables = [
         format_table(
-            ["model", f"mean paths found (k={K})", f"pairs with {K} paths"],
+            ["model", f"mean paths found (k={K})", f"pairs with {K} paths",
+             "mean 2nd-path length (km)"],
             [
-                [name, f"{counts.mean():.2f}", int(np.sum(counts == K))]
+                [name, f"{counts.mean():.2f}", int(np.sum(counts == K)),
+                 f"{second_km[name]:.0f}"]
                 for name, counts in (
                     ("edge-disjoint", d3["edge_paths"]),
                     ("node-disjoint", d3["node_paths"]),
@@ -276,6 +298,9 @@ def run(scale: ScenarioScale = ScenarioScale.small()) -> ExperimentResult:
     headline = {
         "D3 mean node-disjoint / edge-disjoint paths": round(
             float(d3["node_paths"].mean() / d3["edge_paths"].mean()), 3
+        ),
+        "D3 mean node-disjoint / edge-disjoint second-path length": round(
+            second_km["node-disjoint"] / second_km["edge-disjoint"], 3
         ),
         "D4 median BP RTT, coarsest -> scale's relay grid (ms)": (
             f"{d4['median_bp_rtt_ms'][0]:.2f} -> {d4['median_bp_rtt_ms'][-1]:.2f}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.atmosphere.weather_capacity import edge_weather_capacity_factors
+from repro.atmosphere.attenuation import edge_weather_capacity_factors
 from repro.core.scenario import Scenario, ScenarioScale
 from repro.experiments.base import EXTENSION_SCALE, ExperimentResult, register
 from repro.flows.routing import route_traffic

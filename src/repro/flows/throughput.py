@@ -97,7 +97,7 @@ def evaluate_throughput(
     docstring) — ``None`` reproduces the paper's per-link-only model.
     ``edge_capacity_factors`` multiplies per-edge capacities (the
     weather/MODCOD coupling produces these — see
-    :func:`repro.atmosphere.weather_capacity.edge_weather_capacity_factors`);
+    :func:`repro.atmosphere.attenuation.edge_weather_capacity_factors`);
     a factor of 0 marks the link down, and flows pinned to it get zero.
     """
     capacities = capacities or LinkCapacities()

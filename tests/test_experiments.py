@@ -350,6 +350,19 @@ class TestAblations:
         # Both find multipath in a LEO mesh.
         assert d3["edge_paths"].mean() > 2.0
 
+    def test_node_disjoint_second_path_never_shorter(self, data):
+        # Same first path; then node-disjoint searches a subgraph of the
+        # graph edge-disjoint searches, so its shortest path is no shorter.
+        d3 = data["d3"]
+        seconds = [
+            (edge[1], node[1])
+            for edge, node in zip(d3["edge_length_m"], d3["node_length_m"])
+            if len(node) > 1
+        ]
+        assert seconds
+        for edge_m, node_m in seconds:
+            assert node_m >= edge_m
+
     def test_denser_relays_never_hurt_bp(self, data):
         d4 = data["d4"]
         spacings = d4["spacing_deg"]

@@ -1,9 +1,8 @@
-"""Tests for the radio link-budget module and its weather coupling."""
+"""Tests for the radio link-budget module."""
 
 import numpy as np
 import pytest
 
-from repro.atmosphere.weather_capacity import edge_weather_capacity_factors
 from repro.constants import slant_range_m
 from repro.network.linkbudget import (
     DEFAULT_DOWNLINK_BUDGET,
@@ -69,29 +68,3 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(eirp_dbw=30, g_over_t_dbk=10, bandwidth_hz=1e6, freq_ghz=-1)
 
-
-class TestElevationAwareWeatherFactors:
-    def test_budget_factors_bounded(self, tiny_hybrid_graph):
-        factors = edge_weather_capacity_factors(
-            tiny_hybrid_graph, link_budget=DEFAULT_DOWNLINK_BUDGET
-        )
-        radio = tiny_hybrid_graph.edge_kind == 0
-        assert np.all(factors[radio] >= 0.0)
-        assert np.all(factors[radio] <= 1.0 + 1e-9)
-        assert np.all(factors[~radio] == 1.0)
-
-    def test_budget_model_diverges_from_flat_model(self, tiny_hybrid_graph):
-        flat = edge_weather_capacity_factors(tiny_hybrid_graph)
-        budget = edge_weather_capacity_factors(
-            tiny_hybrid_graph, link_budget=DEFAULT_DOWNLINK_BUDGET
-        )
-        assert not np.allclose(flat, budget)
-
-    def test_deeper_exceedance_still_monotone(self, tiny_hybrid_graph):
-        mild = edge_weather_capacity_factors(
-            tiny_hybrid_graph, 1.0, link_budget=DEFAULT_DOWNLINK_BUDGET
-        )
-        severe = edge_weather_capacity_factors(
-            tiny_hybrid_graph, 0.1, link_budget=DEFAULT_DOWNLINK_BUDGET
-        )
-        assert np.all(severe <= mild + 1e-12)

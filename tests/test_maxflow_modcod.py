@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.atmosphere.weather_capacity import edge_weather_capacity_factors
+from repro.atmosphere.attenuation import edge_weather_capacity_factors
 from repro.flows.maxflow import lax_max_flow_bps
 from repro.flows.throughput import evaluate_throughput
 from repro.network.links import LinkCapacities
